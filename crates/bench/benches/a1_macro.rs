@@ -180,60 +180,6 @@ fn bench_sharded(c: &mut Criterion) {
     group.finish();
 }
 
-/// Coupled-path A/B: the same pods world with one mid-run outage, which
-/// makes the decoupled fan-out ineligible. `serial` replays it through
-/// the plain coupled loop (windowing off); `windowed` replays it at
-/// `shards = 8` under the bounded-lookahead window scheduler
-/// (DESIGN.md §7). Reports are byte-identical — asserted before
-/// measuring — so the delta is exactly what windowing costs (or saves)
-/// on this machine.
-fn bench_coupled_windowed(c: &mut Criterion) {
-    use vod_sim::{FailurePlan, Outage, WindowConfig};
-
-    let mut group = c.benchmark_group("a1_macro_coupled");
-    group.sample_size(10);
-    let (catalog, cluster, layout, trace) = pods_world(32);
-    let outage = || {
-        FailurePlan::new(vec![Outage {
-            server: ServerId(3),
-            down_at_min: 30.0,
-            up_at_min: Some(60.0),
-        }])
-        .unwrap()
-    };
-    let sim_for = |shards, enabled| {
-        Simulation::new(
-            &catalog,
-            &cluster,
-            &layout,
-            SimConfig {
-                shards,
-                failures: outage(),
-                window: WindowConfig {
-                    enabled,
-                    ..WindowConfig::default()
-                },
-                ..SimConfig::default()
-            },
-        )
-        .unwrap()
-    };
-    // Determinism gate: the windowed replay is byte-identical to the
-    // serial coupled loop, or the A/B compares nothing.
-    assert_eq!(
-        sim_for(1, false).run(&trace).unwrap(),
-        sim_for(8, true).run(&trace).unwrap()
-    );
-    for (name, shards, enabled) in [("serial", 1usize, false), ("windowed", 8, true)] {
-        let sim = sim_for(shards, enabled);
-        group.throughput(Throughput::Elements(count_events(&sim, &trace)));
-        group.bench_with_input(BenchmarkId::new("pods_outage", name), &shards, |b, _| {
-            b.iter(|| black_box(sim.run(black_box(&trace)).unwrap()))
-        });
-    }
-    group.finish();
-}
-
 /// The A-9 production world shape, horizon-trimmed so one engine pass
 /// fits a bench iteration (the full 48-hour run is the `experiments
 /// scale` command's job; throughput per event is what matters here).
@@ -287,11 +233,5 @@ fn bench_scale(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_a1_macro,
-    bench_sharded,
-    bench_coupled_windowed,
-    bench_scale
-);
+criterion_group!(benches, bench_a1_macro, bench_sharded, bench_scale);
 criterion_main!(benches);

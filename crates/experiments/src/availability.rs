@@ -49,7 +49,6 @@ fn run_with_failures(
         horizon_min: setup.horizon_min,
         failures,
         shards: setup.shards,
-        window: setup.window,
         ..SimConfig::default()
     };
     let sim = Simulation::new(

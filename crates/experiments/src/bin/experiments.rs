@@ -35,17 +35,11 @@
 //!               steps/sec; prints one machine-readable PERF_SMOKE line
 //!
 //! flags:
-//!   --shards N      engine shards per simulation (default 1; reports are
-//!                   byte-identical at any shard count — CI diffs them)
-//!   --window-min-events N  smallest arrival count worth a parallel window
-//!                   on the coupled sharded path (default 32; smaller opens
-//!                   more windows, larger coalesces more into the serial
-//!                   loop — reports are identical either way)
-//!   --window-max-span MIN  longest window the coupled sharded path may
-//!                   execute between barriers, in simulated minutes
-//!                   (default 5)
-//!   --no-window     disable windowed execution: shards > 1 falls back to
-//!                   the serial coupled loop whenever the run couples
+//!   --shards N      engine shards per simulation (default 1; runs whose
+//!                   server groups are independent fan out over N worker
+//!                   threads, every other run takes the serial loop —
+//!                   reports are byte-identical at any shard count, CI
+//!                   diffs them)
 //!   --metrics FILE  append one JSONL run-manifest record per experiment
 //!   --check FILE    perf-smoke only: fail if events/sec, SA steps/sec,
 //!                   parallel events/sec, streaming-generation
@@ -88,9 +82,6 @@ struct Args {
     metrics: Option<String>,
     check: Option<String>,
     scheme: Option<RedundancyScheme>,
-    window_min_events: Option<u32>,
-    window_max_span: Option<f64>,
-    no_window: bool,
 }
 
 /// Largest sensible `--shards`: the engine merges per-shard results, so
@@ -101,11 +92,6 @@ const MAX_SHARDS: usize = 256;
 /// Largest sensible `--runs`: each run is a full 90-minute simulation;
 /// five digits of replications is a typo, not an experiment.
 const MAX_RUNS: u32 = 10_000;
-
-/// Largest sensible `--window-min-events`: no trace in the suite holds
-/// a million arrivals, so anything beyond this coalesces every window
-/// and is certainly a typo'd flag, not a tuning choice.
-const MAX_WINDOW_MIN_EVENTS: u32 = 1_000_000;
 
 fn parse_args() -> Result<Args, String> {
     parse_from(std::env::args().skip(1))
@@ -122,9 +108,6 @@ fn parse_from(mut iter: impl Iterator<Item = String>) -> Result<Args, String> {
         metrics: None,
         check: None,
         scheme: None,
-        window_min_events: None,
-        window_max_span: None,
-        no_window: false,
     };
     let mut scheme_flag: Option<String> = None;
     let mut k_flag: Option<u32> = None;
@@ -167,43 +150,6 @@ fn parse_from(mut iter: impl Iterator<Item = String>) -> Result<Args, String> {
                     ));
                 }
                 args.shards = Some(shards);
-            }
-            "--no-window" => args.no_window = true,
-            "--window-min-events" => {
-                let v = iter.next().ok_or("--window-min-events needs a value")?;
-                let n: u32 = v.parse().map_err(|_| {
-                    format!("bad --window-min-events value `{v}`: expected a positive integer")
-                })?;
-                if n == 0 {
-                    return Err("--window-min-events 0 would open windows with nothing in \
-                                them; pass a positive event count (1 opens every window)"
-                        .into());
-                }
-                if n > MAX_WINDOW_MIN_EVENTS {
-                    return Err(format!(
-                        "--window-min-events {n} exceeds the sanity cap of \
-                         {MAX_WINDOW_MIN_EVENTS}; every window would coalesce into the \
-                         serial loop — did a flag value go astray?"
-                    ));
-                }
-                args.window_min_events = Some(n);
-            }
-            "--window-max-span" => {
-                let v = iter.next().ok_or("--window-max-span needs a value")?;
-                let span: f64 = v.parse().map_err(|_| {
-                    format!(
-                        "bad --window-max-span value `{v}`: expected a positive number \
-                         of simulated minutes"
-                    )
-                })?;
-                if !span.is_finite() || span <= 0.0 {
-                    return Err(format!(
-                        "--window-max-span {v} is not a usable horizon: pass a positive, \
-                         finite number of simulated minutes (windows need room to hold \
-                         at least one event)"
-                    ));
-                }
-                args.window_max_span = Some(span);
             }
             "--out" => {
                 let v = iter.next().ok_or("--out needs a value")?;
@@ -499,11 +445,10 @@ fn pods_perf_world() -> Result<(Catalog, ClusterSpec, Layout, Trace), Box<dyn st
 }
 
 /// Coupled-path throughput measurement: the same pods world with one
-/// mid-run outage, which forces the *coupled* engine loop — the
-/// decoupled per-pod fan-out is ineligible, so `shards = 8` exercises
-/// the bounded-lookahead windowed executor (DESIGN.md §7). Asserts the
-/// serial and windowed reports are byte-identical and that real windows
-/// opened, then measures events/sec of the windowed engine. Returns
+/// mid-run outage, which couples the pods — the decoupled per-pod
+/// fan-out is ineligible, so `shards = 8` takes the serial loop.
+/// Asserts the `shards = 1` and `shards = 8` reports are byte-identical,
+/// then measures events/sec of the `shards = 8` run. Returns
 /// `(events, secs, events_per_sec)`.
 fn coupled_par_perf_measurement() -> Result<(u64, f64, f64), Box<dyn std::error::Error>> {
     const SHARDS: usize = 8;
@@ -525,7 +470,7 @@ fn coupled_par_perf_measurement() -> Result<(u64, f64, f64), Box<dyn std::error:
             ..SimConfig::default()
         },
     )?;
-    let windowed = Simulation::new(
+    let sharded = Simulation::new(
         &catalog,
         &cluster,
         &layout,
@@ -536,23 +481,15 @@ fn coupled_par_perf_measurement() -> Result<(u64, f64, f64), Box<dyn std::error:
         },
     )?;
     let a = serial.run(&trace)?;
-    let check = Telemetry::enabled();
-    let b = windowed.run_with_telemetry(&trace, &check)?;
+    let b = sharded.run(&trace)?;
     if serde_json::to_string(&a)? != serde_json::to_string(&b)? {
-        return Err("perf smoke: windowed coupled report diverged from the serial report".into());
-    }
-    if check.snapshot().counter("sim.window.windows") == 0 {
-        return Err(
-            "perf smoke: the coupled measurement never opened a window — the \
-                    figure would measure the serial fallback, not the windowed engine"
-                .into(),
-        );
+        return Err("perf smoke: sharded coupled report diverged from the serial report".into());
     }
     let telemetry = Telemetry::enabled();
     let started = Instant::now();
     let mut iterations = 0u32;
     while iterations < 2 || started.elapsed().as_secs_f64() < 0.5 {
-        std::hint::black_box(windowed.run_with_telemetry(&trace, &telemetry)?);
+        std::hint::black_box(sharded.run_with_telemetry(&trace, &telemetry)?);
         iterations += 1;
     }
     let secs = started.elapsed().as_secs_f64();
@@ -644,8 +581,8 @@ fn perf_smoke(
     // against the serial engine is asserted inside).
     let (par_events, par_secs, par_events_per_sec) = par_perf_measurement()?;
 
-    // Coupled windowed-engine measurement (same world plus an outage,
-    // so the bounded-lookahead windowed path carries the run).
+    // Coupled-engine measurement (same world plus an outage, so the
+    // serial loop carries the run at shards = 8).
     let (coupled_events, coupled_secs, coupled_events_per_sec) = coupled_par_perf_measurement()?;
 
     // Streaming-generation measurement: requests/sec pulled from the
@@ -804,7 +741,7 @@ fn perf_smoke(
             let coupled_delta_pct = 100.0 * (coupled_events_per_sec / coupled_floor - 1.0);
             if coupled_events_per_sec < coupled_threshold {
                 return Err(format!(
-                    "perf smoke regression: {coupled_events_per_sec:.0} coupled windowed \
+                    "perf smoke regression: {coupled_events_per_sec:.0} coupled \
                      events/sec is more than 30% below the baseline {coupled_floor:.0} \
                      (threshold {coupled_threshold:.0}, delta {coupled_delta_pct:+.1}%)"
                 )
@@ -814,7 +751,7 @@ fn perf_smoke(
                 "PERF_SMOKE_COUPLED_DELTA baseline={coupled_floor:.0} measured={coupled_events_per_sec:.0} delta_pct={coupled_delta_pct:+.1}"
             );
             eprintln!(
-                "perf smoke ok: {coupled_events_per_sec:.0} coupled windowed events/sec >= \
+                "perf smoke ok: {coupled_events_per_sec:.0} coupled events/sec >= \
                  threshold {coupled_threshold:.0} (baseline {coupled_floor:.0}, delta \
                  {coupled_delta_pct:+.1}%)"
             );
@@ -870,9 +807,8 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: experiments <all|fig1..fig6|quality|bound|sa|sa2|ablation|availability|drift|recovery|striping|overload|controller|coding|scale|perf-smoke> \
-                 [--fast] [--runs N] [--shards N] [--window-min-events N] [--window-max-span MIN] \
-                 [--no-window] [--out DIR] [--no-files] [--metrics FILE] [--check FILE] \
-                 [--scheme repR|rs [--k K --m M]]"
+                 [--fast] [--runs N] [--shards N] [--out DIR] [--no-files] [--metrics FILE] \
+                 [--check FILE] [--scheme repR|rs [--k K --m M]]"
             );
             return ExitCode::FAILURE;
         }
@@ -888,15 +824,6 @@ fn main() -> ExitCode {
     }
     if let Some(shards) = args.shards {
         setup.shards = shards;
-    }
-    if args.no_window {
-        setup.window.enabled = false;
-    }
-    if let Some(n) = args.window_min_events {
-        setup.window.min_events = n;
-    }
-    if let Some(span) = args.window_max_span {
-        setup.window.max_span_min = span;
     }
 
     let base_reporter = if args.no_files {
@@ -1068,51 +995,6 @@ mod tests {
         assert!(e.contains("--out"), "{e}");
         let e = parse(&["--metrics", ""]).unwrap_err();
         assert!(e.contains("--metrics"), "{e}");
-    }
-
-    #[test]
-    fn window_knobs_parse() {
-        let a = parse(&[
-            "recovery",
-            "--shards",
-            "8",
-            "--window-min-events",
-            "2",
-            "--window-max-span",
-            "0.5",
-        ])
-        .unwrap();
-        assert_eq!(a.window_min_events, Some(2));
-        assert_eq!(a.window_max_span, Some(0.5));
-        assert!(!a.no_window);
-        let a = parse(&["recovery", "--no-window"]).unwrap();
-        assert!(a.no_window);
-        assert!(a.window_min_events.is_none() && a.window_max_span.is_none());
-    }
-
-    #[test]
-    fn degenerate_window_knobs_get_actionable_errors() {
-        let e = parse(&["--window-min-events", "0"]).unwrap_err();
-        assert!(e.contains("--window-min-events 0"), "{e}");
-        assert!(e.contains("positive"), "{e}");
-        let e = parse(&["--window-min-events", "lots"]).unwrap_err();
-        assert!(
-            e.contains("--window-min-events") && e.contains("lots"),
-            "{e}"
-        );
-        let e = parse(&["--window-min-events", "2000000"]).unwrap_err();
-        assert!(e.contains("sanity cap"), "{e}");
-        for bad in ["0", "-3", "NaN", "inf"] {
-            let e = parse(&["--window-max-span", bad]).unwrap_err();
-            assert!(
-                e.contains("--window-max-span") && e.contains("positive"),
-                "`{bad}` -> {e}"
-            );
-        }
-        let e = parse(&["--window-max-span", "soon"]).unwrap_err();
-        assert!(e.contains("soon") && e.contains("minutes"), "{e}");
-        assert!(parse(&["--window-min-events"]).is_err());
-        assert!(parse(&["--window-max-span"]).is_err());
     }
 
     #[test]

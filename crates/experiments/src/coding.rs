@@ -142,7 +142,6 @@ fn run_cell(
             policy: AdmissionPolicy::RoundRobinFailover,
             horizon_min: setup.horizon_min,
             shards: setup.shards,
-            window: setup.window,
             failure_model: Some(FailureModel::exponential(
                 MTBF_MIN,
                 mttr_min,

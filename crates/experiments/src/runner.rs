@@ -198,7 +198,6 @@ pub fn run_replications_with_telemetry(
         policy,
         horizon_min: setup.horizon_min,
         shards: setup.shards,
-        window: setup.window,
         ..SimConfig::default()
     };
     let sim = Simulation::new(

@@ -37,8 +37,8 @@ use vod_workload::{CatalogChurn, DiurnalCycle, RateModel, RatePulse, ThinnedWork
 ///
 /// The departure queue holds one 36-byte packed slot and one 24-byte
 /// heap entry per active stream (DESIGN.md §7); Vec growth doubles
-/// capacity, and the per-shard sub-queues each keep a small scratch
-/// buffer. 192 bytes = (36 + 24) × 2 growth slack × ~1.6 structural
+/// capacity, and each engine pass's queue keeps a small extraction
+/// scratch buffer. 192 bytes = (36 + 24) × 2 growth slack × ~1.6 structural
 /// overhead, rounded to a stable power-of-two-ish contract. The CI
 /// memory smoke fails any run whose measured bytes/active-stream
 /// exceeds this.
@@ -330,7 +330,6 @@ pub fn compute(world: &ScaleWorld, seed: u64) -> Result<ScaleOutcome, Box<dyn st
         sample_interval_min: (setup.horizon_min / 288.0).max(0.25),
         record_series: true,
         shards: setup.shards,
-        window: setup.window,
         ..SimConfig::default()
     };
     let sim = Simulation::new(

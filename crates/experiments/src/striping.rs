@@ -141,7 +141,6 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
         policy: AdmissionPolicy::RoundRobinFailover,
         failures: outage,
         shards: setup.shards,
-        window: setup.window,
         ..vod_sim::SimConfig::default()
     };
     let sim = vod_sim::Simulation::new(

@@ -35,8 +35,8 @@
 //! fire at fixed instants *after* all other events due at the same
 //! instant. A run with the controller enabled is a pure function of
 //! (trace, config); the controller is a cluster-coupling feature, so
-//! the sharded engine routes such runs through its serial
-//! coupled-fallback path (see `Simulation::decoupled_plan`).
+//! the engine runs it on the serial loop at any shard count (see
+//! `Simulation::decoupled_plan`).
 
 use crate::actuation::ReplicaActuator;
 use crate::dispatch::Dispatcher;

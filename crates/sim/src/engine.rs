@@ -21,7 +21,7 @@ use crate::admission::{AdmissionConfig, AdmissionState, PendingRequest};
 use crate::audit::{Auditor, Ledger};
 use crate::controller::{ControllerConfig, DriftController};
 use crate::dispatch::{AdmissionPolicy, Decision, Dispatcher};
-use crate::event::{Departure, DepartureQueue, ShardedDepartureQueue, NO_STREAM};
+use crate::event::{Departure, DepartureQueue, NO_STREAM};
 use crate::failure::{FailureModel, FailurePlan, Transition, TransitionKind};
 use crate::metrics::{MetricsCollector, SimReport};
 use crate::repair::{FailoverPolicy, RepairConfig};
@@ -31,7 +31,7 @@ use crate::time::SimTime;
 use vod_model::{
     BitRate, Catalog, ClusterSpec, Layout, ModelError, RedundancyMap, ServerId, VideoId,
 };
-use vod_telemetry::{Counter, Histogram, ShardInstrument, Span, Telemetry};
+use vod_telemetry::{Counter, Histogram, ShardInstrument, Telemetry};
 use vod_workload::{ArrivalIter, ArrivalSource, Request, Trace};
 
 /// Epoch sentinel for departures that were already shed by a brownout:
@@ -78,21 +78,12 @@ pub struct SimConfig {
     /// Engine shards (1 = the serial engine). When the replica graph
     /// partitions into independent server groups and every
     /// cluster-scoped feature is inert (no failures, passive admission,
-    /// no backbone pool), each group runs on its own worker thread and
-    /// the per-group results merge deterministically — byte-identical
-    /// to `shards: 1`. Otherwise the run stays on the serial event
-    /// loop, with the departure queue split into per-shard sub-queues
-    /// merged in global `(time, sequence)` order (still
-    /// byte-identical). See DESIGN.md §7.
+    /// no backbone pool, no online controller, no coded layout), each
+    /// group runs on its own worker thread and the per-group results
+    /// merge deterministically — byte-identical to `shards: 1`.
+    /// Otherwise the run takes the plain serial event loop, so the
+    /// value changes nothing. See DESIGN.md §7.
     pub shards: usize,
-    /// Bounded-lookahead windowed execution for the coupled sharded
-    /// path: when `shards > 1` and the replica graph partitions but a
-    /// coupling feature (failures, the controller, an active admission
-    /// pipeline) forces the serial loop, the engine runs each server
-    /// group's events in parallel up to a safe horizon — the earliest
-    /// next cluster-scoped event — and merges exactly at a barrier.
-    /// Reports stay byte-identical to the serial loop. See DESIGN.md §7.
-    pub window: WindowConfig,
 }
 
 impl Default for SimConfig {
@@ -113,7 +104,6 @@ impl Default for SimConfig {
             admission: AdmissionConfig::default(),
             audit: false,
             shards: 1,
-            window: WindowConfig::default(),
         }
     }
 }
@@ -122,32 +112,6 @@ impl SimConfig {
     /// Alias for [`Default::default`], spelling out the provenance.
     pub fn paper_default() -> Self {
         Self::default()
-    }
-}
-
-/// Tuning knobs for the windowed conservative-parallel executor (the
-/// coupled sharded path — see [`SimConfig::window`] and DESIGN.md §7).
-#[derive(Debug, Clone, Copy)]
-pub struct WindowConfig {
-    /// Gate for the windowed path; `false` keeps coupled sharded runs
-    /// on the plain serial loop (the departure queue still splits).
-    pub enabled: bool,
-    /// Minimum arrivals a window must cover to be worth its barrier;
-    /// shorter windows coalesce into the serial fallback. Must be >= 1.
-    pub min_events: u32,
-    /// Upper bound on a window's simulated span in minutes, so quiet
-    /// stretches between coupling events still barrier regularly. Must
-    /// be finite and positive.
-    pub max_span_min: f64,
-}
-
-impl Default for WindowConfig {
-    fn default() -> Self {
-        WindowConfig {
-            enabled: true,
-            min_events: 32,
-            max_span_min: 5.0,
-        }
     }
 }
 
@@ -205,18 +169,6 @@ impl<'a> Simulation<'a> {
                 value: 0.0,
             });
         }
-        if config.window.min_events == 0 {
-            return Err(ModelError::InvalidParameter {
-                name: "window.min_events",
-                value: 0.0,
-            });
-        }
-        if !config.window.max_span_min.is_finite() || config.window.max_span_min <= 0.0 {
-            return Err(ModelError::InvalidParameter {
-                name: "window.max_span_min",
-                value: config.window.max_span_min,
-            });
-        }
         if layout.any_coded() {
             // A coded stream spans k servers; the online controller's
             // replica moves and the backbone's whole-copy redirects both
@@ -263,9 +215,8 @@ impl<'a> Simulation<'a> {
     /// `sim.rejected`, `sim.redirected`, `sim.departures`,
     /// `sim.disrupted`, `sim.transitions`, `sim.samples`,
     /// `sim.admission_probes`, `sim.events`; span `sim.run` (seconds);
-    /// histograms `sim.events_per_sec` and its manifest-facing twin
-    /// `sim.engine.events_per_sec` (one observation per run) and
-    /// `sim.queue.peak_len` (per-run peak of concurrently scheduled
+    /// histograms `sim.engine.events_per_sec` (one observation per run)
+    /// and `sim.queue.peak_len` (per-run peak of concurrently scheduled
     /// departures). With
     /// recovery active, additionally: counters `sim.streams.resumed`,
     /// `sim.streams.degraded`, `sim.repair.bytes_copied`,
@@ -285,50 +236,15 @@ impl<'a> Simulation<'a> {
         trace: &Trace,
         telemetry: &Telemetry,
     ) -> Result<SimReport, ModelError> {
-        let span = telemetry.span("sim.run");
-        let ct = EngineCounters::new(telemetry);
-        // Counters are cumulative across runs sharing this handle; this
-        // run's event count is the delta over the starting values. (In
-        // the sharded path the shard workers share the same underlying
-        // counters, so the delta still covers the whole run.)
-        let events_before = ct.events();
-
-        let outcome = match self.decoupled_plan() {
-            Some(plan) => {
-                // Workers iterate the one shared trace by borrowed
-                // slice — no per-shard request clone — and keep the
-                // arrivals their server group owns.
-                self.run_decoupled(telemetry, &ct, &plan, |_k| trace.requests().iter().copied())?
-            }
-            None => {
-                let queue_shards = self.config.shards.min(self.cluster.len()).max(1);
-                let outcome = match self.windowed_plan() {
-                    // Cluster-scoped features force the coupled loop,
-                    // but the replica graph still partitions: run it
-                    // under the bounded-lookahead window scheduler.
-                    Some(plan) => self.run_windowed(trace, telemetry, &ct, plan)?,
-                    None => self.run_core(
-                        trace.requests().iter().copied(),
-                        telemetry,
-                        &ct,
-                        queue_shards,
-                        false,
-                    )?,
-                };
-                if queue_shards > 1 {
-                    // Cluster-scoped features forced the serial loop;
-                    // per-shard telemetry still reports how the split
-                    // departure queue carried the load.
-                    for (k, &pushes) in outcome.queue_pushes.iter().enumerate() {
-                        telemetry
-                            .shard_counter(ShardInstrument::Departures, k)
-                            .add(pushes);
-                    }
-                }
-                outcome
-            }
-        };
-        Ok(self.finish_run(telemetry, &span, &ct, events_before, outcome))
+        // Check the whole trace before running any of it (a deserialized
+        // trace never met `Trace::new`), so its pass needs no
+        // per-arrival check.
+        for r in checked_arrivals(trace.requests().iter().copied()) {
+            r?;
+        }
+        // Decoupled workers iterate the one shared trace by borrowed
+        // slice — no per-shard request clone.
+        self.run_arrivals(telemetry, || trace.requests().iter().copied().map(Ok))
     }
 
     /// Replays a pull-based [`ArrivalSource`] and reports the outcome.
@@ -339,7 +255,9 @@ impl<'a> Simulation<'a> {
     /// (plus the source's O(catalog) state), never by the trace length.
     /// For a source that is draw-for-draw identical to a materialized
     /// generator (see `vod_workload::arrival`), the report is identical
-    /// to running the materialized trace.
+    /// to running the materialized trace. A source that breaks the
+    /// [`ArrivalSource`] contract (a non-finite, negative or decreasing
+    /// arrival time) fails the run with [`ModelError::InvalidParameter`].
     pub fn run_streaming<S>(&self, source: S) -> Result<SimReport, ModelError>
     where
         S: ArrivalSource + Clone + Send + Sync,
@@ -358,44 +276,38 @@ impl<'a> Simulation<'a> {
     where
         S: ArrivalSource + Clone + Send + Sync,
     {
-        let span = telemetry.span("sim.run");
-        let ct = EngineCounters::new(telemetry);
-        let events_before = ct.events();
-        let outcome = match self.decoupled_plan() {
-            Some(plan) => {
-                // Each worker replays its own clone of the source (the
-                // stream is seed-deterministic, so every clone yields
-                // the identical sequence) and keeps only its shard's
-                // videos: O(1) trace memory at shards× generation CPU.
-                self.run_decoupled(telemetry, &ct, &plan, |_k| ArrivalIter(source.clone()))?
-            }
-            None => {
-                let queue_shards = self.config.shards.min(self.cluster.len()).max(1);
-                let outcome =
-                    self.run_core(ArrivalIter(source), telemetry, &ct, queue_shards, false)?;
-                if queue_shards > 1 {
-                    for (k, &pushes) in outcome.queue_pushes.iter().enumerate() {
-                        telemetry
-                            .shard_counter(ShardInstrument::Departures, k)
-                            .add(pushes);
-                    }
-                }
-                outcome
-            }
-        };
-        Ok(self.finish_run(telemetry, &span, &ct, events_before, outcome))
+        // Every pass replays its own clone of the source: the stream is
+        // seed-deterministic, so every clone yields the identical
+        // sequence, and decoupled workers keep O(1) trace memory at
+        // shards× generation CPU. Each pass checks its arrivals as it
+        // pulls them, ahead of any decoupled ownership filter.
+        self.run_arrivals(telemetry, || checked_arrivals(ArrivalIter(source.clone())))
     }
 
-    /// Post-run instrument tail shared by the materialized and
-    /// streaming entry points.
-    fn finish_run(
+    /// The body behind every entry point. `arrivals` starts a fresh pass
+    /// over the checked request stream each time it is called: once for
+    /// the serial loop, once per worker on the decoupled path.
+    fn run_arrivals<F, I>(
         &self,
         telemetry: &Telemetry,
-        span: &Span,
-        ct: &EngineCounters,
-        events_before: u64,
-        outcome: EngineOutcome,
-    ) -> SimReport {
+        arrivals: F,
+    ) -> Result<SimReport, ModelError>
+    where
+        F: Fn() -> I + Sync,
+        I: Iterator<Item = Result<Request, ModelError>>,
+    {
+        let span = telemetry.span("sim.run");
+        let ct = EngineCounters::new(telemetry);
+        // Counters are cumulative across runs sharing this handle; this
+        // run's event count is the delta over the starting values. (In
+        // the sharded path the shard workers share the same underlying
+        // counters, so the delta still covers the whole run.)
+        let events_before = ct.events();
+        let outcome = match self.decoupled_plan() {
+            Some(plan) => self.run_decoupled(telemetry, &ct, &plan, &arrivals)?,
+            None => self.run_core(arrivals(), telemetry, &ct, false)?,
+        };
+
         telemetry
             .counter("sim.admission_probes")
             .add(outcome.probes);
@@ -410,17 +322,12 @@ impl<'a> Simulation<'a> {
                 .observe(outcome.peak_len as f64);
             let elapsed = span.elapsed_secs();
             if elapsed > 0.0 {
-                let rate = events as f64 / elapsed;
-                // `sim.events_per_sec` is the historical name; the
-                // `sim.engine.`-prefixed twin keys BENCH_*.json-style
-                // trajectories derived from run manifests.
-                telemetry.histogram("sim.events_per_sec").observe(rate);
                 telemetry
                     .histogram("sim.engine.events_per_sec")
-                    .observe(rate);
+                    .observe(events as f64 / elapsed);
             }
         }
-        outcome.metrics.finish(self.config.horizon_min)
+        Ok(outcome.metrics.finish(self.config.horizon_min))
     }
 
     /// The server-group partition for the decoupled parallel path, or
@@ -457,29 +364,6 @@ impl<'a> Simulation<'a> {
         (plan.n_shards > 1).then_some(plan)
     }
 
-    /// The server-group partition for the bounded-lookahead windowed
-    /// executor, or `None` when a coupled run must stay on the plain
-    /// serial loop. Unlike [`Simulation::decoupled_plan`], coupling
-    /// features (failures, brownouts, the online controller, an active
-    /// admission pipeline) are allowed — their next event *bounds* each
-    /// window instead of vetoing parallelism. What still vetoes it:
-    /// routing state that is cluster-scoped per request (the backbone
-    /// pool), streams that span server groups (coded layouts), and a
-    /// replica graph that does not partition at all.
-    fn windowed_plan(&self) -> Option<ShardPlan> {
-        if !self.config.window.enabled || self.config.shards <= 1 {
-            return None;
-        }
-        if matches!(self.config.policy, AdmissionPolicy::BackboneRedirect { .. }) {
-            return None;
-        }
-        if self.layout.any_coded() {
-            return None;
-        }
-        let plan = ShardPlan::decoupled(self.layout, self.config.shards);
-        (plan.n_shards > 1).then_some(plan)
-    }
-
     /// Runs one full mini-engine per server group on scoped worker
     /// threads and merges the results in shard-index order. The merge
     /// is exact: every shard-local total is an integer (or has disjoint
@@ -493,19 +377,20 @@ impl<'a> Simulation<'a> {
         telemetry: &Telemetry,
         ct: &EngineCounters,
         plan: &ShardPlan,
-        make_stream: F,
+        arrivals: &F,
     ) -> Result<EngineOutcome, ModelError>
     where
-        F: Fn(usize) -> I + Sync,
-        I: Iterator<Item = Request>,
+        F: Fn() -> I + Sync,
+        I: Iterator<Item = Result<Request, ModelError>>,
     {
         // No per-shard request clone: every worker walks the full
         // arrival stream — a borrowed slice iterator over the shared
         // trace, or a replayed clone of a streaming source — and keeps
         // the requests its server group owns. Videos the plan does not
         // map fall to shard 0, whose engine pass surfaces the same
-        // `UnknownVideo` error the old partition pre-pass raised.
-        let make_stream = &make_stream;
+        // `UnknownVideo` error the old partition pre-pass raised. Bad
+        // arrivals pass the ownership filter, so every worker fails on
+        // the request a serial run fails on.
         let results: Vec<Result<(EngineOutcome, u64), ModelError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..plan.n_shards)
                 .map(|k| {
@@ -515,12 +400,16 @@ impl<'a> Simulation<'a> {
                         // exact, whatever the interleaving.
                         let ct = EngineCounters::new(telemetry);
                         let mut seen = 0u64;
-                        let owned = make_stream(k).inspect(|_| seen += 1).filter(|r: &Request| {
-                            plan.video_shard
-                                .get(r.video.index())
-                                .map_or(k == 0, |&s| s as usize == k)
-                        });
-                        let outcome = self.run_core(owned, telemetry, &ct, 1, true)?;
+                        let owned = arrivals().inspect(|_| seen += 1).filter(
+                            |r: &Result<Request, ModelError>| {
+                                r.as_ref().map_or(true, |r| {
+                                    plan.video_shard
+                                        .get(r.video.index())
+                                        .map_or(k == 0, |&s| s as usize == k)
+                                })
+                            },
+                        );
+                        let outcome = self.run_core(owned, telemetry, &ct, true)?;
                         Ok((outcome, seen))
                     })
                 })
@@ -615,52 +504,72 @@ impl<'a> Simulation<'a> {
             samples: Vec::new(),
             probes,
             peak_len,
-            queue_pushes: Vec::new(),
         })
     }
 
-    /// The serial event loop over a pulled arrival stream, shared by
-    /// the plain engine (full trace or streaming source,
-    /// `capture_samples: false`) and the decoupled workers (one server
-    /// group's ownership-filtered view, `capture_samples: true` — load
-    /// samples are logged raw for the coordinator's replay instead of
-    /// folded into the collector). Arrivals are consumed lazily, one at
-    /// a time, merged against the `(time, seq)` event queue; the loop
-    /// never needs the stream's length or its backing storage.
+    /// The serial event loop over a pulled, checked arrival stream
+    /// (see [`checked_arrivals`]), shared by the plain engine (full
+    /// trace or streaming source, `capture_samples: false`) and the
+    /// decoupled workers (one server group's ownership-filtered view,
+    /// `capture_samples: true` — load samples are logged raw for the
+    /// coordinator's replay instead of folded into the collector).
+    /// Arrivals are consumed lazily, one at a time, merged against the
+    /// `(time, seq)` event queue; the loop never needs the stream's
+    /// length or its backing storage.
     fn run_core<I>(
         &self,
         requests: I,
         telemetry: &Telemetry,
         ct: &EngineCounters,
-        queue_shards: usize,
         capture_samples: bool,
     ) -> Result<EngineOutcome, ModelError>
     where
-        I: Iterator<Item = Request>,
+        I: Iterator<Item = Result<Request, ModelError>>,
     {
         // Hot per-video state, struct-of-arrays: the arrival loop reads
         // one u32 rate word and one u32 duration word per request
         // instead of chasing the catalog's full `Video` records.
         let videos = VideoTable::new(self.catalog)?;
-        let mut state = self.build_state(queue_shards, capture_samples, None)?;
+        let mut state = self.build_state(capture_samples)?;
         for req in requests {
+            let req = req?;
             let t = SimTime::from_min(req.arrival_min);
             state.advance_to(t, ct)?;
-            self.arrival_body(&mut state, &videos, t, req.video, ct)?;
+
+            let (kbps, duration_s) = videos
+                .get(req.video.index())
+                .ok_or(ModelError::UnknownVideo(req.video))?;
+
+            ct.arrivals.inc();
+            state.metrics.on_arrival(req.video.index());
+            state.metrics.on_offered(kbps, duration_s);
+            if let Some(d) = state.drift.as_mut() {
+                // The controller senses *observed* offered demand, never
+                // the generator's true rates.
+                d.observe(req.video.index());
+            }
+            state.handle_request(
+                t,
+                PendingRequest {
+                    video: req.video,
+                    kbps,
+                    duration_s,
+                    arrived: t,
+                    retries_left: self.config.admission.max_retries,
+                    attempt: 0,
+                },
+                ct,
+            );
+            state.audit_check(t)?;
+            debug_assert!(state.links.within_capacity());
         }
         self.finish_core(state, telemetry, ct)
     }
 
     /// Binds the mutable run-loop state for one engine pass: compiled
     /// failure transitions, the actuation layer, coded-serving state
-    /// and the departure queue — split by the windowed plan's server
-    /// groups when one is given, by contiguous server blocks otherwise.
-    fn build_state(
-        &self,
-        queue_shards: usize,
-        capture_samples: bool,
-        window_plan: Option<ShardPlan>,
-    ) -> Result<RunState<'a>, ModelError> {
+    /// and the departure queue.
+    fn build_state(&self, capture_samples: bool) -> Result<RunState<'a>, ModelError> {
         // Fixed outages plus, when configured, the stochastic model's
         // draws for this horizon (deterministic per the model's seed).
         // The compiled plan is consumed, not cloned, and the fixed plan
@@ -735,21 +644,11 @@ impl<'a> Simulation<'a> {
             c
         });
 
-        // The windowed executor's sub-queues must coincide with the
-        // plan's server groups so a whole group's due departures check
-        // out as one unit; every other path keeps the contiguous block
-        // split (pop order is owner-map independent either way).
-        let departures = match &window_plan {
-            Some(plan) => {
-                ShardedDepartureQueue::with_owner(plan.server_shard.clone(), plan.n_shards)
-            }
-            None => ShardedDepartureQueue::new(self.cluster.len(), queue_shards),
-        };
         let mut state = RunState {
             links: LinkState::new(self.cluster),
             dispatcher: Dispatcher::new(self.config.policy, self.catalog.len()),
             metrics: MetricsCollector::new(self.catalog.len()),
-            departures,
+            departures: DepartureQueue::with_capacity(self.cluster.len()),
             controller,
             coded,
             rack_of,
@@ -774,54 +673,12 @@ impl<'a> Simulation<'a> {
             extract_scratch: Vec::new(),
             fifo_scratch: Vec::new(),
             sample_log: capture_samples.then(Vec::new),
-            window_plan,
-            window_poisoned: false,
         };
         state.metrics.record_series(self.config.record_series);
         Ok(state)
     }
 
-    /// One arrival at `t`: catalog lookup, offered-demand accounting,
-    /// drift sensing and the admission pipeline — the per-request body
-    /// both the serial loop and the windowed wrapper's fallback run.
-    fn arrival_body(
-        &self,
-        state: &mut RunState,
-        videos: &VideoTable,
-        t: SimTime,
-        video: VideoId,
-        ct: &EngineCounters,
-    ) -> Result<(), ModelError> {
-        let (kbps, duration_s) = videos
-            .get(video.index())
-            .ok_or(ModelError::UnknownVideo(video))?;
-
-        ct.arrivals.inc();
-        state.metrics.on_arrival(video.index());
-        state.metrics.on_offered(kbps, duration_s);
-        if let Some(d) = state.drift.as_mut() {
-            // The controller senses *observed* offered demand, never
-            // the generator's true rates.
-            d.observe(video.index());
-        }
-        state.handle_request(
-            t,
-            PendingRequest {
-                video,
-                kbps,
-                duration_s,
-                arrived: t,
-                retries_left: self.config.admission.max_retries,
-                attempt: 0,
-            },
-            ct,
-        );
-        state.audit_check(t)?;
-        debug_assert!(state.links.within_capacity());
-        Ok(())
-    }
-
-    /// Horizon tail shared by every engine pass: runs the remaining
+    /// Horizon tail of every engine pass: runs the remaining
     /// background events, settles the admission pipeline and brownout
     /// windows, releases post-horizon streams and folds the
     /// feature-gated telemetry.
@@ -960,294 +817,25 @@ impl<'a> Simulation<'a> {
             samples: state.sample_log.take().unwrap_or_default(),
             probes: state.dispatcher.admission_probes(),
             peak_len: state.departures.peak_len(),
-            queue_pushes: state.departures.per_shard_pushes().to_vec(),
             metrics: state.metrics,
         })
     }
+}
 
-    /// The coupled engine loop under bounded-lookahead windowed
-    /// parallelism (DESIGN.md §7). Between cluster-scoped events the
-    /// plan's server groups evolve independently, so the wrapper
-    /// repeatedly computes a safe horizon `h` — the earliest next
-    /// failure/brownout transition, control tick, load sample, repair
-    /// completion, or `window.max_span_min` from now — and executes
-    /// every group's arrivals and due departures strictly before `h`
-    /// in parallel, then merges exactly at a barrier.
-    ///
-    /// Exactness: the coordinator pre-pass fixes all cluster-scoped
-    /// order (arrival counters, drift sensing, round-robin positions,
-    /// departure sequence numbers) in global arrival order; group
-    /// workers touch only server-disjoint link state and their own
-    /// sub-queue; every merged total is an integer sum (or a sum of
-    /// exact-zero waits), so the report is byte-identical to the
-    /// serial loop at any shard count. Windows too short to amortize
-    /// the barrier, contended non-passive windows, and runs whose
-    /// repair copies cross groups (poisoning) degrade to the serial
-    /// per-arrival body — same code, same bytes.
-    fn run_windowed(
-        &self,
-        trace: &Trace,
-        telemetry: &Telemetry,
-        ct: &EngineCounters,
-        plan: ShardPlan,
-    ) -> Result<EngineOutcome, ModelError> {
-        let videos = VideoTable::new(self.catalog)?;
-        let n_groups = plan.n_shards;
-        let mut owned: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-        for (j, &g) in plan.server_shard.iter().enumerate() {
-            owned[g as usize].push(j);
-        }
-        let queue_shards = self.config.shards.min(self.cluster.len()).max(1);
-        let mut state = self.build_state(queue_shards, false, Some(plan))?;
-
-        // Persistent per-group link replicas: owned servers sync
-        // master -> replica at window open and back at the barrier, so
-        // each window moves O(group) words, never whole-cluster clones.
-        let mut group_links: Vec<LinkState> = (0..n_groups)
-            .map(|_| LinkState::new(self.cluster))
-            .collect();
-        let mut records: Vec<WindowArrival> = Vec::new();
-        let mut grouped: Vec<WindowArrival> = Vec::new();
-        let mut starts: Vec<usize> = vec![0; n_groups];
-        let mut counts: Vec<usize> = vec![0; n_groups];
-        let mut cursors: Vec<usize> = vec![0; n_groups];
-        let mut demand: Vec<u64> = vec![0; self.cluster.len()];
-        let win = WindowCounters::new(telemetry);
-        let min_arrivals = self.config.window.min_events.max(1) as usize;
-        let max_span = self.config.window.max_span_min;
-        let passive = self.config.admission.is_passive();
-        let policy = self.config.policy;
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-
-        let reqs = trace.requests();
-        let mut i = 0usize;
-        'arrivals: while i < reqs.len() {
-            let t = SimTime::from_min(reqs[i].arrival_min);
-            state.advance_to(t, ct)?;
-
-            'window: {
-                if state.window_poisoned
-                    || state.admission.in_flight() > 0
-                    || state.controller.as_ref().is_some_and(|c| c.has_pending())
-                {
-                    break 'window;
-                }
-                // Safe horizon: nothing cluster-scoped fires strictly
-                // before `h`, so no event below it crosses groups.
-                let mut h = t + SimTime::from_min(max_span);
-                for at in [
-                    state.transitions.get(state.next_transition).map(|x| x.at),
-                    state.next_ctrl_at,
-                    state.next_sample_at,
-                    state.controller.as_ref().and_then(|c| c.next_completion()),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    h = h.min(at);
-                }
-                if h <= t {
-                    break 'window;
-                }
-                let mut j = i;
-                while j < reqs.len() && SimTime::from_min(reqs[j].arrival_min) < h {
-                    j += 1;
-                }
-                if j - i < min_arrivals {
-                    // Too short to amortize a barrier: coalesce into
-                    // the serial fallback below.
-                    win.coalesced.inc();
-                    break 'window;
-                }
-
-                // Stage the window's arrivals. An out-of-catalog id
-                // falls back to the serial body, which surfaces the
-                // same `UnknownVideo` error at the same request.
-                let plan = state
-                    .window_plan
-                    .as_ref()
-                    .expect("windowed run lost its plan");
-                records.clear();
-                for r in &reqs[i..j] {
-                    let Some((kbps, duration_s)) = videos.get(r.video.index()) else {
-                        break 'window;
-                    };
-                    records.push(WindowArrival {
-                        at: SimTime::from_min(r.arrival_min),
-                        video: r.video,
-                        kbps,
-                        duration_s,
-                        group: plan.video_shard[r.video.index()],
-                        start: 0,
-                        seq: 0,
-                    });
-                }
-
-                if !passive {
-                    // A non-passive pipeline is only inert in-window if
-                    // every arrival provably admits at full rate — then
-                    // the FIFO queue, patience RNG, retry timers and
-                    // degrade ladder all stay untouched. Sufficient
-                    // bound: per server, the summed full-rate demand of
-                    // every window arrival that *could* land on it fits
-                    // its free capacity (down servers admit nothing, so
-                    // up-ness is implied).
-                    demand.iter_mut().for_each(|d| *d = 0);
-                    for rec in &records {
-                        let replicas = match state.controller.as_ref() {
-                            Some(c) => c.holders(rec.video),
-                            None => state.layout.replicas_of(rec.video),
-                        };
-                        for &s in replicas {
-                            demand[s.index()] += rec.kbps;
-                        }
-                    }
-                    let fits = demand
-                        .iter()
-                        .enumerate()
-                        .all(|(s, &d)| d == 0 || state.links.can_admit(ServerId(s as u32), d));
-                    if !fits {
-                        // Contended window: step one arrival serially
-                        // and re-probe at the next.
-                        win.stalls.inc();
-                        break 'window;
-                    }
-                }
-
-                // Commit: fix all cluster-scoped order here, in global
-                // arrival order, so workers never race for it.
-                let seq_base = state.departures.reserve_seqs((j - i) as u64);
-                for (r, rec) in records.iter_mut().enumerate() {
-                    rec.seq = seq_base + r as u64;
-                    ct.arrivals.inc();
-                    state.metrics.on_arrival(rec.video.index());
-                    state.metrics.on_offered(rec.kbps, rec.duration_s);
-                    if let Some(d) = state.drift.as_mut() {
-                        d.observe(rec.video.index());
-                    }
-                    if !matches!(policy, AdmissionPolicy::LeastLoadedReplica) {
-                        let n_replicas = match state.controller.as_ref() {
-                            Some(c) => c.holders(rec.video).len(),
-                            None => state.layout.replicas_of(rec.video).len(),
-                        };
-                        rec.start = state.dispatcher.rr_advance(rec.video, n_replicas) as u32;
-                    }
-                }
-
-                // Counting-sort the staged arrivals into contiguous
-                // per-group runs (stable, so each run keeps global
-                // arrival order): a worker then scans exactly its own
-                // slice instead of filtering the whole window, which
-                // would cost `groups × window` comparisons per window.
-                counts.iter_mut().for_each(|c| *c = 0);
-                for rec in &records {
-                    counts[rec.group as usize] += 1;
-                }
-                let mut base = 0usize;
-                for (g, &c) in counts.iter().enumerate() {
-                    starts[g] = base;
-                    cursors[g] = base;
-                    base += c;
-                }
-                grouped.clear();
-                grouped.resize(records.len(), records[0]);
-                for rec in &records {
-                    let cur = &mut cursors[rec.group as usize];
-                    grouped[*cur] = *rec;
-                    *cur += 1;
-                }
-
-                // Check out each group's state and execute the window.
-                for (g, servers) in owned.iter().enumerate() {
-                    for &s in servers {
-                        group_links[g].copy_server_from(&state.links, s);
-                    }
-                }
-                let mut queues: Vec<DepartureQueue> = (0..n_groups)
-                    .map(|g| state.departures.take_shard(g))
-                    .collect();
-                let controller = state.controller.as_ref();
-                let layout = state.layout;
-                let (grouped_ref, starts_ref, counts_ref) = (&grouped, &starts, &counts);
-                let active = counts.iter().filter(|&&c| c > 0).count();
-                let deltas: Vec<WindowDelta> = if workers > 1 && active >= 2 {
-                    std::thread::scope(|scope| {
-                        group_links
-                            .iter_mut()
-                            .zip(queues.iter_mut())
-                            .enumerate()
-                            .map(|(g, (links, queue))| {
-                                let slice =
-                                    &grouped_ref[starts_ref[g]..starts_ref[g] + counts_ref[g]];
-                                scope.spawn(move || {
-                                    run_window_group(
-                                        g as u32, h, policy, slice, links, queue, controller,
-                                        layout, ct,
-                                    )
-                                })
-                            })
-                            .collect::<Vec<_>>()
-                            .into_iter()
-                            .map(|handle| handle.join().expect("window worker panicked"))
-                            .collect()
-                    })
-                } else {
-                    // Single core (or one busy group): identical worker
-                    // code inline — windows still open and count.
-                    group_links
-                        .iter_mut()
-                        .zip(queues.iter_mut())
-                        .enumerate()
-                        .map(|(g, (links, queue))| {
-                            let slice = &grouped_ref[starts_ref[g]..starts_ref[g] + counts_ref[g]];
-                            run_window_group(
-                                g as u32, h, policy, slice, links, queue, controller, layout, ct,
-                            )
-                        })
-                        .collect()
-                };
-
-                // Exact barrier merge: integer deltas, disjoint server
-                // state, and a queue re-assembled under the pre-assigned
-                // global sequence order.
-                let mut admitted = 0u64;
-                let mut delivered = 0u128;
-                let mut probes = 0u64;
-                let mut events = 0u64;
-                let mut last_at = t;
-                let mut rejections: Vec<(usize, u64)> = Vec::new();
-                for (g, (delta, queue)) in deltas.into_iter().zip(queues).enumerate() {
-                    state.departures.put_shard(g, queue, delta.pushes);
-                    for &s in &owned[g] {
-                        state.links.copy_server_from(&group_links[g], s);
-                    }
-                    admitted += delta.admitted;
-                    delivered += delta.delivered_kbps_s;
-                    probes += delta.probes;
-                    events += delta.events;
-                    if let Some(at) = delta.last_at {
-                        last_at = last_at.max(at);
-                    }
-                    rejections.extend(delta.rejections);
-                }
-                state.metrics.apply_window(admitted, delivered, &rejections);
-                state.dispatcher.add_probes(probes);
-                win.windows.inc();
-                win.events.add(events);
-                state.audit_check(last_at)?;
-                debug_assert!(state.links.within_capacity());
-                i = j;
-                continue 'arrivals;
-            }
-
-            // Serial fallback: one arrival through the exact coupled body.
-            self.arrival_body(&mut state, &videos, t, reqs[i].video, ct)?;
-            i += 1;
-        }
-        self.finish_core(state, telemetry, ct)
-    }
+/// Enforces the [`ArrivalSource`] contract on a request stream before
+/// the engine acts on it (see [`Request::check_after`]). A violation
+/// yields [`ModelError::InvalidParameter`] at the offending request,
+/// which ends the run.
+fn checked_arrivals<I>(requests: I) -> impl Iterator<Item = Result<Request, ModelError>>
+where
+    I: Iterator<Item = Request>,
+{
+    let mut last = 0.0f64;
+    requests.map(move |r| {
+        r.check_after(last)?;
+        last = r.arrival_min;
+        Ok(r)
+    })
 }
 
 /// Struct-of-arrays view of the catalog's hot per-video words: one u32
@@ -1294,8 +882,6 @@ struct EngineOutcome {
     probes: u64,
     /// Peak scheduled departures (summed across shards when merged).
     peak_len: usize,
-    /// Pushes per departure sub-queue (empty for merged outcomes).
-    queue_pushes: Vec<u64>,
 }
 
 /// Telemetry counter handles used by the run loop.
@@ -1352,168 +938,6 @@ impl EngineCounters {
     }
 }
 
-/// One arrival staged for a parallel window, with every cluster-scoped
-/// decision (round-robin start position, global departure sequence
-/// number) pre-assigned by the coordinator in serial arrival order.
-#[derive(Clone, Copy)]
-struct WindowArrival {
-    at: SimTime,
-    video: VideoId,
-    kbps: u64,
-    duration_s: u64,
-    /// The server group that serves this video under the window plan.
-    group: u32,
-    /// Pre-advanced round-robin position (unused by least-loaded).
-    start: u32,
-    /// Pre-assigned global departure sequence number.
-    seq: u64,
-}
-
-/// One group's integer-exact outcome for a window, merged at the barrier.
-#[derive(Default)]
-struct WindowDelta {
-    admitted: u64,
-    delivered_kbps_s: u128,
-    /// Sparse per-video rejection counts `(video index, count)`.
-    rejections: Vec<(usize, u64)>,
-    /// Admission-scan probes, folded into the dispatcher at the barrier.
-    probes: u64,
-    /// Departures pushed, for the sub-queue's push telemetry.
-    pushes: u64,
-    /// Arrival + departure events executed inside the window.
-    events: u64,
-    /// Latest event instant handled (drives the barrier's audit check).
-    last_at: Option<SimTime>,
-}
-
-/// `sim.window.*` telemetry: windowed-executor health counters.
-struct WindowCounters {
-    /// Windows opened (parallel or inline).
-    windows: Counter,
-    /// Events (arrivals + departures) executed inside windows.
-    events: Counter,
-    /// Candidate windows coalesced into the serial path for being
-    /// shorter than `window.min_events`.
-    coalesced: Counter,
-    /// Barrier stalls: non-passive windows whose headroom check failed,
-    /// stepping one arrival serially instead.
-    stalls: Counter,
-}
-
-impl WindowCounters {
-    fn new(telemetry: &Telemetry) -> Self {
-        WindowCounters {
-            windows: telemetry.counter("sim.window.windows"),
-            events: telemetry.counter("sim.window.events"),
-            coalesced: telemetry.counter("sim.window.coalesced"),
-            stalls: telemetry.counter("sim.window.stalls"),
-        }
-    }
-}
-
-/// Executes one server group's slice of a window: its arrivals (the
-/// coordinator's counting-sorted per-group run, still in global
-/// order), interleaved exactly with the group sub-queue's due
-/// departures, all strictly before horizon `h`.
-///
-/// Runs against the group's private [`LinkState`] replica and
-/// [`DepartureQueue`] shard, so concurrent calls for different groups
-/// share nothing mutable. Telemetry counters are shared atomics — order
-/// of increments is unobservable in the report. Everything
-/// order-sensitive returns in the [`WindowDelta`] for the serial
-/// barrier merge.
-#[allow(clippy::too_many_arguments)]
-fn run_window_group(
-    group: u32,
-    h: SimTime,
-    policy: AdmissionPolicy,
-    records: &[WindowArrival],
-    links: &mut LinkState,
-    queue: &mut DepartureQueue,
-    controller: Option<&ReplicaActuator>,
-    layout: &Layout,
-    ct: &EngineCounters,
-) -> WindowDelta {
-    let mut delta = WindowDelta::default();
-
-    /// Pops the next due departure (`at <= bound`) and releases its
-    /// bandwidth exactly as the serial pump's `NO_STREAM` branch does.
-    /// Window eligibility guarantees no backbone or coded-stream
-    /// departures exist on this path.
-    fn pop_due_departure(
-        queue: &mut DepartureQueue,
-        links: &mut LinkState,
-        bound: SimTime,
-        ct: &EngineCounters,
-        delta: &mut WindowDelta,
-    ) {
-        let d = queue
-            .pop_due(bound)
-            .expect("window departure due but queue empty");
-        ct.departures.inc();
-        delta.events += 1;
-        delta.last_at = Some(d.at);
-        debug_assert_eq!(d.stream, NO_STREAM);
-        debug_assert_eq!(d.backbone_kbps, 0);
-        if links.epoch(d.server) == d.epoch {
-            links.release(d.server, d.kbps);
-        }
-    }
-
-    for rec in records {
-        debug_assert_eq!(rec.group, group);
-        while queue.next_key().is_some_and(|(at, _)| at <= rec.at) {
-            pop_due_departure(queue, links, rec.at, ct, &mut delta);
-        }
-        let replicas = match controller {
-            Some(c) => c.holders(rec.video),
-            None => layout.replicas_of(rec.video),
-        };
-        let (decision, probes) =
-            Dispatcher::route(policy, rec.start as usize, rec.kbps, replicas, links);
-        delta.probes += probes;
-        delta.events += 1;
-        delta.last_at = Some(rec.at);
-        match decision {
-            Decision::Admit { server, .. } => {
-                links.admit(server, rec.kbps);
-                ct.admitted.inc();
-                ct.wait_min.observe(0.0);
-                delta.admitted += 1;
-                delta.delivered_kbps_s += rec.kbps as u128 * rec.duration_s as u128;
-                queue.push_with_seq(
-                    Departure {
-                        at: rec.at + SimTime::from_secs(rec.duration_s),
-                        server,
-                        video: rec.video,
-                        kbps: rec.kbps,
-                        backbone_kbps: 0,
-                        epoch: links.epoch(server),
-                        stream: NO_STREAM,
-                    },
-                    rec.seq,
-                );
-                delta.pushes += 1;
-            }
-            Decision::Reject => {
-                ct.rejected.inc();
-                let v = rec.video.index();
-                match delta.rejections.iter_mut().find(|(i, _)| *i == v) {
-                    Some((_, n)) => *n += 1,
-                    None => delta.rejections.push((v, 1)),
-                }
-            }
-        }
-    }
-    // Drain departures falling after the last arrival but before the
-    // horizon — the serial loop would pump them before whatever
-    // cluster-scoped event sits at `h`.
-    while queue.next_key().is_some_and(|(at, _)| at < h) {
-        pop_due_departure(queue, links, h, ct, &mut delta);
-    }
-    delta
-}
-
 /// How a failing server's stream fared under failover.
 enum Rescued {
     Full,
@@ -1562,7 +986,7 @@ struct RunState<'a> {
     links: LinkState,
     dispatcher: Dispatcher,
     metrics: MetricsCollector,
-    departures: ShardedDepartureQueue,
+    departures: DepartureQueue,
     controller: Option<ReplicaActuator>,
     /// Coded-serving state (`None` for all-replicated layouts).
     coded: Option<CodedState>,
@@ -1605,14 +1029,6 @@ struct RunState<'a> {
     extract_scratch: Vec<Departure>,
     /// Reusable buffer for FIFO queue drains.
     fifo_scratch: Vec<u64>,
-    /// The windowed executor's server-group plan (`None` on every other
-    /// path). `advance_to` checks repair completions against it: a copy
-    /// integrated outside the video's own group breaks the plan's
-    /// group-disjointness, permanently poisoning further windows.
-    window_plan: Option<ShardPlan>,
-    /// Set once a cross-group repair lands; the wrapper then runs
-    /// serially for the rest of the pass.
-    window_poisoned: bool,
 }
 
 impl RunState<'_> {
@@ -1670,14 +1086,7 @@ impl RunState<'_> {
                 let c = self.controller.as_mut().ok_or(ModelError::Internal {
                     context: "repair completion due without a controller",
                 })?;
-                let (video, dst) = c.complete_next(&mut self.links, &mut self.dispatcher)?;
-                if let Some(plan) = self.window_plan.as_ref() {
-                    if plan.video_shard.get(video.index()).copied()
-                        != plan.server_shard.get(dst.index()).copied()
-                    {
-                        self.window_poisoned = true;
-                    }
-                }
+                c.complete_next(&mut self.links, &mut self.dispatcher)?;
                 self.drain_queue(min_at, ct);
             } else if tr_at == Some(min_at) {
                 let tr = self.transitions[self.next_transition];
@@ -2913,8 +2322,8 @@ mod tests {
         // 90-min horizon, 1-min cadence: samples at 0..=90.
         assert_eq!(snap.counter("sim.samples"), 91);
         assert_eq!(snap.histogram("sim.run").count, 1);
-        assert_eq!(snap.histogram("sim.events_per_sec").count, 1);
-        assert!(snap.histogram("sim.events_per_sec").min > 0.0);
+        assert_eq!(snap.histogram("sim.engine.events_per_sec").count, 1);
+        assert!(snap.histogram("sim.engine.events_per_sec").min > 0.0);
         assert_eq!(
             snap.counter("sim.events"),
             r.arrivals + r.admitted + 91 // arrivals + departures + samples
@@ -3007,7 +2416,7 @@ mod tests {
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
         );
-        // The decoupled parallel path (not the serial fallback) ran:
+        // The decoupled parallel path (not the serial loop) ran:
         // per-shard event counters were published for all four pods.
         let snap = telemetry.snapshot();
         for k in 0..4 {
@@ -3020,9 +2429,8 @@ mod tests {
 
     #[test]
     fn coupled_sharded_run_is_byte_identical_to_serial() {
-        // An injected outage forces the coupled fallback: the serial
-        // loop runs over a sharded departure queue whose merge order
-        // must replay the single-queue order exactly.
+        // An injected outage couples the pods: `shards: 8` must take the
+        // plain serial loop and reproduce the `shards: 1` report.
         let (catalog, cluster, layout) = pods_world();
         let trace = pods_trace();
         let outage = Outage {
@@ -3038,14 +2446,6 @@ mod tests {
             &layout,
             SimConfig {
                 shards: 8,
-                // Windowing off: this test pins the *serial* coupled
-                // loop's split-queue merge order (and its per-server
-                // sub-queue telemetry, which the window plan's
-                // pod-grouped queues would reshape).
-                window: WindowConfig {
-                    enabled: false,
-                    ..WindowConfig::default()
-                },
                 ..failing_cfg(vec![outage])
             },
         )
@@ -3057,157 +2457,8 @@ mod tests {
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
         );
-        // Per-shard departure-queue traffic was published: at least one
-        // push per admitted stream (failover re-pushes add more), spread
-        // over every server's sub-queue.
-        let snap = telemetry.snapshot();
-        let per_shard: Vec<u64> = (0..8)
-            .map(|k| snap.counter(&format!("sim.shard.departures.{k:02}")))
-            .collect();
-        assert!(per_shard.iter().sum::<u64>() >= a.admitted);
-        assert!(per_shard.iter().all(|&n| n > 0), "{per_shard:?}");
-    }
-
-    #[test]
-    fn windowed_coupled_run_is_byte_identical_to_serial() {
-        // Same outage-coupled world, but with windowing live: the
-        // bounded-lookahead executor must open real windows (the trace
-        // runs 2.5 arrivals/min against a 1-min sample cadence, so
-        // `min_events: 2` lets ~2-3-arrival windows through) and still
-        // reproduce the serial report byte for byte.
-        let (catalog, cluster, layout) = pods_world();
-        let trace = pods_trace();
-        let outage = Outage {
-            server: ServerId(2),
-            down_at_min: 20.0,
-            up_at_min: Some(55.0),
-        };
-        let serial =
-            Simulation::new(&catalog, &cluster, &layout, failing_cfg(vec![outage])).unwrap();
-        let windowed = Simulation::new(
-            &catalog,
-            &cluster,
-            &layout,
-            SimConfig {
-                shards: 8,
-                window: WindowConfig {
-                    min_events: 2,
-                    ..WindowConfig::default()
-                },
-                ..failing_cfg(vec![outage])
-            },
-        )
-        .unwrap();
-        let a = serial.run(&trace).unwrap();
-        let telemetry = Telemetry::enabled();
-        let b = windowed.run_with_telemetry(&trace, &telemetry).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-        // The windowed executor (not wall-to-wall serial fallback) ran.
-        let snap = telemetry.snapshot();
-        assert!(snap.counter("sim.window.windows") > 0);
-        assert!(snap.counter("sim.window.events") > 0);
-        assert_eq!(snap.counter("sim.arrivals"), a.arrivals);
-        assert_eq!(snap.counter("sim.admitted"), a.admitted);
-    }
-
-    #[test]
-    fn windowed_run_with_queueing_and_controller_stays_identical() {
-        // The hardest eligible coupling mix: queue+retry admission and
-        // the online controller both live. Windows only open when the
-        // admission pipeline is provably inert and no copy is pending;
-        // everything else steps serially — the report must not move.
-        let (catalog, cluster, layout) = pods_world();
-        let trace = pods_trace();
-        let admission = crate::admission::AdmissionConfig {
-            policy: crate::admission::QueuePolicy::Queue { patience_min: 2.0 },
-            max_retries: 1,
-            retry_backoff_min: 1.0,
-            seed: 7,
-        };
-        let cfg = |shards, window| SimConfig {
-            shards,
-            window,
-            admission: admission.clone(),
-            repair: RepairConfig {
-                bandwidth_kbps: 4_000,
-                max_concurrent: 4,
-            },
-            controller: ControllerConfig {
-                tick_min: 10.0,
-                ..ControllerConfig::default()
-            },
-            ..SimConfig::paper_default()
-        };
-        let serial = cfg(
-            1,
-            WindowConfig {
-                enabled: false,
-                ..WindowConfig::default()
-            },
-        );
-        let windowed = cfg(
-            8,
-            WindowConfig {
-                min_events: 1,
-                ..WindowConfig::default()
-            },
-        );
-        let a = Simulation::new(&catalog, &cluster, &layout, serial)
-            .unwrap()
-            .run(&trace)
-            .unwrap();
-        let telemetry = Telemetry::enabled();
-        let b = Simulation::new(&catalog, &cluster, &layout, windowed)
-            .unwrap()
-            .run_with_telemetry(&trace, &telemetry)
-            .unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-        let snap = telemetry.snapshot();
-        assert!(snap.counter("sim.window.windows") > 0);
-    }
-
-    #[test]
-    fn bad_window_knobs_rejected_at_bind() {
-        let (catalog, cluster, layout) = tiny_world();
-        let cfg = SimConfig {
-            window: WindowConfig {
-                min_events: 0,
-                ..WindowConfig::default()
-            },
-            ..SimConfig::paper_default()
-        };
-        assert!(matches!(
-            Simulation::new(&catalog, &cluster, &layout, cfg),
-            Err(ModelError::InvalidParameter {
-                name: "window.min_events",
-                ..
-            })
-        ));
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let cfg = SimConfig {
-                window: WindowConfig {
-                    max_span_min: bad,
-                    ..WindowConfig::default()
-                },
-                ..SimConfig::paper_default()
-            };
-            assert!(
-                matches!(
-                    Simulation::new(&catalog, &cluster, &layout, cfg),
-                    Err(ModelError::InvalidParameter {
-                        name: "window.max_span_min",
-                        ..
-                    })
-                ),
-                "max_span_min {bad} accepted"
-            );
-        }
+        // The serial loop ran: no decoupled worker published events.
+        assert_eq!(telemetry.snapshot().counter("sim.shard.events.00"), 0);
     }
 
     /// Twenty single-server pods — more than the 16 named
@@ -3271,47 +2522,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_departure_counters_beyond_named_buckets_fold_into_last() {
-        // Coupled fallback (the enabled controller forces it — its
-        // first tick lies past the horizon, so behavior is untouched):
-        // the split departure queue publishes per-sub-queue push
-        // counts through the same fold.
-        let (catalog, cluster, layout) = wide_pods_world();
-        let trace = wide_pods_trace();
-        let sim = Simulation::new(
-            &catalog,
-            &cluster,
-            &layout,
-            SimConfig {
-                shards: 20,
-                controller: ControllerConfig {
-                    tick_min: 1_000.0,
-                    ..ControllerConfig::default()
-                },
-                ..SimConfig::paper_default()
-            },
-        )
-        .unwrap();
-        let telemetry = Telemetry::enabled();
-        let report = sim.run_with_telemetry(&trace, &telemetry).unwrap();
-        assert_eq!(report.admitted, 20);
-        assert_eq!(report.controller_ticks, 0);
-        let snap = telemetry.snapshot();
-        let buckets: Vec<u64> = (0..16)
-            .map(|k| snap.counter(&format!("sim.shard.departures.{k:02}")))
-            .collect();
-        // One departure push per admitted stream, one stream per
-        // sub-queue; the last bucket absorbs the four folded queues.
-        assert_eq!(&buckets[..15], &[1u64; 15][..], "{buckets:?}");
-        assert_eq!(buckets[15], 5, "{buckets:?}");
-        assert_eq!(buckets.iter().sum::<u64>(), report.admitted);
-        assert_eq!(snap.counter("sim.shard.departures.16"), 0);
-    }
-
-    #[test]
     fn sharded_run_with_queueing_admission_stays_identical() {
         // Queue+retry admission couples servers through the FIFO queue,
-        // so shards>1 must take the coupled path and still agree.
+        // so shards>1 must take the serial loop and still agree.
         let (catalog, cluster, layout) = pods_world();
         let trace = pods_trace();
         let admission = crate::admission::AdmissionConfig {
@@ -3350,6 +2563,85 @@ mod tests {
             Simulation::new(&catalog, &cluster, &layout, cfg),
             Err(ModelError::InvalidParameter { name: "shards", .. })
         ));
+    }
+
+    /// A pull-based source replaying a fixed request list, including
+    /// lists that break the [`ArrivalSource`] contract.
+    #[derive(Clone)]
+    struct Replay {
+        requests: Vec<Request>,
+        next: usize,
+    }
+
+    impl ArrivalSource for Replay {
+        fn next_request(&mut self) -> Option<Request> {
+            let r = self.requests.get(self.next).copied();
+            self.next += 1;
+            r
+        }
+
+        fn horizon_min(&self) -> f64 {
+            90.0
+        }
+    }
+
+    /// Runs `run` on the pods world at shards 1 and 2 (the decoupled
+    /// path, with videos 0 and 1 on different workers) and checks both
+    /// fail with the same `InvalidParameter { name, .. }`.
+    fn assert_fails_alike_at_one_and_two_shards(
+        name: &str,
+        run: impl Fn(&Simulation) -> Result<SimReport, ModelError>,
+    ) {
+        let (catalog, cluster, layout) = pods_world();
+        let plan = ShardPlan::decoupled(&layout, 2);
+        assert_ne!(plan.video_shard[0], plan.video_shard[1]);
+        let errors: Vec<String> = [1, 2]
+            .into_iter()
+            .map(|shards| {
+                let cfg = SimConfig {
+                    shards,
+                    ..SimConfig::paper_default()
+                };
+                let sim = Simulation::new(&catalog, &cluster, &layout, cfg).unwrap();
+                match run(&sim) {
+                    Err(e @ ModelError::InvalidParameter { name: n, .. }) if n == name => {
+                        format!("{e:?}")
+                    }
+                    other => panic!("shards {shards}: expected `{name}` error, got {other:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(errors[0], errors[1]);
+    }
+
+    #[test]
+    fn bad_arrivals_fail_alike_at_one_and_two_shards() {
+        let cases = [
+            (vec![req(1.0, 0), req(f64::NAN, 1)], "arrival_min"),
+            (vec![req(1.0, 0), req(f64::INFINITY, 1)], "arrival_min"),
+            (vec![req(-0.5, 0), req(1.0, 1)], "arrival_min"),
+            // Out of order across two workers' videos: only a check ahead
+            // of the ownership filter sees both requests.
+            (vec![req(5.0, 0), req(3.0, 1)], "arrival_min (not sorted)"),
+        ];
+        for (requests, name) in cases {
+            assert_fails_alike_at_one_and_two_shards(name, |sim| {
+                sim.run_streaming(Replay {
+                    requests: requests.clone(),
+                    next: 0,
+                })
+            });
+            // A deserialized trace never met `Trace::new`'s checks (JSON
+            // carries no NaN or infinity, so only finite cases replay).
+            if requests.iter().all(|r| r.arrival_min.is_finite()) {
+                let json = format!(
+                    r#"{{"requests":{}}}"#,
+                    serde_json::to_string(&requests).unwrap()
+                );
+                let trace: Trace = serde_json::from_str(&json).unwrap();
+                assert_fails_alike_at_one_and_two_shards(name, |sim| sim.run(&trace));
+            }
+        }
     }
 
     /// Four videos on four servers (one replica each), ample storage,
@@ -3428,7 +2720,7 @@ mod tests {
         let b = sim.run(&trace).unwrap();
         assert_eq!(a, b);
         // The controller is a coupling feature: shards > 1 must take the
-        // serial coupled-fallback path and stay byte-identical.
+        // serial loop and stay byte-identical.
         let sharded = Simulation::new(
             &catalog,
             &cluster,

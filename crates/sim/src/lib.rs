@@ -37,15 +37,15 @@
 //!   groups for the parallel engine;
 //! * [`engine`] — the run loop tying it together.
 //!
-//! The serial run loop is allocation-free on the hot path. Setting
-//! [`SimConfig::shards`] above 1 opts into the sharded engine: when the
-//! layout decomposes into independent server groups (and no coupling
-//! features are active) each group runs on its own thread and the
-//! per-shard results are merged deterministically; otherwise the serial
-//! loop runs with a sharded event queue whose `(time, seq)` merge order
-//! is identical to the single-queue order. Either way, reports are
-//! byte-identical to a `shards: 1` run. Above that, the experiment
-//! runner still fans out independent replications across threads.
+//! The engine has two execution strategies. The serial run loop, the
+//! paper's own replay, is allocation-free on the hot path. Setting
+//! [`SimConfig::shards`] above 1 opts into the decoupled parallel
+//! strategy: when the layout decomposes into independent server groups
+//! and no coupling feature is active, each group runs on its own thread
+//! and the per-shard results are merged deterministically; otherwise the
+//! run takes the serial loop. Either way, reports are byte-identical to
+//! a `shards: 1` run. Above that, the experiment runner still fans out
+//! independent replications across threads.
 //!
 //! ```
 //! use vod_model::{BitRate, Catalog, ClusterSpec, Layout, ServerId, ServerSpec};
@@ -95,7 +95,7 @@ pub mod time;
 pub use admission::{AdmissionConfig, QueuePolicy};
 pub use controller::ControllerConfig;
 pub use dispatch::AdmissionPolicy;
-pub use engine::{SimConfig, Simulation, WindowConfig};
+pub use engine::{SimConfig, Simulation};
 pub use failure::{Brownout, BrownoutModel, FailureModel, FailurePlan, Outage, RackFailures};
 pub use metrics::SimReport;
 pub use repair::{FailoverPolicy, RepairConfig};

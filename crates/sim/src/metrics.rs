@@ -290,31 +290,6 @@ impl MetricsCollector {
         }
     }
 
-    /// Applies one window's worth of parallel-worker outcomes at a
-    /// barrier merge. Sound only under the windowed path's admission
-    /// preconditions: every in-window admission is direct (never
-    /// redirected or degraded) and waits exactly `0.0` minutes — `0.0`
-    /// is the additive identity and percentile sorting is stable across
-    /// equal keys, so pushing the zeros here, whatever order workers
-    /// finished in, is byte-identical to the serial loop's pushes.
-    /// Rejections arrive as sparse `(video, count)` pairs.
-    pub(crate) fn apply_window(
-        &mut self,
-        admitted: u64,
-        delivered_kbps_s: u128,
-        rejections: &[(usize, u64)],
-    ) {
-        self.admitted += admitted;
-        for _ in 0..admitted {
-            self.wait_times_min.push(0.0);
-        }
-        self.delivered_kbps_s += delivered_kbps_s;
-        for &(v, n) in rejections {
-            self.rejected += n;
-            self.per_video_rejections[v] += n;
-        }
-    }
-
     /// Folds another collector into this one — the cross-shard merge of
     /// the sharded engine. All event counts and the goodput integrals
     /// are integers, so the merged totals equal a serial run's exactly,

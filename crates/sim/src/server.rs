@@ -240,24 +240,6 @@ impl LinkState {
         self.streams.iter().map(|&s| s as u64).sum()
     }
 
-    /// Copies server `j`'s full per-server state (occupancy, repair
-    /// reservations, effective capacity, stream count, epoch, up bit)
-    /// from `src`. Both states must describe the same cluster — nominal
-    /// capacities are immutable and assumed identical. This is the
-    /// windowed engine's checkout/commit primitive: worker replicas
-    /// sync their owned servers from the master at a window open and
-    /// write them back at the barrier.
-    pub(crate) fn copy_server_from(&mut self, src: &LinkState, j: usize) {
-        debug_assert_eq!(self.capacity_kbps[j], src.capacity_kbps[j]);
-        self.effective_kbps[j] = src.effective_kbps[j];
-        self.used_kbps[j] = src.used_kbps[j];
-        self.repair_kbps[j] = src.repair_kbps[j];
-        self.streams[j] = src.streams[j];
-        self.epoch[j] = src.epoch[j];
-        let (w, m) = bit(j);
-        self.up[w] = (self.up[w] & !m) | (src.up[w] & m);
-    }
-
     /// Invariant check used by tests, debug assertions, and the runtime
     /// auditor: no link over its effective (brownout-adjusted) capacity.
     pub fn within_capacity(&self) -> bool {

@@ -40,9 +40,6 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 pub enum ShardInstrument {
     /// Events processed by one engine shard (`sim.shard.events.NN`).
     Events,
-    /// Departures scheduled on one shard's queue
-    /// (`sim.shard.departures.NN`).
-    Departures,
 }
 
 /// Highest individually named shard index; shards beyond this fold into
@@ -67,25 +64,6 @@ static SHARD_EVENTS: [&str; MAX_NAMED_SHARDS] = [
     "sim.shard.events.13",
     "sim.shard.events.14",
     "sim.shard.events.15",
-];
-
-static SHARD_DEPARTURES: [&str; MAX_NAMED_SHARDS] = [
-    "sim.shard.departures.00",
-    "sim.shard.departures.01",
-    "sim.shard.departures.02",
-    "sim.shard.departures.03",
-    "sim.shard.departures.04",
-    "sim.shard.departures.05",
-    "sim.shard.departures.06",
-    "sim.shard.departures.07",
-    "sim.shard.departures.08",
-    "sim.shard.departures.09",
-    "sim.shard.departures.10",
-    "sim.shard.departures.11",
-    "sim.shard.departures.12",
-    "sim.shard.departures.13",
-    "sim.shard.departures.14",
-    "sim.shard.departures.15",
 ];
 
 #[derive(Default)]
@@ -169,7 +147,6 @@ impl Telemetry {
     pub fn shard_counter(&self, what: ShardInstrument, shard: usize) -> Counter {
         let names = match what {
             ShardInstrument::Events => &SHARD_EVENTS,
-            ShardInstrument::Departures => &SHARD_DEPARTURES,
         };
         self.counter(names[shard.min(MAX_NAMED_SHARDS - 1)])
     }
@@ -508,9 +485,7 @@ mod tests {
     fn shard_counters_are_named_and_folded() {
         let telemetry = Telemetry::enabled();
         telemetry.shard_counter(ShardInstrument::Events, 0).add(3);
-        telemetry
-            .shard_counter(ShardInstrument::Departures, 7)
-            .add(5);
+        telemetry.shard_counter(ShardInstrument::Events, 7).add(5);
         // Indices past the named table fold into the last slot.
         telemetry
             .shard_counter(ShardInstrument::Events, MAX_NAMED_SHARDS + 9)
@@ -520,7 +495,7 @@ mod tests {
             .add(1);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("sim.shard.events.00"), 3);
-        assert_eq!(snap.counter("sim.shard.departures.07"), 5);
+        assert_eq!(snap.counter("sim.shard.events.07"), 5);
         assert_eq!(snap.counter("sim.shard.events.15"), 3);
     }
 

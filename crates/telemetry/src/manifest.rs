@@ -188,7 +188,9 @@ mod tests {
         let telemetry = Telemetry::enabled();
         telemetry.counter("sim.arrivals").add(10);
         drop(telemetry.span("sim.run"));
-        telemetry.histogram("sim.events_per_sec").observe(1e6);
+        telemetry
+            .histogram("sim.engine.events_per_sec")
+            .observe(1e6);
         let record = RunRecord::new("x", 1).with_snapshot(&telemetry.snapshot());
         assert_eq!(record.counters["sim.arrivals"], 10);
         assert!(record.phases.iter().any(|p| p.name == "sim.run"));

@@ -51,9 +51,11 @@ use vod_model::{ModelError, Popularity};
 
 /// A pull-based request stream in arrival order.
 ///
-/// Implementations yield requests with non-decreasing `arrival_min` and
-/// terminate at their horizon. Sources are `Clone` so the sharded engine
-/// can replay the same stream per worker and filter by video ownership.
+/// Implementations yield requests with finite, non-negative,
+/// non-decreasing `arrival_min` (see [`Request::check_after`], which the
+/// engine applies to every pulled request) and terminate at their
+/// horizon. Sources are `Clone` so the sharded engine can replay the
+/// same stream per worker and filter by video ownership.
 pub trait ArrivalSource {
     /// The next request, or `None` once the horizon is reached.
     fn next_request(&mut self) -> Option<Request>;

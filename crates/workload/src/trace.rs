@@ -20,6 +20,30 @@ pub struct Request {
     pub video: VideoId,
 }
 
+impl Request {
+    /// Checks this request's arrival time against the ordering contract
+    /// of traces and [`crate::ArrivalSource`]s: finite, non-negative and
+    /// no earlier than `previous_min`, the arrival before it (0 for the
+    /// first request).
+    #[inline]
+    pub fn check_after(&self, previous_min: f64) -> Result<(), ModelError> {
+        let t = self.arrival_min;
+        if !t.is_finite() || t < 0.0 {
+            return Err(ModelError::InvalidParameter {
+                name: "arrival_min",
+                value: t,
+            });
+        }
+        if t < previous_min {
+            return Err(ModelError::InvalidParameter {
+                name: "arrival_min (not sorted)",
+                value: t,
+            });
+        }
+        Ok(())
+    }
+}
+
 /// A time-ordered request sequence.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct Trace {
@@ -27,15 +51,13 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Builds a trace from requests, verifying time-ordering.
+    /// Builds a trace from requests, verifying that every arrival time is
+    /// finite, non-negative and no earlier than the one before it.
     pub fn new(requests: Vec<Request>) -> Result<Self, ModelError> {
-        for w in requests.windows(2) {
-            if w[1].arrival_min < w[0].arrival_min {
-                return Err(ModelError::InvalidParameter {
-                    name: "arrival_min (not sorted)",
-                    value: w[1].arrival_min,
-                });
-            }
+        let mut last = 0.0f64;
+        for r in &requests {
+            r.check_after(last)?;
+            last = r.arrival_min;
         }
         Ok(Trace { requests })
     }
@@ -225,6 +247,39 @@ mod tests {
             },
         ];
         assert!(Trace::new(reqs).is_err());
+    }
+
+    #[test]
+    fn new_rejects_non_finite_and_negative_arrivals() {
+        let at = |mins: &[f64]| {
+            Trace::new(
+                mins.iter()
+                    .map(|&arrival_min| Request {
+                        arrival_min,
+                        video: VideoId(0),
+                    })
+                    .collect(),
+            )
+        };
+        for bad in [
+            &[1.0, f64::NAN][..],
+            &[f64::NAN],
+            &[1.0, f64::INFINITY],
+            &[f64::NEG_INFINITY, 1.0],
+            &[-0.5, 1.0],
+        ] {
+            assert!(
+                matches!(
+                    at(bad),
+                    Err(ModelError::InvalidParameter {
+                        name: "arrival_min",
+                        ..
+                    })
+                ),
+                "{bad:?} accepted"
+            );
+        }
+        assert!(at(&[0.0, 0.0, 1.5]).is_ok());
     }
 
     #[test]

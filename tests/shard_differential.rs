@@ -1,27 +1,27 @@
 //! Differential property test for the sharded engine: random worlds,
-//! workloads and failure/brownout schedules driven through `shards = 1`
-//! and `shards ∈ {2, 4, 8}` must produce identical [`SimReport`]s —
-//! compared as serialized JSON, so every field participates — and
-//! identical telemetry counter totals (the per-shard `sim.shard.*`
-//! counters excepted: their *placement* depends on the shard count by
-//! design, only their existence does not).
+//! workloads, failure/brownout schedules and online-controller runs
+//! driven through `shards = 1` and `shards ∈ {2, 4, 8}` must produce
+//! identical [`SimReport`]s — compared as serialized JSON, so every
+//! field participates — and identical telemetry counter totals (the
+//! per-shard `sim.shard.*` counters excepted: only the decoupled path
+//! publishes them).
 //!
 //! The generator deliberately covers both engine paths:
 //!
-//! * pod-structured layouts with passive admission and no failures take
-//!   the decoupled parallel path (one mini-engine per server group,
-//!   merged deterministically);
+//! * pod-structured layouts with passive admission, no failures and no
+//!   controller take the decoupled parallel path (one mini-engine per
+//!   server group, merged deterministically);
 //! * connected layouts, injected outages, stochastic failure/brownout
-//!   models, queueing admission, and backbone redirection all force the
-//!   coupled fallback (the serial loop over the sharded event queue).
+//!   models, queueing admission, backbone redirection and the online
+//!   controller (with repair bandwidth) all force the serial loop.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use rand::Rng;
 use vod_model::{BitRate, Catalog, ClusterSpec, Layout, ServerId, ServerSpec, VideoId};
 use vod_sim::{
-    AdmissionConfig, AdmissionPolicy, BrownoutModel, FailoverPolicy, FailureModel, FailurePlan,
-    Outage, QueuePolicy, RepairConfig, SimConfig, Simulation,
+    AdmissionConfig, AdmissionPolicy, BrownoutModel, ControllerConfig, FailoverPolicy,
+    FailureModel, FailurePlan, Outage, QueuePolicy, RepairConfig, SimConfig, Simulation,
 };
 use vod_telemetry::Telemetry;
 use vod_workload::{Request, Trace};
@@ -33,7 +33,7 @@ struct Scenario {
     servers_per_pod: usize,
     videos_per_pod: usize,
     /// A video replicated across pod boundaries glues the replica graph
-    /// together (forces the coupled path even without failures).
+    /// together (forces the serial loop even without failures).
     bridge_video: bool,
     bandwidth_kbps: u64,
     duration_s: u64,
@@ -43,6 +43,9 @@ struct Scenario {
     failure_model: Option<FailureModel>,
     failover: FailoverPolicy,
     repair: RepairConfig,
+    /// Runs the online replication controller (always with repair
+    /// bandwidth, so it actually copies).
+    controller: bool,
     audit: bool,
     shards: usize,
     arrivals: Vec<Request>,
@@ -98,6 +101,14 @@ impl Scenario {
             failover: self.failover,
             repair: self.repair,
             admission: self.admission.clone(),
+            controller: if self.controller {
+                ControllerConfig {
+                    tick_min: 5.0,
+                    ..ControllerConfig::default()
+                }
+            } else {
+                ControllerConfig::default()
+            },
             audit: self.audit,
             shards,
             ..SimConfig::default()
@@ -108,8 +119,9 @@ impl Scenario {
 /// Scenario generator. Domains are small on purpose: few servers with
 /// one-to-four stream links force admission contention, short videos
 /// force departure/arrival interleaving, and every coupling feature
-/// (outages, fault models, queueing, redirection) appears with enough
-/// probability that both engine paths see real traffic.
+/// (outages, fault models, queueing, redirection, the controller)
+/// appears with enough probability that both engine paths see real
+/// traffic.
 #[derive(Clone, Copy, Debug)]
 struct ScenarioStrategy;
 
@@ -205,36 +217,51 @@ impl Strategy for ScenarioStrategy {
             });
         }
 
+        let bandwidth_kbps = 4_000 * rng.gen_range(1u64..=4);
+        let duration_s = 60 * rng.gen_range(3u64..=15);
+        let audit = rng.gen_bool(0.5);
+        let shards = [2, 4, 8][rng.gen_range(0usize..3)];
+        // Drawn last so the earlier draws keep their stream positions.
+        let controller = rng.gen_bool(0.3);
+        let repair = if controller && repair.bandwidth_kbps == 0 {
+            RepairConfig {
+                bandwidth_kbps: 2_000,
+                max_concurrent: 4,
+            }
+        } else {
+            repair
+        };
+
         Scenario {
             n_pods,
             servers_per_pod,
             videos_per_pod,
             bridge_video,
-            bandwidth_kbps: 4_000 * rng.gen_range(1u64..=4),
-            duration_s: 60 * rng.gen_range(3u64..=15),
+            bandwidth_kbps,
+            duration_s,
             policy,
             admission,
             failures,
             failure_model,
             failover,
             repair,
-            audit: rng.gen_bool(0.5),
-            shards: [2, 4, 8][rng.gen_range(0usize..3)],
+            controller,
+            audit,
+            shards,
             arrivals,
         }
     }
 }
 
-/// Counter totals with the shard-count-dependent `sim.shard.*` and
-/// `sim.window.*` names projected out (the windowed executor only
-/// engages at `shards > 1`, so its health counters exist on one side
-/// by design — every *simulation* counter must still agree).
+/// Counter totals with the shard-count-dependent `sim.shard.*` names
+/// projected out (only the decoupled path publishes them, so they exist
+/// on one side by design — every *simulation* counter must still agree).
 fn comparable_counters(telemetry: &Telemetry) -> Vec<(String, u64)> {
     telemetry
         .snapshot()
         .counters
         .into_iter()
-        .filter(|(name, _)| !name.starts_with("sim.shard.") && !name.starts_with("sim.window."))
+        .filter(|(name, _)| !name.starts_with("sim.shard."))
         .collect()
 }
 
