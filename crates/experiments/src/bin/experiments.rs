@@ -30,9 +30,12 @@
 //!             64-server smoke world); prints one machine-readable
 //!             SCALE line and fails if bytes/active-stream exceeds the
 //!             documented ceiling
-//!   perf-smoke  pinned-size throughput measurements (N = 8, M = 200,
-//!               fixed seed): simulator events/sec and annealer SA
-//!               steps/sec; prints one machine-readable PERF_SMOKE line
+//!   perf-smoke  pinned-size throughput measurements (fixed seeds):
+//!               simulator events/sec on the paper world (N = 8,
+//!               M = 200), annealer SA steps/sec, sharded, coupled and
+//!               controller-driven events/sec on tiled pod worlds,
+//!               streaming-generation requests/sec and streaming-engine
+//!               events/sec; prints one machine-readable PERF_SMOKE line
 //!
 //! flags:
 //!   --shards N      engine shards per simulation (default 1; runs whose
@@ -41,10 +44,8 @@
 //!                   reports are byte-identical at any shard count, CI
 //!                   diffs them)
 //!   --metrics FILE  append one JSONL run-manifest record per experiment
-//!   --check FILE    perf-smoke only: fail if events/sec, SA steps/sec,
-//!                   parallel events/sec, streaming-generation
-//!                   requests/sec or streaming-engine events/sec drops
-//!                   more than 30% below the baseline in FILE
+//!   --check FILE    perf-smoke only: fail if any measured rate with a
+//!                   floor in FILE drops more than 30% below it
 //!   --scheme S      coding only: narrow the sweep to one redundancy
 //!                   scheme — `repR` (e.g. rep3) for R full replicas, or
 //!                   `rs` with `--k K --m M` for a Reed-Solomon stripe
@@ -67,9 +68,12 @@ use vod_model::{
     BitRate, Catalog, ClusterSpec, Layout, ObjectiveWeights, Popularity, RedundancyScheme,
     ServerId, ServerSpec, VideoId,
 };
-use vod_sim::{AdmissionPolicy, SimConfig, Simulation};
+use vod_sim::{
+    AdmissionPolicy, ControllerConfig, FailoverPolicy, FailureModel, RepairConfig, SimConfig,
+    Simulation,
+};
 use vod_telemetry::{ManifestWriter, RunRecord, Telemetry};
-use vod_workload::{ArrivalSource, Request, Trace};
+use vod_workload::{ArrivalSource, DriftingWorkload, FlashCrowd, Request, Trace};
 
 #[derive(Debug)]
 struct Args {
@@ -497,13 +501,161 @@ fn coupled_par_perf_measurement() -> Result<(u64, f64, f64), Box<dyn std::error:
     Ok((events, secs, events as f64 / secs))
 }
 
+/// Pods in the drift world of [`drift_perf_measurement`].
+const DRIFT_PODS: usize = 8;
+
+/// A-7's world tiled [`DRIFT_PODS`] times: 64 servers in pods of 8 and
+/// 1,600 titles in pods of 200. Each pod holds the paper's zipf+slf plan
+/// at degree 1.4 on degree-1.6 storage (the controller fills the spare
+/// slots, then demotes cooled titles to fund raises) and gets its own
+/// A-7 drifting traffic (15-min rank swaps, two flash crowds on its
+/// coldest titles) at 85% of capacity.
+fn drift_perf_world() -> Result<(Catalog, ClusterSpec, Layout, Trace), Box<dyn std::error::Error>> {
+    let setup = PaperSetup::default();
+    let (n, m) = (setup.n_servers, setup.n_videos);
+    let point = build_plan(&setup, Combo::ZIPF_SLF, 1.0, 1.4)?;
+    let mut assignments = Vec::with_capacity(DRIFT_PODS * m);
+    for p in 0..DRIFT_PODS {
+        for v in 0..m {
+            let servers = point.plan.layout.replicas_of(VideoId(v as u32));
+            assignments.push(
+                servers
+                    .iter()
+                    .map(|s| ServerId((p * n) as u32 + s.0))
+                    .collect(),
+            );
+        }
+    }
+    let layout = Layout::new(DRIFT_PODS * n, assignments)?;
+    let server = setup.cluster(1.6).servers()[0];
+    let cluster = ClusterSpec::homogeneous(DRIFT_PODS * n, server)?;
+    let catalog = Catalog::fixed_rate(DRIFT_PODS * m, setup.bitrate, setup.duration_s)?;
+    let coldest = m as u32 - 1;
+    let workload = DriftingWorkload::new(
+        setup.popularity(1.0)?,
+        setup.horizon_min,
+        15.0,
+        m as u32,
+        0xD21F,
+    )?
+    .with_flash_crowds(vec![
+        FlashCrowd {
+            at_min: 25.0,
+            video: VideoId(coldest),
+            boost: 2.0,
+        },
+        FlashCrowd {
+            at_min: 55.0,
+            video: VideoId(coldest - 1),
+            boost: 1.5,
+        },
+    ])?;
+    let lambda = 0.85 * setup.capacity_lambda_per_min();
+    let mut requests = Vec::new();
+    for p in 0..DRIFT_PODS {
+        let pod = workload.generate(lambda, &mut ChaCha8Rng::seed_from_u64(0xC0A7 + p as u64))?;
+        requests.extend(pod.requests().iter().map(|r| Request {
+            video: VideoId((p * m) as u32 + r.video.0),
+            ..*r
+        }));
+    }
+    requests.sort_by(|a, b| a.arrival_min.total_cmp(&b.arrival_min));
+    Ok((catalog, cluster, layout, Trace::new(requests)?))
+}
+
+/// Controller-path throughput measurement: the drift world with the
+/// online controller on a 1-min tick, metered 200 Mbps repair,
+/// exponential faults at one A-7 cluster's rate (MTTR 15 min) and
+/// resume failover; repair and controller budgets are A-7's per pod.
+/// The controller couples the pods, so `shards = 8` takes the serial
+/// loop. Asserts that the controller both copied and demoted, and that
+/// the `shards = 1` and `shards = 8` reports are byte-identical, then
+/// measures events/sec of the `shards = 8` run. Returns
+/// `(events, secs, events_per_sec)`.
+fn drift_perf_measurement() -> Result<(u64, f64, f64), Box<dyn std::error::Error>> {
+    const SHARDS: usize = 8;
+    let (catalog, cluster, layout, trace) = drift_perf_world()?;
+    let config = |shards| SimConfig {
+        policy: AdmissionPolicy::LeastLoadedReplica,
+        shards,
+        failure_model: Some(FailureModel::exponential(
+            180.0 * DRIFT_PODS as f64,
+            15.0,
+            0xFA,
+        )),
+        repair: RepairConfig {
+            bandwidth_kbps: 200_000,
+            max_concurrent: 8 * DRIFT_PODS,
+        },
+        controller: ControllerConfig {
+            tick_min: 1.0,
+            ewma_window_ticks: 6,
+            cooldown_ticks: 12,
+            max_changes_per_tick: 8 * DRIFT_PODS,
+            ..ControllerConfig::default()
+        },
+        failover: FailoverPolicy::Resume,
+        ..SimConfig::default()
+    };
+    let serial = Simulation::new(&catalog, &cluster, &layout, config(1))?;
+    let sharded = Simulation::new(&catalog, &cluster, &layout, config(SHARDS))?;
+    let a = serial.run(&trace)?;
+    let b = sharded.run(&trace)?;
+    if a.controller_copies == 0 || a.controller_demotions == 0 {
+        return Err("perf smoke: the drift world's controller never copied or demoted".into());
+    }
+    if serde_json::to_string(&a)? != serde_json::to_string(&b)? {
+        return Err("perf smoke: sharded drift report diverged from the serial report".into());
+    }
+    let telemetry = Telemetry::enabled();
+    let started = Instant::now();
+    let mut iterations = 0u32;
+    while iterations < 2 || started.elapsed().as_secs_f64() < 0.5 {
+        std::hint::black_box(sharded.run_with_telemetry(&trace, &telemetry)?);
+        iterations += 1;
+    }
+    let secs = started.elapsed().as_secs_f64();
+    let events = telemetry.snapshot().counter("sim.events");
+    Ok((events, secs, events as f64 / secs))
+}
+
+/// One perf-smoke floor: fails when `measured` lands more than 30%
+/// below `floor`, else prints the machine-greppable
+/// `PERF_SMOKE{tag}_DELTA` line CI lifts into the job summary.
+fn check_floor(
+    tag: &str,
+    what: &str,
+    measured: f64,
+    floor: f64,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let threshold = 0.7 * floor;
+    let delta_pct = 100.0 * (measured / floor - 1.0);
+    if measured < threshold {
+        return Err(format!(
+            "perf smoke regression: {measured:.0} {what} is more than 30% below the \
+             baseline {floor:.0} (threshold {threshold:.0}, delta {delta_pct:+.1}%)"
+        )
+        .into());
+    }
+    println!(
+        "PERF_SMOKE{tag}_DELTA baseline={floor:.0} measured={measured:.0} delta_pct={delta_pct:+.1}"
+    );
+    eprintln!(
+        "perf smoke ok: {measured:.0} {what} >= threshold {threshold:.0} \
+         (baseline {floor:.0}, delta {delta_pct:+.1}%)"
+    );
+    Ok(())
+}
+
 /// Runs the pinned-size throughput measurements: the paper's cluster
 /// (N = 8, M = 200), zipf+slf plan at degree 1.2, near-capacity load,
 /// fixed seed — plus the SA-1 annealing problem through the
-/// delta-evaluated move engine. Prints one machine-readable `PERF_SMOKE`
-/// line; with `--check`, compares against a JSON baseline
-/// (`{"events_per_sec": X, "sa_steps_per_sec": Y}`) and fails when
-/// either throughput lands more than 30% below its floor.
+/// delta-evaluated move engine, the sharded, coupled and controller
+/// pod worlds, and the streaming scale world. Prints one
+/// machine-readable `PERF_SMOKE` line; with `--check`, compares against
+/// a JSON baseline (`{"events_per_sec": X, ...}`, every other floor
+/// optional) and fails when any rate lands more than 30% below its
+/// floor.
 fn perf_smoke(
     metrics: Option<&str>,
     check: Option<&str>,
@@ -585,6 +737,10 @@ fn perf_smoke(
     // serial loop carries the run at shards = 8).
     let (coupled_events, coupled_secs, coupled_events_per_sec) = coupled_par_perf_measurement()?;
 
+    // Controller measurement (tiled A-7 drift world: controller, metered
+    // repair and faults on the serial loop at shards = 8).
+    let (drift_events, drift_secs, drift_events_per_sec) = drift_perf_measurement()?;
+
     // Streaming-generation measurement: requests/sec pulled from the
     // thinned arrival source of the mini scale world, including the
     // per-stream construction pre-pass (each iteration rebuilds the
@@ -636,11 +792,12 @@ fn perf_smoke(
          par_events={par_events} par_events_per_sec={par_events_per_sec:.0} \
          coupled_par_events={coupled_events} \
          coupled_par_events_per_sec={coupled_events_per_sec:.0} \
+         drift_events={drift_events} drift_events_per_sec={drift_events_per_sec:.0} \
          gen_requests={gen_requests} gen_requests_per_sec={gen_requests_per_sec:.0} \
          scale_events={scale_events} scale_events_per_sec={scale_events_per_sec:.0} \
          plan_secs={plan_secs:.3} sim_secs={sim_secs:.3} sa_secs={sa_secs:.3} \
-         par_secs={par_secs:.3} coupled_par_secs={coupled_secs:.3} gen_secs={gen_secs:.3} \
-         scale_secs={scale_secs:.3} wall_secs={wall_secs:.3}",
+         par_secs={par_secs:.3} coupled_par_secs={coupled_secs:.3} drift_secs={drift_secs:.3} \
+         gen_secs={gen_secs:.3} scale_secs={scale_secs:.3} wall_secs={wall_secs:.3}",
         setup.n_servers, setup.n_videos, setup.runs,
     );
 
@@ -652,6 +809,7 @@ fn perf_smoke(
             .phase("anneal", sa_secs)
             .phase("par_simulate", par_secs)
             .phase("coupled_par_simulate", coupled_secs)
+            .phase("drift_simulate", drift_secs)
             .phase("generate", gen_secs)
             .phase("scale_simulate", scale_secs)
             // Override the wall-clock-derived figures with the
@@ -660,6 +818,7 @@ fn perf_smoke(
             .rate("sa_steps_per_sec", sa_steps_per_sec)
             .rate("par_events_per_sec", par_events_per_sec)
             .rate("coupled_par_events_per_sec", coupled_events_per_sec)
+            .rate("drift_events_per_sec", drift_events_per_sec)
             .rate("gen_requests_per_sec", gen_requests_per_sec)
             .rate("scale_events_per_sec", scale_events_per_sec);
         ManifestWriter::append_to(path)?.write(&record)?;
@@ -676,125 +835,56 @@ fn perf_smoke(
             #[serde(default)]
             coupled_par_events_per_sec: Option<f64>,
             #[serde(default)]
+            drift_events_per_sec: Option<f64>,
+            #[serde(default)]
             gen_requests_per_sec: Option<f64>,
             #[serde(default)]
             scale_events_per_sec: Option<f64>,
         }
         let baseline: Baseline = serde_json::from_str(&std::fs::read_to_string(path)?)?;
-        let floor = baseline.events_per_sec;
-        let threshold = 0.7 * floor;
-        let delta_pct = 100.0 * (events_per_sec / floor - 1.0);
-        if events_per_sec < threshold {
-            return Err(format!(
-                "perf smoke regression: {events_per_sec:.0} events/sec is more than 30% \
-                 below the baseline {floor:.0} (threshold {threshold:.0}, \
-                 delta {delta_pct:+.1}%)"
-            )
-            .into());
-        }
-        // Machine-greppable delta line (CI lifts it into the job summary).
-        println!("PERF_SMOKE_DELTA baseline={floor:.0} measured={events_per_sec:.0} delta_pct={delta_pct:+.1}");
-        eprintln!(
-            "perf smoke ok: {events_per_sec:.0} events/sec >= threshold {threshold:.0} \
-             (baseline {floor:.0}, delta {delta_pct:+.1}%)"
-        );
-        if let Some(sa_floor) = baseline.sa_steps_per_sec {
-            let sa_threshold = 0.7 * sa_floor;
-            let sa_delta_pct = 100.0 * (sa_steps_per_sec / sa_floor - 1.0);
-            if sa_steps_per_sec < sa_threshold {
-                return Err(format!(
-                    "perf smoke regression: {sa_steps_per_sec:.0} SA steps/sec is more than \
-                     30% below the baseline {sa_floor:.0} (threshold {sa_threshold:.0}, \
-                     delta {sa_delta_pct:+.1}%)"
-                )
-                .into());
+        check_floor("", "events/sec", events_per_sec, baseline.events_per_sec)?;
+        let optional = [
+            (
+                "_SA",
+                "SA steps/sec",
+                sa_steps_per_sec,
+                baseline.sa_steps_per_sec,
+            ),
+            (
+                "_PAR",
+                "parallel events/sec",
+                par_events_per_sec,
+                baseline.par_events_per_sec,
+            ),
+            (
+                "_COUPLED",
+                "coupled events/sec",
+                coupled_events_per_sec,
+                baseline.coupled_par_events_per_sec,
+            ),
+            (
+                "_DRIFT",
+                "controller-path events/sec",
+                drift_events_per_sec,
+                baseline.drift_events_per_sec,
+            ),
+            (
+                "_GEN",
+                "streaming-generation requests/sec",
+                gen_requests_per_sec,
+                baseline.gen_requests_per_sec,
+            ),
+            (
+                "_SCALE",
+                "streaming-engine events/sec",
+                scale_events_per_sec,
+                baseline.scale_events_per_sec,
+            ),
+        ];
+        for (tag, what, measured, floor) in optional {
+            if let Some(floor) = floor {
+                check_floor(tag, what, measured, floor)?;
             }
-            println!(
-                "PERF_SMOKE_SA_DELTA baseline={sa_floor:.0} measured={sa_steps_per_sec:.0} delta_pct={sa_delta_pct:+.1}"
-            );
-            eprintln!(
-                "perf smoke ok: {sa_steps_per_sec:.0} SA steps/sec >= threshold \
-                 {sa_threshold:.0} (baseline {sa_floor:.0}, delta {sa_delta_pct:+.1}%)"
-            );
-        }
-        if let Some(par_floor) = baseline.par_events_per_sec {
-            let par_threshold = 0.7 * par_floor;
-            let par_delta_pct = 100.0 * (par_events_per_sec / par_floor - 1.0);
-            if par_events_per_sec < par_threshold {
-                return Err(format!(
-                    "perf smoke regression: {par_events_per_sec:.0} parallel events/sec is \
-                     more than 30% below the baseline {par_floor:.0} (threshold \
-                     {par_threshold:.0}, delta {par_delta_pct:+.1}%)"
-                )
-                .into());
-            }
-            println!(
-                "PERF_SMOKE_PAR_DELTA baseline={par_floor:.0} measured={par_events_per_sec:.0} delta_pct={par_delta_pct:+.1}"
-            );
-            eprintln!(
-                "perf smoke ok: {par_events_per_sec:.0} parallel events/sec >= threshold \
-                 {par_threshold:.0} (baseline {par_floor:.0}, delta {par_delta_pct:+.1}%)"
-            );
-        }
-        if let Some(coupled_floor) = baseline.coupled_par_events_per_sec {
-            let coupled_threshold = 0.7 * coupled_floor;
-            let coupled_delta_pct = 100.0 * (coupled_events_per_sec / coupled_floor - 1.0);
-            if coupled_events_per_sec < coupled_threshold {
-                return Err(format!(
-                    "perf smoke regression: {coupled_events_per_sec:.0} coupled \
-                     events/sec is more than 30% below the baseline {coupled_floor:.0} \
-                     (threshold {coupled_threshold:.0}, delta {coupled_delta_pct:+.1}%)"
-                )
-                .into());
-            }
-            println!(
-                "PERF_SMOKE_COUPLED_DELTA baseline={coupled_floor:.0} measured={coupled_events_per_sec:.0} delta_pct={coupled_delta_pct:+.1}"
-            );
-            eprintln!(
-                "perf smoke ok: {coupled_events_per_sec:.0} coupled events/sec >= \
-                 threshold {coupled_threshold:.0} (baseline {coupled_floor:.0}, delta \
-                 {coupled_delta_pct:+.1}%)"
-            );
-        }
-        if let Some(gen_floor) = baseline.gen_requests_per_sec {
-            let gen_threshold = 0.7 * gen_floor;
-            let gen_delta_pct = 100.0 * (gen_requests_per_sec / gen_floor - 1.0);
-            if gen_requests_per_sec < gen_threshold {
-                return Err(format!(
-                    "perf smoke regression: {gen_requests_per_sec:.0} streaming-generation \
-                     requests/sec is more than 30% below the baseline {gen_floor:.0} \
-                     (threshold {gen_threshold:.0}, delta {gen_delta_pct:+.1}%)"
-                )
-                .into());
-            }
-            println!(
-                "PERF_SMOKE_GEN_DELTA baseline={gen_floor:.0} measured={gen_requests_per_sec:.0} delta_pct={gen_delta_pct:+.1}"
-            );
-            eprintln!(
-                "perf smoke ok: {gen_requests_per_sec:.0} streaming-generation requests/sec \
-                 >= threshold {gen_threshold:.0} (baseline {gen_floor:.0}, delta \
-                 {gen_delta_pct:+.1}%)"
-            );
-        }
-        if let Some(scale_floor) = baseline.scale_events_per_sec {
-            let scale_threshold = 0.7 * scale_floor;
-            let scale_delta_pct = 100.0 * (scale_events_per_sec / scale_floor - 1.0);
-            if scale_events_per_sec < scale_threshold {
-                return Err(format!(
-                    "perf smoke regression: {scale_events_per_sec:.0} streaming-engine \
-                     events/sec is more than 30% below the baseline {scale_floor:.0} \
-                     (threshold {scale_threshold:.0}, delta {scale_delta_pct:+.1}%)"
-                )
-                .into());
-            }
-            println!(
-                "PERF_SMOKE_SCALE_DELTA baseline={scale_floor:.0} measured={scale_events_per_sec:.0} delta_pct={scale_delta_pct:+.1}"
-            );
-            eprintln!(
-                "perf smoke ok: {scale_events_per_sec:.0} streaming-engine events/sec >= \
-                 threshold {scale_threshold:.0} (baseline {scale_floor:.0}, delta \
-                 {scale_delta_pct:+.1}%)"
-            );
         }
     }
     Ok(())

@@ -33,15 +33,20 @@
 //! The actuator also integrates the redundancy robustness metrics over
 //! simulated time: minutes in which *any* video sat below its current
 //! replication target and video·minutes with *zero* servable replicas.
+//!
+//! Work is proportional to what changed, not to catalog × cluster:
+//! [`Self::replan`] places only the videos short of their replica count
+//! (the result equals `vod_placement::IncrementalPlacement` run over the
+//! whole content map; DESIGN.md §7 gives the argument), and the
+//! in-flight copies live in an indexed copy book.
 
 use crate::dispatch::Dispatcher;
 use crate::repair::RepairConfig;
 use crate::server::LinkState;
 use crate::time::SimTime;
-use std::collections::BTreeSet;
-use vod_model::{Catalog, ClusterSpec, Layout, ModelError, ReplicationScheme, ServerId, VideoId};
-use vod_placement::traits::PlacementInput;
-use vod_placement::{IncrementalPlacement, PlacementPolicy};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
+use vod_model::{Catalog, ClusterSpec, Layout, ModelError, ServerId, VideoId};
 
 /// Which policy layer a completed copy is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,6 +80,150 @@ struct ActiveCopy {
     extra_srcs: Vec<ServerId>,
 }
 
+impl ActiveCopy {
+    /// The copy's `(done_at, seq)` key: unique, and the completion order.
+    fn key(&self) -> CopyKey {
+        (self.done_at, self.seq)
+    }
+
+    /// Every server the copy holds a reservation on.
+    fn endpoints(&self) -> impl Iterator<Item = ServerId> + '_ {
+        [self.src, self.dst]
+            .into_iter()
+            .chain(self.extra_srcs.iter().copied())
+    }
+}
+
+type CopyKey = (SimTime, u64);
+
+/// The in-flight copies, keyed by `(done_at, seq)` so the next
+/// completion is the first entry, with two indexes: `(video, dst)` pairs
+/// answer "is a copy of `v` already headed to `dst`?" and
+/// `(server, key)` pairs find the copies touching a server, latest
+/// first for brownout shedding. All three are O(log c).
+#[derive(Debug, Default)]
+struct CopyBook {
+    by_done: BTreeMap<CopyKey, ActiveCopy>,
+    dsts: BTreeSet<(VideoId, ServerId)>,
+    ends: BTreeSet<(ServerId, CopyKey)>,
+    /// Copies attributed to failure repair.
+    repair: usize,
+}
+
+impl CopyBook {
+    fn len(&self) -> usize {
+        self.by_done.len()
+    }
+
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = &ActiveCopy> {
+        self.by_done.values()
+    }
+
+    fn insert(&mut self, c: ActiveCopy) {
+        let key = c.key();
+        self.dsts.insert((c.video, c.dst));
+        for s in c.endpoints() {
+            self.ends.insert((s, key));
+        }
+        if c.purpose == CopyPurpose::Repair {
+            self.repair += 1;
+        }
+        self.by_done.insert(key, c);
+    }
+
+    fn remove(&mut self, key: CopyKey) -> Option<ActiveCopy> {
+        let c = self.by_done.remove(&key)?;
+        self.dsts.remove(&(c.video, c.dst));
+        for s in c.endpoints() {
+            self.ends.remove(&(s, key));
+        }
+        if c.purpose == CopyPurpose::Repair {
+            self.repair -= 1;
+        }
+        Some(c)
+    }
+
+    /// The earliest `(done_at, seq)`, if any copy is in flight.
+    fn first_key(&self) -> Option<CopyKey> {
+        self.by_done.first_key_value().map(|(&k, _)| k)
+    }
+
+    /// Whether a copy of `video` is already headed to `dst`.
+    fn heads_to(&self, video: VideoId, dst: ServerId) -> bool {
+        self.dsts.contains(&(video, dst))
+    }
+
+    /// Destinations of `video`'s in-flight copies.
+    fn dsts_of(&self, video: VideoId) -> impl Iterator<Item = ServerId> + '_ {
+        self.dsts
+            .range((video, ServerId(0))..=(video, ServerId(u32::MAX)))
+            .map(|&(_, d)| d)
+    }
+
+    /// Keys of the copies touching `server`, in `(done_at, seq)` order.
+    fn touching(&self, server: ServerId) -> impl DoubleEndedIterator<Item = CopyKey> + '_ {
+        let lo = (server, (SimTime(0), 0));
+        let hi = (server, (SimTime(u64::MAX), u64::MAX));
+        self.ends.range(lo..=hi).map(|&(_, k)| k)
+    }
+
+    /// Removes every copy `abort` selects, in `(done_at, seq)` order.
+    fn take_where(&mut self, mut abort: impl FnMut(&ActiveCopy) -> bool) -> Vec<ActiveCopy> {
+        let keys: Vec<CopyKey> = self
+            .by_done
+            .values()
+            .filter(|c| abort(c))
+            .map(ActiveCopy::key)
+            .collect();
+        keys.into_iter().filter_map(|k| self.remove(k)).collect()
+    }
+}
+
+/// Reusable buffers of [`ReplicaActuator::replan`]: the per-server slot
+/// state of the placement being computed and its few per-video diffs.
+#[derive(Debug, Default)]
+struct PlanScratch {
+    /// Slot capacity per server (0 on a down server).
+    cap: Vec<u64>,
+    /// Slots taken per server: its kept replicas plus planned additions.
+    used: Vec<u64>,
+    /// Σ (weight + 1) over the videos a server holds or is planned to
+    /// receive. Integer, so sums do not depend on summation order.
+    load: Vec<u128>,
+    /// `(load, server)` of every server with a free slot: the first
+    /// entry not assigned the video being placed is its destination.
+    free: BTreeSet<(u128, u32)>,
+    /// Servers assigned the video being placed.
+    mark: Vec<bool>,
+    /// Videos short of their replica count, in placement order.
+    short: Vec<u32>,
+    /// Kept replicas swap repair moved away, as `(video, server)`.
+    moved: Vec<(u32, ServerId)>,
+    /// Videos planned onto each server during this replan.
+    gained: Vec<Vec<u32>>,
+}
+
+impl PlanScratch {
+    /// Takes one more slot on server `j` for a video of weight `w`.
+    fn fill(&mut self, j: usize, w: u128) {
+        self.free.remove(&(self.load[j], j as u32));
+        self.used[j] += 1;
+        self.load[j] += w;
+        if self.used[j] < self.cap[j] {
+            self.free.insert((self.load[j], j as u32));
+        }
+    }
+
+    /// Gives back one slot on server `j` held by a video of weight `w`.
+    fn vacate(&mut self, j: usize, w: u128) {
+        self.free.remove(&(self.load[j], j as u32));
+        self.used[j] -= 1;
+        self.load[j] -= w;
+        self.free.insert((self.load[j], j as u32));
+    }
+}
+
 /// Run-time replica tracker, transfer scheduler and retirement engine.
 ///
 /// Owns the *live* content map: which servers hold a servable replica of
@@ -89,15 +238,31 @@ pub(crate) struct ReplicaActuator {
     /// Servers holding a full replica (servable when up), per video, in
     /// round-robin dispatch order; copied replicas append at the end.
     holders: Vec<Vec<ServerId>>,
+    /// The reverse map: videos each server holds, ascending.
+    held: Vec<Vec<u32>>,
     /// Current desired replica count per video. Initially the bound
     /// layout's degrees; the online controller moves these at run time.
     targets: Vec<u32>,
+    /// Σ `targets`.
+    target_slots: u64,
     video_bytes: Vec<u64>,
+    /// Bytes of one replica slot: the largest video's stored bytes.
+    slot_bytes: u64,
+    /// Whether every video stores exactly `slot_bytes`.
+    uniform: bool,
+    /// Cluster-wide replica slots (see [`Self::slot_budget`]).
+    slot_budget: u64,
     /// Per-server stored bytes, *including* reservations of in-flight
     /// copies (reserved at copy start so concurrent copies cannot
     /// oversubscribe storage — Eq. 4 holds throughout).
     used_bytes: Vec<u64>,
     capacity_bytes: Vec<u64>,
+    /// Stored bytes of the smallest video.
+    min_bytes: u64,
+    /// `(used_bytes, server)` of every server with room for the smallest
+    /// video: the greedy destination search walks it in order instead
+    /// of probing every server.
+    roomy: BTreeSet<(u64, ServerId)>,
     up: Vec<bool>,
     /// Number of currently-down servers.
     down_count: u32,
@@ -113,6 +278,8 @@ pub(crate) struct ReplicaActuator {
     /// model). Coded repair destinations respect the per-rack fragment
     /// bound `⌈(k+m) / n_racks⌉`.
     rack_of: Vec<u32>,
+    /// Number of racks in `rack_of` (0 = no rack bound).
+    n_racks: usize,
     /// In-flight copies per video.
     in_flight: Vec<u32>,
     /// Videos that may need a copy (lazily re-checked at pump time).
@@ -120,8 +287,13 @@ pub(crate) struct ReplicaActuator {
     /// Planned destinations for new copies, refreshed on every topology
     /// or target change; empty entries fall back to a greedy choice.
     planned: Vec<Vec<ServerId>>,
-    copies: Vec<ActiveCopy>,
+    plan: PlanScratch,
+    copies: CopyBook,
     seq: u64,
+    /// Scratch of [`Self::pump`]: the pending snapshot and the source
+    /// candidates of one copy.
+    pump_vids: Vec<u32>,
+    pump_srcs: Vec<ServerId>,
     // Metrics.
     bytes_copied: u64,
     copies_completed: u64,
@@ -172,30 +344,51 @@ impl ReplicaActuator {
             .collect();
         let any_coded = layout.any_coded();
         let mut used_bytes = vec![0u64; n];
+        let mut held = vec![Vec::new(); n];
         for (v, servers) in holders.iter().enumerate() {
             for &s in servers {
                 used_bytes[s.index()] += video_bytes[v];
+                held[s.index()].push(v as u32);
             }
         }
+        let slot_bytes = video_bytes.iter().copied().max().unwrap_or(1).max(1);
+        let min_bytes = video_bytes.iter().copied().min().unwrap_or(0);
+        let capacity_bytes: Vec<u64> = cluster.servers().iter().map(|s| s.storage_bytes).collect();
+        let roomy = (0..n)
+            .filter(|&j| used_bytes[j].saturating_add(min_bytes) <= capacity_bytes[j])
+            .map(|j| (used_bytes[j], ServerId(j as u32)))
+            .collect();
+        let targets: Vec<u32> = holders.iter().map(|h| h.len() as u32).collect();
         ReplicaActuator {
             config,
             n_servers: n,
-            targets: holders.iter().map(|h| h.len() as u32).collect(),
+            target_slots: targets.iter().map(|&t| t as u64).sum(),
+            targets,
             alive: holders.iter().map(|h| h.len() as u32).collect(),
             holders,
+            held,
+            uniform: video_bytes.windows(2).all(|w| w[0] == w[1]),
+            slot_budget: capacity_bytes.iter().map(|&c| c / slot_bytes).sum(),
+            slot_bytes,
             video_bytes,
             min_live,
             any_coded,
             rack_of: Vec::new(),
+            n_racks: 0,
             used_bytes,
-            capacity_bytes: cluster.servers().iter().map(|s| s.storage_bytes).collect(),
+            capacity_bytes,
+            min_bytes,
+            roomy,
             up: vec![true; n],
             down_count: 0,
             in_flight: vec![0; m],
             pending: BTreeSet::new(),
             planned: vec![Vec::new(); m],
-            copies: Vec::new(),
+            plan: PlanScratch::default(),
+            copies: CopyBook::default(),
             seq: 0,
+            pump_vids: Vec::new(),
+            pump_srcs: Vec::new(),
             bytes_copied: 0,
             copies_completed: 0,
             drift_bytes_copied: 0,
@@ -230,6 +423,11 @@ impl ReplicaActuator {
     /// `rack_of[j]` is server `j`'s rack, `u32::MAX` marks an unracked
     /// server. An empty map (the default) disables the rack bound.
     pub fn set_rack_map(&mut self, rack_of: Vec<u32>) {
+        self.n_racks = rack_of
+            .iter()
+            .filter(|&&x| x != u32::MAX)
+            .max()
+            .map_or(0, |&x| x as usize + 1);
         self.rack_of = rack_of;
     }
 
@@ -258,7 +456,7 @@ impl ReplicaActuator {
     /// controller subtracts from [`Self::slot_budget`] to know how many
     /// raises it can fund without demoting anyone.
     pub fn target_slots(&self) -> u64 {
-        self.targets.iter().map(|&t| t as u64).sum()
+        self.target_slots
     }
 
     /// Whether any server is currently down (failure repair may be
@@ -269,10 +467,7 @@ impl ReplicaActuator {
 
     /// In-flight copies attributed to failure repair.
     pub fn repair_copies_in_flight(&self) -> usize {
-        self.copies
-            .iter()
-            .filter(|c| c.purpose == CopyPurpose::Repair)
-            .count()
+        self.copies.repair
     }
 
     /// Cluster-wide replica-slot budget: how many replicas of the
@@ -280,8 +475,7 @@ impl ReplicaActuator {
     /// controller apportions targets under this Eq. 4 budget; per-server
     /// feasibility is enforced again at copy-start time.
     pub fn slot_budget(&self) -> u64 {
-        let max_bytes = self.video_bytes.iter().copied().max().unwrap_or(1).max(1);
-        self.capacity_bytes.iter().map(|&c| c / max_bytes).sum()
+        self.slot_budget
     }
 
     /// Bytes successfully copied on behalf of the online controller.
@@ -366,6 +560,7 @@ impl ReplicaActuator {
             _ => {}
         }
         self.targets[v] = target;
+        self.target_slots = self.target_slots - old as u64 + target as u64;
         self.refresh_weight(v);
     }
 
@@ -392,13 +587,19 @@ impl ReplicaActuator {
             self.up[server.index()] = false;
             self.down_count += 1;
         }
-        self.abort_copies_touching(server, links, dispatcher);
-        for v in 0..self.holders.len() {
-            if self.holders[v].contains(&server) {
-                self.bump_alive(v, -1);
-                if self.alive[v] < self.targets[v] {
-                    self.pending.insert(v as u32);
-                }
+        let keys: Vec<CopyKey> = self.copies.touching(server).collect();
+        for key in keys {
+            if let Some(c) = self.copies.remove(key) {
+                // `release_repair` is a no-op on the endpoint that just
+                // failed (its reservations were cleared by `fail()`).
+                self.abort(c, links, dispatcher);
+            }
+        }
+        for i in 0..self.held[server.index()].len() {
+            let v = self.held[server.index()][i] as usize;
+            self.bump_alive(v, -1);
+            if self.alive[v] < self.targets[v] {
+                self.pending.insert(v as u32);
             }
         }
         self.replan(weights);
@@ -423,22 +624,16 @@ impl ReplicaActuator {
             self.up[server.index()] = true;
             self.down_count -= 1;
         }
-        for v in 0..self.holders.len() {
-            if self.holders[v].contains(&server) {
-                self.bump_alive(v, 1);
-            }
+        for i in 0..self.held[server.index()].len() {
+            let v = self.held[server.index()][i] as usize;
+            self.bump_alive(v, 1);
         }
-        let mut i = 0;
-        while i < self.copies.len() {
-            let v = self.copies[i].video.index();
-            if self.alive[v] >= self.targets[v] {
-                let c = self.copies.remove(i);
-                Self::release_copy(&c, links, dispatcher);
-                self.used_bytes[c.dst.index()] -= c.bytes;
-                self.in_flight[v] -= 1;
-            } else {
-                i += 1;
-            }
+        let (alive, targets) = (&self.alive, &self.targets);
+        let done = self
+            .copies
+            .take_where(|c| alive[c.video.index()] >= targets[c.video.index()]);
+        for c in done {
+            self.discard(&c, links, dispatcher);
         }
         for v in 0..self.holders.len() {
             self.retire_surplus(v);
@@ -463,7 +658,11 @@ impl ReplicaActuator {
                 break;
             };
             let s = self.holders[v].remove(pos);
-            self.used_bytes[s.index()] -= self.video_bytes[v];
+            let held = &mut self.held[s.index()];
+            if let Ok(i) = held.binary_search(&(v as u32)) {
+                held.remove(i);
+            }
+            self.set_used_bytes(s.index(), self.used_bytes[s.index()] - self.video_bytes[v]);
             self.bump_alive(v, -1);
             retired += 1;
         }
@@ -492,38 +691,45 @@ impl ReplicaActuator {
         }
     }
 
-    fn abort_copies_touching(
-        &mut self,
-        server: ServerId,
-        links: &mut LinkState,
-        dispatcher: &mut Dispatcher,
-    ) {
-        let mut i = 0;
-        while i < self.copies.len() {
-            let touches = {
-                let c = &self.copies[i];
-                c.src == server || c.dst == server || c.extra_srcs.contains(&server)
-            };
-            if touches {
-                let c = self.copies.remove(i);
-                // `release_repair` is a no-op on the endpoint that just
-                // failed (its reservations were cleared by `fail()`).
-                Self::release_copy(&c, links, dispatcher);
-                self.used_bytes[c.dst.index()] -= c.bytes;
-                self.in_flight[c.video.index()] -= 1;
-                self.pending.insert(c.video.0);
-            } else {
-                i += 1;
-            }
+    /// Drops an in-flight copy: releases its reservations (bandwidth
+    /// and the destination's storage).
+    fn discard(&mut self, c: &ActiveCopy, links: &mut LinkState, dispatcher: &mut Dispatcher) {
+        Self::release_copy(c, links, dispatcher);
+        let j = c.dst.index();
+        self.set_used_bytes(j, self.used_bytes[j] - c.bytes);
+        self.in_flight[c.video.index()] -= 1;
+    }
+
+    /// Drops an aborted copy and re-queues its video.
+    fn abort(&mut self, c: ActiveCopy, links: &mut LinkState, dispatcher: &mut Dispatcher) {
+        self.discard(&c, links, dispatcher);
+        self.pending.insert(c.video.0);
+    }
+
+    /// Sets server `j`'s stored bytes, keeping `roomy` in step.
+    fn set_used_bytes(&mut self, j: usize, used: u64) {
+        let s = ServerId(j as u32);
+        self.roomy.remove(&(self.used_bytes[j], s));
+        self.used_bytes[j] = used;
+        if used.saturating_add(self.min_bytes) <= self.capacity_bytes[j] {
+            self.roomy.insert((used, s));
         }
     }
 
-    /// Recomputes planned destinations for new copies with the
-    /// incremental-placement policy: previous = the full content map,
+    /// Recomputes planned destinations for new copies with incremental
+    /// smallest-load-first placement: previous = the full content map,
     /// down servers get zero slot capacity (their replicas are re-placed
     /// on survivors), and per-video weights are the caller's demand
-    /// estimate (+1 so cold titles still place). On any placement error
-    /// the plan stays empty and the pump falls back to a greedy choice.
+    /// estimate (+1 so cold titles still place). When the placement has
+    /// no solution the plan stays empty and the pump falls back to a
+    /// greedy choice.
+    ///
+    /// Only the videos short of their count do any work. The result is
+    /// the one `IncrementalPlacement::place` computes over the whole map
+    /// (the tests check this on random states), because its keep phase
+    /// keeps every up holder — held slots never exceed a server's slot
+    /// capacity — and the integer weights make every load sum exact in
+    /// any order. Swap repair reads the server → videos index.
     pub fn replan(&mut self, weights: &[u64]) {
         for p in &mut self.planned {
             p.clear();
@@ -531,72 +737,184 @@ impl ReplicaActuator {
         if !self.config.enabled() {
             return;
         }
-        let m = self.holders.len();
-        let counts: Vec<u32> = (0..m)
-            .map(|v| self.targets[v].max(self.holders[v].len() as u32))
-            .collect();
-        let Ok(scheme) = ReplicationScheme::new(counts) else {
-            return;
-        };
-        let w: Vec<f64> = (0..m)
-            .map(|v| weights.get(v).copied().unwrap_or(0) as f64 + 1.0)
-            .collect();
-        let mut held_slots = vec![0u64; self.n_servers];
-        let mut held_bytes = vec![0u64; self.n_servers];
-        for (v, servers) in self.holders.iter().enumerate() {
-            for &s in servers {
-                held_slots[s.index()] += 1;
-                held_bytes[s.index()] += self.video_bytes[v];
+        let mut p = std::mem::take(&mut self.plan);
+        if !self.place_short(&mut p, weights) {
+            for p in &mut self.planned {
+                p.clear();
             }
         }
-        let uniform = self.video_bytes.windows(2).all(|w| w[0] == w[1]);
-        let max_bytes = self.video_bytes.iter().copied().max().unwrap_or(1).max(1);
-        let capacities: Vec<u64> = (0..self.n_servers)
-            .map(|j| {
-                if !self.up[j] {
-                    // No additions on a dead server; its kept content is
-                    // dropped by the keep phase and re-placed elsewhere.
-                    0
-                } else if uniform {
-                    self.capacity_bytes[j] / max_bytes
-                } else {
-                    held_slots[j] + self.capacity_bytes[j].saturating_sub(held_bytes[j]) / max_bytes
-                }
-            })
-            .collect();
-        let Ok(previous) = Layout::new(self.n_servers, self.holders.clone()) else {
-            return;
-        };
-        let input = PlacementInput {
-            scheme: &scheme,
-            weights: &w,
-            n_servers: self.n_servers,
-            capacities: &capacities,
-        };
-        if let Ok(plan) = IncrementalPlacement::from_previous(previous).place(&input) {
-            for v in 0..m {
-                let vid = VideoId(v as u32);
-                self.planned[v] = plan
-                    .replicas_of(vid)
+        self.plan = p;
+    }
+
+    /// The body of [`Self::replan`]; false when the placement has no
+    /// solution.
+    fn place_short(&mut self, p: &mut PlanScratch, weights: &[u64]) -> bool {
+        let n = self.n_servers;
+        let weight = |v: usize| u128::from(weights.get(v).copied().unwrap_or(0)) + 1;
+        // Each video's count is its target, or more while it still
+        // lists holders beyond it; videos with fewer up holders are
+        // short.
+        p.short.clear();
+        let mut total_count = 0u128;
+        for v in 0..self.holders.len() {
+            let count = self.targets[v].max(self.holders[v].len() as u32);
+            if count == 0 || count as usize > n {
+                return false;
+            }
+            total_count += u128::from(count);
+            if self.alive[v] < count {
+                p.short.push(v as u32);
+            }
+        }
+        p.cap.clear();
+        p.used.clear();
+        p.load.clear();
+        for j in 0..n {
+            if !self.up[j] {
+                p.cap.push(0);
+                p.used.push(0);
+                p.load.push(0);
+                continue;
+            }
+            let held = &self.held[j];
+            let cap = if self.uniform {
+                self.capacity_bytes[j] / self.slot_bytes
+            } else {
+                let bytes: u64 = held.iter().map(|&u| self.video_bytes[u as usize]).sum();
+                held.len() as u64 + self.capacity_bytes[j].saturating_sub(bytes) / self.slot_bytes
+            };
+            debug_assert!(
+                held.len() as u64 <= cap,
+                "server {j} holds more than it fits"
+            );
+            p.cap.push(cap);
+            p.used.push(held.len() as u64);
+            p.load.push(held.iter().map(|&u| weight(u as usize)).sum());
+        }
+        if total_count > p.cap.iter().map(|&c| u128::from(c)).sum() {
+            return false;
+        }
+        // Heaviest first, ties to the lower id.
+        p.short
+            .sort_unstable_by_key(|&v| (Reverse(weight(v as usize)), v));
+        p.moved.clear();
+        p.gained.resize_with(n, Vec::new);
+        p.gained.iter_mut().for_each(Vec::clear);
+        p.mark.clear();
+        p.mark.resize(n, false);
+        p.free.clear();
+        p.free.extend(
+            (0..n)
+                .filter(|&j| p.used[j] < p.cap[j])
+                .map(|j| (p.load[j], j as u32)),
+        );
+        for i in 0..p.short.len() {
+            let v = p.short[i] as usize;
+            for k in 0..self.holders[v].len() {
+                let s = self.holders[v][k];
+                p.mark[s.index()] = self.assigned(p, v, s);
+            }
+            for &s in &self.planned[v] {
+                p.mark[s.index()] = true;
+            }
+            let count = self.targets[v].max(self.holders[v].len() as u32);
+            for _ in self.alive[v]..count {
+                // The least-loaded free server not holding `v` (ties to
+                // the lower id).
+                let best = p
+                    .free
                     .iter()
-                    .copied()
-                    .filter(|s| !self.holders[v].contains(s))
-                    .collect();
+                    .map(|&(_, j)| j as usize)
+                    .find(|&j| !p.mark[j]);
+                let Some(j) = best.or_else(|| self.swap_repair(p, v, &weight)) else {
+                    return false;
+                };
+                self.plan_onto(p, v, j);
+                p.mark[j] = true;
+                p.fill(j, weight(v));
+            }
+            for &s in self.holders[v].iter().chain(&self.planned[v]) {
+                p.mark[s.index()] = false;
             }
         }
+        // Planned entries that are already holders (a kept replica
+        // swapped away and placed back) need no copy.
+        for (planned, holders) in self.planned.iter_mut().zip(&self.holders) {
+            planned.retain(|s| !holders.contains(s));
+        }
+        true
+    }
+
+    /// Whether the placement being computed assigns video `u` to `s`.
+    fn assigned(&self, p: &PlanScratch, u: usize, s: ServerId) -> bool {
+        (self.up[s.index()] && self.holders[u].contains(&s) && !p.moved.contains(&(u as u32, s)))
+            || self.planned[u].contains(&s)
+    }
+
+    /// Appends `j` to `v`'s planned destinations.
+    fn plan_onto(&mut self, p: &mut PlanScratch, v: usize, j: usize) {
+        self.planned[v].push(ServerId(j as u32));
+        p.gained[j].push(v as u32);
+    }
+
+    /// Swap repair for the exact-fill dead end of placing `v` (every
+    /// free slot sits on a server already assigned `v`): moves the
+    /// lowest-id video `u` assigned to some server `l` not holding `v`
+    /// onto a free server `k` not holding `u`, scanning `k` then `l` in
+    /// ascending order, and returns `l`. The server's videos come from
+    /// the `held` index plus this replan's additions.
+    fn swap_repair(
+        &mut self,
+        p: &mut PlanScratch,
+        v: usize,
+        weight: &impl Fn(usize) -> u128,
+    ) -> Option<usize> {
+        let n = self.n_servers;
+        for k in 0..n {
+            if p.used[k] >= p.cap[k] {
+                continue;
+            }
+            let k_id = ServerId(k as u32);
+            for l in 0..n {
+                if l == k || !self.up[l] || p.mark[l] {
+                    continue;
+                }
+                let l_id = ServerId(l as u32);
+                let movable = |u: &u32| *u as usize != v && !self.assigned(p, *u as usize, k_id);
+                let kept = self.held[l]
+                    .iter()
+                    .find(|&u| movable(u) && !p.moved.contains(&(*u, l_id)));
+                let placed = p.gained[l]
+                    .iter()
+                    .filter(|&u| movable(u) && self.planned[*u as usize].contains(&l_id))
+                    .min();
+                let Some(u) = kept.into_iter().chain(placed).min().map(|&u| u as usize) else {
+                    continue;
+                };
+                match self.planned[u].iter().position(|&s| s == l_id) {
+                    Some(pos) => {
+                        self.planned[u].remove(pos);
+                    }
+                    None => p.moved.push((u as u32, l_id)),
+                }
+                self.plan_onto(p, u, k);
+                p.vacate(l, weight(u));
+                p.fill(k, weight(u));
+                return Some(l);
+            }
+        }
+        None
     }
 
     /// True when `dst` can receive a new replica of video `v` right now.
+    /// The cheap array checks run first; the index lookups last.
     fn dst_ok(&self, v: usize, dst: ServerId, bw: u64, links: &LinkState) -> bool {
         let j = dst.index();
         self.up[j]
+            && self.used_bytes[j] + self.video_bytes[v] <= self.capacity_bytes[j]
             && links.free_kbps(dst) >= bw
             && !self.holders[v].contains(&dst)
-            && self
-                .copies
-                .iter()
-                .all(|c| !(c.video.index() == v && c.dst == dst))
-            && self.used_bytes[j] + self.video_bytes[v] <= self.capacity_bytes[j]
+            && !self.copies.heads_to(VideoId(v as u32), dst)
             && self.rack_fits(v, dst)
     }
 
@@ -607,7 +925,7 @@ impl ReplicaActuator {
     /// go, and recovery retires the surplus). Replicated videos and
     /// rackless clusters are unconstrained.
     fn rack_fits(&self, v: usize, dst: ServerId) -> bool {
-        if self.min_live[v] <= 1 || self.rack_of.is_empty() {
+        if self.min_live[v] <= 1 || self.n_racks == 0 {
             return true;
         }
         let Some(&r) = self.rack_of.get(dst.index()) else {
@@ -616,34 +934,24 @@ impl ReplicaActuator {
         if r == u32::MAX {
             return true;
         }
-        let n_racks = self
-            .rack_of
+        let cap = (self.targets[v] as usize).div_ceil(self.n_racks) as u32;
+        let in_rack = |s: ServerId| self.rack_of.get(s.index()) == Some(&r);
+        let live = self.holders[v]
             .iter()
-            .filter(|&&x| x != u32::MAX)
-            .max()
-            .map(|&x| x as usize + 1)
-            .unwrap_or(0);
-        if n_racks == 0 {
-            return true;
-        }
-        let cap = (self.targets[v] as usize).div_ceil(n_racks) as u32;
-        let mut in_rack = 0u32;
-        for &h in &self.holders[v] {
-            if self.up[h.index()] && self.rack_of.get(h.index()) == Some(&r) {
-                in_rack += 1;
-            }
-        }
-        for c in &self.copies {
-            if c.video.index() == v && self.rack_of.get(c.dst.index()) == Some(&r) {
-                in_rack += 1;
-            }
-        }
-        in_rack < cap
+            .filter(|&&h| self.up[h.index()] && in_rack(h))
+            .count();
+        let pending = self
+            .copies
+            .dsts_of(VideoId(v as u32))
+            .filter(|&d| in_rack(d))
+            .count();
+        ((live + pending) as u32) < cap
     }
 
     /// Destination for the next copy of `v`: the incremental plan's pick
-    /// when still valid, else greedily the least-full (by stored bytes)
-    /// eligible server.
+    /// when still valid, else greedily the least-full (by stored bytes,
+    /// ties to the lower id) eligible server. Servers missing from
+    /// `roomy` cannot fit even the smallest video.
     fn choose_dst(&self, v: usize, bw: u64, links: &LinkState) -> Option<ServerId> {
         if let Some(&dst) = self.planned[v]
             .iter()
@@ -651,10 +959,10 @@ impl ReplicaActuator {
         {
             return Some(dst);
         }
-        (0..self.n_servers)
-            .map(|j| ServerId(j as u32))
-            .filter(|&d| self.dst_ok(v, d, bw, links))
-            .min_by_key(|&d| (self.used_bytes[d.index()], d))
+        self.roomy
+            .iter()
+            .map(|&(_, d)| d)
+            .find(|&d| self.dst_ok(v, d, bw, links))
     }
 
     /// Starts as many pending copies as bandwidth, storage and the
@@ -668,7 +976,11 @@ impl ReplicaActuator {
             return;
         }
         let bw = self.config.bandwidth_kbps;
-        let mut vids: Vec<u32> = self.pending.iter().copied().collect();
+        let max_concurrent = self.config.max_concurrent;
+        let mut vids = std::mem::take(&mut self.pump_vids);
+        let mut srcs = std::mem::take(&mut self.pump_srcs);
+        vids.clear();
+        vids.extend(self.pending.iter().copied());
         if self.any_coded {
             // Most-urgent-first: the stripe with the fewest surviving
             // fragments above its serviceability floor repairs first
@@ -679,9 +991,9 @@ impl ReplicaActuator {
                 (self.alive[v] as i64 - self.min_live[v] as i64, vid)
             });
         }
-        for vid in vids {
-            if self.copies.len() >= self.config.max_concurrent {
-                return;
+        'videos: for &vid in &vids {
+            if self.copies.len() >= max_concurrent {
+                break;
             }
             let v = vid as usize;
             let need = self.targets[v] as i64 - self.alive[v] as i64 - self.in_flight[v] as i64;
@@ -692,28 +1004,29 @@ impl ReplicaActuator {
                 continue;
             }
             for _ in 0..need {
-                if self.copies.len() >= self.config.max_concurrent {
-                    return;
+                if self.copies.len() >= max_concurrent {
+                    break 'videos;
                 }
                 // A coded reconstruction reads `k` surviving fragments at
                 // once; a replicated copy reads a single source. Sources
                 // rank by most free link, ties to the lowest id —
                 // identical to the old `max_by_key` pick at fan-in 1.
                 let fan_in = self.min_live[v] as usize;
-                let mut srcs: Vec<ServerId> = self.holders[v]
-                    .iter()
-                    .copied()
-                    .filter(|&s| links.is_up(s) && links.free_kbps(s) >= bw)
-                    .collect();
-                srcs.sort_by_key(|&s| (std::cmp::Reverse(links.free_kbps(s)), s));
+                srcs.clear();
+                srcs.extend(
+                    self.holders[v]
+                        .iter()
+                        .copied()
+                        .filter(|&s| links.is_up(s) && links.free_kbps(s) >= bw),
+                );
+                srcs.sort_by_key(|&s| (Reverse(links.free_kbps(s)), s));
                 if srcs.len() < fan_in {
                     // Fewer than `k` servable fragments: reconstruction
                     // is impossible until a holder recovers.
                     break;
                 }
-                srcs.truncate(fan_in);
                 let src = srcs[0];
-                let extra_srcs: Vec<ServerId> = srcs[1..].to_vec();
+                let extra_srcs: Vec<ServerId> = srcs[1..fan_in].to_vec();
                 let Some(dst) = self.choose_dst(v, bw, links) else {
                     break;
                 };
@@ -721,7 +1034,7 @@ impl ReplicaActuator {
                 // the backbone; elsewhere it is charged nowhere extra.
                 let Some(backbone_kbps) = dispatcher.try_reserve_repair_backbone(bw) else {
                     // Backbone saturated: nothing else can start either.
-                    return;
+                    break 'videos;
                 };
                 // Cause-based attribution: the copy is failure *repair*
                 // only when this video currently has a failed holder —
@@ -742,10 +1055,11 @@ impl ReplicaActuator {
                     links.reserve_repair(s, bw);
                 }
                 links.reserve_repair(dst, bw);
-                self.used_bytes[dst.index()] += self.video_bytes[v];
+                let j = dst.index();
+                self.set_used_bytes(j, self.used_bytes[j] + self.video_bytes[v]);
                 self.in_flight[v] += 1;
                 let dur_ms = (self.video_bytes[v].saturating_mul(8)).div_ceil(bw).max(1);
-                self.copies.push(ActiveCopy {
+                self.copies.insert(ActiveCopy {
                     video: VideoId(vid),
                     src,
                     dst,
@@ -760,11 +1074,13 @@ impl ReplicaActuator {
                 self.seq += 1;
             }
         }
+        self.pump_vids = vids;
+        self.pump_srcs = srcs;
     }
 
     /// The earliest in-flight copy completion, if any.
     pub fn next_completion(&self) -> Option<SimTime> {
-        self.copies.iter().map(|c| c.done_at).min()
+        self.copies.first_key().map(|(at, _)| at)
     }
 
     /// Completes the earliest due copy: releases its bandwidth, makes the
@@ -776,23 +1092,25 @@ impl ReplicaActuator {
         links: &mut LinkState,
         dispatcher: &mut Dispatcher,
     ) -> Result<(), ModelError> {
-        let idx = self
+        let c = self
             .copies
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| (c.done_at, c.seq))
-            .map(|(i, _)| i)
+            .first_key()
+            .and_then(|key| self.copies.remove(key))
             .ok_or(ModelError::Internal {
                 context: "complete_next called with no in-flight copies",
             })?;
-        let c = self.copies.remove(idx);
         Self::release_copy(&c, links, dispatcher);
         self.integrate(c.done_at.as_min());
         // The reservation made at copy start now backs a real replica.
-        self.holders[c.video.index()].push(c.dst);
-        self.in_flight[c.video.index()] -= 1;
-        self.bump_alive(c.video.index(), 1);
-        let fan_in = self.min_live[c.video.index()] as u64;
+        let v = c.video.index();
+        self.holders[v].push(c.dst);
+        let held = &mut self.held[c.dst.index()];
+        if let Err(i) = held.binary_search(&c.video.0) {
+            held.insert(i, c.video.0);
+        }
+        self.in_flight[v] -= 1;
+        self.bump_alive(v, 1);
+        let fan_in = self.min_live[v] as u64;
         if fan_in > 1 {
             // Rebuilding the fragment read `k` surviving fragments for
             // the fragment it wrote: the k× repair-read amplification.
@@ -810,7 +1128,7 @@ impl ReplicaActuator {
             }
         }
         // A recovery may have raced this copy past its target.
-        self.retire_surplus(c.video.index());
+        self.retire_surplus(v);
         self.pump(c.done_at, links, dispatcher);
         Ok(())
     }
@@ -831,23 +1149,11 @@ impl ReplicaActuator {
         let j = server.index();
         while links.used_kbps()[j] + links.repair_kbps()[j] > links.effective_capacity_kbps(server)
         {
-            let Some(i) = self
-                .copies
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| {
-                    c.src == server || c.dst == server || c.extra_srcs.contains(&server)
-                })
-                .max_by_key(|(_, c)| (c.done_at, c.seq))
-                .map(|(i, _)| i)
-            else {
+            let latest = self.copies.touching(server).next_back();
+            let Some(c) = latest.and_then(|key| self.copies.remove(key)) else {
                 break;
             };
-            let c = self.copies.remove(i);
-            Self::release_copy(&c, links, dispatcher);
-            self.used_bytes[c.dst.index()] -= c.bytes;
-            self.in_flight[c.video.index()] -= 1;
-            self.pending.insert(c.video.0);
+            self.abort(c, links, dispatcher);
         }
     }
 
@@ -856,10 +1162,8 @@ impl ReplicaActuator {
     /// integrals at the horizon.
     pub fn finish(&mut self, horizon_min: f64, links: &mut LinkState, dispatcher: &mut Dispatcher) {
         self.integrate(horizon_min.max(self.last_update_min));
-        for c in std::mem::take(&mut self.copies) {
-            Self::release_copy(&c, links, dispatcher);
-            self.used_bytes[c.dst.index()] -= c.bytes;
-            self.in_flight[c.video.index()] -= 1;
+        for c in std::mem::take(&mut self.copies).by_done.into_values() {
+            self.discard(&c, links, dispatcher);
         }
     }
 
@@ -898,8 +1202,8 @@ impl ReplicaActuator {
     }
 
     /// Test/debug invariant: per-server stored bytes (including in-flight
-    /// reservations) within capacity, and no video with two replicas on
-    /// one server.
+    /// reservations) within capacity, no video with two replicas on one
+    /// server, and every index in step with what it indexes.
     #[cfg(test)]
     pub fn check_invariants(&self) {
         for j in 0..self.n_servers {
@@ -910,15 +1214,13 @@ impl ReplicaActuator {
                 self.capacity_bytes[j]
             );
         }
-        let mut down = 0;
-        for (j, &up) in self.up.iter().enumerate() {
-            if !up {
-                down += 1;
-            }
-            let _ = j;
-        }
+        let down = self.up.iter().filter(|&&up| !up).count() as u32;
         assert_eq!(down, self.down_count, "down_count out of sync");
+        let mut held = vec![Vec::new(); self.n_servers];
         for (v, servers) in self.holders.iter().enumerate() {
+            // Retirement stops at the target (at least 1), so no video
+            // ever loses its last holder; the replan relies on it.
+            assert!(!servers.is_empty(), "video {v} has no holder");
             let alive_holders = servers.iter().filter(|s| self.up[s.index()]).count() as u32;
             assert_eq!(
                 alive_holders, self.alive[v],
@@ -931,36 +1233,58 @@ impl ReplicaActuator {
                     "video {v} has two replicas on server {}",
                     s.index()
                 );
-            }
-            for c in &self.copies {
-                if c.video.index() == v {
-                    assert!(
-                        !servers.contains(&c.dst),
-                        "in-flight copy of video {v} targets a holder"
-                    );
-                }
+                held[s.index()].push(v as u32);
             }
         }
+        assert_eq!(held, self.held, "server -> videos index out of sync");
+        let roomy: BTreeSet<(u64, ServerId)> = (0..self.n_servers)
+            .filter(|&j| {
+                self.used_bytes[j].saturating_add(self.min_bytes) <= self.capacity_bytes[j]
+            })
+            .map(|j| (self.used_bytes[j], ServerId(j as u32)))
+            .collect();
+        assert_eq!(roomy, self.roomy, "roomy server index out of sync");
+        assert_eq!(
+            self.target_slots,
+            self.targets.iter().map(|&t| t as u64).sum::<u64>(),
+            "target_slots out of sync"
+        );
         let mut per_video = vec![0u32; self.holders.len()];
-        for c in &self.copies {
-            per_video[c.video.index()] += 1;
+        let mut dsts = BTreeSet::new();
+        let mut ends = BTreeSet::new();
+        for (&key, c) in &self.copies.by_done {
+            assert_eq!(key, c.key(), "copy filed under a stale key");
+            let v = c.video.index();
+            assert!(
+                !self.holders[v].contains(&c.dst),
+                "in-flight copy of video {v} targets a holder"
+            );
+            per_video[v] += 1;
+            dsts.insert((c.video, c.dst));
+            ends.extend(c.endpoints().map(|s| (s, key)));
             // A coded reconstruction carries exactly k - 1 extra read
             // sources, all distinct from each other and from src/dst.
-            let v = c.video.index();
             let fan_in = self.min_live[v] as usize;
             assert_eq!(
                 c.extra_srcs.len(),
                 fan_in.saturating_sub(1),
                 "video {v}: reconstruction fan-in mismatch"
             );
-            let mut ends = vec![c.src, c.dst];
-            ends.extend_from_slice(&c.extra_srcs);
-            ends.sort();
-            for w in ends.windows(2) {
+            let mut all: Vec<ServerId> = c.endpoints().collect();
+            all.sort();
+            for w in all.windows(2) {
                 assert_ne!(w[0], w[1], "video {v}: duplicate copy endpoint");
             }
         }
         assert_eq!(per_video, self.in_flight, "in-flight counters out of sync");
+        assert_eq!(dsts, self.copies.dsts, "copy destination index out of sync");
+        assert_eq!(ends, self.copies.ends, "copy endpoint index out of sync");
+        let repair = self
+            .copies
+            .iter()
+            .filter(|c| c.purpose == CopyPurpose::Repair)
+            .count();
+        assert_eq!(repair, self.copies.repair, "repair copy count out of sync");
         let fresh: f64 = self.weight.iter().sum();
         assert!(
             (self.deficit_weight - fresh).abs() < 1e-9,
@@ -1210,14 +1534,14 @@ mod tests {
             &mut links,
             &mut disp,
         );
-        assert!(!c.copies.is_empty());
+        assert!(c.copies.len() > 0);
         assert!(c.repair_copies_in_flight() > 0);
         // The server comes back before any copy completes: every copy is
         // now pointless and must be aborted with its reservations freed.
         links.recover(ServerId(0));
         c.on_recovery(SimTime::from_min(10.5), ServerId(0), &mut links, &mut disp);
         c.check_invariants();
-        assert!(c.copies.is_empty());
+        assert!(c.copies.len() == 0);
         assert_eq!(c.bytes_copied(), 0);
         assert_eq!(links.repair_kbps().iter().sum::<u64>(), 0);
         assert_eq!(c.in_flight.iter().sum::<u32>(), 0);
@@ -1263,7 +1587,7 @@ mod tests {
         let in_flight_before: u32 = c.in_flight.iter().sum();
         assert!(in_flight_before > 0);
         // Fail one of the copy endpoints.
-        let victim = c.copies[0].src;
+        let victim = c.copies.iter().next().unwrap().src;
         links.fail(victim);
         c.on_failure(
             SimTime::from_min(11.0),
@@ -1369,8 +1693,8 @@ mod tests {
             &mut disp,
         );
         c.check_invariants();
-        assert!(!c.copies.is_empty(), "reconstruction must start");
-        for copy in &c.copies {
+        assert!(c.copies.len() > 0, "reconstruction must start");
+        for copy in c.copies.iter() {
             // k = 2: one primary + one extra read source, both reserved.
             assert_eq!(copy.extra_srcs.len(), 1);
             assert!(links.repair_kbps()[copy.extra_srcs[0].index()] > 0);
@@ -1420,7 +1744,7 @@ mod tests {
             &mut disp,
         );
         c.check_invariants();
-        assert!(c.copies.is_empty(), "no reconstruction below k survivors");
+        assert!(c.copies.len() == 0, "no reconstruction below k survivors");
         assert_eq!(c.unavailable_videos, 1);
         assert_eq!(links.repair_kbps().iter().sum::<u64>(), 0);
         c.finish(12.0, &mut links, &mut disp);
@@ -1477,7 +1801,11 @@ mod tests {
         );
         c.check_invariants();
         assert_eq!(c.copies.len(), 1);
-        assert_eq!(c.copies[0].dst, buddy, "rebuild must stay in the dead rack");
+        assert_eq!(
+            c.copies.iter().next().unwrap().dst,
+            buddy,
+            "rebuild must stay in the dead rack"
+        );
         c.complete_next(&mut links, &mut disp).unwrap();
         // Recovery retires the replacement: back to the original stripe.
         links.recover(victim);
@@ -1487,8 +1815,304 @@ mod tests {
         assert_eq!(c.alive[0], 3);
     }
 
+    /// The whole-map replan the deficit-only planner replaces: the
+    /// actuator's books run through `IncrementalPlacement::place`. `None`
+    /// when the placement has no solution.
+    fn reference_layout(c: &ReplicaActuator, weights: &[u64]) -> Option<Layout> {
+        use vod_model::ReplicationScheme;
+        use vod_placement::traits::PlacementInput;
+        use vod_placement::{IncrementalPlacement, PlacementPolicy};
+        let (n, m) = (c.n_servers, c.holders.len());
+        let counts: Vec<u32> = (0..m)
+            .map(|v| c.targets[v].max(c.holders[v].len() as u32))
+            .collect();
+        let scheme = ReplicationScheme::new(counts).ok()?;
+        let w: Vec<f64> = (0..m)
+            .map(|v| weights.get(v).copied().unwrap_or(0) as f64 + 1.0)
+            .collect();
+        let mut held_slots = vec![0u64; n];
+        let mut held_bytes = vec![0u64; n];
+        for (v, servers) in c.holders.iter().enumerate() {
+            for &s in servers {
+                held_slots[s.index()] += 1;
+                held_bytes[s.index()] += c.video_bytes[v];
+            }
+        }
+        let uniform = c.video_bytes.windows(2).all(|w| w[0] == w[1]);
+        let max_bytes = c.video_bytes.iter().copied().max().unwrap_or(1).max(1);
+        let capacities: Vec<u64> = (0..n)
+            .map(|j| {
+                if !c.up[j] {
+                    0
+                } else if uniform {
+                    c.capacity_bytes[j] / max_bytes
+                } else {
+                    held_slots[j] + c.capacity_bytes[j].saturating_sub(held_bytes[j]) / max_bytes
+                }
+            })
+            .collect();
+        let previous = Layout::new(n, c.holders.clone()).ok()?;
+        let input = PlacementInput {
+            scheme: &scheme,
+            weights: &w,
+            n_servers: n,
+            capacities: &capacities,
+        };
+        IncrementalPlacement::from_previous(previous)
+            .place(&input)
+            .ok()
+    }
+
+    /// A random actuator state for the planner differential: 2–7
+    /// servers, 1–20 videos of uniform or mixed sizes at degree 1–3,
+    /// tight slot capacities (0–2 spare slots, so often exactly full),
+    /// down servers whose holders stay listed, raised and lowered
+    /// targets, and small integer weights full of ties.
+    fn random_planner_state(seed: u64) -> (ReplicaActuator, Vec<u64>, Vec<u64>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let n = rng.gen_range(2usize..=7);
+        let m = rng.gen_range(1usize..=20);
+        let mixed = rng.gen_bool(0.3);
+        let rates: Vec<BitRate> = (0..m)
+            .map(|_| {
+                if mixed {
+                    BitRate::LADDER[rng.gen_range(0..BitRate::LADDER.len())]
+                } else {
+                    BitRate::MPEG2
+                }
+            })
+            .collect();
+        let catalog = Catalog::with_rates(&rates, 600).unwrap();
+        let bytes: Vec<u64> = catalog.videos().iter().map(|v| v.storage_bytes()).collect();
+        let slot = bytes.iter().copied().max().unwrap();
+        let mut held = vec![0u64; n];
+        let assignments: Vec<Vec<ServerId>> = (0..m)
+            .map(|v| {
+                let degree = rng.gen_range(1..=n.min(3));
+                let mut servers = Vec::new();
+                while servers.len() < degree {
+                    let s = ServerId(rng.gen_range(0..n as u32));
+                    if !servers.contains(&s) {
+                        held[s.index()] += bytes[v];
+                        servers.push(s);
+                    }
+                }
+                servers
+            })
+            .collect();
+        let layout = Layout::new(n, assignments).unwrap();
+        let servers: Vec<ServerSpec> = held
+            .iter()
+            .map(|&h| {
+                let partial = if mixed { rng.gen_range(0..slot) } else { 0 };
+                ServerSpec {
+                    storage_bytes: h + rng.gen_range(0..=2u64) * slot + partial,
+                    bandwidth_kbps: 100_000,
+                }
+            })
+            .collect();
+        let cluster = ClusterSpec::heterogeneous(servers).unwrap();
+        let mut c = ReplicaActuator::new(&catalog, &cluster, &layout, enabled(50_000));
+        for j in 0..n {
+            if rng.gen_bool(0.15) {
+                c.up[j] = false;
+                c.down_count += 1;
+                for i in 0..c.held[j].len() {
+                    let v = c.held[j][i] as usize;
+                    c.bump_alive(v, -1);
+                }
+            }
+        }
+        for v in 0..m {
+            if rng.gen_bool(0.4) {
+                let most = (c.holders[v].len() + 1).min(n) as u32;
+                c.set_target(0.0, v, rng.gen_range(1..=most));
+            }
+        }
+        let mut weights = || (0..m).map(|_| rng.gen_range(0..4u64)).collect::<Vec<_>>();
+        let (a, b) = (weights(), weights());
+        (c, a, b)
+    }
+
+    /// What one checked replan exercised.
+    #[derive(Default)]
+    struct PlanCase {
+        /// The reference found no plan.
+        no_plan: bool,
+        /// Swap repair moved a kept replica (some video lost an up
+        /// holder, or got destinations without being short).
+        swapped: bool,
+        /// A replica swap repair moved away ended up back on its server
+        /// (the reference then plans no copy there).
+        put_back: bool,
+    }
+
+    /// Replans `seed`'s state under two weight vectors in turn and
+    /// checks each plan against [`reference_layout`]'s new servers.
+    fn planner_matches_reference(seed: u64) -> Vec<PlanCase> {
+        let (mut c, a, b) = random_planner_state(seed);
+        c.check_invariants();
+        [a, b]
+            .iter()
+            .map(|weights| {
+                let want = reference_layout(&c, weights);
+                c.replan(weights);
+                let Some(layout) = want else {
+                    assert!(c.planned.iter().all(Vec::is_empty), "seed {seed}");
+                    return PlanCase {
+                        no_plan: true,
+                        ..PlanCase::default()
+                    };
+                };
+                let mut case = PlanCase::default();
+                for (v, holders) in c.holders.iter().enumerate() {
+                    let got = layout.replicas_of(VideoId(v as u32));
+                    let new: Vec<ServerId> = got
+                        .iter()
+                        .copied()
+                        .filter(|s| !holders.contains(s))
+                        .collect();
+                    assert_eq!(
+                        c.planned[v], new,
+                        "seed {seed}, video {v}, weights {weights:?}"
+                    );
+                    let short = c.alive[v] < got.len() as u32;
+                    case.swapped |= holders.iter().any(|s| c.up[s.index()] && !got.contains(s))
+                        || (!short && !new.is_empty());
+                }
+                case.put_back = c
+                    .plan
+                    .moved
+                    .iter()
+                    .any(|&(u, s)| layout.replicas_of(VideoId(u)).contains(&s));
+                case.swapped |= case.put_back;
+                case
+            })
+            .collect()
+    }
+
+    #[test]
+    fn planner_differential_covers_swaps_and_missing_plans() {
+        let cases: Vec<PlanCase> = (0..1000).flat_map(planner_matches_reference).collect();
+        let swapped = cases.iter().filter(|c| c.swapped).count();
+        let put_back = cases.iter().filter(|c| c.put_back).count();
+        let no_plan = cases.iter().filter(|c| c.no_plan).count();
+        assert!(swapped >= 100, "only {swapped} replans swapped");
+        assert!(
+            put_back >= 2,
+            "only {put_back} replans put a moved replica back"
+        );
+        assert!(no_plan >= 300, "only {no_plan} replans had no plan");
+        assert!(cases.len() - no_plan >= 800);
+    }
+
+    /// A book entry for the copy-book differential.
+    fn book_copy(video: u32, src: u32, dst: u32, done_at: u64, seq: u64) -> ActiveCopy {
+        ActiveCopy {
+            video: VideoId(video),
+            src: ServerId(src),
+            dst: ServerId(dst),
+            kbps: 1,
+            bytes: 1,
+            backbone_kbps: 0,
+            done_at: SimTime(done_at),
+            seq,
+            purpose: if seq.is_multiple_of(3) {
+                CopyPurpose::Repair
+            } else {
+                CopyPurpose::Rebalance
+            },
+            extra_srcs: if video.is_multiple_of(2) {
+                vec![ServerId((dst + 1) % 8), ServerId((dst + 2) % 8)]
+                    .into_iter()
+                    .filter(|&s| s != ServerId(src))
+                    .collect()
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The deficit-only planner reproduces the whole-map
+        /// `IncrementalPlacement` replan on random actuator states.
+        #[test]
+        fn deficit_planner_matches_incremental_placement(seed in any::<u64>()) {
+            planner_matches_reference(seed);
+        }
+
+        /// The indexed copy book picks the same copies as linear scans of
+        /// a plain list under random starts, completions, aborts of every
+        /// copy touching a server and brownout sheds of the latest one.
+        #[test]
+        fn copy_book_matches_linear_scans(seed in any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut book = CopyBook::default();
+            let mut list: Vec<ActiveCopy> = Vec::new();
+            let key = |c: &ActiveCopy| (c.done_at, c.seq);
+            let touches = |c: &ActiveCopy, s: ServerId| c.endpoints().any(|e| e == s);
+            for seq in 0..rng.gen_range(1..80u64) {
+                let server = ServerId(rng.gen_range(0..8u32));
+                match rng.gen_range(0..4u32) {
+                    0 | 1 => {
+                        let (video, src, dst) =
+                            (rng.gen_range(0..6u32), rng.gen_range(0..8u32), rng.gen_range(0..8u32));
+                        let headed = list
+                            .iter()
+                            .any(|c| c.video == VideoId(video) && c.dst == ServerId(dst));
+                        prop_assert_eq!(book.heads_to(VideoId(video), ServerId(dst)), headed);
+                        if src != dst && !headed {
+                            let c = book_copy(video, src, dst, rng.gen_range(0..6u64), seq);
+                            list.push(c.clone());
+                            book.insert(c);
+                        }
+                    }
+                    2 => {
+                        let want = list.iter().map(key).min();
+                        prop_assert_eq!(book.first_key(), want);
+                        if let Some(k) = want {
+                            list.retain(|c| key(c) != k);
+                            prop_assert_eq!(book.remove(k).map(|c| key(&c)), Some(k));
+                        }
+                    }
+                    _ if rng.gen_bool(0.5) => {
+                        let want = list.iter().filter(|c| touches(c, server)).map(key).max();
+                        let got = book.touching(server).next_back();
+                        prop_assert_eq!(got, want);
+                        if let Some(k) = want {
+                            list.retain(|c| key(c) != k);
+                            book.remove(k);
+                        }
+                    }
+                    _ => {
+                        let mut want: Vec<_> =
+                            list.iter().filter(|c| touches(c, server)).map(key).collect();
+                        want.sort();
+                        let got: Vec<_> =
+                            book.take_where(|c| touches(c, server)).iter().map(key).collect();
+                        prop_assert_eq!(got, want);
+                        list.retain(|c| !touches(c, server));
+                    }
+                }
+                prop_assert_eq!(book.len(), list.len());
+                let repair = list.iter().filter(|c| c.purpose == CopyPurpose::Repair).count();
+                prop_assert_eq!(book.repair, repair);
+                for v in 0..6u32 {
+                    let mut want: Vec<ServerId> = list
+                        .iter()
+                        .filter(|c| c.video == VideoId(v))
+                        .map(|c| c.dst)
+                        .collect();
+                    want.sort();
+                    let got: Vec<ServerId> = book.dsts_of(VideoId(v)).collect();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
 
         /// Eq. (4) (per-server storage, counting in-flight reservations)
         /// and replica uniqueness survive any interleaving of failures,
@@ -1650,7 +2274,7 @@ mod tests {
                 }
                 c.check_invariants();
                 prop_assert!(links.within_capacity());
-                for copy in &c.copies {
+                for copy in c.copies.iter() {
                     prop_assert_eq!(copy.extra_srcs.len() + 1, k as usize);
                 }
             }

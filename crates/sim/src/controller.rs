@@ -43,7 +43,7 @@ use crate::dispatch::Dispatcher;
 use crate::server::LinkState;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use vod_model::ModelError;
 
 /// Fixed-point scale of the rate estimator (16.16).
@@ -166,6 +166,14 @@ pub(crate) struct DriftController {
     desired: Vec<u32>,
     /// Scratch: integer weights handed to the actuator's replanner.
     weights: Vec<u64>,
+    /// Scratch: the apportionment's bid heap storage, and the videos a
+    /// tick would raise and may lower.
+    bids: Vec<Bid>,
+    /// Where the next apportionment tries to cut the bids it grants
+    /// without the heap (a hint: see [`Self::apportion`]).
+    threshold: u64,
+    raises: Vec<u32>,
+    lowers: Vec<u32>,
     // Stats (published as `sim.controller.*` and in the report).
     ticks: u64,
     backoffs: u64,
@@ -184,6 +192,10 @@ impl DriftController {
             cool: vec![0; n_videos],
             desired: vec![0; n_videos],
             weights: vec![0; n_videos],
+            bids: Vec::new(),
+            threshold: 0,
+            raises: Vec::new(),
+            lowers: Vec::new(),
             ticks: 0,
             backoffs: 0,
             promotions: 0,
@@ -247,33 +259,80 @@ impl DriftController {
     /// goes to the video maximizing `rate / next_degree` (exact
     /// cross-multiplied comparison, ties to the lower id), capped at one
     /// replica per server. Zero-rate videos never bid beyond degree 1.
+    ///
+    /// The greedy grants the top bids of a total order (rate / degree
+    /// descending, then video id). The bids strictly above an integer
+    /// threshold `t` are a top slice of that order, so when there are
+    /// no more of them than spare slots they are granted first, in one
+    /// division per video; a heap of each video's next bid grants the
+    /// rest. Last tick's threshold (plus a margin) usually fits;
+    /// `⌈Σ rate / spare slots⌉` always does, since a video at rate `r`
+    /// has at most `r / t` bids above `t`.
     fn apportion(&mut self, budget: u64, n_servers: usize) {
-        let m = self.est.len();
-        self.desired.iter_mut().for_each(|d| *d = 1);
-        let mut heap: BinaryHeap<Bid> = self
-            .est
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r > 0)
-            .map(|(v, &r)| Bid {
-                rate: r,
-                next_degree: 2,
-                video: v as u32,
-            })
-            .collect();
-        let mut used = m as u64;
-        while used < budget {
-            let Some(bid) = heap.pop() else { break };
-            let v = bid.video as usize;
-            self.desired[v] = bid.next_degree;
-            used += 1;
-            if (bid.next_degree as usize) < n_servers {
-                heap.push(Bid {
-                    next_degree: bid.next_degree + 1,
-                    ..bid
+        let m = self.est.len() as u64;
+        let spare = budget.saturating_sub(m);
+        // Bids exist for degrees 2..=max(N, 2): the degree-2 bid is
+        // always placed, later ones only below the server count.
+        let cap = (n_servers as u64).max(2);
+        let above = |r: u64, t: u64| {
+            if r == 0 {
+                0
+            } else {
+                ((r - 1) / t).clamp(1, cap) - 1
+            }
+        };
+        let total: u128 = self.est.iter().map(|&r| u128::from(r)).sum();
+        let safe = if spare == 0 {
+            u64::MAX
+        } else {
+            total
+                .div_ceil(u128::from(spare))
+                .clamp(1, u128::from(u64::MAX)) as u64
+        };
+        let hint = self.threshold;
+        let t = if hint > 0
+            && hint < safe
+            && self.est.iter().map(|&r| above(r, hint)).sum::<u64>() <= spare
+        {
+            hint
+        } else {
+            safe
+        };
+        let mut bids = std::mem::take(&mut self.bids);
+        bids.clear();
+        let mut used = m;
+        for (v, (d, &r)) in self.desired.iter_mut().zip(&self.est).enumerate() {
+            let granted = above(r, t);
+            *d = 1 + granted as u32;
+            used += granted;
+            if r > 0 && u64::from(*d) < cap {
+                bids.push(Bid {
+                    rate: r,
+                    next_degree: *d + 1,
+                    video: v as u32,
                 });
             }
         }
+        // The winning bid is re-keyed in place: one sift instead of a
+        // pop and a push. Every bid is distinct under the order of
+        // [`Bid`], so the grants do not depend on the heap's layout.
+        let mut heap = BinaryHeap::from(bids);
+        let mut last = t;
+        while used < budget {
+            let Some(mut top) = heap.peek_mut() else {
+                break;
+            };
+            self.desired[top.video as usize] = top.next_degree;
+            last = top.rate / u64::from(top.next_degree);
+            used += 1;
+            if (top.next_degree as usize) < n_servers {
+                top.next_degree += 1;
+            } else {
+                PeekMut::pop(top);
+            }
+        }
+        self.threshold = last.saturating_add(last / 16 + 1);
+        self.bids = heap.into_vec();
     }
 
     /// One control tick: fold the arrival window into the EWMA, then —
@@ -316,8 +375,10 @@ impl DriftController {
         self.apportion(actuator.slot_budget(), n);
 
         // Classify with hysteresis.
-        let mut raises: Vec<u32> = Vec::new();
-        let mut lowers: Vec<u32> = Vec::new();
+        let mut raises = std::mem::take(&mut self.raises);
+        let mut lowers = std::mem::take(&mut self.lowers);
+        raises.clear();
+        lowers.clear();
         for v in 0..self.desired.len() {
             let cur = actuator.target(v);
             let want = self.desired[v];
@@ -344,7 +405,7 @@ impl DriftController {
         let mut free = actuator
             .slot_budget()
             .saturating_sub(actuator.target_slots());
-        let mut lower_pool = lowers.into_iter();
+        let mut lower_pool = lowers.iter().copied();
         for &v in &raises {
             if changes == 0 {
                 break;
@@ -377,6 +438,8 @@ impl DriftController {
             changes -= 1;
             moved = true;
         }
+        self.raises = raises;
+        self.lowers = lowers;
 
         if moved {
             for (w, &e) in self.weights.iter_mut().zip(&self.est) {
@@ -441,6 +504,65 @@ mod tests {
         // Budget below the floor leaves everyone at one replica.
         d.apportion(2, 4);
         assert_eq!(d.desired, vec![1, 1, 1, 1]);
+    }
+
+    /// The plain greedy: every bid through one heap, popped and pushed.
+    fn apportion_reference(est: &[u64], budget: u64, n_servers: usize) -> Vec<u32> {
+        let mut desired = vec![1u32; est.len()];
+        let mut heap: BinaryHeap<Bid> = est
+            .iter()
+            .enumerate()
+            .filter(|(_, &r)| r > 0)
+            .map(|(v, &r)| Bid {
+                rate: r,
+                next_degree: 2,
+                video: v as u32,
+            })
+            .collect();
+        let mut used = est.len() as u64;
+        while used < budget {
+            let Some(bid) = heap.pop() else { break };
+            desired[bid.video as usize] = bid.next_degree;
+            used += 1;
+            if (bid.next_degree as usize) < n_servers {
+                heap.push(Bid {
+                    next_degree: bid.next_degree + 1,
+                    ..bid
+                });
+            }
+        }
+        desired
+    }
+
+    proptest::proptest! {
+        /// Threshold pre-granting reproduces the plain greedy, tick after
+        /// tick (the threshold hint carries over), on rates full of ties
+        /// and zeros, for budgets below, at and far above the catalog.
+        #[test]
+        fn apportionment_matches_plain_greedy(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let m = rng.gen_range(1..40usize);
+            let n = rng.gen_range(1..12usize);
+            let mut d = DriftController::new(m, ControllerConfig::default());
+            let scale = [1u64, 7, FP, 1 << 40][rng.gen_range(0..4usize)];
+            for tick in 0..8u32 {
+                if tick.is_multiple_of(2) {
+                    d.est = (0..m)
+                        .map(|_| rng.gen_range(0..6u64) * scale + rng.gen_range(0..2u64))
+                        .collect();
+                } else {
+                    // A small drift, so last tick's threshold is a near miss
+                    // or a fit.
+                    for r in &mut d.est {
+                        *r += rng.gen_range(0..2u64) * scale / 4;
+                    }
+                }
+                let budget = rng.gen_range(0..(m * n + 4) as u64);
+                d.apportion(budget, n);
+                proptest::prop_assert_eq!(&d.desired, &apportion_reference(&d.est, budget, n));
+            }
+        }
     }
 
     #[test]

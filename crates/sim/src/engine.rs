@@ -714,19 +714,23 @@ impl<'a> Simulation<'a> {
         }
         state.metrics.set_brownout_active_min(state.brownout_min);
         state.audit_check(SimTime::from_min(self.config.horizon_min))?;
-        for d in state.departures.drain_all() {
-            ct.departures.inc();
+        // Release what still streams past the horizon. The releases are
+        // integer and commute, so the queue empties in heap order rather
+        // than popping in time order.
+        ct.departures.add(state.departures.len() as u64);
+        let (links, dispatcher, coded) = (&mut state.links, &mut state.dispatcher, &state.coded);
+        state.departures.drain_unordered(|d| {
             if d.stream == NO_STREAM {
-                if state.links.epoch(d.server) == d.epoch {
-                    state.links.release(d.server, d.kbps);
+                if links.epoch(d.server) == d.epoch {
+                    links.release(d.server, d.kbps);
                 }
                 if d.backbone_kbps > 0 {
-                    state.dispatcher.release_backbone(d.backbone_kbps);
+                    dispatcher.release_backbone(d.backbone_kbps);
                 }
-            } else if state.stream_live(d.stream) && state.links.epoch(d.server) == d.epoch {
-                state.links.release(d.server, d.kbps);
+            } else if stream_live(coded, d.stream) && links.epoch(d.server) == d.epoch {
+                links.release(d.server, d.kbps);
             }
-        }
+        });
         debug_assert_eq!(state.links.total_streams(), 0);
         debug_assert_eq!(state.dispatcher.backbone_used_kbps(), 0);
 
@@ -882,6 +886,15 @@ struct EngineOutcome {
     probes: u64,
     /// Peak scheduled departures (summed across shards when merged).
     peak_len: usize,
+}
+
+/// Whether coded stream `stream` is still live (not killed by
+/// failover). False without coded state — replicated runs carry no
+/// stream-tagged departures, so the question never arises there.
+fn stream_live(coded: &Option<CodedState>, stream: u32) -> bool {
+    coded
+        .as_ref()
+        .is_some_and(|cs| !cs.streams[stream as usize].killed)
 }
 
 /// Telemetry counter handles used by the run loop.
@@ -1071,7 +1084,9 @@ impl RunState<'_> {
                     if d.backbone_kbps > 0 {
                         self.dispatcher.release_backbone(d.backbone_kbps);
                     }
-                } else if self.stream_live(d.stream) && self.links.epoch(d.server) == d.epoch {
+                } else if stream_live(&self.coded, d.stream)
+                    && self.links.epoch(d.server) == d.epoch
+                {
                     // One fragment share of a coded stream ends; killed
                     // streams released their shares at kill time.
                     self.links.release(d.server, d.kbps);
@@ -1306,15 +1321,6 @@ impl RunState<'_> {
         }
     }
 
-    /// Whether coded stream `stream` is still live (not killed by
-    /// failover). False without coded state — replicated runs carry no
-    /// stream-tagged departures, so the question never arises there.
-    fn stream_live(&self, stream: u32) -> bool {
-        self.coded
-            .as_ref()
-            .is_some_and(|cs| !cs.streams[stream as usize].killed)
-    }
-
     /// Coded admission: serve `req` from `k` live fragment holders, each
     /// charged a `⌈rate / k⌉` share. Holders are tried in fragment order
     /// (positions `0..k` are the data fragments); having to reach past
@@ -1505,7 +1511,7 @@ impl RunState<'_> {
                 break;
             };
             if d.stream != NO_STREAM {
-                if !self.stream_live(d.stream) {
+                if !stream_live(&self.coded, d.stream) {
                     // A sibling kill already released this share; the
                     // departure just waits to pop as a no-op.
                     self.departures.push(d);
@@ -1655,7 +1661,7 @@ impl RunState<'_> {
         let (mut disrupted, mut resumed, mut degraded, mut live) = (0u64, 0u64, 0u64, 0u64);
         for d in extracted.drain(..) {
             if d.stream != NO_STREAM {
-                if !self.stream_live(d.stream) {
+                if !stream_live(&self.coded, d.stream) {
                     // Share of an already-killed stream: its bandwidth
                     // was released at kill time (it is not in `dropped`).
                     continue;

@@ -80,6 +80,21 @@ struct Slot {
     next: u32,
 }
 
+impl Slot {
+    /// The public record of this slot's departure, due at `at`.
+    fn departure(&self, at: SimTime) -> Departure {
+        Departure {
+            at,
+            server: self.server,
+            video: self.video,
+            kbps: self.kbps as u64,
+            backbone_kbps: self.backbone_kbps as u64,
+            epoch: self.epoch,
+            stream: self.stream,
+        }
+    }
+}
+
 /// One heap entry: the full ordering key plus the slab handle, so sift
 /// comparisons never leave the heap array.
 #[derive(Debug, Clone, Copy)]
@@ -233,13 +248,19 @@ impl DepartureQueue {
         out
     }
 
-    /// Drains every remaining departure in time order (end-of-run cleanup).
-    pub fn drain_all(&mut self) -> Vec<Departure> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(d) = self.pop_due(SimTime(u64::MAX)) {
-            out.push(d);
+    /// Empties the queue, handing every remaining departure to `f` in
+    /// no particular order — the end-of-run teardown, whose releases
+    /// commute. One O(n) sweep with no allocation; the backing storage
+    /// keeps its capacity, so [`Self::mem_bytes`] reads the same after.
+    /// (Popping with `pop_due(SimTime(u64::MAX))` drains in time order.)
+    pub fn drain_unordered(&mut self, mut f: impl FnMut(Departure)) {
+        for e in &self.heap {
+            f(self.slots[e.handle as usize].departure(e.at));
         }
-        out
+        self.heap.clear();
+        self.slots.clear();
+        self.free_head = NONE;
+        self.server_head.fill(NONE);
     }
 
     /// Number of scheduled departures (active streams).
@@ -285,15 +306,7 @@ impl DepartureQueue {
         // Chain the slot into the free list.
         self.slots[h as usize].next = self.free_head;
         self.free_head = h;
-        Departure {
-            at,
-            server: slot.server,
-            video: slot.video,
-            kbps: slot.kbps as u64,
-            backbone_kbps: slot.backbone_kbps as u64,
-            epoch: slot.epoch,
-            stream: slot.stream,
-        }
+        slot.departure(at)
     }
 
     /// Resident bytes of this queue's backing storage (slab, heap, list
@@ -412,8 +425,34 @@ mod tests {
         for at in [5u64, 1, 9, 3] {
             q.push(dep(at, 0));
         }
-        let times: Vec<u64> = q.drain_all().iter().map(|d| d.at.ticks()).collect();
+        let times: Vec<u64> = std::iter::from_fn(|| q.pop_due(SimTime(u64::MAX)))
+            .map(|d| d.at.ticks())
+            .collect();
         assert_eq!(times, vec![1, 3, 5, 9]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn unordered_drain_visits_everything_and_keeps_capacity() {
+        let mut q = DepartureQueue::new();
+        for at in [5u64, 1, 9, 3, 7] {
+            q.push(dep(at, (at % 3) as u32));
+        }
+        q.pop_due(SimTime(1));
+        let bytes = q.mem_bytes();
+        let mut times = Vec::new();
+        q.drain_unordered(|d| times.push(d.at.ticks()));
+        times.sort_unstable();
+        assert_eq!(times, vec![3, 5, 7, 9]);
+        assert!(q.is_empty());
+        assert_eq!(q.mem_bytes(), bytes);
+        // The emptied queue is as good as new.
+        assert!(q.extract_active(ServerId(0), 0).is_empty());
+        q.push(dep(4, 2));
+        q.push(dep(2, 2));
+        assert_eq!(q.extract_active(ServerId(2), 0).len(), 2);
+        q.push(dep(6, 1));
+        assert_eq!(q.pop_due(SimTime(6)).unwrap().at, SimTime(6));
         assert!(q.is_empty());
     }
 

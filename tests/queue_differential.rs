@@ -142,6 +142,12 @@ impl Strategy for OpStrategy {
     }
 }
 
+/// Every queued departure in `(time, sequence)` order, popped one by
+/// one.
+fn drain_in_order(q: &mut DepartureQueue) -> Vec<Departure> {
+    std::iter::from_fn(|| q.pop_due(SimTime(u64::MAX))).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -175,7 +181,7 @@ proptest! {
                 }
                 Op::DrainAll => {
                     prop_assert_eq!(
-                        indexed.drain_all(),
+                        drain_in_order(&mut indexed),
                         reference.drain_all(),
                         "drain_all diverged at step {}",
                         step
@@ -187,6 +193,6 @@ proptest! {
             prop_assert_eq!(indexed.is_empty(), reference.len() == 0);
         }
         // Whatever survives the sequence must drain out identically.
-        prop_assert_eq!(indexed.drain_all(), reference.drain_all());
+        prop_assert_eq!(drain_in_order(&mut indexed), reference.drain_all());
     }
 }
