@@ -31,7 +31,7 @@ use crate::time::SimTime;
 use vod_model::{
     BitRate, Catalog, ClusterSpec, Layout, ModelError, RedundancyMap, ServerId, VideoId,
 };
-use vod_telemetry::{Counter, Histogram, ShardInstrument, Telemetry};
+use vod_telemetry::{Span, Telemetry};
 use vod_workload::{ArrivalIter, ArrivalSource, Request, Trace};
 
 /// Epoch sentinel for departures that were already shed by a brownout:
@@ -208,8 +208,14 @@ impl<'a> Simulation<'a> {
 
     /// Replays `trace`, recording engine counters and timings into
     /// `telemetry` (see the `sim.*` instrument names below). With a
-    /// disabled handle this is identical to [`Simulation::run`]: every
-    /// instrument operation reduces to a branch on `None`.
+    /// disabled handle this is identical to [`Simulation::run`].
+    ///
+    /// The engine books every outcome once, in the run's
+    /// [`MetricsCollector`]; the instruments are published once per
+    /// *finished* run, from its report plus the pass's event tallies, so
+    /// runs sharing one handle across threads add up exactly. A run
+    /// that returns `Err` publishes no counters (its `sim.run` span
+    /// still records).
     ///
     /// Instruments: counters `sim.arrivals`, `sim.admitted`,
     /// `sim.rejected`, `sim.redirected`, `sim.departures`,
@@ -225,12 +231,13 @@ impl<'a> Simulation<'a> {
     /// brownouts active, additionally: counters `sim.admission.queued`,
     /// `sim.admission.retried`, `sim.admission.abandoned`,
     /// `sim.admission.degraded`, `sim.brownout.active_min`; histogram
-    /// `sim.admission.wait_min_pctl` (one observation per served
-    /// request). With the online replication controller active,
-    /// additionally: counters `sim.controller.ticks`,
-    /// `sim.controller.backoffs`, `sim.controller.promotions`,
-    /// `sim.controller.demotions`, `sim.controller.retired`,
-    /// `sim.controller.copies`, `sim.controller.bytes_copied`.
+    /// `sim.admission.wait_min_pctl` (one observation per admitted
+    /// request, 0 for an immediate admission). With the online
+    /// replication controller active, additionally: counters
+    /// `sim.controller.ticks`, `sim.controller.backoffs`,
+    /// `sim.controller.promotions`, `sim.controller.demotions`,
+    /// `sim.controller.retired`, `sim.controller.copies`,
+    /// `sim.controller.bytes_copied`.
     pub fn run_with_telemetry(
         &self,
         trace: &Trace,
@@ -297,37 +304,94 @@ impl<'a> Simulation<'a> {
         I: Iterator<Item = Result<Request, ModelError>>,
     {
         let span = telemetry.span("sim.run");
-        let ct = EngineCounters::new(telemetry);
-        // Counters are cumulative across runs sharing this handle; this
-        // run's event count is the delta over the starting values. (In
-        // the sharded path the shard workers share the same underlying
-        // counters, so the delta still covers the whole run.)
-        let events_before = ct.events();
         let outcome = match self.decoupled_plan() {
-            Some(plan) => self.run_decoupled(telemetry, &ct, &plan, &arrivals)?,
-            None => self.run_core(arrivals(), telemetry, &ct, false)?,
+            Some(plan) => self.run_decoupled(&plan, &arrivals)?,
+            None => self.run_core(arrivals(), false)?,
         };
+        Ok(self.publish(outcome, telemetry, &span))
+    }
 
-        telemetry
-            .counter("sim.admission_probes")
-            .add(outcome.probes);
-        if telemetry.is_enabled() {
-            let events = ct.events() - events_before;
-            telemetry.counter("sim.events").add(events);
-            // In the decoupled path this is the *sum* of per-shard
-            // peaks — an upper bound on the cluster-wide peak, which no
-            // single queue observes there.
+    /// Finishes a run's report and publishes the run's instruments into
+    /// `telemetry`: the report's outcome counts, the pass tallies, the
+    /// optional layers' figures and the wait observations. Apart from
+    /// the `sim.run` span, this is the only place an engine run writes
+    /// telemetry.
+    fn publish(&self, outcome: EngineOutcome, telemetry: &Telemetry, span: &Span) -> SimReport {
+        let metrics = outcome.metrics;
+        if !telemetry.is_enabled() {
+            return metrics.finish(self.config.horizon_min);
+        }
+        metrics.observe_waits(&telemetry.histogram("sim.admission.wait_min_pctl"));
+        let report = metrics.finish(self.config.horizon_min);
+        let tally = outcome.tally;
+        report.publish_counters(telemetry);
+        let count = |name, n| telemetry.counter(name).add(n);
+        count("sim.departures", tally.departures);
+        count("sim.transitions", tally.transitions);
+        count("sim.samples", tally.samples);
+        count("sim.admission_probes", tally.probes);
+        let events = report.arrivals
+            + tally.departures
+            + tally.transitions
+            + tally.samples
+            + report.retried
+            + report.abandoned;
+        count("sim.events", events);
+        for (k, &n) in outcome.shard_events.iter().enumerate() {
+            telemetry.shard_events(k).add(n);
+        }
+        if outcome.actuated {
+            count("sim.repair.bytes_copied", report.repair_bytes_copied);
+            count("sim.repair.copies", report.repair_copies);
             telemetry
-                .histogram("sim.queue.peak_len")
-                .observe(outcome.peak_len as f64);
-            let elapsed = span.elapsed_secs();
-            if elapsed > 0.0 {
-                telemetry
-                    .histogram("sim.engine.events_per_sec")
-                    .observe(events as f64 / elapsed);
+                .histogram("sim.repair.time_to_redundancy_min")
+                .observe(report.time_to_redundancy_min);
+        }
+        if let Some(c) = outcome.coded {
+            // Coded-tier instruments exist only for coded runs, so
+            // all-replicated manifests stay byte-identical to pre-coding
+            // ones.
+            count("sim.coded.degraded_reads", c.degraded_reads);
+            count("sim.coded.shares_reattached", c.shares_reattached);
+            if outcome.actuated {
+                count("sim.repair.coded.reconstructions", c.reconstructions);
+                count("sim.repair.coded.bytes", c.bytes_read);
             }
         }
-        Ok(outcome.metrics.finish(self.config.horizon_min))
+        if self.config.controller.enabled() {
+            count("sim.controller.ticks", report.controller_ticks);
+            count("sim.controller.backoffs", report.controller_backoffs);
+            count("sim.controller.promotions", report.controller_promotions);
+            count("sim.controller.demotions", report.controller_demotions);
+            count("sim.controller.retired", report.controller_retired);
+            count("sim.controller.copies", report.controller_copies);
+            count(
+                "sim.controller.bytes_copied",
+                report.controller_bytes_copied,
+            );
+        }
+        // In the decoupled path this is the *sum* of per-shard peaks —
+        // an upper bound on the cluster-wide peak, which no single queue
+        // observes there.
+        telemetry
+            .histogram("sim.queue.peak_len")
+            .observe(tally.peak_len as f64);
+        // Queue backing storage amortized over each pass's concurrency
+        // peak: the marginal resident cost of one active stream. The
+        // memory-smoke CI step gates on this staying under the ceiling
+        // documented in DESIGN.md §7.
+        for &b in &outcome.queue_bytes_per_stream {
+            telemetry
+                .histogram("sim.engine.bytes_per_active_stream")
+                .observe(b);
+        }
+        let elapsed = span.elapsed_secs();
+        if elapsed > 0.0 {
+            telemetry
+                .histogram("sim.engine.events_per_sec")
+                .observe(events as f64 / elapsed);
+        }
+        report
     }
 
     /// The server-group partition for the decoupled parallel path, or
@@ -374,8 +438,6 @@ impl<'a> Simulation<'a> {
     /// executes. The result is byte-identical to `shards: 1`.
     fn run_decoupled<F, I>(
         &self,
-        telemetry: &Telemetry,
-        ct: &EngineCounters,
         plan: &ShardPlan,
         arrivals: &F,
     ) -> Result<EngineOutcome, ModelError>
@@ -395,10 +457,6 @@ impl<'a> Simulation<'a> {
             let handles: Vec<_> = (0..plan.n_shards)
                 .map(|k| {
                     scope.spawn(move || {
-                        // Each worker binds its own counter handles to
-                        // the shared registry: cross-thread sums are
-                        // exact, whatever the interleaving.
-                        let ct = EngineCounters::new(telemetry);
                         let mut seen = 0u64;
                         let owned = arrivals().inspect(|_| seen += 1).filter(
                             |r: &Result<Request, ModelError>| {
@@ -409,7 +467,7 @@ impl<'a> Simulation<'a> {
                                 })
                             },
                         );
-                        let outcome = self.run_core(owned, telemetry, &ct, true)?;
+                        let outcome = self.run_core(owned, true)?;
                         Ok((outcome, seen))
                     })
                 })
@@ -439,30 +497,35 @@ impl<'a> Simulation<'a> {
         }
         let total_seen = seen_counts.first().copied().unwrap_or(0);
 
-        let mut merged = MetricsCollector::new(self.catalog.len());
-        merged.record_series(self.config.record_series);
-        let mut probes = 0u64;
-        let mut peak_len = 0usize;
+        let mut merged = EngineOutcome {
+            metrics: MetricsCollector::new(self.catalog.len()),
+            samples: Vec::new(),
+            tally: Tally::default(),
+            queue_bytes_per_stream: Vec::new(),
+            shard_events: Vec::new(),
+            actuated: false,
+            coded: None,
+        };
+        merged.metrics.record_series(self.config.record_series);
         let n_samples = shards.first().map(|s| s.samples.len()).unwrap_or(0);
         let mut sample_grid = Vec::with_capacity(shards.len());
-        for (k, mut shard) in shards.into_iter().enumerate() {
+        for shard in shards {
             if shard.samples.len() != n_samples {
                 return Err(ModelError::Internal {
                     context: "shard sample schedules diverged",
                 });
             }
-            let (arrivals, admitted, _, _) = shard.metrics.outcome_totals();
-            // Every admitted stream departs exactly once and no
-            // transition/retry/abandonment exists here, so the shard's
-            // event count is arrivals + departures (samples are the
-            // coordinator's, below).
-            telemetry
-                .shard_counter(ShardInstrument::Events, k)
-                .add(arrivals + admitted);
-            probes += shard.probes;
-            peak_len += shard.peak_len;
-            sample_grid.push(std::mem::take(&mut shard.samples));
-            merged.absorb(shard.metrics);
+            // No transition, retry or abandonment exists here, so a
+            // shard's events are its arrivals and departures (samples
+            // are the coordinator's, below).
+            let (arrivals, ..) = shard.metrics.outcome_totals();
+            merged.shard_events.push(arrivals + shard.tally.departures);
+            merged.tally.add(shard.tally);
+            merged
+                .queue_bytes_per_stream
+                .extend(shard.queue_bytes_per_stream);
+            sample_grid.push(shard.samples);
+            merged.metrics.absorb(shard.metrics);
         }
 
         // Replay the sample schedule exactly as the serial loop runs
@@ -479,15 +542,15 @@ impl<'a> Simulation<'a> {
                     *acc += x;
                 }
             }
-            ct.samples.inc();
-            merged.sample_loads(&full, next_sample_min);
+            merged.metrics.sample_loads(&full, next_sample_min);
             next_sample_min += self.config.sample_interval_min;
         }
+        merged.tally.samples += n_samples as u64;
 
         // Merged-view audit: the per-shard auditors checked their own
         // state after every event; the coordinator re-checks request
         // conservation over the merged ledger.
-        let (arrivals, admitted, rejected, abandoned) = merged.outcome_totals();
+        let (arrivals, admitted, rejected, abandoned) = merged.metrics.outcome_totals();
         if admitted + rejected + abandoned != arrivals || arrivals != total_seen {
             return Err(ModelError::InvariantViolation {
                 at_min: self.config.horizon_min,
@@ -499,12 +562,7 @@ impl<'a> Simulation<'a> {
             });
         }
 
-        Ok(EngineOutcome {
-            metrics: merged,
-            samples: Vec::new(),
-            probes,
-            peak_len,
-        })
+        Ok(merged)
     }
 
     /// The serial event loop over a pulled, checked arrival stream
@@ -516,13 +574,7 @@ impl<'a> Simulation<'a> {
     /// Arrivals are consumed lazily, one at a time, merged against the
     /// `(time, seq)` event queue; the loop never needs the stream's
     /// length or its backing storage.
-    fn run_core<I>(
-        &self,
-        requests: I,
-        telemetry: &Telemetry,
-        ct: &EngineCounters,
-        capture_samples: bool,
-    ) -> Result<EngineOutcome, ModelError>
+    fn run_core<I>(&self, requests: I, capture_samples: bool) -> Result<EngineOutcome, ModelError>
     where
         I: Iterator<Item = Result<Request, ModelError>>,
     {
@@ -534,13 +586,12 @@ impl<'a> Simulation<'a> {
         for req in requests {
             let req = req?;
             let t = SimTime::from_min(req.arrival_min);
-            state.advance_to(t, ct)?;
+            state.advance_to(t)?;
 
             let (kbps, duration_s) = videos
                 .get(req.video.index())
                 .ok_or(ModelError::UnknownVideo(req.video))?;
 
-            ct.arrivals.inc();
             state.metrics.on_arrival(req.video.index());
             state.metrics.on_offered(kbps, duration_s);
             if let Some(d) = state.drift.as_mut() {
@@ -558,12 +609,11 @@ impl<'a> Simulation<'a> {
                     retries_left: self.config.admission.max_retries,
                     attempt: 0,
                 },
-                ct,
             );
             state.audit_check(t)?;
             debug_assert!(state.links.within_capacity());
         }
-        self.finish_core(state, telemetry, ct)
+        self.finish_core(state)
     }
 
     /// Binds the mutable run-loop state for one engine pass: compiled
@@ -673,6 +723,7 @@ impl<'a> Simulation<'a> {
             extract_scratch: Vec::new(),
             fifo_scratch: Vec::new(),
             sample_log: capture_samples.then(Vec::new),
+            tally: Tally::default(),
         };
         state.metrics.record_series(self.config.record_series);
         Ok(state)
@@ -680,18 +731,13 @@ impl<'a> Simulation<'a> {
 
     /// Horizon tail of every engine pass: runs the remaining
     /// background events, settles the admission pipeline and brownout
-    /// windows, releases post-horizon streams and folds the
-    /// feature-gated telemetry.
-    fn finish_core(
-        &self,
-        mut state: RunState,
-        telemetry: &Telemetry,
-        ct: &EngineCounters,
-    ) -> Result<EngineOutcome, ModelError> {
+    /// windows, releases post-horizon streams and books the optional
+    /// layers' end-of-run figures.
+    fn finish_core(&self, mut state: RunState) -> Result<EngineOutcome, ModelError> {
         // Tail: run the remaining background events out to the horizon,
         // abort any still-in-flight repair copies (releasing their
         // reservations), then retire whatever still streams past it.
-        state.advance_to(SimTime::from_min(self.config.horizon_min), ct)?;
+        state.advance_to(SimTime::from_min(self.config.horizon_min))?;
         if let Some(c) = state.controller.as_mut() {
             c.finish(
                 self.config.horizon_min,
@@ -703,7 +749,6 @@ impl<'a> Simulation<'a> {
         // (queued or sleeping until a retry) count as abandoned: the peak
         // period ended before they were served.
         for _ in state.admission.drain_remaining() {
-            ct.abandoned.inc();
             state.metrics.on_abandoned();
         }
         // Close brownout windows still open at the horizon.
@@ -717,20 +762,11 @@ impl<'a> Simulation<'a> {
         // Release what still streams past the horizon. The releases are
         // integer and commute, so the queue empties in heap order rather
         // than popping in time order.
-        ct.departures.add(state.departures.len() as u64);
+        state.tally.departures += state.departures.len() as u64;
         let (links, dispatcher, coded) = (&mut state.links, &mut state.dispatcher, &state.coded);
-        state.departures.drain_unordered(|d| {
-            if d.stream == NO_STREAM {
-                if links.epoch(d.server) == d.epoch {
-                    links.release(d.server, d.kbps);
-                }
-                if d.backbone_kbps > 0 {
-                    dispatcher.release_backbone(d.backbone_kbps);
-                }
-            } else if stream_live(coded, d.stream) && links.epoch(d.server) == d.epoch {
-                links.release(d.server, d.kbps);
-            }
-        });
+        state
+            .departures
+            .drain_unordered(|d| release_departure(&d, links, dispatcher, coded));
         debug_assert_eq!(state.links.total_streams(), 0);
         debug_assert_eq!(state.dispatcher.backbone_used_kbps(), 0);
 
@@ -742,37 +778,7 @@ impl<'a> Simulation<'a> {
                 c.deficit_video_min(),
                 c.unavailability_video_min(),
             );
-            telemetry
-                .counter("sim.repair.bytes_copied")
-                .add(c.bytes_copied());
-            telemetry
-                .counter("sim.repair.copies")
-                .add(c.copies_completed());
-            telemetry
-                .histogram("sim.repair.time_to_redundancy_min")
-                .observe(c.deficit_min());
         }
-
-        if let Some(cs) = &state.coded {
-            // Coded-tier instruments exist only for coded runs, so
-            // all-replicated manifests stay byte-identical to pre-coding
-            // ones.
-            telemetry
-                .counter("sim.coded.degraded_reads")
-                .add(cs.degraded_reads);
-            telemetry
-                .counter("sim.coded.shares_reattached")
-                .add(cs.shares_reattached);
-            if let Some(c) = &state.controller {
-                telemetry
-                    .counter("sim.repair.coded.reconstructions")
-                    .add(c.coded_reconstructions());
-                telemetry
-                    .counter("sim.repair.coded.bytes")
-                    .add(c.coded_bytes_read());
-            }
-        }
-
         if let Some(d) = &state.drift {
             let (copies, bytes) = state
                 .controller
@@ -788,39 +794,27 @@ impl<'a> Simulation<'a> {
                 copies,
                 bytes,
             );
-            telemetry.counter("sim.controller.ticks").add(d.ticks());
-            telemetry
-                .counter("sim.controller.backoffs")
-                .add(d.backoffs());
-            telemetry
-                .counter("sim.controller.promotions")
-                .add(d.promotions());
-            telemetry
-                .counter("sim.controller.demotions")
-                .add(d.demotions());
-            telemetry.counter("sim.controller.retired").add(d.retired());
-            telemetry.counter("sim.controller.copies").add(copies);
-            telemetry.counter("sim.controller.bytes_copied").add(bytes);
         }
-
-        if state.brownout_min > 0.0 {
-            telemetry
-                .counter("sim.brownout.active_min")
-                .add(state.brownout_min.ceil() as u64);
-        }
-        if telemetry.is_enabled() && state.departures.peak_len() > 0 {
-            // Queue backing storage amortized over the concurrency
-            // peak: the marginal resident cost of one active stream.
-            // The memory-smoke CI step gates on this staying under the
-            // ceiling documented in DESIGN.md §7.
-            telemetry
-                .histogram("sim.engine.bytes_per_active_stream")
-                .observe(state.departures.mem_bytes() as f64 / state.departures.peak_len() as f64);
-        }
+        let peak_len = state.departures.peak_len();
+        state.tally.transitions = state.next_transition as u64;
+        state.tally.probes = state.dispatcher.admission_probes();
+        state.tally.peak_len = peak_len;
+        let controller = state.controller.as_ref();
         Ok(EngineOutcome {
-            samples: state.sample_log.take().unwrap_or_default(),
-            probes: state.dispatcher.admission_probes(),
-            peak_len: state.departures.peak_len(),
+            samples: state.sample_log.unwrap_or_default(),
+            tally: state.tally,
+            queue_bytes_per_stream: (peak_len > 0)
+                .then(|| state.departures.mem_bytes() as f64 / peak_len as f64)
+                .into_iter()
+                .collect(),
+            shard_events: Vec::new(),
+            actuated: controller.is_some(),
+            coded: state.coded.map(|cs| CodedTally {
+                degraded_reads: cs.degraded_reads,
+                shares_reattached: cs.shares_reattached,
+                reconstructions: controller.map_or(0, |c| c.coded_reconstructions()),
+                bytes_read: controller.map_or(0, |c| c.coded_bytes_read()),
+            }),
             metrics: state.metrics,
         })
     }
@@ -876,16 +870,83 @@ impl VideoTable {
 }
 
 /// What one engine pass (serial run or decoupled shard worker) hands
-/// back for finalization.
+/// back for finalization; [`Simulation::publish`] turns it into the
+/// report and the run's instruments.
 struct EngineOutcome {
+    /// The run's one per-event ledger.
     metrics: MetricsCollector,
     /// Raw per-sample load vectors, non-empty only for decoupled shard
     /// workers (`capture_samples: true`).
     samples: Vec<Vec<f64>>,
-    /// Dispatcher admission probes (summed across shards when merged).
+    /// Event counts the report does not carry (summed across shards).
+    tally: Tally,
+    /// Departure-queue bytes per active stream at each pass's peak.
+    queue_bytes_per_stream: Vec<f64>,
+    /// Events of each decoupled shard (empty on the serial loop).
+    shard_events: Vec<u64>,
+    /// Whether the replica actuator ran (it books `sim.repair.*`).
+    actuated: bool,
+    /// Coded-tier figures (`None` for all-replicated layouts).
+    coded: Option<CodedTally>,
+}
+
+/// Integer tallies of one engine pass that the report does not carry.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    /// Departures popped in time order or drained at the horizon.
+    departures: u64,
+    /// Failure and brownout transitions processed.
+    transitions: u64,
+    /// Load samples folded into the collector.
+    samples: u64,
+    /// Dispatcher admission probes.
     probes: u64,
-    /// Peak scheduled departures (summed across shards when merged).
+    /// Peak of concurrently scheduled departures.
     peak_len: usize,
+}
+
+impl Tally {
+    /// Adds another pass's tallies (the decoupled merge).
+    fn add(&mut self, other: Tally) {
+        self.departures += other.departures;
+        self.transitions += other.transitions;
+        self.samples += other.samples;
+        self.probes += other.probes;
+        self.peak_len += other.peak_len;
+    }
+}
+
+/// The coded tier's end-of-run figures.
+#[derive(Debug, Clone, Copy)]
+struct CodedTally {
+    /// Admissions and re-attachments that read a parity fragment.
+    degraded_reads: u64,
+    /// Failed-over fragment shares re-attached to another holder.
+    shares_reattached: u64,
+    /// Fragments the actuator reconstructed (0 without one).
+    reconstructions: u64,
+    /// Bytes the actuator read for reconstructions (0 without one).
+    bytes_read: u64,
+}
+
+/// Frees what an ending departure still holds: its link share while the
+/// server's failure epoch matches (a coded share only while its stream
+/// lives — killed streams released their shares at kill time), and any
+/// backbone reservation (reclaimed at the scheduled end even when the
+/// stream was killed earlier).
+fn release_departure(
+    d: &Departure,
+    links: &mut LinkState,
+    dispatcher: &mut Dispatcher,
+    coded: &Option<CodedState>,
+) {
+    let live = d.stream == NO_STREAM || stream_live(coded, d.stream);
+    if live && links.epoch(d.server) == d.epoch {
+        links.release(d.server, d.kbps);
+    }
+    if d.backbone_kbps > 0 {
+        dispatcher.release_backbone(d.backbone_kbps);
+    }
 }
 
 /// Whether coded stream `stream` is still live (not killed by
@@ -895,60 +956,6 @@ fn stream_live(coded: &Option<CodedState>, stream: u32) -> bool {
     coded
         .as_ref()
         .is_some_and(|cs| !cs.streams[stream as usize].killed)
-}
-
-/// Telemetry counter handles used by the run loop.
-struct EngineCounters {
-    arrivals: Counter,
-    admitted: Counter,
-    rejected: Counter,
-    redirected: Counter,
-    departures: Counter,
-    disrupted: Counter,
-    resumed: Counter,
-    degraded: Counter,
-    transitions: Counter,
-    samples: Counter,
-    queued: Counter,
-    retried: Counter,
-    abandoned: Counter,
-    adm_degraded: Counter,
-    wait_min: Histogram,
-}
-
-impl EngineCounters {
-    /// Binds the engine's counter handles to `telemetry`'s registry.
-    /// Handle sets bound to the same registry (e.g. one per shard
-    /// worker) share the underlying atomics.
-    fn new(telemetry: &Telemetry) -> Self {
-        EngineCounters {
-            arrivals: telemetry.counter("sim.arrivals"),
-            admitted: telemetry.counter("sim.admitted"),
-            rejected: telemetry.counter("sim.rejected"),
-            redirected: telemetry.counter("sim.redirected"),
-            departures: telemetry.counter("sim.departures"),
-            disrupted: telemetry.counter("sim.disrupted"),
-            resumed: telemetry.counter("sim.streams.resumed"),
-            degraded: telemetry.counter("sim.streams.degraded"),
-            transitions: telemetry.counter("sim.transitions"),
-            samples: telemetry.counter("sim.samples"),
-            queued: telemetry.counter("sim.admission.queued"),
-            retried: telemetry.counter("sim.admission.retried"),
-            abandoned: telemetry.counter("sim.admission.abandoned"),
-            adm_degraded: telemetry.counter("sim.admission.degraded"),
-            wait_min: telemetry.histogram("sim.admission.wait_min_pctl"),
-        }
-    }
-
-    /// Total events recorded on this handle set (cumulative across runs).
-    fn events(&self) -> u64 {
-        self.arrivals.get()
-            + self.departures.get()
-            + self.transitions.get()
-            + self.samples.get()
-            + self.retried.get()
-            + self.abandoned.get()
-    }
 }
 
 /// How a failing server's stream fared under failover.
@@ -1042,6 +1049,8 @@ struct RunState<'a> {
     extract_scratch: Vec<Departure>,
     /// Reusable buffer for FIFO queue drains.
     fifo_scratch: Vec<u64>,
+    /// This pass's event tallies (completed in `finish_core`).
+    tally: Tally,
 }
 
 impl RunState<'_> {
@@ -1050,7 +1059,7 @@ impl RunState<'_> {
     /// with an instant <= `t`, in time order; ties break in exactly that
     /// order. The control tick deliberately fires *last* at its instant,
     /// so it senses the settled state every other event left behind.
-    fn advance_to(&mut self, t: SimTime, ct: &EngineCounters) -> Result<(), ModelError> {
+    fn advance_to(&mut self, t: SimTime) -> Result<(), ModelError> {
         loop {
             let dep_at = self.departures.next_time();
             let rep_at = self.controller.as_ref().and_then(|c| c.next_completion());
@@ -1076,46 +1085,32 @@ impl RunState<'_> {
                     .ok_or(ModelError::Internal {
                         context: "departure queue empty at its own next_time",
                     })?;
-                ct.departures.inc();
-                if d.stream == NO_STREAM {
-                    if self.links.epoch(d.server) == d.epoch {
-                        self.links.release(d.server, d.kbps);
-                    }
-                    if d.backbone_kbps > 0 {
-                        self.dispatcher.release_backbone(d.backbone_kbps);
-                    }
-                } else if stream_live(&self.coded, d.stream)
-                    && self.links.epoch(d.server) == d.epoch
-                {
-                    // One fragment share of a coded stream ends; killed
-                    // streams released their shares at kill time.
-                    self.links.release(d.server, d.kbps);
-                }
+                self.tally.departures += 1;
+                release_departure(&d, &mut self.links, &mut self.dispatcher, &self.coded);
                 // Freed streaming bandwidth may unblock a stalled copy
                 // first (repair priority), then waiting clients.
                 if let Some(c) = self.controller.as_mut() {
                     c.pump(min_at, &mut self.links, &mut self.dispatcher);
                 }
-                self.drain_queue(min_at, ct);
+                self.drain_queue(min_at);
             } else if rep_at == Some(min_at) {
                 let c = self.controller.as_mut().ok_or(ModelError::Internal {
                     context: "repair completion due without a controller",
                 })?;
                 c.complete_next(&mut self.links, &mut self.dispatcher)?;
-                self.drain_queue(min_at, ct);
+                self.drain_queue(min_at);
             } else if tr_at == Some(min_at) {
                 let tr = self.transitions[self.next_transition];
                 self.next_transition += 1;
-                ct.transitions.inc();
                 match tr.kind {
-                    TransitionKind::Down => self.on_down(tr.at, tr.server, ct),
+                    TransitionKind::Down => self.on_down(tr.at, tr.server),
                     TransitionKind::Up => self.on_up(tr.at, tr.server),
                     TransitionKind::BrownoutStart(frac) => {
-                        self.on_brownout_start(tr.at, tr.server, frac, ct)
+                        self.on_brownout_start(tr.at, tr.server, frac)
                     }
                     TransitionKind::BrownoutEnd => self.on_brownout_end(tr.at, tr.server),
                 }
-                self.drain_queue(min_at, ct);
+                self.drain_queue(min_at);
             } else if aband_at == Some(min_at) {
                 let req = self
                     .admission
@@ -1133,10 +1128,8 @@ impl RunState<'_> {
                             ..req
                         },
                     );
-                    ct.retried.inc();
                     self.metrics.on_retried();
                 } else {
-                    ct.abandoned.inc();
                     self.metrics.on_abandoned();
                 }
             } else if retry_at == Some(min_at) {
@@ -1146,7 +1139,7 @@ impl RunState<'_> {
                     .ok_or(ModelError::Internal {
                         context: "retry timer due with no pending retry",
                     })?;
-                self.handle_request(min_at, req, ct);
+                self.handle_request(min_at, req);
             } else if sample_at == Some(min_at) {
                 self.links.stream_loads_into(&mut self.load_scratch);
                 if let Some(log) = self.sample_log.as_mut() {
@@ -1155,7 +1148,7 @@ impl RunState<'_> {
                     // accumulation order matches the serial engine.
                     log.push(self.load_scratch.clone());
                 } else {
-                    ct.samples.inc();
+                    self.tally.samples += 1;
                     self.metrics
                         .sample_loads(&self.load_scratch, self.next_sample_min);
                 }
@@ -1222,13 +1215,12 @@ impl RunState<'_> {
 
     /// Routes one request now owed an outcome: admit (possibly degraded),
     /// queue, schedule a retry, or finally reject.
-    fn handle_request(&mut self, now: SimTime, req: PendingRequest, ct: &EngineCounters) {
-        if self.try_admit(now, &req, ct) {
+    fn handle_request(&mut self, now: SimTime, req: PendingRequest) {
+        if self.try_admit(now, &req) {
             return;
         }
         if self.admission.queueing() {
             self.admission.enqueue(now, req);
-            ct.queued.inc();
             self.metrics.on_queued();
         } else if req.retries_left > 0 {
             self.admission.schedule_retry(
@@ -1239,18 +1231,16 @@ impl RunState<'_> {
                     ..req
                 },
             );
-            ct.retried.inc();
             self.metrics.on_retried();
         } else {
-            ct.rejected.inc();
             self.metrics.on_reject(req.video.index());
         }
     }
 
     /// One admission attempt: full rate first, then (under a degrading
     /// policy) down the bit-rate ladder. Returns whether a slot was taken.
-    fn try_admit(&mut self, now: SimTime, req: &PendingRequest, ct: &EngineCounters) -> bool {
-        if self.try_admit_at(now, req, req.kbps, ct) {
+    fn try_admit(&mut self, now: SimTime, req: &PendingRequest) -> bool {
+        if self.try_admit_at(now, req, req.kbps) {
             return true;
         }
         if !self.admission.degrades() {
@@ -1258,7 +1248,7 @@ impl RunState<'_> {
         }
         let mut rate = BitRate::from_kbps(req.kbps as u32).step_down(&BitRate::LADDER);
         while let Some(r) = rate {
-            if self.try_admit_at(now, req, r.kbps() as u64, ct) {
+            if self.try_admit_at(now, req, r.kbps() as u64) {
                 return true;
             }
             rate = r.step_down(&BitRate::LADDER);
@@ -1266,59 +1256,55 @@ impl RunState<'_> {
         false
     }
 
-    /// Dispatches `req` at `rate` kbps; on admit, charges the link, books
-    /// the wait/goodput metrics and schedules the departure.
-    fn try_admit_at(
-        &mut self,
-        now: SimTime,
-        req: &PendingRequest,
-        rate: u64,
-        ct: &EngineCounters,
-    ) -> bool {
-        if let Some(cs) = &self.coded {
-            if cs.schemes.get(req.video).is_coded() {
-                return self.try_admit_coded(now, req, rate, ct);
+    /// Dispatches `req` at `rate` kbps — over `k` fragment holders for a
+    /// coded video, else to one replica holder — and books the admission.
+    fn try_admit_at(&mut self, now: SimTime, req: &PendingRequest, rate: u64) -> bool {
+        // Backbone kbps the admission reserved (never any for coded reads).
+        let backbone_kbps = match &self.coded {
+            Some(cs) if cs.schemes.get(req.video).is_coded() => {
+                self.try_admit_coded(now, req, rate).then_some(0)
             }
+            _ => self.try_admit_replica(now, req, rate),
+        };
+        let Some(backbone_kbps) = backbone_kbps else {
+            return false;
+        };
+        self.metrics.on_admit(backbone_kbps > 0);
+        self.metrics.on_wait((now - req.arrived).as_min());
+        self.metrics.on_delivered(rate, req.duration_s);
+        if rate < req.kbps {
+            self.metrics.on_degraded_served();
         }
+        true
+    }
+
+    /// Replica admission: the dispatcher picks one holder (or a backbone
+    /// redirect). Returns the backbone kbps reserved, `None` on reject.
+    fn try_admit_replica(&mut self, now: SimTime, req: &PendingRequest, rate: u64) -> Option<u64> {
         let replicas = match &self.controller {
             Some(c) => c.holders(req.video),
             None => self.layout.replicas_of(req.video),
         };
-        match self
+        let Decision::Admit {
+            server,
+            backbone_kbps,
+        } = self
             .dispatcher
             .dispatch(req.video, rate, replicas, &self.links)
-        {
-            Decision::Admit {
-                server,
-                backbone_kbps,
-            } => {
-                self.links.admit(server, rate);
-                ct.admitted.inc();
-                if backbone_kbps > 0 {
-                    ct.redirected.inc();
-                }
-                self.metrics.on_admit(backbone_kbps > 0);
-                let wait = (now - req.arrived).as_min();
-                self.metrics.on_wait(wait);
-                ct.wait_min.observe(wait);
-                self.metrics.on_delivered(rate, req.duration_s);
-                if rate < req.kbps {
-                    ct.adm_degraded.inc();
-                    self.metrics.on_degraded_served();
-                }
-                self.departures.push(Departure {
-                    at: now + SimTime::from_secs(req.duration_s),
-                    server,
-                    video: req.video,
-                    kbps: rate,
-                    backbone_kbps,
-                    epoch: self.links.epoch(server),
-                    stream: NO_STREAM,
-                });
-                true
-            }
-            Decision::Reject => false,
-        }
+        else {
+            return None;
+        };
+        self.links.admit(server, rate);
+        self.departures.push(Departure {
+            at: now + SimTime::from_secs(req.duration_s),
+            server,
+            video: req.video,
+            kbps: rate,
+            backbone_kbps,
+            epoch: self.links.epoch(server),
+            stream: NO_STREAM,
+        });
+        Some(backbone_kbps)
     }
 
     /// Coded admission: serve `req` from `k` live fragment holders, each
@@ -1327,13 +1313,7 @@ impl RunState<'_> {
     /// position `k - 1` means reading parity — a *degraded read*.
     /// Fails (false) when fewer than `k` holders can admit the share,
     /// falling through to the caller's degrade/queue/retry/reject path.
-    fn try_admit_coded(
-        &mut self,
-        now: SimTime,
-        req: &PendingRequest,
-        rate: u64,
-        ct: &EngineCounters,
-    ) -> bool {
+    fn try_admit_coded(&mut self, now: SimTime, req: &PendingRequest, rate: u64) -> bool {
         let cs = self.coded.as_ref().expect("coded admission without state");
         let scheme = cs.schemes.get(req.video);
         let k = scheme.min_live() as usize;
@@ -1385,25 +1365,16 @@ impl RunState<'_> {
                 stream,
             });
         }
-        ct.admitted.inc();
-        self.metrics.on_admit(false);
-        let wait = (now - req.arrived).as_min();
-        self.metrics.on_wait(wait);
-        ct.wait_min.observe(wait);
-        self.metrics.on_delivered(rate, req.duration_s);
-        if rate < req.kbps {
-            ct.adm_degraded.inc();
-            self.metrics.on_degraded_served();
-        }
         true
     }
 
-    /// Tries to move one lost fragment share of a live coded stream to
-    /// another holder of the video (a fragment not already serving this
-    /// stream). On success the sibling shares are untouched and the
-    /// stream merely reads a different fragment set.
-    fn reattach_share(&mut self, d: &Departure, from: ServerId) -> bool {
-        let pick = {
+    /// Fails over one lost fragment share of a live coded stream: unless
+    /// the policy is `Kill`, the share moves to another holder of the
+    /// video (a fragment not already serving this stream), leaving the
+    /// sibling shares untouched; otherwise the whole stream is killed.
+    /// Returns whether the stream survived.
+    fn fail_over_share(&mut self, at: SimTime, d: &Departure, from: ServerId) -> bool {
+        let pick = (self.failover != FailoverPolicy::Kill).then(|| {
             let cs = self.coded.as_ref().expect("coded share without state");
             let serving = &cs.streams[d.stream as usize].servers;
             let holders = match &self.controller {
@@ -1415,8 +1386,9 @@ impl RunState<'_> {
                 .copied()
                 .filter(|&h| h != from && !serving.contains(&h) && self.links.can_admit(h, d.kbps))
                 .max_by_key(|&h| (self.links.free_kbps(h), std::cmp::Reverse(h)))
-        };
-        let Some(h) = pick else {
+        });
+        let Some(h) = pick.flatten() else {
+            self.kill_coded_stream(at, d, from);
             return false;
         };
         self.links.admit(h, d.kbps);
@@ -1463,7 +1435,7 @@ impl RunState<'_> {
     /// FIFO order. Requests that still do not fit stay queued (later
     /// arrivals that *do* fit may overtake them — capacity-aware
     /// skipping, not head-of-line blocking).
-    fn drain_queue(&mut self, now: SimTime, ct: &EngineCounters) {
+    fn drain_queue(&mut self, now: SimTime) {
         if self.admission.queue_len() == 0 {
             return;
         }
@@ -1473,7 +1445,7 @@ impl RunState<'_> {
             let Some(req) = self.admission.get(seq) else {
                 continue;
             };
-            if self.try_admit(now, &req, ct) {
+            if self.try_admit(now, &req) {
                 self.admission.remove(seq);
             }
         }
@@ -1484,7 +1456,7 @@ impl RunState<'_> {
     /// server is overcommitted, shed repair copies first, then active
     /// streams (latest-ending first), failing each shed stream over per
     /// the failover policy exactly like a crash would.
-    fn on_brownout_start(&mut self, at: SimTime, server: ServerId, frac: f64, ct: &EngineCounters) {
+    fn on_brownout_start(&mut self, at: SimTime, server: ServerId, frac: f64) {
         self.brownout_started[server.index()] = Some(at);
         let excess = self.links.set_brownout(server, frac);
         if excess == 0 || !self.links.is_up(server) {
@@ -1510,29 +1482,22 @@ impl RunState<'_> {
             let Some(d) = active.pop() else {
                 break;
             };
+            if d.stream != NO_STREAM && !stream_live(&self.coded, d.stream) {
+                // A sibling kill already released this share; the
+                // departure just waits to pop as a no-op.
+                self.departures.push(d);
+                continue;
+            }
+            self.links.release(server, d.kbps);
             if d.stream != NO_STREAM {
-                if !stream_live(&self.coded, d.stream) {
-                    // A sibling kill already released this share; the
-                    // departure just waits to pop as a no-op.
-                    self.departures.push(d);
-                    continue;
-                }
-                self.links.release(server, d.kbps);
-                if self.failover != FailoverPolicy::Kill && self.reattach_share(&d, server) {
+                if self.fail_over_share(at, &d, server) {
                     resumed += 1;
                 } else {
-                    self.kill_coded_stream(at, &d, server);
                     disrupted += 1;
                 }
                 continue;
             }
-            self.links.release(server, d.kbps);
-            let rescued = if self.failover == FailoverPolicy::Kill {
-                Rescued::No
-            } else {
-                self.rescue_stream(at, &d, server)
-            };
-            match rescued {
+            match self.rescue_stream(at, &d, server) {
                 Rescued::Full => resumed += 1,
                 Rescued::Degraded => degraded += 1,
                 Rescued::No => {
@@ -1552,18 +1517,9 @@ impl RunState<'_> {
             self.departures.push(d);
         }
         self.extract_scratch = active;
-        if disrupted > 0 {
-            ct.disrupted.add(disrupted);
-            self.metrics.on_disrupted(disrupted);
-        }
-        if resumed > 0 {
-            ct.resumed.add(resumed);
-            self.metrics.on_resumed(resumed);
-        }
-        if degraded > 0 {
-            ct.degraded.add(degraded);
-            self.metrics.on_degraded(degraded);
-        }
+        self.metrics.on_disrupted(disrupted);
+        self.metrics.on_resumed(resumed);
+        self.metrics.on_degraded(degraded);
     }
 
     /// Brownout over: restore full capacity and let stalled repairs pump.
@@ -1577,21 +1533,20 @@ impl RunState<'_> {
         }
     }
 
-    /// Server failure: rescue its active streams if the failover policy
-    /// allows, then hand the topology change to the repair controller.
-    fn on_down(&mut self, at: SimTime, server: ServerId, ct: &EngineCounters) {
-        if self.coded.is_some() {
-            // Coded shares must be found even under `Kill` (their
-            // sibling shares live on other servers); the dedicated path
-            // keeps this one byte-identical for all-replicated runs.
-            return self.on_down_coded(at, server, ct);
-        }
-        let mut rescued = std::mem::take(&mut self.extract_scratch);
-        if self.failover == FailoverPolicy::Kill {
-            rescued.clear();
-        } else {
+    /// Server failure: hand the topology change to the repair controller,
+    /// then fail over the server's active streams. Coded shares re-attach
+    /// to surviving fragment holders or kill their stream; replicated
+    /// streams are rescued if the policy allows. The departures are only
+    /// extracted when something can act on them: coded shares must be
+    /// found even under `Kill` (their siblings live on other servers),
+    /// while an all-replicated `Kill` run leaves them queued with a stale
+    /// epoch and counts every dropped stream as disrupted.
+    fn on_down(&mut self, at: SimTime, server: ServerId) {
+        let mut extracted = std::mem::take(&mut self.extract_scratch);
+        let extract = self.coded.is_some() || self.failover != FailoverPolicy::Kill;
+        if extract {
             self.departures
-                .extract_active_into(server, self.links.epoch(server), &mut rescued);
+                .extract_active_into(server, self.links.epoch(server), &mut extracted);
         }
         let dropped = self.links.fail(server) as u64;
         // Repair claims its copy bandwidth on the survivors *first*:
@@ -1607,81 +1562,20 @@ impl RunState<'_> {
                 &mut self.dispatcher,
             );
         }
-        let mut disrupted = dropped - rescued.len() as u64;
-        let (mut resumed, mut degraded) = (0u64, 0u64);
-        for d in rescued.drain(..) {
-            match self.rescue_stream(at, &d, server) {
-                Rescued::Full => resumed += 1,
-                Rescued::Degraded => degraded += 1,
-                Rescued::No => {
-                    disrupted += 1;
-                    self.metrics.on_undelivered(d.kbps, (d.at - at).ticks());
-                    // Re-queue unchanged: the stale epoch means no link
-                    // release at pop time, but the backbone reservation is
-                    // still reclaimed at the scheduled end — exactly the
-                    // unconditional-kill semantics.
-                    self.departures.push(d);
-                }
-            }
-        }
-        self.extract_scratch = rescued;
-        if disrupted > 0 {
-            ct.disrupted.add(disrupted);
-            self.metrics.on_disrupted(disrupted);
-        }
-        if resumed > 0 {
-            ct.resumed.add(resumed);
-            self.metrics.on_resumed(resumed);
-        }
-        if degraded > 0 {
-            ct.degraded.add(degraded);
-            self.metrics.on_degraded(degraded);
-        }
-    }
-
-    /// [`RunState::on_down`] for runs with coded videos: every active
-    /// departure on the failed server is extracted (even under `Kill`),
-    /// coded shares re-attach to surviving fragment holders or kill
-    /// their whole stream, and replicated streams keep the exact
-    /// per-policy semantics of the plain path.
-    fn on_down_coded(&mut self, at: SimTime, server: ServerId, ct: &EngineCounters) {
-        let mut extracted = std::mem::take(&mut self.extract_scratch);
-        self.departures
-            .extract_active_into(server, self.links.epoch(server), &mut extracted);
-        let dropped = self.links.fail(server) as u64;
-        if let Some(c) = self.controller.as_mut() {
-            c.on_failure(
-                at,
-                server,
-                self.metrics.per_video_arrivals(),
-                &mut self.links,
-                &mut self.dispatcher,
-            );
-        }
         let (mut disrupted, mut resumed, mut degraded, mut live) = (0u64, 0u64, 0u64, 0u64);
         for d in extracted.drain(..) {
-            if d.stream != NO_STREAM {
-                if !stream_live(&self.coded, d.stream) {
-                    // Share of an already-killed stream: its bandwidth
-                    // was released at kill time (it is not in `dropped`).
-                    continue;
-                }
-                live += 1;
-                if self.failover != FailoverPolicy::Kill && self.reattach_share(&d, server) {
-                    resumed += 1;
-                } else {
-                    self.kill_coded_stream(at, &d, server);
-                    disrupted += 1;
-                }
+            if d.stream != NO_STREAM && !stream_live(&self.coded, d.stream) {
+                // Share of an already-killed stream: its bandwidth was
+                // released at kill time (it is not in `dropped`).
                 continue;
             }
             live += 1;
-            if self.failover == FailoverPolicy::Kill {
-                // Unconditional kill, goodput-uncharged — the documented
-                // kill-path simplification; re-queue so any backbone
-                // reservation is reclaimed at the scheduled end.
-                disrupted += 1;
-                self.departures.push(d);
+            if d.stream != NO_STREAM {
+                if self.fail_over_share(at, &d, server) {
+                    resumed += 1;
+                } else {
+                    disrupted += 1;
+                }
                 continue;
             }
             match self.rescue_stream(at, &d, server) {
@@ -1689,25 +1583,24 @@ impl RunState<'_> {
                 Rescued::Degraded => degraded += 1,
                 Rescued::No => {
                     disrupted += 1;
-                    self.metrics.on_undelivered(d.kbps, (d.at - at).ticks());
+                    // Under `Kill` goodput-uncharged — the documented
+                    // kill-path simplification.
+                    if self.failover != FailoverPolicy::Kill {
+                        self.metrics.on_undelivered(d.kbps, (d.at - at).ticks());
+                    }
+                    // Re-queue unchanged: the stale epoch means no link
+                    // release at pop time, but any backbone reservation
+                    // is still reclaimed at the scheduled end.
                     self.departures.push(d);
                 }
             }
         }
-        debug_assert_eq!(dropped, live);
+        debug_assert!(!extract || live == dropped);
+        disrupted += dropped - live;
         self.extract_scratch = extracted;
-        if disrupted > 0 {
-            ct.disrupted.add(disrupted);
-            self.metrics.on_disrupted(disrupted);
-        }
-        if resumed > 0 {
-            ct.resumed.add(resumed);
-            self.metrics.on_resumed(resumed);
-        }
-        if degraded > 0 {
-            ct.degraded.add(degraded);
-            self.metrics.on_degraded(degraded);
-        }
+        self.metrics.on_disrupted(disrupted);
+        self.metrics.on_resumed(resumed);
+        self.metrics.on_degraded(degraded);
     }
 
     /// Server recovery: restore the link, then let the repair controller
@@ -1733,14 +1626,17 @@ impl RunState<'_> {
             .max_by_key(|&h| (self.links.free_kbps(h), std::cmp::Reverse(h)))
     }
 
-    /// Tries to continue one of a failed server's streams elsewhere: at
-    /// full rate on the best surviving holder, or — under
-    /// [`FailoverPolicy::ResumeOrDegrade`] — stepping down
-    /// [`BitRate::LADDER`] until some rate fits somewhere. The rescued
-    /// stream keeps its original departure instant (remaining-duration
-    /// bandwidth is charged to the new server) and carries any backbone
-    /// reservation along.
+    /// Tries to continue one of a failed server's streams elsewhere
+    /// (never under [`FailoverPolicy::Kill`]): at full rate on the best
+    /// surviving holder, or — under [`FailoverPolicy::ResumeOrDegrade`] —
+    /// stepping down [`BitRate::LADDER`] until some rate fits somewhere.
+    /// The rescued stream keeps its original departure instant
+    /// (remaining-duration bandwidth is charged to the new server) and
+    /// carries any backbone reservation along.
     fn rescue_stream(&mut self, at: SimTime, d: &Departure, failed: ServerId) -> Rescued {
+        if self.failover == FailoverPolicy::Kill {
+            return Rescued::No;
+        }
         if let Some(h) = self.best_holder(d.video, failed, d.kbps) {
             self.links.admit(h, d.kbps);
             self.departures.push(Departure {

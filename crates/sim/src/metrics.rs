@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use vod_model::load;
+use vod_telemetry::{Histogram, Telemetry};
 use vod_workload::stats;
 
 /// One recorded load snapshot (when series recording is enabled).
@@ -34,7 +35,7 @@ pub struct MetricsCollector {
     retried: u64,
     abandoned: u64,
     degraded_served: u64,
-    wait_times_min: Vec<f64>,
+    waits: WaitLog,
     /// Offered traffic in exact `kbps·seconds` (integer so shard merges
     /// are order-independent); converted to `kbps·minutes` once, in
     /// [`MetricsCollector::finish`].
@@ -86,7 +87,7 @@ impl MetricsCollector {
             retried: 0,
             abandoned: 0,
             degraded_served: 0,
-            wait_times_min: Vec::new(),
+            waits: WaitLog::default(),
             offered_kbps_s: 0,
             delivered_kbps_s: 0,
             undelivered_kbps_ticks: 0,
@@ -183,9 +184,21 @@ impl MetricsCollector {
         self.degraded_served += 1;
     }
 
-    /// Records the wait of a request served after queueing, in minutes.
+    /// Records the wait of an admitted request, in minutes: every
+    /// admission is recorded, an immediate one as 0.
     pub fn on_wait(&mut self, wait_min: f64) {
-        self.wait_times_min.push(wait_min);
+        self.waits.push(wait_min);
+    }
+
+    /// Observes every admitted request's wait into `histogram`: the
+    /// immediate admissions as one batch, then the rest in admission
+    /// order (adding `+0.0` never moves a non-negative float sum, so the
+    /// histogram's sum is the one per-admission observation gives).
+    pub(crate) fn observe_waits(&self, histogram: &Histogram) {
+        histogram.observe_n(0.0, self.waits.zeros);
+        for &w in &self.waits.waited {
+            histogram.observe(w);
+        }
     }
 
     /// Adds `kbps × seconds` of *offered* traffic (each arrival's full
@@ -314,7 +327,8 @@ impl MetricsCollector {
         self.retried += other.retried;
         self.abandoned += other.abandoned;
         self.degraded_served += other.degraded_served;
-        self.wait_times_min.extend(other.wait_times_min);
+        self.waits.zeros += other.waits.zeros;
+        self.waits.waited.extend(other.waits.waited);
         self.offered_kbps_s += other.offered_kbps_s;
         self.delivered_kbps_s += other.delivered_kbps_s;
         self.undelivered_kbps_ticks += other.undelivered_kbps_ticks;
@@ -358,8 +372,11 @@ impl MetricsCollector {
 
     /// Finalizes into an immutable report. `horizon_min` is the simulated
     /// peak-period length.
-    pub fn finish(self, horizon_min: f64) -> SimReport {
+    pub fn finish(mut self, horizon_min: f64) -> SimReport {
         let n = self.imbalance_samples.max(1) as f64;
+        // The mean sums in admission order, so it goes before the sort.
+        let mean_wait_min = self.waits.mean();
+        let [wait_p50_min, wait_p95_min] = self.waits.percentiles([0.50, 0.95]);
         SimReport {
             arrivals: self.arrivals,
             admitted: self.admitted,
@@ -372,9 +389,9 @@ impl MetricsCollector {
             retried: self.retried,
             abandoned: self.abandoned,
             degraded_served: self.degraded_served,
-            mean_wait_min: stats::sample_mean(&self.wait_times_min),
-            wait_p50_min: stats::percentile(&self.wait_times_min, 0.50),
-            wait_p95_min: stats::percentile(&self.wait_times_min, 0.95),
+            mean_wait_min,
+            wait_p50_min,
+            wait_p95_min,
             goodput: if self.offered_kbps_s > 0 {
                 let offered_kbps_min = self.offered_kbps_s as f64 / 60.0;
                 let delivered_kbps_min = self.delivered_kbps_s as f64 / 60.0
@@ -418,6 +435,67 @@ impl MetricsCollector {
     }
 }
 
+/// Waits of admitted requests, minutes. Immediate admissions (an exact
+/// `+0.0` wait) are only counted and the rest kept in admission order,
+/// so storage grows with the requests that actually waited, never with
+/// the trace.
+#[derive(Debug, Clone, Default)]
+struct WaitLog {
+    /// Admissions that waited exactly `+0.0`.
+    zeros: u64,
+    /// Every other wait, in admission order.
+    waited: Vec<f64>,
+}
+
+impl WaitLog {
+    fn push(&mut self, wait_min: f64) {
+        if wait_min == 0.0 && wait_min.is_sign_positive() {
+            self.zeros += 1;
+        } else {
+            self.waited.push(wait_min);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.zeros as usize + self.waited.len()
+    }
+
+    /// [`stats::sample_mean`] of the full log. A `+0.0` term leaves a
+    /// running float sum unchanged unless that sum is the empty sum's
+    /// `-0.0`, so the zeros only decide where the sum starts.
+    fn mean(&self) -> f64 {
+        if self.len() == 0 {
+            return 0.0;
+        }
+        let sum = if self.zeros == 0 {
+            self.waited.iter().sum::<f64>()
+        } else {
+            self.waited.iter().fold(0.0, |acc, &w| acc + w)
+        };
+        sum / self.len() as f64
+    }
+
+    /// [`stats::percentile`] of the full log at each of `qs`, from one
+    /// sort (in place, so after [`WaitLog::mean`]) of the non-zero
+    /// waits: in sorted order the zeros sit right after the waits below
+    /// `+0.0`.
+    fn percentiles<const Q: usize>(&mut self, qs: [f64; Q]) -> [f64; Q] {
+        self.waited.sort_by(|a, b| a.total_cmp(b));
+        let below = self.waited.partition_point(|w| w.total_cmp(&0.0).is_lt());
+        let zeros = self.zeros as usize;
+        let at = |i: usize| {
+            if i < below {
+                self.waited[i]
+            } else if i < below + zeros {
+                0.0
+            } else {
+                self.waited[i - zeros]
+            }
+        };
+        qs.map(|q| stats::sorted_percentile(self.len(), q, at))
+    }
+}
+
 /// The outcome of one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
@@ -454,14 +532,15 @@ pub struct SimReport {
     /// `QueueOrDegrade` policy.
     #[serde(default)]
     pub degraded_served: u64,
-    /// Mean wait of queued-then-served requests, minutes (0 when no
-    /// request waited).
+    /// Mean wait of admitted requests, minutes; an immediate admission
+    /// waits 0 (0 when nothing was admitted).
     #[serde(default)]
     pub mean_wait_min: f64,
-    /// Median wait of queued-then-served requests, minutes.
+    /// Median wait of admitted requests (immediate ones as 0), minutes.
     #[serde(default)]
     pub wait_p50_min: f64,
-    /// 95th-percentile wait of queued-then-served requests, minutes.
+    /// 95th-percentile wait of admitted requests (immediate ones as 0),
+    /// minutes.
     #[serde(default)]
     pub wait_p95_min: f64,
     /// Delivered ÷ offered `kbps·minutes`: the fraction of requested
@@ -546,6 +625,32 @@ pub struct SimReport {
 }
 
 impl SimReport {
+    /// Adds the report's outcome counts to `telemetry`'s `sim.*`
+    /// counters — the part of a run's instruments the report alone
+    /// determines (see [`crate::Simulation::run_with_telemetry`]).
+    pub(crate) fn publish_counters(&self, telemetry: &Telemetry) {
+        for (name, n) in [
+            ("sim.arrivals", self.arrivals),
+            ("sim.admitted", self.admitted),
+            ("sim.rejected", self.rejected),
+            ("sim.redirected", self.redirected),
+            ("sim.disrupted", self.disrupted),
+            ("sim.streams.resumed", self.resumed),
+            ("sim.streams.degraded", self.degraded),
+            ("sim.admission.queued", self.queued),
+            ("sim.admission.retried", self.retried),
+            ("sim.admission.abandoned", self.abandoned),
+            ("sim.admission.degraded", self.degraded_served),
+        ] {
+            telemetry.counter(name).add(n);
+        }
+        if self.brownout_active_min > 0.0 {
+            telemetry
+                .counter("sim.brownout.active_min")
+                .add(self.brownout_active_min.ceil() as u64);
+        }
+    }
+
     /// Conservation check: every arrival ended exactly once — admitted
     /// (possibly degraded), finally rejected, or abandoned after
     /// queueing. `abandoned` is zero under the default `Block` policy,
@@ -731,6 +836,71 @@ mod tests {
         assert_eq!(r.peak_concurrent_streams, 10);
         // Integral: 2*1 (0->1 with load 2) + 10*1 + 0*1 = 12; /3 = 4.
         assert!((r.mean_concurrent_streams - 4.0).abs() < 1e-12);
+    }
+
+    /// Replays `waits` through a collector's wait log and checks mean,
+    /// p50 and p95 bit for bit against the statistics of the full list,
+    /// and the histogram observations against one `observe` per wait.
+    fn check_wait_log(waits: &[f64]) {
+        let mut c = MetricsCollector::new(1);
+        for &w in waits {
+            c.on_wait(w);
+        }
+        let telemetry = Telemetry::enabled();
+        let (each, batched) = (telemetry.histogram("each"), telemetry.histogram("batched"));
+        waits.iter().for_each(|&w| each.observe(w));
+        c.observe_waits(&batched);
+        assert_eq!(each.stats(), batched.stats(), "{waits:?}");
+        let r = c.finish(90.0);
+        let want = [
+            stats::sample_mean(waits),
+            stats::percentile(waits, 0.50),
+            stats::percentile(waits, 0.95),
+        ];
+        let got = [r.mean_wait_min, r.wait_p50_min, r.wait_p95_min];
+        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{waits:?}");
+    }
+
+    #[test]
+    fn wait_log_edge_cases_match_full_list_statistics() {
+        check_wait_log(&[]);
+        check_wait_log(&[0.0]);
+        check_wait_log(&[2.5]);
+        check_wait_log(&[0.0; 7]);
+        check_wait_log(&[1.5, 0.0, 1.5, 1.5, 0.0]);
+        check_wait_log(&[-0.0, 0.0, -0.0]);
+        check_wait_log(&[-0.0]);
+        check_wait_log(&[0.0, -1.0, 3.0, -0.0, 0.0]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Random wait lists — empty, single, all-zero, heavily tied,
+        /// signed zeros and negatives included — summarize exactly as
+        /// the statistics of the full list.
+        #[test]
+        fn wait_log_matches_full_list_statistics(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let len = rng.gen_range(0..40usize);
+            let zero_share = [0.0, 0.5, 0.9, 1.0][rng.gen_range(0..4usize)];
+            let waits: Vec<f64> = (0..len)
+                .map(|_| {
+                    if rng.gen_bool(zero_share) {
+                        0.0
+                    } else {
+                        match rng.gen_range(0..5u32) {
+                            0 => 0.75,
+                            1 => -0.0,
+                            2 => -rng.gen_range(0.0..5.0f64),
+                            _ => rng.gen_range(0.0..30.0),
+                        }
+                    }
+                })
+                .collect();
+            check_wait_log(&waits);
+        }
     }
 
     #[test]

@@ -109,9 +109,9 @@ impl<'a> StripedSimulation<'a> {
     }
 
     /// [`StripedSimulation::run`], recording the run's `sim.*`
-    /// instruments into `telemetry`. The striped replay has no per-event
-    /// dispatch to hook, so the counters are derived from the final
-    /// report; the `sim.run` span still times the whole replay.
+    /// instruments into `telemetry`: the outcome counters are published
+    /// once from the finished report, as the replicated engine publishes
+    /// its report-derived half; the `sim.run` span times the replay.
     pub fn run_with_telemetry(
         &self,
         trace: &Trace,
@@ -120,10 +120,7 @@ impl<'a> StripedSimulation<'a> {
         let span = telemetry.span("sim.run");
         let report = self.run(trace)?;
         drop(span);
-        telemetry.counter("sim.arrivals").add(report.arrivals);
-        telemetry.counter("sim.admitted").add(report.admitted);
-        telemetry.counter("sim.rejected").add(report.rejected);
-        telemetry.counter("sim.disrupted").add(report.disrupted);
+        report.publish_counters(telemetry);
         Ok(report)
     }
 

@@ -35,13 +35,6 @@ pub use manifest::{ManifestWriter, PhaseTiming, RunRecord};
 /// in `[2^(i-1), 2^i)`, with bucket 0 catching everything below 1).
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-/// Per-shard engine instruments (see [`Telemetry::shard_counter`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardInstrument {
-    /// Events processed by one engine shard (`sim.shard.events.NN`).
-    Events,
-}
-
 /// Highest individually named shard index; shards beyond this fold into
 /// the last slot (counter names are `&'static str`, so the table is
 /// fixed-size).
@@ -137,18 +130,14 @@ impl Telemetry {
         }
     }
 
-    /// The per-shard counter for `what` on shard index `shard`. Names
-    /// follow `sim.shard.<what>.NN`; indices at or beyond
-    /// [`MAX_NAMED_SHARDS`] fold into the last named slot, so totals
-    /// stay exact however many shards a run uses. Comparisons across
-    /// runs with different shard counts should exclude the
-    /// `sim.shard.` prefix — the per-shard split is topology-dependent
-    /// by design.
-    pub fn shard_counter(&self, what: ShardInstrument, shard: usize) -> Counter {
-        let names = match what {
-            ShardInstrument::Events => &SHARD_EVENTS,
-        };
-        self.counter(names[shard.min(MAX_NAMED_SHARDS - 1)])
+    /// The event counter of engine shard `shard`, named
+    /// `sim.shard.events.NN`; indices at or beyond [`MAX_NAMED_SHARDS`]
+    /// fold into the last named slot, so totals stay exact however many
+    /// shards a run uses. Comparisons across runs with different shard
+    /// counts should exclude the `sim.shard.` prefix — the per-shard
+    /// split is topology-dependent by design.
+    pub fn shard_events(&self, shard: usize) -> Counter {
+        self.counter(SHARD_EVENTS[shard.min(MAX_NAMED_SHARDS - 1)])
     }
 
     /// Freezes all instruments into plain maps. Returns an empty
@@ -192,12 +181,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// A detached no-op counter (equivalent to one from a disabled
-    /// handle); useful as a default field value.
-    pub fn noop() -> Self {
-        Counter::default()
-    }
-
     /// Adds 1.
     #[inline]
     pub fn inc(&self) {
@@ -256,17 +239,18 @@ fn bucket_index(value: f64) -> usize {
 }
 
 impl HistogramCell {
-    fn observe(&self, value: f64) {
-        if !value.is_finite() {
+    fn observe(&self, value: f64, n: u64) {
+        if !value.is_finite() || n == 0 {
             return;
         }
         let mut data = self.inner.lock();
-        data.count += 1;
-        data.sum += value;
+        data.count += n;
+        for _ in 0..n {
+            data.sum += value;
+        }
         data.min = data.min.min(value);
         data.max = data.max.max(value);
-        let idx = bucket_index(value);
-        data.buckets[idx] += 1;
+        data.buckets[bucket_index(value)] += n;
     }
 
     fn stats(&self) -> HistogramStats {
@@ -291,8 +275,14 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn observe(&self, value: f64) {
+        self.observe_n(value, 1);
+    }
+
+    /// Records `n` observations of `value` under one lock, with exactly
+    /// the stats of `n` calls to [`Histogram::observe`].
+    pub fn observe_n(&self, value: f64, n: u64) {
         if let Some(cell) = &self.cell {
-            cell.observe(value);
+            cell.observe(value, n);
         }
     }
 
@@ -419,6 +409,20 @@ mod tests {
     }
 
     #[test]
+    fn observe_n_matches_repeated_observe() {
+        let telemetry = Telemetry::enabled();
+        let (one, many) = (telemetry.histogram("one"), telemetry.histogram("many"));
+        for (value, n) in [(0.1, 3), (0.0, 5), (7.0, 1), (2.5, 0)] {
+            for _ in 0..n {
+                one.observe(value);
+            }
+            many.observe_n(value, n);
+        }
+        assert_eq!(one.stats(), many.stats());
+        assert_eq!(many.stats().count, 9);
+    }
+
+    #[test]
     fn histogram_ignores_non_finite() {
         let telemetry = Telemetry::enabled();
         let h = telemetry.histogram("h");
@@ -484,15 +488,11 @@ mod tests {
     #[test]
     fn shard_counters_are_named_and_folded() {
         let telemetry = Telemetry::enabled();
-        telemetry.shard_counter(ShardInstrument::Events, 0).add(3);
-        telemetry.shard_counter(ShardInstrument::Events, 7).add(5);
+        telemetry.shard_events(0).add(3);
+        telemetry.shard_events(7).add(5);
         // Indices past the named table fold into the last slot.
-        telemetry
-            .shard_counter(ShardInstrument::Events, MAX_NAMED_SHARDS + 9)
-            .add(2);
-        telemetry
-            .shard_counter(ShardInstrument::Events, MAX_NAMED_SHARDS - 1)
-            .add(1);
+        telemetry.shard_events(MAX_NAMED_SHARDS + 9).add(2);
+        telemetry.shard_events(MAX_NAMED_SHARDS - 1).add(1);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("sim.shard.events.00"), 3);
         assert_eq!(snap.counter("sim.shard.events.07"), 5);

@@ -56,20 +56,27 @@ pub fn ci95_half_width(xs: &[f64]) -> f64 {
 /// order statistics (the common "type 7" estimator). Sorts a copy; 0 for
 /// an empty sample. Non-finite entries are rejected by debug assertion.
 pub fn percentile(xs: &[f64], q: f64) -> f64 {
-    debug_assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-    if xs.is_empty() {
-        return 0.0;
-    }
     let mut sorted = xs.to_vec();
     sorted.sort_by(|a, b| a.total_cmp(b));
-    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    sorted_percentile(sorted.len(), q, |i| sorted[i])
+}
+
+/// [`percentile`] of a sample of `n` values already in ascending
+/// `total_cmp` order, read through `at(i)` — for samples that are not
+/// stored as one slice.
+pub fn sorted_percentile(n: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
+    debug_assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
+    if n == 0 {
+        return 0.0;
+    }
+    let pos = q.clamp(0.0, 1.0) * (n - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        at(lo) * (1.0 - frac) + at(hi) * frac
     }
 }
 

@@ -517,7 +517,8 @@ const GOLDEN_DRIFT: &str = r#"{"arrivals":2970,"admitted":2858,"rejected":112,"r
 /// degree-1.6 storage, drifting demand with two flash crowds at 85 % of
 /// capacity, the controller on a 1-min tick, metered 200 Mbps repair,
 /// exponential faults, resume failover and least-loaded dispatch.
-fn drift_golden_run(shards: usize) -> vod_sim::SimReport {
+/// Instruments record into `telemetry`.
+fn drift_golden_run(shards: usize, telemetry: &vod_telemetry::Telemetry) -> vod_sim::SimReport {
     use vod_experiments::config::PaperSetup;
     use vod_experiments::runner::{build_plan, Combo};
     use vod_sim::ControllerConfig;
@@ -576,14 +577,14 @@ fn drift_golden_run(shards: usize) -> vod_sim::SimReport {
         config,
     )
     .unwrap()
-    .run(&trace)
+    .run_with_telemetry(&trace, telemetry)
     .unwrap()
 }
 
 #[test]
 fn controller_golden_holds_at_one_and_eight_shards() {
     for shards in [1, 8] {
-        let r = drift_golden_run(shards);
+        let r = drift_golden_run(shards, &vod_telemetry::Telemetry::disabled());
         // The controller only demotes to fund a raise once the free
         // slots are spent, so demotions prove the slot budget filled up.
         assert!(r.controller_demotions > 0 && r.controller_retired > 0);
@@ -918,3 +919,238 @@ fn coded_layout_survives_failures_end_to_end() {
         "coded runs must be shard-invariant"
     );
 }
+
+/// The deterministic part of a telemetry snapshot, one line per
+/// instrument: every counter's value, every histogram's observation
+/// count, and sum/min/max of the histograms that observe simulation
+/// figures rather than wall-clock times.
+fn telemetry_fingerprint(snap: &vod_telemetry::Snapshot) -> String {
+    const SIMULATED: [&str; 3] = [
+        "sim.admission.wait_min_pctl",
+        "sim.queue.peak_len",
+        "sim.repair.time_to_redundancy_min",
+    ];
+    let mut lines: Vec<String> = snap
+        .counters
+        .iter()
+        .map(|(name, v)| format!("counter {name} {v}"))
+        .collect();
+    for (name, h) in &snap.histograms {
+        let mut line = format!("histogram {name} count={}", h.count);
+        if SIMULATED.contains(&name.as_str()) {
+            line += &format!(" sum={:?} min={:?} max={:?}", h.sum, h.min, h.max);
+        }
+        lines.push(line);
+    }
+    lines.join("\n")
+}
+
+/// A (2, 1)-coded catalog under crashes *and* brownouts with coded
+/// repair, degrading failover and a queueing admission pipeline with
+/// retries, loaded hard enough that every one of those layers acts.
+fn coded_overload_run(shards: usize, telemetry: &vod_telemetry::Telemetry) -> vod_sim::SimReport {
+    use vod_model::redundancy::{RedundancyMap, RedundancyScheme};
+    use vod_placement::place_coded;
+
+    let catalog = Catalog::paper_default(40).unwrap();
+    let cluster = ClusterSpec::paper_default(30);
+    let map = RedundancyMap::uniform(40, RedundancyScheme::Coded { k: 2, m: 1 }).unwrap();
+    let layout = place_coded(cluster.len(), &[], &map).unwrap();
+    let pop = Popularity::zipf(40, 1.0).unwrap();
+    let trace = TraceGenerator::new(45.0, &pop, 90.0)
+        .unwrap()
+        .generate(&mut ChaCha8Rng::seed_from_u64(0xC0DED));
+    let config = SimConfig {
+        policy: AdmissionPolicy::RoundRobinFailover,
+        failure_model: Some(FailureModel {
+            brownouts: Some(BrownoutModel {
+                mtbf_min: 40.0,
+                mttr_min: 12.0,
+                min_capacity_frac: 0.3,
+                max_capacity_frac: 0.7,
+            }),
+            ..FailureModel::exponential(60.0, 12.0, 0xF00D)
+        }),
+        repair: RepairConfig {
+            bandwidth_kbps: 80_000,
+            max_concurrent: 8,
+        },
+        failover: FailoverPolicy::ResumeOrDegrade,
+        admission: AdmissionConfig {
+            policy: QueuePolicy::QueueOrDegrade { patience_min: 1.0 },
+            max_retries: 2,
+            ..AdmissionConfig::default()
+        },
+        audit: true,
+        shards,
+        ..SimConfig::default()
+    };
+    Simulation::new(&catalog, &cluster, &layout, config)
+        .unwrap()
+        .run_with_telemetry(&trace, telemetry)
+        .unwrap()
+}
+
+#[test]
+fn counter_goldens_hold_at_one_and_eight_shards() {
+    use vod_telemetry::Telemetry;
+    for shards in [1, 8] {
+        let telemetry = Telemetry::enabled();
+        drift_golden_run(shards, &telemetry);
+        assert_eq!(
+            telemetry_fingerprint(&telemetry.snapshot()),
+            GOLDEN_COUNTERS_DRIFT,
+            "drift scenario, shards = {shards}"
+        );
+
+        let telemetry = Telemetry::enabled();
+        let r = coded_overload_run(shards, &telemetry);
+        assert!(r.queued > 0 && r.retried > 0 && r.abandoned > 0 && r.degraded_served > 0);
+        assert!(r.brownout_active_min > 0.0 && r.disrupted > 0 && r.resumed > 0);
+        assert!(r.wait_p95_min > 0.0);
+        assert_eq!(
+            telemetry_fingerprint(&telemetry.snapshot()),
+            GOLDEN_COUNTERS_CODED,
+            "coded overload scenario, shards = {shards}"
+        );
+    }
+}
+
+#[test]
+fn concurrent_runs_sharing_one_telemetry_count_events_exactly() {
+    // Replications split over two threads that record into one shared
+    // registry (as the experiment runner does) must publish exactly
+    // what the same runs publish on one thread, and `sim.events` must
+    // stay the sum of its six parts.
+    use std::sync::Barrier;
+    use vod_telemetry::{Snapshot, Telemetry};
+    const RUNS: u64 = 64;
+    let (p, plan, _) = golden_scenario();
+    let traces: Vec<_> = (0..RUNS)
+        .map(|seed| {
+            TraceGenerator::new(45.0, p.popularity(), 90.0)
+                .unwrap()
+                .generate(&mut ChaCha8Rng::seed_from_u64(0x5EED + seed))
+        })
+        .collect();
+    let config = SimConfig {
+        failures: outage_at(2, 20.0, Some(50.0)),
+        admission: AdmissionConfig {
+            policy: QueuePolicy::Queue { patience_min: 1.0 },
+            max_retries: 1,
+            ..AdmissionConfig::default()
+        },
+        ..SimConfig::default()
+    };
+    let sim = Simulation::new(p.catalog(), p.cluster(), &plan.layout, config).unwrap();
+    // With a barrier, the two threads start each of their runs together,
+    // so every shared-handle run overlaps the other thread's.
+    let run_all =
+        |traces: &[vod_workload::Trace], telemetry: &Telemetry, barrier: Option<&Barrier>| {
+            for trace in traces {
+                if let Some(barrier) = barrier {
+                    barrier.wait();
+                }
+                sim.run_with_telemetry(trace, telemetry).unwrap();
+            }
+        };
+    let parts = |snap: &Snapshot| {
+        [
+            "sim.arrivals",
+            "sim.departures",
+            "sim.transitions",
+            "sim.samples",
+            "sim.admission.retried",
+            "sim.admission.abandoned",
+        ]
+        .iter()
+        .map(|name| snap.counter(name))
+        .sum::<u64>()
+    };
+
+    let serial = Telemetry::enabled();
+    run_all(&traces, &serial, None);
+    let serial = serial.snapshot();
+    let shared = Telemetry::enabled();
+    let barrier = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for half in traces.chunks(traces.len() / 2) {
+            let (shared, barrier) = (&shared, &barrier);
+            scope.spawn(move || run_all(half, shared, Some(barrier)));
+        }
+    });
+    let shared = shared.snapshot();
+
+    assert!(serial.counter("sim.transitions") > 0 && serial.counter("sim.admission.retried") > 0);
+    assert!(serial.counter("sim.admission.abandoned") > 0);
+    assert_eq!(serial.counter("sim.events"), parts(&serial));
+    assert_eq!(shared.counter("sim.events"), parts(&shared));
+    assert_eq!(shared.counters, serial.counters);
+}
+
+/// [`telemetry_fingerprint`] of the [`drift_golden_run`] scenario: the
+/// instrument names and values one run publishes, pinned.
+const GOLDEN_COUNTERS_DRIFT: &str = "\
+counter sim.admission.abandoned 0
+counter sim.admission.degraded 0
+counter sim.admission.queued 0
+counter sim.admission.retried 0
+counter sim.admission_probes 14687
+counter sim.admitted 2858
+counter sim.arrivals 2970
+counter sim.controller.backoffs 50
+counter sim.controller.bytes_copied 234900000000
+counter sim.controller.copies 87
+counter sim.controller.demotions 22
+counter sim.controller.promotions 37
+counter sim.controller.retired 52
+counter sim.controller.ticks 90
+counter sim.departures 2858
+counter sim.disrupted 127
+counter sim.events 5925
+counter sim.redirected 0
+counter sim.rejected 112
+counter sim.repair.bytes_copied 5400000000
+counter sim.repair.copies 2
+counter sim.samples 91
+counter sim.streams.degraded 0
+counter sim.streams.resumed 422
+counter sim.transitions 6
+histogram sim.admission.wait_min_pctl count=2858 sum=0.0 min=0.0 max=0.0
+histogram sim.engine.bytes_per_active_stream count=1
+histogram sim.engine.events_per_sec count=1
+histogram sim.queue.peak_len count=1 sum=2858.0 min=2858.0 max=2858.0
+histogram sim.repair.time_to_redundancy_min count=1 sum=87.0 min=87.0 max=87.0
+histogram sim.run count=1";
+
+/// [`telemetry_fingerprint`] of the [`coded_overload_run`] scenario.
+const GOLDEN_COUNTERS_CODED: &str = "\
+counter sim.admission.abandoned 613
+counter sim.admission.degraded 5
+counter sim.admission.queued 2023
+counter sim.admission.retried 1318
+counter sim.admission_probes 0
+counter sim.admitted 3346
+counter sim.arrivals 3959
+counter sim.brownout.active_min 91
+counter sim.coded.degraded_reads 3084
+counter sim.coded.shares_reattached 2213
+counter sim.departures 4272
+counter sim.disrupted 1902
+counter sim.events 10282
+counter sim.redirected 0
+counter sim.rejected 0
+counter sim.repair.bytes_copied 81000000000
+counter sim.repair.coded.bytes 162000000000
+counter sim.repair.coded.reconstructions 60
+counter sim.repair.copies 60
+counter sim.samples 91
+counter sim.streams.degraded 0
+counter sim.streams.resumed 2213
+counter sim.transitions 29
+histogram sim.admission.wait_min_pctl count=3346 sum=455.1902166666666 min=0.0 max=12.224183333333333
+histogram sim.engine.bytes_per_active_stream count=1
+histogram sim.engine.events_per_sec count=1
+histogram sim.queue.peak_len count=1 sum=5213.0 min=5213.0 max=5213.0
+histogram sim.repair.time_to_redundancy_min count=1 sum=46.09063333333333 min=46.09063333333333 max=46.09063333333333
+histogram sim.run count=1";
