@@ -32,10 +32,11 @@
 //!             documented ceiling
 //!   perf-smoke  pinned-size throughput measurements (fixed seeds):
 //!               simulator events/sec on the paper world (N = 8,
-//!               M = 200), annealer SA steps/sec, sharded, coupled and
-//!               controller-driven events/sec on tiled pod worlds,
-//!               streaming-generation requests/sec and streaming-engine
-//!               events/sec; prints one machine-readable PERF_SMOKE line
+//!               M = 200), annealer SA steps/sec, sharded (trace and
+//!               streamed), coupled and controller-driven events/sec
+//!               on tiled pod worlds, streaming-generation requests/sec
+//!               and streaming-engine events/sec; prints one
+//!               machine-readable PERF_SMOKE line
 //!
 //! flags:
 //!   --shards N      engine shards per simulation (default 1; runs whose
@@ -65,15 +66,18 @@ use vod_experiments::{
     overload, quality, recovery, sa, sa_multirate, scale, striping,
 };
 use vod_model::{
-    BitRate, Catalog, ClusterSpec, Layout, ObjectiveWeights, Popularity, RedundancyScheme,
-    ServerId, ServerSpec, VideoId,
+    BitRate, Catalog, ClusterSpec, Layout, ModelError, ObjectiveWeights, Popularity,
+    RedundancyScheme, ServerId, ServerSpec, VideoId,
 };
 use vod_sim::{
     AdmissionPolicy, ControllerConfig, FailoverPolicy, FailureModel, RepairConfig, SimConfig,
-    Simulation,
+    SimReport, Simulation,
 };
 use vod_telemetry::{ManifestWriter, RunRecord, Telemetry};
-use vod_workload::{ArrivalSource, DriftingWorkload, FlashCrowd, Request, Trace};
+use vod_workload::{
+    ArrivalSource, DiurnalCycle, DriftingWorkload, FlashCrowd, RateModel, RatePulse, Request,
+    ThinnedWorkload, Trace,
+};
 
 #[derive(Debug)]
 struct Args {
@@ -369,33 +373,79 @@ fn manifest_record(
     record
 }
 
-/// Sharded-engine throughput measurement for the perf smoke: a
+/// One perf-smoke engine measurement: `(events, secs, events_per_sec)`.
+type Rate = (u64, f64, f64);
+
+/// Sharded-engine throughput measurements for the perf smoke on a
 /// pod-structured world (32 independent pods of 8 servers, every
 /// replica set inside one pod) large enough that the decoupled
-/// parallel path fans out to 8 worker threads. Asserts the shards=1
-/// and shards=8 reports are byte-identical first — the throughput
-/// figure is only meaningful if determinism holds — then measures
-/// events/sec of the sharded engine. Returns
-/// `(events, secs, events_per_sec)`.
-fn par_perf_measurement() -> Result<(u64, f64, f64), Box<dyn std::error::Error>> {
+/// parallel path fans out to 8 worker threads. Two inputs: the world's
+/// materialized trace, and a thinned arrival stream (a 90-minute
+/// diurnal cycle at amplitude 0.5 and a 1.5× premiere pulse, ~19k
+/// requests over the whole catalog) rebuilt for every run as the
+/// engine consumes it, which the decoupled producer pulls once for all
+/// eight workers. Asserts the shards=1 and shards=8 reports are
+/// byte-identical for both inputs first — the throughput figures are
+/// only meaningful if determinism holds — then measures events/sec of
+/// the sharded engine on each. Returns `(events, secs, events_per_sec)`
+/// for the trace, then for the stream.
+fn par_perf_measurements() -> Result<(Rate, Rate), Box<dyn std::error::Error>> {
     const SHARDS: usize = 8;
     let (catalog, cluster, layout, trace) = pods_perf_world()?;
+    let rate = RateModel::constant(200.0)?
+        .with_diurnal(DiurnalCycle {
+            period_min: 90.0,
+            amplitude: 0.5,
+        })?
+        .with_pulses(vec![RatePulse {
+            start_min: 30.0,
+            duration_min: 15.0,
+            multiplier: 1.5,
+        }])?;
+    let workload = ThinnedWorkload::new(rate, Popularity::zipf(catalog.len(), 0.8)?, 90.0)?;
+    let stream = || workload.stream(ChaCha8Rng::seed_from_u64(0x5EED_5EED));
     let cfg = |shards| SimConfig {
         shards,
         ..SimConfig::default()
     };
     let serial = Simulation::new(&catalog, &cluster, &layout, cfg(1))?;
     let sharded = Simulation::new(&catalog, &cluster, &layout, cfg(SHARDS))?;
-    let a = serial.run(&trace)?;
-    let b = sharded.run(&trace)?;
-    if serde_json::to_string(&a)? != serde_json::to_string(&b)? {
-        return Err("perf smoke: sharded report diverged from the serial report".into());
+    assert_same_report(serial.run(&trace)?, sharded.run(&trace)?, "sharded")?;
+    assert_same_report(
+        serial.run_streaming(stream()?)?,
+        sharded.run_streaming(stream()?)?,
+        "streamed sharded",
+    )?;
+    Ok((
+        time_engine_runs(|t| sharded.run_with_telemetry(&trace, t))?,
+        time_engine_runs(|t| sharded.run_streaming_with_telemetry(stream()?, t))?,
+    ))
+}
+
+/// Fails the perf smoke unless the `shards = 1` report `serial` and the
+/// `shards = 8` report `sharded` of one `what` measurement serialize
+/// byte-identically.
+fn assert_same_report(
+    serial: SimReport,
+    sharded: SimReport,
+    what: &str,
+) -> Result<(), Box<dyn std::error::Error>> {
+    if serde_json::to_string(&serial)? != serde_json::to_string(&sharded)? {
+        return Err(format!("perf smoke: {what} report diverged from the serial report").into());
     }
+    Ok(())
+}
+
+/// Repeats `run` (at least twice, for at least half a second) into one
+/// telemetry registry and returns `(events, secs, events_per_sec)`.
+fn time_engine_runs(
+    run: impl Fn(&Telemetry) -> Result<SimReport, ModelError>,
+) -> Result<Rate, Box<dyn std::error::Error>> {
     let telemetry = Telemetry::enabled();
     let started = Instant::now();
     let mut iterations = 0u32;
     while iterations < 2 || started.elapsed().as_secs_f64() < 0.5 {
-        std::hint::black_box(sharded.run_with_telemetry(&trace, &telemetry)?);
+        std::hint::black_box(run(&telemetry)?);
         iterations += 1;
     }
     let secs = started.elapsed().as_secs_f64();
@@ -403,7 +453,7 @@ fn par_perf_measurement() -> Result<(u64, f64, f64), Box<dyn std::error::Error>>
     Ok((events, secs, events as f64 / secs))
 }
 
-/// The pods world both engine-throughput measurements run on: 32
+/// The pods world the sharded and coupled measurements run on: 32
 /// independent pods of 8 servers, every replica set inside one pod,
 /// 10-minute MPEG-2 videos on 40 Mbps links (10 concurrent streams per
 /// server — busy but unsaturated), 20k arrivals spread evenly over the
@@ -454,7 +504,7 @@ fn pods_perf_world() -> Result<(Catalog, ClusterSpec, Layout, Trace), Box<dyn st
 /// Asserts the `shards = 1` and `shards = 8` reports are byte-identical,
 /// then measures events/sec of the `shards = 8` run. Returns
 /// `(events, secs, events_per_sec)`.
-fn coupled_par_perf_measurement() -> Result<(u64, f64, f64), Box<dyn std::error::Error>> {
+fn coupled_par_perf_measurement() -> Result<Rate, Box<dyn std::error::Error>> {
     const SHARDS: usize = 8;
     let (catalog, cluster, layout, trace) = pods_perf_world()?;
     let outage = || {
@@ -484,21 +534,8 @@ fn coupled_par_perf_measurement() -> Result<(u64, f64, f64), Box<dyn std::error:
             ..SimConfig::default()
         },
     )?;
-    let a = serial.run(&trace)?;
-    let b = sharded.run(&trace)?;
-    if serde_json::to_string(&a)? != serde_json::to_string(&b)? {
-        return Err("perf smoke: sharded coupled report diverged from the serial report".into());
-    }
-    let telemetry = Telemetry::enabled();
-    let started = Instant::now();
-    let mut iterations = 0u32;
-    while iterations < 2 || started.elapsed().as_secs_f64() < 0.5 {
-        std::hint::black_box(sharded.run_with_telemetry(&trace, &telemetry)?);
-        iterations += 1;
-    }
-    let secs = started.elapsed().as_secs_f64();
-    let events = telemetry.snapshot().counter("sim.events");
-    Ok((events, secs, events as f64 / secs))
+    assert_same_report(serial.run(&trace)?, sharded.run(&trace)?, "sharded coupled")?;
+    time_engine_runs(|t| sharded.run_with_telemetry(&trace, t))
 }
 
 /// Pods in the drift world of [`drift_perf_measurement`].
@@ -572,7 +609,7 @@ fn drift_perf_world() -> Result<(Catalog, ClusterSpec, Layout, Trace), Box<dyn s
 /// the `shards = 1` and `shards = 8` reports are byte-identical, then
 /// measures events/sec of the `shards = 8` run. Returns
 /// `(events, secs, events_per_sec)`.
-fn drift_perf_measurement() -> Result<(u64, f64, f64), Box<dyn std::error::Error>> {
+fn drift_perf_measurement() -> Result<Rate, Box<dyn std::error::Error>> {
     const SHARDS: usize = 8;
     let (catalog, cluster, layout, trace) = drift_perf_world()?;
     let config = |shards| SimConfig {
@@ -604,19 +641,8 @@ fn drift_perf_measurement() -> Result<(u64, f64, f64), Box<dyn std::error::Error
     if a.controller_copies == 0 || a.controller_demotions == 0 {
         return Err("perf smoke: the drift world's controller never copied or demoted".into());
     }
-    if serde_json::to_string(&a)? != serde_json::to_string(&b)? {
-        return Err("perf smoke: sharded drift report diverged from the serial report".into());
-    }
-    let telemetry = Telemetry::enabled();
-    let started = Instant::now();
-    let mut iterations = 0u32;
-    while iterations < 2 || started.elapsed().as_secs_f64() < 0.5 {
-        std::hint::black_box(sharded.run_with_telemetry(&trace, &telemetry)?);
-        iterations += 1;
-    }
-    let secs = started.elapsed().as_secs_f64();
-    let events = telemetry.snapshot().counter("sim.events");
-    Ok((events, secs, events as f64 / secs))
+    assert_same_report(a, b, "sharded drift")?;
+    time_engine_runs(|t| sharded.run_with_telemetry(&trace, t))
 }
 
 /// One perf-smoke floor: fails when `measured` lands more than 30%
@@ -650,12 +676,12 @@ fn check_floor(
 /// Runs the pinned-size throughput measurements: the paper's cluster
 /// (N = 8, M = 200), zipf+slf plan at degree 1.2, near-capacity load,
 /// fixed seed — plus the SA-1 annealing problem through the
-/// delta-evaluated move engine, the sharded, coupled and controller
-/// pod worlds, and the streaming scale world. Prints one
-/// machine-readable `PERF_SMOKE` line; with `--check`, compares against
-/// a JSON baseline (`{"events_per_sec": X, ...}`, every other floor
-/// optional) and fails when any rate lands more than 30% below its
-/// floor.
+/// delta-evaluated move engine, the sharded (trace and streamed),
+/// coupled and controller pod worlds, and the streaming scale world.
+/// Prints one machine-readable `PERF_SMOKE` line; with `--check`,
+/// compares against a JSON baseline (`{"events_per_sec": X, ...}`,
+/// every other floor optional) and fails when any rate lands more than
+/// 30% below its floor.
 fn perf_smoke(
     metrics: Option<&str>,
     check: Option<&str>,
@@ -729,9 +755,13 @@ fn perf_smoke(
     let sa_secs = sa_started.elapsed().as_secs_f64();
     let sa_steps_per_sec = sa_steps as f64 / sa_secs;
 
-    // Sharded-engine measurement (pods world, shards = 8; byte-identity
-    // against the serial engine is asserted inside).
-    let (par_events, par_secs, par_events_per_sec) = par_perf_measurement()?;
+    // Sharded-engine measurements (pods world on its trace and fed a
+    // thinned stream, shards = 8; byte-identity against the serial
+    // engine is asserted inside).
+    let (
+        (par_events, par_secs, par_events_per_sec),
+        (par_stream_events, par_stream_secs, par_stream_events_per_sec),
+    ) = par_perf_measurements()?;
 
     // Coupled-engine measurement (same world plus an outage, so the
     // serial loop carries the run at shards = 8).
@@ -790,13 +820,16 @@ fn perf_smoke(
          requests_per_sec={requests_per_sec:.0} rejection_rate={rejection_rate:.4} \
          sa_steps={sa_steps} sa_steps_per_sec={sa_steps_per_sec:.0} \
          par_events={par_events} par_events_per_sec={par_events_per_sec:.0} \
+         par_stream_events={par_stream_events} \
+         par_stream_events_per_sec={par_stream_events_per_sec:.0} \
          coupled_par_events={coupled_events} \
          coupled_par_events_per_sec={coupled_events_per_sec:.0} \
          drift_events={drift_events} drift_events_per_sec={drift_events_per_sec:.0} \
          gen_requests={gen_requests} gen_requests_per_sec={gen_requests_per_sec:.0} \
          scale_events={scale_events} scale_events_per_sec={scale_events_per_sec:.0} \
          plan_secs={plan_secs:.3} sim_secs={sim_secs:.3} sa_secs={sa_secs:.3} \
-         par_secs={par_secs:.3} coupled_par_secs={coupled_secs:.3} drift_secs={drift_secs:.3} \
+         par_secs={par_secs:.3} par_stream_secs={par_stream_secs:.3} \
+         coupled_par_secs={coupled_secs:.3} drift_secs={drift_secs:.3} \
          gen_secs={gen_secs:.3} scale_secs={scale_secs:.3} wall_secs={wall_secs:.3}",
         setup.n_servers, setup.n_videos, setup.runs,
     );
@@ -808,6 +841,7 @@ fn perf_smoke(
             .phase("simulate", sim_secs)
             .phase("anneal", sa_secs)
             .phase("par_simulate", par_secs)
+            .phase("par_stream_simulate", par_stream_secs)
             .phase("coupled_par_simulate", coupled_secs)
             .phase("drift_simulate", drift_secs)
             .phase("generate", gen_secs)
@@ -817,6 +851,7 @@ fn perf_smoke(
             // phase).
             .rate("sa_steps_per_sec", sa_steps_per_sec)
             .rate("par_events_per_sec", par_events_per_sec)
+            .rate("par_stream_events_per_sec", par_stream_events_per_sec)
             .rate("coupled_par_events_per_sec", coupled_events_per_sec)
             .rate("drift_events_per_sec", drift_events_per_sec)
             .rate("gen_requests_per_sec", gen_requests_per_sec)
@@ -832,6 +867,8 @@ fn perf_smoke(
             sa_steps_per_sec: Option<f64>,
             #[serde(default)]
             par_events_per_sec: Option<f64>,
+            #[serde(default)]
+            par_stream_events_per_sec: Option<f64>,
             #[serde(default)]
             coupled_par_events_per_sec: Option<f64>,
             #[serde(default)]
@@ -855,6 +892,12 @@ fn perf_smoke(
                 "parallel events/sec",
                 par_events_per_sec,
                 baseline.par_events_per_sec,
+            ),
+            (
+                "_PAR_STREAM",
+                "streamed parallel events/sec",
+                par_stream_events_per_sec,
+                baseline.par_stream_events_per_sec,
             ),
             (
                 "_COUPLED",

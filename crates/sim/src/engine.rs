@@ -28,6 +28,7 @@ use crate::repair::{FailoverPolicy, RepairConfig};
 use crate::server::LinkState;
 use crate::shard::ShardPlan;
 use crate::time::SimTime;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use vod_model::{
     BitRate, Catalog, ClusterSpec, Layout, ModelError, RedundancyMap, ServerId, VideoId,
 };
@@ -249,9 +250,7 @@ impl<'a> Simulation<'a> {
         for r in checked_arrivals(trace.requests().iter().copied()) {
             r?;
         }
-        // Decoupled workers iterate the one shared trace by borrowed
-        // slice — no per-shard request clone.
-        self.run_arrivals(telemetry, || trace.requests().iter().copied().map(Ok))
+        self.run_arrivals(telemetry, trace.requests().iter().copied().map(Ok))
     }
 
     /// Replays a pull-based [`ArrivalSource`] and reports the outcome.
@@ -265,48 +264,35 @@ impl<'a> Simulation<'a> {
     /// to running the materialized trace. A source that breaks the
     /// [`ArrivalSource`] contract (a non-finite, negative or decreasing
     /// arrival time) fails the run with [`ModelError::InvalidParameter`].
-    pub fn run_streaming<S>(&self, source: S) -> Result<SimReport, ModelError>
-    where
-        S: ArrivalSource + Clone + Send + Sync,
-    {
+    pub fn run_streaming<S: ArrivalSource>(&self, source: S) -> Result<SimReport, ModelError> {
         self.run_streaming_with_telemetry(source, &Telemetry::disabled())
     }
 
     /// [`Simulation::run_streaming`] with engine counters and timings
     /// recorded into `telemetry` — the same instrument set as
     /// [`Simulation::run_with_telemetry`].
-    pub fn run_streaming_with_telemetry<S>(
+    pub fn run_streaming_with_telemetry<S: ArrivalSource>(
         &self,
         source: S,
         telemetry: &Telemetry,
-    ) -> Result<SimReport, ModelError>
-    where
-        S: ArrivalSource + Clone + Send + Sync,
-    {
-        // Every pass replays its own clone of the source: the stream is
-        // seed-deterministic, so every clone yields the identical
-        // sequence, and decoupled workers keep O(1) trace memory at
-        // shards× generation CPU. Each pass checks its arrivals as it
-        // pulls them, ahead of any decoupled ownership filter.
-        self.run_arrivals(telemetry, || checked_arrivals(ArrivalIter(source.clone())))
+    ) -> Result<SimReport, ModelError> {
+        // The source is pulled once, on the calling thread, and each
+        // arrival is checked as it is pulled — before the decoupled
+        // producer routes it to a worker.
+        self.run_arrivals(telemetry, checked_arrivals(ArrivalIter(source)))
     }
 
-    /// The body behind every entry point. `arrivals` starts a fresh pass
-    /// over the checked request stream each time it is called: once for
-    /// the serial loop, once per worker on the decoupled path.
-    fn run_arrivals<F, I>(
-        &self,
-        telemetry: &Telemetry,
-        arrivals: F,
-    ) -> Result<SimReport, ModelError>
+    /// The body behind every entry point: runs the checked request
+    /// stream `arrivals` through the serial loop, or routes it to the
+    /// decoupled workers.
+    fn run_arrivals<I>(&self, telemetry: &Telemetry, arrivals: I) -> Result<SimReport, ModelError>
     where
-        F: Fn() -> I + Sync,
         I: Iterator<Item = Result<Request, ModelError>>,
     {
         let span = telemetry.span("sim.run");
         let outcome = match self.decoupled_plan() {
-            Some(plan) => self.run_decoupled(&plan, &arrivals)?,
-            None => self.run_core(arrivals(), false)?,
+            Some(plan) => self.run_decoupled(&plan, arrivals)?,
+            None => self.run_core(arrivals, false)?,
         };
         Ok(self.publish(outcome, telemetry, &span))
     }
@@ -436,66 +422,40 @@ impl<'a> Simulation<'a> {
     /// into the full cluster vector, which feeds the same
     /// [`MetricsCollector::sample_loads`] sequence the serial loop
     /// executes. The result is byte-identical to `shards: 1`.
-    fn run_decoupled<F, I>(
-        &self,
-        plan: &ShardPlan,
-        arrivals: &F,
-    ) -> Result<EngineOutcome, ModelError>
+    ///
+    /// The calling thread is the producer: it pulls `arrivals` once and
+    /// routes each request to its owning worker's inbox (see
+    /// [`route_arrivals`]), so the stream is generated once whatever the
+    /// shard count.
+    fn run_decoupled<I>(&self, plan: &ShardPlan, arrivals: I) -> Result<EngineOutcome, ModelError>
     where
-        F: Fn() -> I + Sync,
         I: Iterator<Item = Result<Request, ModelError>>,
     {
-        // No per-shard request clone: every worker walks the full
-        // arrival stream — a borrowed slice iterator over the shared
-        // trace, or a replayed clone of a streaming source — and keeps
-        // the requests its server group owns. Videos the plan does not
-        // map fall to shard 0, whose engine pass surfaces the same
-        // `UnknownVideo` error the old partition pre-pass raised. Bad
-        // arrivals pass the ownership filter, so every worker fails on
-        // the request a serial run fails on.
-        let results: Vec<Result<(EngineOutcome, u64), ModelError>> = std::thread::scope(|scope| {
+        let (pulled, results) = std::thread::scope(|scope| {
+            // The senders live in this closure, so a panicking source
+            // drops them while unwinding: every worker's stream ends, the
+            // scope joins the workers and the panic reaches the caller.
+            let mut outboxes = Vec::with_capacity(plan.n_shards);
             let handles: Vec<_> = (0..plan.n_shards)
-                .map(|k| {
-                    scope.spawn(move || {
-                        let mut seen = 0u64;
-                        let owned = arrivals().inspect(|_| seen += 1).filter(
-                            |r: &Result<Request, ModelError>| {
-                                r.as_ref().map_or(true, |r| {
-                                    plan.video_shard
-                                        .get(r.video.index())
-                                        .map_or(k == 0, |&s| s as usize == k)
-                                })
-                            },
-                        );
-                        let outcome = self.run_core(owned, true)?;
-                        Ok((outcome, seen))
-                    })
+                .map(|_| {
+                    let (tx, rx) = mpsc::sync_channel(INBOX_DEPTH);
+                    outboxes.push(Outbox::new(tx));
+                    scope.spawn(move || self.run_core(Inbox::new(rx), true))
                 })
                 .collect();
-            handles
+            let pulled = route_arrivals(arrivals, &plan.video_shard, &mut outboxes);
+            drop(outboxes);
+            let results: Vec<_> = handles
                 .into_iter()
                 .map(|h| {
                     h.join().unwrap_or(Err(ModelError::Internal {
                         context: "shard worker panicked",
                     }))
                 })
-                .collect()
+                .collect();
+            (pulled, results)
         });
-        let mut shards = Vec::with_capacity(results.len());
-        let mut seen_counts = Vec::with_capacity(results.len());
-        for r in results {
-            let (outcome, seen) = r?;
-            shards.push(outcome);
-            seen_counts.push(seen);
-        }
-        // Every worker saw the same stream, so the pre-filter counts
-        // must agree — the cross-worker replay integrity check.
-        if seen_counts.windows(2).any(|w| w[0] != w[1]) {
-            return Err(ModelError::Internal {
-                context: "shard workers disagreed on the arrival stream length",
-            });
-        }
-        let total_seen = seen_counts.first().copied().unwrap_or(0);
+        let shards = results.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         let mut merged = EngineOutcome {
             metrics: MetricsCollector::new(self.catalog.len()),
@@ -551,13 +511,13 @@ impl<'a> Simulation<'a> {
         // state after every event; the coordinator re-checks request
         // conservation over the merged ledger.
         let (arrivals, admitted, rejected, abandoned) = merged.metrics.outcome_totals();
-        if admitted + rejected + abandoned != arrivals || arrivals != total_seen {
+        if admitted + rejected + abandoned != arrivals || arrivals != pulled {
             return Err(ModelError::InvariantViolation {
                 at_min: self.config.horizon_min,
                 what: format!(
                     "sharded merge lost request outcomes: \
                      {admitted} admitted + {rejected} rejected + {abandoned} abandoned \
-                     != {arrivals} arrivals ({total_seen} in stream)"
+                     != {arrivals} arrivals ({pulled} in stream)"
                 ),
             });
         }
@@ -568,7 +528,7 @@ impl<'a> Simulation<'a> {
     /// The serial event loop over a pulled, checked arrival stream
     /// (see [`checked_arrivals`]), shared by the plain engine (full
     /// trace or streaming source, `capture_samples: false`) and the
-    /// decoupled workers (one server group's ownership-filtered view,
+    /// decoupled workers (one server group's inbox of routed requests,
     /// `capture_samples: true` — load samples are logged raw for the
     /// coordinator's replay instead of folded into the collector).
     /// Arrivals are consumed lazily, one at a time, merged against the
@@ -834,6 +794,137 @@ where
         last = r.arrival_min;
         Ok(r)
     })
+}
+
+/// Requests per batch the decoupled producer sends a worker.
+const BATCH: usize = 2048;
+
+/// Batches a worker's inbox holds before the producer blocks on it.
+const INBOX_DEPTH: usize = 4;
+
+/// One message to a decoupled worker: a batch of its requests in
+/// arrival order, or the bad arrival that ends its stream.
+type Parcel = Result<Vec<Request>, ModelError>;
+
+/// The producer's end of one worker's inbox: the batch being filled,
+/// and the channel while the worker still receives.
+struct Outbox {
+    tx: Option<SyncSender<Parcel>>,
+    batch: Vec<Request>,
+}
+
+impl Outbox {
+    fn new(tx: SyncSender<Parcel>) -> Self {
+        Outbox {
+            tx: Some(tx),
+            batch: Vec::with_capacity(BATCH),
+        }
+    }
+
+    /// Sends `parcel`, blocking while the inbox is full. A worker that
+    /// has exited (it failed, or panicked) has dropped its receiver:
+    /// the outbox closes and returns `false`.
+    fn send(&mut self, parcel: Parcel) -> bool {
+        let sent = self.tx.as_ref().is_some_and(|tx| tx.send(parcel).is_ok());
+        if !sent {
+            self.tx = None;
+        }
+        sent
+    }
+
+    /// Sends the pending batch, if any. The next batch is allocated
+    /// only once the send returns, so a producer blocked on a full inbox
+    /// holds one batch for that worker, not two.
+    fn flush(&mut self) -> bool {
+        if self.batch.is_empty() {
+            return self.tx.is_some();
+        }
+        let batch = std::mem::take(&mut self.batch);
+        let sent = self.send(Ok(batch));
+        if sent {
+            self.batch.reserve_exact(BATCH);
+        }
+        sent
+    }
+}
+
+/// The decoupled producer: pulls `arrivals` once and routes each request
+/// to the worker owning its video, in batches of [`BATCH`]. Videos the
+/// plan does not map go to worker 0, whose engine pass raises
+/// [`ModelError::UnknownVideo`] as the serial loop would. A bad arrival
+/// follows each live worker's pending batch into its inbox, so every
+/// worker fails on the request a serial run fails on, after exactly the
+/// requests it owns before it. Pulling stops there, or once every worker
+/// has exited. Returns the number of requests pulled.
+fn route_arrivals<I>(arrivals: I, video_shard: &[u32], outboxes: &mut [Outbox]) -> u64
+where
+    I: Iterator<Item = Result<Request, ModelError>>,
+{
+    let mut pulled = 0u64;
+    for r in arrivals {
+        let req = match r {
+            Ok(req) => req,
+            Err(e) => {
+                for out in outboxes.iter_mut() {
+                    if out.flush() {
+                        out.send(Err(e.clone()));
+                    }
+                }
+                break;
+            }
+        };
+        pulled += 1;
+        let k = video_shard
+            .get(req.video.index())
+            .map_or(0, |&s| s as usize);
+        let out = &mut outboxes[k];
+        if out.tx.is_none() {
+            continue;
+        }
+        out.batch.push(req);
+        if out.batch.len() == BATCH && !out.flush() && outboxes.iter().all(|o| o.tx.is_none()) {
+            break;
+        }
+    }
+    for out in outboxes.iter_mut() {
+        out.flush();
+    }
+    pulled
+}
+
+/// A decoupled worker's arrival stream: the batches the producer routed
+/// to it, in order, ending when the producer drops its sender.
+struct Inbox {
+    rx: Receiver<Parcel>,
+    batch: std::vec::IntoIter<Request>,
+}
+
+impl Inbox {
+    fn new(rx: Receiver<Parcel>) -> Self {
+        Inbox {
+            rx,
+            batch: Vec::new().into_iter(),
+        }
+    }
+}
+
+impl Iterator for Inbox {
+    type Item = Result<Request, ModelError>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(req) = self.batch.next() {
+                return Some(Ok(req));
+            }
+            // Free the drained batch before waiting for the next one.
+            self.batch = Vec::new().into_iter();
+            match self.rx.recv().ok()? {
+                Ok(batch) => self.batch = batch.into_iter(),
+                Err(e) => return Some(Err(e)),
+            }
+        }
+    }
 }
 
 /// Struct-of-arrays view of the catalog's hot per-video words: one u32
@@ -2469,7 +2560,6 @@ mod tests {
 
     /// A pull-based source replaying a fixed request list, including
     /// lists that break the [`ArrivalSource`] contract.
-    #[derive(Clone)]
     struct Replay {
         requests: Vec<Request>,
         next: usize,
@@ -2487,17 +2577,19 @@ mod tests {
         }
     }
 
-    /// Runs `run` on the pods world at shards 1 and 2 (the decoupled
-    /// path, with videos 0 and 1 on different workers) and checks both
-    /// fail with the same `InvalidParameter { name, .. }`.
-    fn assert_fails_alike_at_one_and_two_shards(
-        name: &str,
+    /// Runs `run` on the pods world at shards 1, 2 and 8 (the last two
+    /// decoupled, with videos 0 and 1 on different workers) and checks
+    /// all three return the same error, which `expected` accepts.
+    fn assert_fails_alike_across_shards(
+        expected: impl Fn(&ModelError) -> bool,
         run: impl Fn(&Simulation) -> Result<SimReport, ModelError>,
     ) {
         let (catalog, cluster, layout) = pods_world();
-        let plan = ShardPlan::decoupled(&layout, 2);
-        assert_ne!(plan.video_shard[0], plan.video_shard[1]);
-        let errors: Vec<String> = [1, 2]
+        for shards in [2, 8] {
+            let plan = ShardPlan::decoupled(&layout, shards);
+            assert_ne!(plan.video_shard[0], plan.video_shard[1]);
+        }
+        let errors: Vec<String> = [1, 2, 8]
             .into_iter()
             .map(|shards| {
                 let cfg = SimConfig {
@@ -2506,14 +2598,40 @@ mod tests {
                 };
                 let sim = Simulation::new(&catalog, &cluster, &layout, cfg).unwrap();
                 match run(&sim) {
-                    Err(e @ ModelError::InvalidParameter { name: n, .. }) if n == name => {
-                        format!("{e:?}")
-                    }
-                    other => panic!("shards {shards}: expected `{name}` error, got {other:?}"),
+                    Err(e) if expected(&e) => format!("{e:?}"),
+                    other => panic!("shards {shards}: unexpected outcome {other:?}"),
                 }
             })
             .collect();
         assert_eq!(errors[0], errors[1]);
+        assert_eq!(errors[0], errors[2]);
+    }
+
+    /// Accepts an `InvalidParameter` error named `name`.
+    fn invalid(name: &str) -> impl Fn(&ModelError) -> bool + '_ {
+        move |e| matches!(e, ModelError::InvalidParameter { name: n, .. } if *n == name)
+    }
+
+    /// Runs `requests` streamed and, when their times are well formed,
+    /// as a trace, checking every shard count fails alike.
+    fn assert_requests_fail_alike(requests: &[Request], expected: impl Fn(&ModelError) -> bool) {
+        assert_fails_alike_across_shards(&expected, |sim| {
+            sim.run_streaming(Replay {
+                requests: requests.to_vec(),
+                next: 0,
+            })
+        });
+        if let Ok(trace) = Trace::new(requests.to_vec()) {
+            assert_fails_alike_across_shards(&expected, |sim| sim.run(&trace));
+        }
+    }
+
+    /// `n` well-formed requests cycling the pods world's 16 videos, evenly
+    /// spread over the first 80 minutes.
+    fn long_pods_requests(n: usize) -> Vec<Request> {
+        (0..n)
+            .map(|k| req(k as f64 * (80.0 / n as f64), (k % 16) as u32))
+            .collect()
     }
 
     #[test]
@@ -2523,16 +2641,11 @@ mod tests {
             (vec![req(1.0, 0), req(f64::INFINITY, 1)], "arrival_min"),
             (vec![req(-0.5, 0), req(1.0, 1)], "arrival_min"),
             // Out of order across two workers' videos: only a check ahead
-            // of the ownership filter sees both requests.
+            // of the producer's routing sees both requests.
             (vec![req(5.0, 0), req(3.0, 1)], "arrival_min (not sorted)"),
         ];
         for (requests, name) in cases {
-            assert_fails_alike_at_one_and_two_shards(name, |sim| {
-                sim.run_streaming(Replay {
-                    requests: requests.clone(),
-                    next: 0,
-                })
-            });
+            assert_requests_fail_alike(&requests, invalid(name));
             // A deserialized trace never met `Trace::new`'s checks (JSON
             // carries no NaN or infinity, so only finite cases replay).
             if requests.iter().all(|r| r.arrival_min.is_finite()) {
@@ -2541,9 +2654,115 @@ mod tests {
                     serde_json::to_string(&requests).unwrap()
                 );
                 let trace: Trace = serde_json::from_str(&json).unwrap();
-                assert_fails_alike_at_one_and_two_shards(name, |sim| sim.run(&trace));
+                assert_fails_alike_across_shards(invalid(name), |sim| sim.run(&trace));
             }
         }
+    }
+
+    #[test]
+    fn bad_arrival_after_full_batches_fails_alike_at_any_shard_count() {
+        // Every worker (four pods at shards 8) has sent three full
+        // batches and holds a part-filled one when the bad arrival
+        // comes, and more requests follow it.
+        let at = 3 * 4 * BATCH + 100;
+        for (bad, name) in [(f64::NAN, "arrival_min"), (1.0, "arrival_min (not sorted)")] {
+            let mut requests = long_pods_requests(at + 4 * BATCH);
+            requests[at].arrival_min = bad;
+            assert_requests_fail_alike(&requests, invalid(name));
+            // An unknown video still pending in worker 0's batch when the
+            // bad arrival comes fails the run first, as it does serially.
+            requests[at - 5].video = VideoId(99);
+            assert_requests_fail_alike(&requests, |e| {
+                matches!(e, ModelError::UnknownVideo(VideoId(99)))
+            });
+        }
+    }
+
+    #[test]
+    fn unknown_video_early_in_worker_zero_fails_alike_without_hanging() {
+        // Worker 0 fails on its first batch and drops its inbox while the
+        // other workers keep consuming a stream many batches long.
+        let mut requests = long_pods_requests(4 * (INBOX_DEPTH + 2) * BATCH);
+        requests[10].video = VideoId(99);
+        assert_requests_fail_alike(&requests, |e| {
+            matches!(e, ModelError::UnknownVideo(VideoId(99)))
+        });
+    }
+
+    #[test]
+    fn streamed_decoupled_run_through_full_inboxes_matches_serial() {
+        // Each of the four pods' workers is sent twice as many batches as
+        // its bounded inbox holds.
+        let requests = long_pods_requests(4 * 2 * (INBOX_DEPTH + 2) * BATCH);
+        let (catalog, cluster, layout) = pods_world();
+        let trace = Trace::new(requests.clone()).unwrap();
+        let serial = Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default())
+            .unwrap()
+            .run(&trace)
+            .unwrap();
+        assert_eq!(serial.arrivals, requests.len() as u64);
+        for shards in [2, 8] {
+            let sim = Simulation::new(
+                &catalog,
+                &cluster,
+                &layout,
+                SimConfig {
+                    shards,
+                    ..SimConfig::paper_default()
+                },
+            )
+            .unwrap();
+            let telemetry = Telemetry::enabled();
+            let streamed = sim
+                .run_streaming_with_telemetry(
+                    Replay {
+                        requests: requests.clone(),
+                        next: 0,
+                    },
+                    &telemetry,
+                )
+                .unwrap();
+            assert_eq!(
+                serde_json::to_string(&serial).unwrap(),
+                serde_json::to_string(&streamed).unwrap(),
+                "shards {shards}"
+            );
+            // The decoupled path ran: a worker per pod counted events.
+            let workers = ShardPlan::decoupled(&layout, shards).n_shards;
+            let snap = telemetry.snapshot();
+            for k in 0..workers {
+                assert!(snap.counter(&format!("sim.shard.events.{k:02}")) > 0);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "source failed")]
+    fn panicking_source_unwinds_to_the_caller_on_the_decoupled_path() {
+        /// Yields well-formed requests, then panics mid-stream.
+        struct Panics(Replay);
+        impl ArrivalSource for Panics {
+            fn next_request(&mut self) -> Option<Request> {
+                if self.0.next == 3 * BATCH {
+                    panic!("source failed");
+                }
+                self.0.next_request()
+            }
+            fn horizon_min(&self) -> f64 {
+                90.0
+            }
+        }
+        let (catalog, cluster, layout) = pods_world();
+        let cfg = SimConfig {
+            shards: 2,
+            ..SimConfig::paper_default()
+        };
+        let sim = Simulation::new(&catalog, &cluster, &layout, cfg).unwrap();
+        let source = Panics(Replay {
+            requests: long_pods_requests(8 * BATCH),
+            next: 0,
+        });
+        let _ = sim.run_streaming(source);
     }
 
     /// Four videos on four servers (one replica each), ample storage,

@@ -54,8 +54,7 @@ use vod_model::{ModelError, Popularity};
 /// Implementations yield requests with finite, non-negative,
 /// non-decreasing `arrival_min` (see [`Request::check_after`], which the
 /// engine applies to every pulled request) and terminate at their
-/// horizon. Sources are `Clone` so the sharded engine can replay the
-/// same stream per worker and filter by video ownership.
+/// horizon. The engine pulls a source once, whatever its shard count.
 pub trait ArrivalSource {
     /// The next request, or `None` once the horizon is reached.
     fn next_request(&mut self) -> Option<Request>;
@@ -397,6 +396,111 @@ impl RateModel {
             .sum::<f64>()
             / steps as f64
     }
+
+    /// The thinning envelope over `[0, horizon_min)`: per-cell bounds on
+    /// [`RateModel::rate_at`] (see [`ThinningEnvelope`]).
+    fn envelope(&self, horizon_min: f64) -> ThinningEnvelope {
+        let width = horizon_min / ENVELOPE_CELLS as f64;
+        // A candidate whose cell index rounds across a boundary still
+        // lies in the widened span: the index is off by at most ~1e-12
+        // of a cell.
+        let margin = width / 1024.0;
+        let bounds = (0..ENVELOPE_CELLS)
+            .map(|i| self.bounds_over(i as f64 * width - margin, (i + 1) as f64 * width + margin))
+            .collect();
+        ThinningEnvelope {
+            lam_max: self.max_rate(),
+            cells_per_min: ENVELOPE_CELLS as f64 / horizon_min,
+            bounds,
+        }
+    }
+
+    /// Bounds `(lo, hi)` on the value `rate_at(t)` computes for every `t`
+    /// in `[a, b]`, or `(0, ∞)` when a pulse edge lies inside the span.
+    ///
+    /// The sine is bounded by its Lipschitz constant around the span's
+    /// midpoint (`|sin x − sin x_mid| ≤ |x − x_mid|`) and padded by 1e-9
+    /// for `sin`'s own rounding; both bounds then go through
+    /// `rate_at`'s exact sequence of operations. Every step is monotone
+    /// in the sine, and IEEE rounding preserves that, so the computed
+    /// rate at any `t` in the span lies between them.
+    fn bounds_over(&self, a: f64, b: f64) -> (f64, f64) {
+        const SINE_PAD: f64 = 1e-9;
+        let mid = 0.5 * (a + b);
+        let (mut lo, mut hi) = (self.base_per_min, self.base_per_min);
+        if let Some(d) = &self.diurnal {
+            let s = (2.0 * std::f64::consts::PI * mid / d.period_min).sin();
+            let reach = std::f64::consts::PI * (b - a) / d.period_min;
+            lo *= 1.0 + d.amplitude * ((s - reach).max(-1.0) - SINE_PAD);
+            hi *= 1.0 + d.amplitude * ((s + reach).min(1.0) + SINE_PAD);
+        }
+        for p in &self.pulses {
+            let end = p.start_min + p.duration_min;
+            if (a..=b).contains(&p.start_min) || (a..=b).contains(&end) {
+                return (0.0, f64::INFINITY);
+            }
+            if mid >= p.start_min && mid < end {
+                lo *= p.multiplier;
+                hi *= p.multiplier;
+            }
+        }
+        (lo, hi)
+    }
+}
+
+/// Cells of a [`ThinningEnvelope`] over the workload's horizon.
+const ENVELOPE_CELLS: usize = 4096;
+
+/// Lewis–Shedler thinning against `λ_max` with a piecewise-constant
+/// squeeze: [`ENVELOPE_CELLS`] cells over the horizon, each holding
+/// bounds `lo ≤ λ(t) ≤ hi` from [`RateModel::bounds_over`]. A candidate
+/// whose scaled acceptance draw clears `hi` is rejected, and one under
+/// `lo` accepted, without evaluating `λ(t)`; only the sliver between
+/// them (and cells holding a pulse edge) takes the exact test. Every
+/// decision equals `accept·λ_max < λ(t)`, so the accepted instants are
+/// bit-identical to testing each candidate exactly.
+#[derive(Debug, Clone)]
+struct ThinningEnvelope {
+    lam_max: f64,
+    cells_per_min: f64,
+    bounds: Vec<(f64, f64)>,
+}
+
+impl ThinningEnvelope {
+    /// Advances `*t` through the thinning stream — one gap draw per
+    /// candidate, and one acceptance draw per candidate inside the
+    /// horizon — to the next accepted instant, or returns `false` once a
+    /// candidate reaches `horizon_min`. The one draw sequence both twins
+    /// of [`ThinnedWorkload`] share; [`ThinnedWorkload::stream`]'s
+    /// pre-pass repeats its draws.
+    #[inline]
+    fn next_instant<R: Rng + ?Sized>(
+        &self,
+        rate: &RateModel,
+        horizon_min: f64,
+        rng: &mut R,
+        t: &mut f64,
+    ) -> bool {
+        loop {
+            let u: f64 = rng.gen();
+            *t += -(1.0 - u).ln() / self.lam_max;
+            if *t >= horizon_min {
+                return false;
+            }
+            let accept: f64 = rng.gen();
+            let x = accept * self.lam_max;
+            let (lo, hi) = self.bounds_at(*t);
+            if x < lo || (x < hi && x < rate.rate_at(*t)) {
+                return true;
+            }
+        }
+    }
+
+    /// The bounds of the cell holding minute `t` (`0 ≤ t < horizon`).
+    #[inline]
+    fn bounds_at(&self, t: f64) -> (f64, f64) {
+        self.bounds[((t * self.cells_per_min) as usize).min(ENVELOPE_CELLS - 1)]
+    }
 }
 
 /// Catalog churn: every `period_min` minutes the rank→video mapping
@@ -510,19 +614,11 @@ impl ThinnedWorkload {
     /// accepted instants), then the video pass — the canonical draw
     /// order the streaming twin reproduces.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Trace, ModelError> {
-        let lam_max = self.rate.max_rate();
+        let envelope = self.rate.envelope(self.horizon_min);
         let mut instants = Vec::new();
         let mut t = 0.0;
-        loop {
-            let u: f64 = rng.gen();
-            t += -(1.0 - u).ln() / lam_max;
-            if t >= self.horizon_min {
-                break;
-            }
-            let accept: f64 = rng.gen();
-            if accept * lam_max < self.rate.rate_at(t) {
-                instants.push(t);
-            }
+        while envelope.next_instant(&self.rate, self.horizon_min, rng, &mut t) {
+            instants.push(t);
         }
         let mut requests = Vec::with_capacity(instants.len());
         let mut epoch = 0u64;
@@ -545,11 +641,16 @@ impl ThinnedWorkload {
     /// [`ThinnedWorkload::generate`] would produce from the same RNG
     /// state, without materializing it.
     pub fn stream<R: Rng + Clone>(&self, rng: R) -> Result<StreamingThinned<R>, ModelError> {
-        let lam_max = self.rate.max_rate();
+        let envelope = self.rate.envelope(self.horizon_min);
+        let lam_max = envelope.lam_max;
         let gaps_rng = rng.clone();
         let mut videos_rng = rng;
-        // Pre-pass: replay the whole thinning stream (gap + acceptance
-        // draws) so the video clone parks at the first video draw.
+        // Pre-pass: replay the whole thinning stream's draws (a gap and
+        // an acceptance draw per candidate, as
+        // `ThinningEnvelope::next_instant` makes them) so the video
+        // clone parks at the first video draw. Acceptance decisions draw
+        // nothing, so they are skipped: making them here raised A-9's
+        // set-up from ~0.5 s to ~0.8 s on a 2-core box.
         let mut t = 0.0;
         loop {
             let u: f64 = videos_rng.gen();
@@ -561,7 +662,7 @@ impl ThinnedWorkload {
         }
         Ok(StreamingThinned {
             workload: self.clone(),
-            lam_max,
+            envelope,
             gaps_rng,
             videos_rng,
             t: 0.0,
@@ -576,7 +677,7 @@ impl ThinnedWorkload {
 #[derive(Debug, Clone)]
 pub struct StreamingThinned<R: Rng + Clone> {
     workload: ThinnedWorkload,
-    lam_max: f64,
+    envelope: ThinningEnvelope,
     gaps_rng: R,
     videos_rng: R,
     t: f64,
@@ -586,33 +687,30 @@ pub struct StreamingThinned<R: Rng + Clone> {
 
 impl<R: Rng + Clone> ArrivalSource for StreamingThinned<R> {
     fn next_request(&mut self) -> Option<Request> {
-        loop {
-            let u: f64 = self.gaps_rng.gen();
-            self.t += -(1.0 - u).ln() / self.lam_max;
-            if self.t >= self.workload.horizon_min {
-                return None;
-            }
-            let accept: f64 = self.gaps_rng.gen();
-            if accept * self.lam_max < self.workload.rate.rate_at(self.t) {
-                let e = self.workload.epoch_at(self.t);
-                if e != self.epoch {
-                    match self.workload.sampler_for_epoch(e) {
-                        Ok(s) => {
-                            self.sampler = s;
-                            self.epoch = e;
-                        }
-                        Err(e) => {
-                            debug_assert!(false, "epoch sampler rebuild failed: {e:?}");
-                            return None;
-                        }
-                    }
+        let w = &self.workload;
+        if !self
+            .envelope
+            .next_instant(&w.rate, w.horizon_min, &mut self.gaps_rng, &mut self.t)
+        {
+            return None;
+        }
+        let e = w.epoch_at(self.t);
+        if e != self.epoch {
+            match w.sampler_for_epoch(e) {
+                Ok(s) => {
+                    self.sampler = s;
+                    self.epoch = e;
                 }
-                return Some(Request {
-                    arrival_min: self.t,
-                    video: self.sampler.sample(&mut self.videos_rng),
-                });
+                Err(e) => {
+                    debug_assert!(false, "epoch sampler rebuild failed: {e:?}");
+                    return None;
+                }
             }
         }
+        Some(Request {
+            arrival_min: self.t,
+            video: self.sampler.sample(&mut self.videos_rng),
+        })
     }
 
     fn horizon_min(&self) -> f64 {
@@ -874,10 +972,224 @@ mod tests {
             .is_err());
     }
 
+    /// `generate` as it was before the envelope: the exact test on every
+    /// thinning candidate, then the video pass.
+    fn generate_exact(w: &ThinnedWorkload, rng: &mut ChaCha8Rng) -> Vec<Request> {
+        let lam_max = w.rate.max_rate();
+        let mut instants = Vec::new();
+        let mut t = 0.0;
+        loop {
+            let u: f64 = rng.gen();
+            t += -(1.0 - u).ln() / lam_max;
+            if t >= w.horizon_min {
+                break;
+            }
+            let accept: f64 = rng.gen();
+            if accept * lam_max < w.rate.rate_at(t) {
+                instants.push(t);
+            }
+        }
+        let mut epoch = 0u64;
+        let mut sampler = w.sampler_for_epoch(0).unwrap();
+        let mut requests = Vec::with_capacity(instants.len());
+        for at in instants {
+            let e = w.epoch_at(at);
+            if e != epoch {
+                sampler = w.sampler_for_epoch(e).unwrap();
+                epoch = e;
+            }
+            requests.push(Request {
+                arrival_min: at,
+                video: sampler.sample(rng),
+            });
+        }
+        requests
+    }
+
+    /// A random thinned workload of case `k`: with or without a diurnal
+    /// term (amplitude up to 0.999, periods from a fraction of an
+    /// envelope cell to several horizons), 0–3 pulses whose edges sit on
+    /// cell boundaries, inside a single cell or anywhere, horizons from
+    /// well under a minute to hundreds of minutes (cell widths that are
+    /// not representable), and about 20–600 thinning candidates.
+    fn random_workload(rng: &mut ChaCha8Rng) -> ThinnedWorkload {
+        let horizon = match rng.gen_range(0..3) {
+            0 => rng.gen_range(0.01..0.7),
+            1 => rng.gen_range(0.7..30.0),
+            _ => rng.gen_range(30.0..600.0),
+        };
+        let cell = horizon / ENVELOPE_CELLS as f64;
+        let mut peak = 1.0;
+        let mut rate = RateModel::constant(1.0).unwrap();
+        if rng.gen_bool(0.75) {
+            let amplitude = if rng.gen_bool(0.3) {
+                0.999
+            } else {
+                rng.gen_range(0.0..0.999)
+            };
+            let period_min = match rng.gen_range(0..3) {
+                0 => cell * rng.gen_range(0.01..1.0),
+                1 => cell * rng.gen_range(1.0..64.0),
+                _ => horizon * rng.gen_range(0.05..4.0),
+            };
+            peak *= 1.0 + amplitude;
+            rate = rate
+                .with_diurnal(DiurnalCycle {
+                    period_min,
+                    amplitude,
+                })
+                .unwrap();
+        }
+        let pulses: Vec<RatePulse> = (0..rng.gen_range(0..4))
+            .map(|_| {
+                let k = rng.gen_range(0..ENVELOPE_CELLS) as f64;
+                let (start_min, duration_min) = match rng.gen_range(0..3) {
+                    0 => (k * cell, cell * rng.gen_range(1..200) as f64),
+                    1 => (
+                        (k + rng.gen_range(0.05..0.5)) * cell,
+                        cell * rng.gen_range(0.01..0.45),
+                    ),
+                    _ => (
+                        rng.gen_range(0.0..horizon),
+                        horizon * rng.gen_range(0.001..0.5),
+                    ),
+                };
+                let multiplier = rng.gen_range(1.0..4.0);
+                peak *= multiplier;
+                RatePulse {
+                    start_min,
+                    duration_min,
+                    multiplier,
+                }
+            })
+            .collect();
+        // Scale the base so the envelope offers ~20–600 candidates.
+        let candidates = rng.gen_range(20.0..600.0);
+        let base = candidates / (horizon * peak);
+        rate.base_per_min = base;
+        let rate = rate.with_pulses(pulses).unwrap();
+        let mut w =
+            ThinnedWorkload::new(rate, Popularity::zipf(12, 0.8).unwrap(), horizon).unwrap();
+        if rng.gen_bool(0.5) {
+            w = w
+                .with_churn(CatalogChurn {
+                    period_min: horizon * rng.gen_range(0.05..1.0),
+                    step: rng.gen_range(1..12),
+                })
+                .unwrap();
+        }
+        w
+    }
+
+    fn assert_bit_equal(case: usize, what: &str, exact: &[Request], got: &[Request]) {
+        assert_eq!(exact.len(), got.len(), "case {case}: {what} length");
+        for (i, (a, b)) in exact.iter().zip(got).enumerate() {
+            assert!(
+                a.arrival_min.to_bits() == b.arrival_min.to_bits() && a.video == b.video,
+                "case {case}: {what} request {i}: exact {a:?} vs {b:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn envelope_thinning_is_bit_identical_to_the_exact_test() {
+        let mut shapes = ChaCha8Rng::seed_from_u64(0xE1_0E1);
+        let mut total = 0;
+        for case in 0..1_200 {
+            let w = random_workload(&mut shapes);
+            let seed = 1_000 + case as u64;
+            let exact = generate_exact(&w, &mut ChaCha8Rng::seed_from_u64(seed));
+            let generated = w.generate(&mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
+            assert_bit_equal(case, "generate", &exact, generated.requests());
+            let streamed = collect(w.stream(ChaCha8Rng::seed_from_u64(seed)).unwrap());
+            assert_bit_equal(case, "stream", &exact, &streamed);
+            total += exact.len();
+        }
+        assert!(total > 50_000, "the sweep accepted only {total} requests");
+    }
+
+    #[test]
+    fn envelope_cells_bound_the_rate_they_decide() {
+        let mut shapes = ChaCha8Rng::seed_from_u64(0xB0_4D);
+        for case in 0..300 {
+            let w = random_workload(&mut shapes);
+            let envelope = w.rate.envelope(w.horizon_min);
+            let cell = w.horizon_min / ENVELOPE_CELLS as f64;
+            // Random instants, plus each side of random cell boundaries
+            // and of every pulse edge, where the cell index rounds.
+            let mut probes: Vec<f64> = (0..256)
+                .map(|_| shapes.gen_range(0.0..w.horizon_min))
+                .collect();
+            let edges = w
+                .rate
+                .pulses
+                .iter()
+                .flat_map(|p| [p.start_min, p.start_min + p.duration_min]);
+            let boundaries = (0..32).map(|_| shapes.gen_range(1..ENVELOPE_CELLS) as f64 * cell);
+            for x in edges.chain(boundaries) {
+                let mut below = x;
+                let mut above = x;
+                for _ in 0..4 {
+                    probes.extend([below, above]);
+                    below = f64::from_bits(below.to_bits().saturating_sub(1));
+                    above = f64::from_bits(above.to_bits() + 1);
+                }
+            }
+            for t in probes
+                .into_iter()
+                .filter(|t| (0.0..w.horizon_min).contains(t))
+            {
+                let (lo, hi) = envelope.bounds_at(t);
+                let rate = w.rate.rate_at(t);
+                assert!(
+                    lo <= rate && rate <= hi,
+                    "case {case}: rate {rate} at t={t} outside [{lo}, {hi}]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn envelope_decides_almost_every_production_candidate() {
+        // A-9's production shape: 48 h, a daily cycle at amplitude 0.6
+        // and two 2-hour premieres at 1.5x. Only candidates whose scaled
+        // draw lands between a cell's bounds, or in a cell holding a
+        // pulse edge, may need the exact rate.
+        let rate = RateModel::constant(100.0)
+            .unwrap()
+            .with_diurnal(DiurnalCycle {
+                period_min: 1_440.0,
+                amplitude: 0.6,
+            })
+            .unwrap()
+            .with_pulses(vec![
+                RatePulse {
+                    start_min: 480.0,
+                    duration_min: 120.0,
+                    multiplier: 1.5,
+                },
+                RatePulse {
+                    start_min: 1_920.0,
+                    duration_min: 120.0,
+                    multiplier: 1.5,
+                },
+            ])
+            .unwrap();
+        let envelope = rate.envelope(2_880.0);
+        let lam_max = rate.max_rate();
+        let undecided = envelope
+            .bounds
+            .iter()
+            .map(|&(lo, hi)| (hi.min(lam_max) - lo) / lam_max)
+            .sum::<f64>()
+            / ENVELOPE_CELLS as f64;
+        assert!(undecided < 0.005, "undecided share {undecided}");
+    }
+
     #[test]
     fn streaming_sources_are_cloneable_midstream() {
-        // A cloned source replays the identical suffix — the property
-        // the sharded engine's per-worker replay relies on.
+        // A cloned source replays the identical suffix from where it
+        // was cloned.
         let pop = Popularity::zipf(20, 1.0).unwrap();
         let g = TraceGenerator::new(30.0, &pop, 90.0).unwrap();
         let mut a = g.stream(ChaCha8Rng::seed_from_u64(12));

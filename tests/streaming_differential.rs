@@ -16,8 +16,8 @@
 //!    [`vod_sim::Simulation::run_streaming`] produces a [`SimReport`]
 //!    JSON-equal to materializing the same workload and replaying it
 //!    with [`vod_sim::Simulation::run`], at `shards = 1` (serial pull)
-//!    and `shards = 8` (per-worker replay + ownership filter on pod
-//!    worlds, sharded serial queue on bridged ones).
+//!    and `shards = 8` (one pull routed to the decoupled workers on pod
+//!    worlds, the serial loop on bridged ones).
 
 use proptest::prelude::*;
 use vod_model::{BitRate, Catalog, ClusterSpec, Layout, Popularity, ServerId, ServerSpec, VideoId};
@@ -160,8 +160,7 @@ proptest! {
         // Pod world: `n_pods` independent 4-server groups, 8 videos per
         // pod on 2-replica in-pod sets. `bridge` adds one video
         // replicated across pods, gluing the replica graph so shards=8
-        // exercises the sharded serial queue instead of the decoupled
-        // worker path.
+        // takes the serial loop instead of the decoupled worker path.
         const PER_POD: usize = 4;
         const VIDEOS_PER_POD: usize = 8;
         let n_servers = n_pods * PER_POD;
