@@ -29,22 +29,34 @@ fn dep(rng: &mut ChaCha8Rng) -> Departure {
 
 /// Steady-state churn: a queue holding `n` live streams, one departure
 /// popped and one pushed per iteration — the engine's per-admission cost.
+/// As in the engine, admissions come on a clock that only advances (one
+/// per tick here) and are due one video duration later; a duration of
+/// `n` ticks keeps `n` streams live.
 fn bench_queue_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("queue");
     for n in [256usize, 4_096] {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let duration = n as u64;
         let mut q = DepartureQueue::new();
-        for _ in 0..n {
-            q.push(dep(&mut rng));
+        let mut clock = 0u64;
+        while clock < duration {
+            q.push(Departure {
+                at: SimTime(clock + duration),
+                ..dep(&mut rng)
+            });
+            clock += 1;
         }
         group.throughput(Throughput::Elements(1));
         group.bench_with_input(BenchmarkId::new("push_pop", n), &n, |b, _| {
             b.iter(|| {
-                let d = q.pop_due(SimTime(u64::MAX)).unwrap();
+                let d = q
+                    .pop_due(SimTime(clock))
+                    .expect("one departure is due per tick");
                 q.push(Departure {
-                    at: SimTime(d.at.ticks().wrapping_add(600_000)),
+                    at: SimTime(clock + duration),
                     ..d
                 });
+                clock += 1;
                 black_box(q.next_time())
             })
         });

@@ -34,9 +34,9 @@
 //!               simulator events/sec on the paper world (N = 8,
 //!               M = 200), annealer SA steps/sec, sharded (trace and
 //!               streamed), coupled and controller-driven events/sec
-//!               on tiled pod worlds, streaming-generation requests/sec
-//!               and streaming-engine events/sec; prints one
-//!               machine-readable PERF_SMOKE line
+//!               on tiled pod worlds, streaming-generation requests/sec,
+//!               streaming-engine events/sec and departure-queue
+//!               ops/sec; prints one machine-readable PERF_SMOKE line
 //!
 //! flags:
 //!   --shards N      engine shards per simulation (default 1; runs whose
@@ -53,7 +53,7 @@
 //!                   of K data + M parity fragments
 //! ```
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -69,6 +69,8 @@ use vod_model::{
     BitRate, Catalog, ClusterSpec, Layout, ModelError, ObjectiveWeights, Popularity,
     RedundancyScheme, ServerId, ServerSpec, VideoId,
 };
+use vod_sim::event::{Departure, DepartureQueue, NO_STREAM};
+use vod_sim::time::SimTime;
 use vod_sim::{
     AdmissionPolicy, ControllerConfig, FailoverPolicy, FailureModel, RepairConfig, SimConfig,
     SimReport, Simulation,
@@ -677,7 +679,8 @@ fn check_floor(
 /// (N = 8, M = 200), zipf+slf plan at degree 1.2, near-capacity load,
 /// fixed seed — plus the SA-1 annealing problem through the
 /// delta-evaluated move engine, the sharded (trace and streamed),
-/// coupled and controller pod worlds, and the streaming scale world.
+/// coupled and controller pod worlds, the streaming scale world and the
+/// departure queue alone.
 /// Prints one machine-readable `PERF_SMOKE` line; with `--check`,
 /// compares against a JSON baseline (`{"events_per_sec": X, ...}`,
 /// every other floor optional) and fails when any rate lands more than
@@ -789,6 +792,82 @@ fn perf_smoke(
     let gen_secs = gen_started.elapsed().as_secs_f64();
     let gen_requests_per_sec = gen_requests as f64 / gen_secs;
 
+    // Departure-queue measurement: the queue alone at A-9's concurrency
+    // (~131k live streams over 256 servers), fed precomputed inputs in
+    // the engine's shape. A clock advances 0-2 ticks per admission, each
+    // admission is due at clock + T (T = 131,072 ticks), due departures
+    // pop first, and every 10,000 admissions (~20k ops) one server's
+    // streams are extracted and re-pushed at their original instants,
+    // as failover does. The first pass over the inputs fills the queue
+    // untimed; ops = admissions + pops + 2 x extracted (each removal and
+    // its re-push).
+    const QUEUE_T: u64 = 131_072;
+    const QUEUE_SERVERS: u32 = 256;
+    const QUEUE_FAILOVER_EVERY: usize = 10_000;
+    let mut queue_rng = ChaCha8Rng::seed_from_u64(seed);
+    let queue_inputs: Vec<(u64, ServerId)> = (0..1 << 18)
+        .map(|_| {
+            (
+                queue_rng.gen_range(0..3),
+                ServerId(queue_rng.gen_range(0..QUEUE_SERVERS)),
+            )
+        })
+        .collect();
+    let mut queue = DepartureQueue::with_capacity(QUEUE_SERVERS as usize);
+    let mut extracted = Vec::new();
+    let (mut clock, mut last_popped) = (0u64, SimTime(0));
+    let (mut admitted, mut popped, mut moved) = (0u64, 0u64, 0u64);
+    let mut queue_started = Instant::now();
+    let (mut queue_ops, mut queue_passes) = (0u64, 0u32);
+    while queue_passes < 2 || queue_started.elapsed().as_secs_f64() < 0.4 {
+        if queue_passes == 1 {
+            queue_started = Instant::now();
+            queue_ops = 0;
+        }
+        for (k, &(dt, server)) in queue_inputs.iter().enumerate() {
+            clock += dt;
+            while let Some(d) = queue.pop_due(SimTime(clock)) {
+                if d.at < last_popped {
+                    return Err("perf smoke: the departure queue popped out of order".into());
+                }
+                last_popped = d.at;
+                popped += 1;
+                queue_ops += 1;
+            }
+            queue.push(Departure {
+                at: SimTime(clock + QUEUE_T),
+                server,
+                video: VideoId(k as u32),
+                kbps: 4_000,
+                backbone_kbps: 0,
+                epoch: 0,
+                stream: NO_STREAM,
+            });
+            admitted += 1;
+            queue_ops += 1;
+            if k % QUEUE_FAILOVER_EVERY == 0 {
+                let failed = ServerId((k / QUEUE_FAILOVER_EVERY) as u32 % QUEUE_SERVERS);
+                queue.extract_active_into(failed, 0, &mut extracted);
+                moved += extracted.len() as u64;
+                queue_ops += 2 * extracted.len() as u64;
+                for d in extracted.drain(..) {
+                    queue.push(d);
+                }
+            }
+        }
+        queue_passes += 1;
+    }
+    let queue_secs = queue_started.elapsed().as_secs_f64();
+    let queue_ops_per_sec = queue_ops as f64 / queue_secs;
+    if popped + queue.len() as u64 != admitted || moved == 0 {
+        return Err(format!(
+            "perf smoke: the departure queue lost streams ({popped} popped + {} queued != \
+             {admitted} admitted) or never failed over",
+            queue.len()
+        )
+        .into());
+    }
+
     // Streaming-engine measurement on the mini scale world, repeated
     // until enough engine wall time accumulates (events/sec uses the
     // engine-only time `compute` reports, not the planning time).
@@ -826,11 +905,13 @@ fn perf_smoke(
          coupled_par_events_per_sec={coupled_events_per_sec:.0} \
          drift_events={drift_events} drift_events_per_sec={drift_events_per_sec:.0} \
          gen_requests={gen_requests} gen_requests_per_sec={gen_requests_per_sec:.0} \
+         queue_ops={queue_ops} queue_ops_per_sec={queue_ops_per_sec:.0} \
          scale_events={scale_events} scale_events_per_sec={scale_events_per_sec:.0} \
          plan_secs={plan_secs:.3} sim_secs={sim_secs:.3} sa_secs={sa_secs:.3} \
          par_secs={par_secs:.3} par_stream_secs={par_stream_secs:.3} \
          coupled_par_secs={coupled_secs:.3} drift_secs={drift_secs:.3} \
-         gen_secs={gen_secs:.3} scale_secs={scale_secs:.3} wall_secs={wall_secs:.3}",
+         gen_secs={gen_secs:.3} queue_secs={queue_secs:.3} scale_secs={scale_secs:.3} \
+         wall_secs={wall_secs:.3}",
         setup.n_servers, setup.n_videos, setup.runs,
     );
 
@@ -845,6 +926,7 @@ fn perf_smoke(
             .phase("coupled_par_simulate", coupled_secs)
             .phase("drift_simulate", drift_secs)
             .phase("generate", gen_secs)
+            .phase("queue", queue_secs)
             .phase("scale_simulate", scale_secs)
             // Override the wall-clock-derived figures with the
             // phase-local ones (each hot loop only ran during its own
@@ -855,6 +937,7 @@ fn perf_smoke(
             .rate("coupled_par_events_per_sec", coupled_events_per_sec)
             .rate("drift_events_per_sec", drift_events_per_sec)
             .rate("gen_requests_per_sec", gen_requests_per_sec)
+            .rate("queue_ops_per_sec", queue_ops_per_sec)
             .rate("scale_events_per_sec", scale_events_per_sec);
         ManifestWriter::append_to(path)?.write(&record)?;
     }
@@ -875,6 +958,8 @@ fn perf_smoke(
             drift_events_per_sec: Option<f64>,
             #[serde(default)]
             gen_requests_per_sec: Option<f64>,
+            #[serde(default)]
+            queue_ops_per_sec: Option<f64>,
             #[serde(default)]
             scale_events_per_sec: Option<f64>,
         }
@@ -916,6 +1001,12 @@ fn perf_smoke(
                 "streaming-generation requests/sec",
                 gen_requests_per_sec,
                 baseline.gen_requests_per_sec,
+            ),
+            (
+                "_QUEUE",
+                "departure-queue ops/sec",
+                queue_ops_per_sec,
+                baseline.queue_ops_per_sec,
             ),
             (
                 "_SCALE",

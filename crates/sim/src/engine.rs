@@ -383,10 +383,12 @@ impl<'a> Simulation<'a> {
     /// The server-group partition for the decoupled parallel path, or
     /// `None` when the run must stay on the serial loop: sharding is
     /// only sound when no event can cross server groups, i.e. no
-    /// failure injection (rack/correlated failures strike whole server
-    /// sets), a fully passive admission pipeline (the FIFO queue and
-    /// its patience RNG are cluster-scoped), no shared backbone pool —
-    /// and a replica graph that actually partitions.
+    /// failure injection (fault schedules are drawn per server and per
+    /// rack before the run, but metered repair may copy into any group,
+    /// and float accumulators such as brownout minutes sum in global
+    /// transition order), a fully passive admission pipeline (the FIFO
+    /// queue and its patience RNG are cluster-scoped), no shared
+    /// backbone pool — and a replica graph that actually partitions.
     fn decoupled_plan(&self) -> Option<ShardPlan> {
         if self.config.shards <= 1 {
             return None;
@@ -720,8 +722,8 @@ impl<'a> Simulation<'a> {
         state.metrics.set_brownout_active_min(state.brownout_min);
         state.audit_check(SimTime::from_min(self.config.horizon_min))?;
         // Release what still streams past the horizon. The releases are
-        // integer and commute, so the queue empties in heap order rather
-        // than popping in time order.
+        // integer and commute, so the queue empties in storage order
+        // rather than popping in time order.
         state.tally.departures += state.departures.len() as u64;
         let (links, dispatcher, coded) = (&mut state.links, &mut state.dispatcher, &state.coded);
         state

@@ -13,7 +13,8 @@
 //! * [`time`] — integer millisecond simulation time (total order, no float
 //!   comparisons on the event queue);
 //! * [`event`] — the departure event queue (arrivals replay in trace
-//!   order, so only departures need a heap);
+//!   order, so only departures need a priority queue: a FIFO lane for
+//!   departures pushed in time order, a heap for the rest);
 //! * [`server`] — per-server outgoing-link occupancy;
 //! * [`dispatch`] — admission policies: the paper's strict static
 //!   round-robin, plus least-loaded-replica, round-robin failover, and the
