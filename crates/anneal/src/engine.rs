@@ -59,8 +59,8 @@ pub trait AnnealProblem {
 
     /// Energy of a state, recomputed from scratch; the annealer
     /// minimizes this. Used at initialization and by differential
-    /// tests — the hot loop goes through [`evaluate_move`]
-    /// (`evaluate_move`: AnnealProblem::evaluate_move).
+    /// tests — the hot loop goes through
+    /// [`evaluate_move`](AnnealProblem::evaluate_move).
     fn energy(&self, state: &Self::State) -> f64;
 
     /// The state's current energy as the problem tracks it — O(1) for

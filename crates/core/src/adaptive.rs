@@ -191,7 +191,7 @@ impl AdaptiveRunner {
 
     /// Like [`Self::plan_from_weights`], with an explicit previous layout
     /// for incremental placement.
-    pub fn plan_from_weights_with(
+    fn plan_from_weights_with(
         &self,
         weights: &[f64],
         previous: Option<&Layout>,

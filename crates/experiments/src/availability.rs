@@ -10,7 +10,7 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{aggregate, build_plan, Combo, PlannedPoint, PointStats};
+use crate::runner::{aggregate, build_plan, replicate, Combo, PlannedPoint, PointStats};
 use serde::Serialize;
 use vod_model::{ModelError, ServerId};
 use vod_sim::{AdmissionPolicy, FailurePlan, Outage, SimConfig, Simulation};
@@ -57,13 +57,10 @@ fn run_with_failures(
         &point.plan.layout,
         config,
     )?;
-    let mut reports = Vec::with_capacity(setup.runs as usize);
-    for run in 0..setup.runs {
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(base_seed ^ (run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let trace = generator.generate(&mut rng);
-        reports.push(sim.run_with_telemetry(&trace, telemetry)?);
-    }
+    let reports = replicate(setup.runs, base_seed, |seed| {
+        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
+        sim.run_with_telemetry(&trace, telemetry)
+    })?;
     let disrupted_mean =
         reports.iter().map(|r| r.disrupted as f64).sum::<f64>() / reports.len() as f64;
     Ok((aggregate(lambda, &reports), disrupted_mean))

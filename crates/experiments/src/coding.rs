@@ -30,7 +30,7 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{aggregate, PointStats};
+use crate::runner::{aggregate, replicate, PointStats};
 use serde::Serialize;
 use vod_model::{ModelError, RedundancyMap, RedundancyScheme};
 use vod_placement::place_coded;
@@ -135,18 +135,12 @@ fn run_cell(
     let generator = TraceGenerator::new(lambda, &popularity, setup.horizon_min)?;
 
     let local = Telemetry::enabled();
-    let mut reports = Vec::with_capacity(setup.runs as usize);
-    for run in 0..setup.runs {
-        let stream = (run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let reports = replicate(setup.runs, base_seed, |seed| {
         let config = SimConfig {
             policy: AdmissionPolicy::RoundRobinFailover,
             horizon_min: setup.horizon_min,
             shards: setup.shards,
-            failure_model: Some(FailureModel::exponential(
-                MTBF_MIN,
-                mttr_min,
-                base_seed ^ stream,
-            )),
+            failure_model: Some(FailureModel::exponential(MTBF_MIN, mttr_min, seed)),
             repair: RepairConfig {
                 bandwidth_kbps: REPAIR_KBPS,
                 max_concurrent: 8,
@@ -155,10 +149,9 @@ fn run_cell(
             ..SimConfig::default()
         };
         let sim = Simulation::new(&catalog, &cluster, &layout, config)?;
-        let mut rng = ChaCha8Rng::seed_from_u64(base_seed ^ stream);
-        let trace = generator.generate(&mut rng);
-        reports.push(sim.run_with_telemetry(&trace, &local)?);
-    }
+        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
+        sim.run_with_telemetry(&trace, &local)
+    })?;
 
     let snap = local.snapshot();
     let reconstructions = snap.counter("sim.repair.coded.reconstructions");

@@ -69,7 +69,7 @@ impl PaperSetup {
     /// (`⌈degree·M/N⌉` — the paper's "storage capacity of the cluster
     /// ranged from 200 to 400 replicas and the replication degree ranged
     /// from 1.0 to 2.0").
-    pub fn slots_per_server(&self, degree: f64) -> u64 {
+    fn slots_per_server(&self, degree: f64) -> u64 {
         ((degree * self.n_videos as f64) / self.n_servers as f64).ceil() as u64
     }
 

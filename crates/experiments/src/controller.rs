@@ -48,7 +48,7 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{build_plan, Combo};
+use crate::runner::{build_plan, replicate, Combo};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -182,15 +182,13 @@ fn run_cell(
     base_seed: u64,
     telemetry: &Telemetry,
 ) -> Result<ControllerRow, ModelError> {
-    let mut reports = Vec::with_capacity(setup.runs as usize);
-    for run in 0..setup.runs {
-        let stream = (run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let reports = replicate(setup.runs, base_seed, |seed| {
         let config = SimConfig {
             policy: AdmissionPolicy::LeastLoadedReplica,
             horizon_min: setup.horizon_min,
             shards: setup.shards,
             failure_model: failures
-                .then(|| FailureModel::exponential(MTBF_MIN, MTTR_MIN, base_seed ^ stream ^ 0xFA)),
+                .then(|| FailureModel::exponential(MTBF_MIN, MTTR_MIN, seed ^ 0xFA)),
             repair: RepairConfig {
                 bandwidth_kbps: REPAIR_KBPS,
                 max_concurrent: 8,
@@ -200,10 +198,9 @@ fn run_cell(
             ..SimConfig::default()
         };
         let sim = Simulation::new(catalog, cluster, layout, config)?;
-        let mut rng = ChaCha8Rng::seed_from_u64(base_seed ^ stream);
-        let trace = workload.generate(lambda, &mut rng)?;
-        reports.push(sim.run_with_telemetry(&trace, telemetry)?);
-    }
+        let trace = workload.generate(lambda, &mut ChaCha8Rng::seed_from_u64(seed))?;
+        sim.run_with_telemetry(&trace, telemetry)
+    })?;
     let n = reports.len() as f64;
     let mean = |f: &dyn Fn(&vod_sim::SimReport) -> f64| reports.iter().map(f).sum::<f64>() / n;
     Ok(ControllerRow {

@@ -24,7 +24,7 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{aggregate, build_plan, Combo, PlannedPoint, PointStats};
+use crate::runner::{aggregate, build_plan, replicate, Combo, PlannedPoint, PointStats};
 use serde::Serialize;
 use vod_model::{ClusterSpec, ModelError};
 use vod_sim::{AdmissionPolicy, FailoverPolicy, FailureModel, RepairConfig, SimConfig, Simulation};
@@ -102,18 +102,12 @@ fn run_cell(
 
     let planner = point.planner();
     let generator = TraceGenerator::new(lambda, planner.popularity(), setup.horizon_min)?;
-    let mut reports = Vec::with_capacity(setup.runs as usize);
-    for run in 0..setup.runs {
-        let stream = (run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let reports = replicate(setup.runs, base_seed, |seed| {
         let config = SimConfig {
             policy: AdmissionPolicy::RoundRobinFailover,
             horizon_min: setup.horizon_min,
             shards: setup.shards,
-            failure_model: Some(FailureModel::exponential(
-                MTBF_MIN,
-                mttr_min,
-                base_seed ^ stream,
-            )),
+            failure_model: Some(FailureModel::exponential(MTBF_MIN, mttr_min, seed)),
             repair: RepairConfig {
                 bandwidth_kbps: repair_kbps,
                 max_concurrent: 8,
@@ -122,10 +116,9 @@ fn run_cell(
             ..SimConfig::default()
         };
         let sim = Simulation::new(planner.catalog(), cluster, &point.plan.layout, config)?;
-        let mut rng = ChaCha8Rng::seed_from_u64(base_seed ^ stream);
-        let trace = generator.generate(&mut rng);
-        reports.push(sim.run_with_telemetry(&trace, telemetry)?);
-    }
+        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
+        sim.run_with_telemetry(&trace, telemetry)
+    })?;
     let n = reports.len() as f64;
     let mean = |f: &dyn Fn(&vod_sim::SimReport) -> f64| reports.iter().map(f).sum::<f64>() / n;
     Ok(CellOutcome {

@@ -73,7 +73,7 @@ impl Table {
     }
 
     /// Renders as CSV (header + rows).
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.header.join(","));
         for row in &self.rows {

@@ -2,9 +2,10 @@
 //!
 //! Every simulated data point in the paper is "an average of runs"; this
 //! module builds the plan once (planning is deterministic), then fans the
-//! independent replications out over OS threads — one seeded RNG per run,
-//! results gathered over a crossbeam channel and folded in run order so
-//! the aggregate is identical regardless of scheduling.
+//! independent replications out over OS threads with [`replicate`] — one
+//! seed per run, results folded in run order so the aggregate is
+//! identical regardless of scheduling. Every experiment's replications
+//! go through it.
 
 use crate::config::PaperSetup;
 use rand::SeedableRng;
@@ -78,7 +79,8 @@ pub struct PointStats {
     /// Mean time-averaged absolute Eq. (2) imbalance as a percentage of
     /// one server's stream capacity — Figure 6's axis (rises with load,
     /// peaks below saturation, falls when everything is full). Filled by
-    /// [`aggregate_with_capacity`]; zero when capacity is unknown.
+    /// [`run_point`]; zero from [`aggregate`], which does not know the
+    /// capacity.
     pub imbalance_maxdev_pct_capacity: f64,
     /// Mean redirected-stream share of admissions (backbone ablation).
     pub redirected_share: f64,
@@ -206,46 +208,48 @@ pub fn run_replications_with_telemetry(
         &point.plan.layout,
         config,
     )?;
+    replicate(setup.runs, base_seed, |seed| {
+        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
+        sim.run_with_telemetry(&trace, telemetry)
+    })
+}
 
-    let runs = setup.runs;
+/// Runs `runs` independent replications in parallel, run `r` as
+/// `run(base_seed ^ r·0x9E37_79B9_7F4A_7C15)`, and returns the reports
+/// in run order — or the first error in run order — so the result never
+/// depends on scheduling.
+pub fn replicate<E: Send>(
+    runs: u32,
+    base_seed: u64,
+    run: impl Fn(u64) -> Result<SimReport, E> + Sync,
+) -> Result<Vec<SimReport>, E> {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(runs as usize)
         .max(1);
-
-    let (tx, rx) = crossbeam::channel::unbounded::<(u32, Result<SimReport, ModelError>)>();
+    let (tx, rx) = crossbeam::channel::unbounded();
     std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let tx = tx.clone();
-            let sim = &sim;
-            let generator = &generator;
-            let telemetry = telemetry.clone();
+        for worker in 0..threads as u32 {
+            let (tx, run) = (tx.clone(), &run);
             scope.spawn(move || {
-                let mut run = worker as u32;
-                while run < runs {
-                    let mut rng = ChaCha8Rng::seed_from_u64(
-                        base_seed ^ (run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    let trace = generator.generate(&mut rng);
-                    tx.send((run, sim.run_with_telemetry(&trace, &telemetry)))
-                        .expect("receiver alive");
-                    run += threads as u32;
+                for r in (worker..runs).step_by(threads) {
+                    let seed = base_seed ^ (r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    tx.send((r, run(seed))).expect("receiver alive");
                 }
             });
         }
     });
     drop(tx);
-
-    let mut results: Vec<(u32, Result<SimReport, ModelError>)> = rx.iter().collect();
-    results.sort_by_key(|(run, _)| *run);
-    results.into_iter().map(|(_, r)| r).collect()
+    let mut results: Vec<(u32, Result<SimReport, E>)> = rx.iter().collect();
+    results.sort_by_key(|(r, _)| *r);
+    results.into_iter().map(|(_, report)| report).collect()
 }
 
 /// Folds raw reports into a [`PointStats`]; `stream_capacity` (streams
 /// per server link, 450 in the paper's setting) normalizes the absolute
 /// Eq. (2) imbalance for the Figure 6 axis.
-pub fn aggregate_with_capacity(
+fn aggregate_with_capacity(
     lambda_per_min: f64,
     reports: &[SimReport],
     stream_capacity: u64,

@@ -18,12 +18,12 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{aggregate, build_plan, run_point_with_telemetry, Combo};
+use crate::runner::{aggregate, build_plan, replicate, run_point_with_telemetry, Combo};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use vod_model::ServerId;
-use vod_sim::{AdmissionPolicy, FailurePlan, Outage, SimReport, StripedConfig, StripedSimulation};
+use vod_sim::{AdmissionPolicy, FailurePlan, Outage, StripedConfig, StripedSimulation};
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
 
@@ -60,12 +60,10 @@ fn run_striped(
     };
     let sim = StripedSimulation::new(&catalog, &cluster, config)?;
     let generator = TraceGenerator::new(lambda, &pop, setup.horizon_min)?;
-    let mut reports: Vec<SimReport> = Vec::with_capacity(setup.runs as usize);
-    for run in 0..setup.runs {
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(base_seed ^ (run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        reports.push(sim.run_with_telemetry(&generator.generate(&mut rng), telemetry)?);
-    }
+    let reports = replicate(setup.runs, base_seed, |seed| {
+        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
+        sim.run_with_telemetry(&trace, telemetry)
+    })?;
     let disrupted = reports.iter().map(|r| r.disrupted as f64).sum::<f64>() / reports.len() as f64;
     Ok((aggregate(lambda, &reports).rejection_rate, disrupted))
 }
@@ -149,13 +147,10 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
         &replicated.plan.layout,
         config,
     )?;
-    let mut rep_reports = Vec::new();
-    for run in 0..setup.runs {
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(0xA5u64 ^ (run as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        rep_reports
-            .push(sim.run_with_telemetry(&generator.generate(&mut rng), reporter.telemetry())?);
-    }
+    let rep_reports = replicate(setup.runs, 0xA5, |seed| {
+        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
+        sim.run_with_telemetry(&trace, reporter.telemetry())
+    })?;
     let rep_rej = aggregate(lambda, &rep_reports).rejection_rate;
     let rep_dis =
         rep_reports.iter().map(|r| r.disrupted as f64).sum::<f64>() / rep_reports.len() as f64;

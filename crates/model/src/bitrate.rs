@@ -48,22 +48,10 @@ impl BitRate {
         BitRate(kbps)
     }
 
-    /// Creates a bit rate from megabits per second (whole megabits).
-    #[inline]
-    pub const fn from_mbps(mbps: u32) -> Self {
-        BitRate(mbps * 1_000)
-    }
-
     /// The rate in kilobits per second.
     #[inline]
     pub const fn kbps(self) -> u32 {
         self.0
-    }
-
-    /// The rate in bits per second.
-    #[inline]
-    pub const fn bps(self) -> u64 {
-        self.0 as u64 * 1_000
     }
 
     /// The rate in megabits per second, as a float (for reporting and for
@@ -130,7 +118,7 @@ mod tests {
     fn intro_storage_example() {
         // Paper intro: "a typical 90-minute MPEG-2 video encoded in a
         // constant bit rate of 4 Mbs requires as much as 2.7 GB storage".
-        let gb = BitRate::from_mbps(4).storage_bytes(90 * 60) as f64 / 1e9;
+        let gb = BitRate::from_kbps(4_000).storage_bytes(90 * 60) as f64 / 1e9;
         assert!((gb - 2.7).abs() < 1e-9);
     }
 
@@ -138,9 +126,7 @@ mod tests {
     fn unit_conversions() {
         let r = BitRate::from_kbps(1_500);
         assert_eq!(r.kbps(), 1_500);
-        assert_eq!(r.bps(), 1_500_000);
         assert!((r.mbps() - 1.5).abs() < 1e-12);
-        assert_eq!(BitRate::from_mbps(4), BitRate::from_kbps(4_000));
     }
 
     #[test]

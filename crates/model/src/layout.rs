@@ -153,17 +153,6 @@ impl Layout {
         self.redundancy.as_ref().is_some_and(|m| m.any_coded())
     }
 
-    /// Inverts the mapping: which videos does each server hold?
-    pub fn server_contents(&self) -> Vec<Vec<VideoId>> {
-        let mut contents = vec![Vec::new(); self.n_servers];
-        for (v, servers) in self.assignments.iter().enumerate() {
-            for &s in servers {
-                contents[s.index()].push(VideoId(v as u32));
-            }
-        }
-        contents
-    }
-
     /// Replicas stored per server (for fixed-rate storage accounting).
     pub fn replicas_per_server(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.n_servers];
@@ -332,10 +321,15 @@ mod tests {
     #[test]
     fn server_contents_inverts() {
         let l = small_layout();
-        let contents = l.server_contents();
-        assert_eq!(contents[0], vec![VideoId(0), VideoId(2)]);
-        assert_eq!(contents[1], vec![VideoId(0)]);
-        assert_eq!(contents[2], vec![VideoId(1)]);
+        let contents = |s: u32| -> Vec<VideoId> {
+            (0..l.n_videos() as u32)
+                .map(VideoId)
+                .filter(|&v| l.replicas_of(v).contains(&ServerId(s)))
+                .collect()
+        };
+        assert_eq!(contents(0), vec![VideoId(0), VideoId(2)]);
+        assert_eq!(contents(1), vec![VideoId(0)]);
+        assert_eq!(contents(2), vec![VideoId(1)]);
     }
 
     #[test]

@@ -148,19 +148,6 @@ impl Popularity {
         self.p[i]
     }
 
-    /// Ratio of the highest to the lowest popularity, `p_1 / p_M`. For a
-    /// Zipf-like distribution this is `M^θ` (used in Sec. 4.2 to argue the
-    /// weight spread the placement must handle).
-    pub fn skew_ratio(&self) -> f64 {
-        self.p[0] / self.p[self.p.len() - 1]
-    }
-
-    /// Cumulative probability of the `k` most popular videos — how
-    /// top-heavy the demand is.
-    pub fn head_mass(&self, k: usize) -> f64 {
-        self.p.iter().take(k).sum()
-    }
-
     /// Cumulative distribution function, `cdf[i] = Σ_{j≤i} p_j`, with the
     /// last entry forced to exactly 1.0 (guards samplers against float
     /// round-off).
@@ -215,14 +202,17 @@ mod tests {
         let m = 200;
         let theta = 0.5;
         let pop = Popularity::zipf(m, theta).unwrap();
-        assert!((pop.skew_ratio() - (m as f64).powf(theta)).abs() < 1e-9);
+        // p_1 / p_M, the weight spread Sec. 4.2 argues from.
+        let ratio = pop.get(0) / pop.get(m - 1);
+        assert!((ratio - (m as f64).powf(theta)).abs() < 1e-9);
     }
 
     #[test]
     fn higher_theta_means_more_head_mass() {
         let low = Popularity::zipf(100, 0.271).unwrap();
         let high = Popularity::zipf(100, 1.0).unwrap();
-        assert!(high.head_mass(10) > low.head_mass(10));
+        // The cumulative mass of the ten most popular titles.
+        assert!(high.cdf()[9] > low.cdf()[9]);
     }
 
     #[test]
@@ -287,9 +277,8 @@ mod tests {
 
     #[test]
     fn head_mass_monotone_in_k() {
-        let pop = Popularity::zipf(20, 1.0).unwrap();
-        assert!(pop.head_mass(5) < pop.head_mass(10));
-        assert!((pop.head_mass(20) - 1.0).abs() < 1e-12);
-        assert!((pop.head_mass(100) - 1.0).abs() < 1e-12);
+        let cdf = Popularity::zipf(20, 1.0).unwrap().cdf();
+        assert!(cdf[4] < cdf[9]);
+        assert_eq!(cdf[19], 1.0);
     }
 }

@@ -100,19 +100,9 @@ impl ClusterSpec {
         &self.servers
     }
 
-    /// True when all servers are identical.
-    pub fn is_homogeneous(&self) -> bool {
-        self.servers.windows(2).all(|w| w[0] == w[1])
-    }
-
     /// Total cluster storage in bytes.
     pub fn total_storage_bytes(&self) -> u64 {
         self.servers.iter().map(|s| s.storage_bytes).sum()
-    }
-
-    /// Total cluster outgoing bandwidth in kbps.
-    pub fn total_bandwidth_kbps(&self) -> u64 {
-        self.servers.iter().map(|s| s.bandwidth_kbps).sum()
     }
 
     /// Total replica slots across the cluster for a fixed-rate catalog —
@@ -121,15 +111,6 @@ impl ClusterSpec {
         self.servers
             .iter()
             .map(|s| s.replica_slots(bitrate, duration_s))
-            .sum()
-    }
-
-    /// Total concurrent streams at `bitrate` the cluster's outgoing links
-    /// support — the saturation point of the rejection-rate curves.
-    pub fn total_stream_capacity(&self, bitrate: BitRate) -> u64 {
-        self.servers
-            .iter()
-            .map(|s| s.stream_capacity(bitrate))
             .sum()
     }
 }
@@ -143,10 +124,9 @@ mod tests {
     fn paper_cluster_capacities() {
         let c = ClusterSpec::paper_default(30);
         assert_eq!(c.len(), 8);
-        assert!(c.is_homogeneous());
-        // 1.8 Gbps / 4 Mbps = 450 streams per server, 3600 cluster-wide.
+        assert!(c.servers().iter().all(|s| *s == c.servers()[0]));
+        // 1.8 Gbps / 4 Mbps = 450 streams per server.
         assert_eq!(c.servers()[0].stream_capacity(BitRate::MPEG2), 450);
-        assert_eq!(c.total_stream_capacity(BitRate::MPEG2), 3_600);
         // 30 replica slots per server, 240 cluster-wide.
         assert_eq!(
             c.servers()[0].replica_slots(BitRate::MPEG2, TYPICAL_DURATION_S),
@@ -190,9 +170,8 @@ mod tests {
             },
         ])
         .unwrap();
-        assert!(!c.is_homogeneous());
+        assert_ne!(c.servers()[0], c.servers()[1]);
         assert_eq!(c.total_storage_bytes(), 30);
-        assert_eq!(c.total_bandwidth_kbps(), 20);
     }
 
     #[test]

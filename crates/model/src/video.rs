@@ -105,24 +105,10 @@ impl Catalog {
         self.videos.get(id.index())
     }
 
-    /// Mutable access (the simulated-annealing problem rewrites bit rates).
-    #[inline]
-    pub fn get_mut(&mut self, id: VideoId) -> Option<&mut Video> {
-        self.videos.get_mut(id.index())
-    }
-
     /// True if every video shares one bit rate — the precondition of the
     /// fixed-rate algorithms.
     pub fn is_fixed_rate(&self) -> bool {
         self.videos.windows(2).all(|w| w[0].bitrate == w[1].bitrate)
-    }
-
-    /// True if every video shares one duration (assumed throughout the
-    /// paper).
-    pub fn is_uniform_duration(&self) -> bool {
-        self.videos
-            .windows(2)
-            .all(|w| w[0].duration_s == w[1].duration_s)
     }
 
     /// Mean encoding bit rate in Mbps — the first term of objective Eq. (1).
@@ -145,7 +131,7 @@ mod tests {
         let c = Catalog::paper_default(200).unwrap();
         assert_eq!(c.len(), 200);
         assert!(c.is_fixed_rate());
-        assert!(c.is_uniform_duration());
+        assert!(c.videos().iter().all(|v| v.duration_s == 5_400));
         assert_eq!(c.get(VideoId(0)).unwrap().storage_bytes(), 2_700_000_000);
         assert!((c.mean_bitrate_mbps() - 4.0).abs() < 1e-12);
         assert_eq!(c.single_copy_storage_bytes(), 200 * 2_700_000_000);
@@ -174,13 +160,5 @@ mod tests {
             Err(ModelError::Empty)
         );
         assert_eq!(Catalog::with_rates(&[], 100), Err(ModelError::Empty));
-    }
-
-    #[test]
-    fn get_mut_rewrites_rate() {
-        let mut c = Catalog::paper_default(3).unwrap();
-        c.get_mut(VideoId(1)).unwrap().bitrate = BitRate::MPEG1;
-        assert_eq!(c.get(VideoId(1)).unwrap().bitrate, BitRate::MPEG1);
-        assert!(!c.is_fixed_rate());
     }
 }

@@ -608,7 +608,7 @@ impl<'a> Simulation<'a> {
         // it is pure bookkeeping: its content map stays identical to the
         // bound layout, so dispatch is unchanged.
         let drift_on = self.config.controller.enabled();
-        let controller = if transitions.is_empty() && !drift_on {
+        let actuator = if transitions.is_empty() && !drift_on {
             None
         } else {
             Some(ReplicaActuator::new(
@@ -620,7 +620,7 @@ impl<'a> Simulation<'a> {
         };
         let drift =
             drift_on.then(|| DriftController::new(self.catalog.len(), self.config.controller));
-        let first_tick_min = self.config.controller.tick_min;
+        let (horizon, tick_min) = (self.config.horizon_min, self.config.controller.tick_min);
 
         let coded = self
             .layout
@@ -647,7 +647,7 @@ impl<'a> Simulation<'a> {
         } else {
             Vec::new()
         };
-        let controller = controller.map(|mut c| {
+        let actuator = actuator.map(|mut c| {
             if !rack_of.is_empty() {
                 // Coded repair destinations honor the same per-rack
                 // fragment bound the auditor enforces.
@@ -661,21 +661,15 @@ impl<'a> Simulation<'a> {
             dispatcher: Dispatcher::new(self.config.policy, self.catalog.len()),
             metrics: MetricsCollector::new(self.catalog.len()),
             departures: DepartureQueue::with_capacity(self.cluster.len()),
-            controller,
+            actuator,
             coded,
             rack_of,
             layout: self.layout,
             transitions,
             next_transition: 0,
-            next_sample_min: 0.0,
-            next_sample_at: Some(SimTime::from_min(0.0)),
-            sample_step: self.config.sample_interval_min,
+            sample: Ticker::new(0.0, self.config.sample_interval_min, true, horizon),
             drift,
-            next_ctrl_min: first_tick_min,
-            next_ctrl_at: (drift_on && first_tick_min <= self.config.horizon_min)
-                .then(|| SimTime::from_min(first_tick_min)),
-            ctrl_step: first_tick_min,
-            horizon: self.config.horizon_min,
+            ctrl: Ticker::new(tick_min, tick_min, drift_on, horizon),
             failover: self.config.failover,
             admission: AdmissionState::new(&self.config.admission),
             auditor: (cfg!(debug_assertions) || self.config.audit).then(Auditor::new),
@@ -700,7 +694,7 @@ impl<'a> Simulation<'a> {
         // abort any still-in-flight repair copies (releasing their
         // reservations), then retire whatever still streams past it.
         state.advance_to(SimTime::from_min(self.config.horizon_min))?;
-        if let Some(c) = state.controller.as_mut() {
+        if let Some(c) = state.actuator.as_mut() {
             c.finish(
                 self.config.horizon_min,
                 &mut state.links,
@@ -732,7 +726,7 @@ impl<'a> Simulation<'a> {
         debug_assert_eq!(state.links.total_streams(), 0);
         debug_assert_eq!(state.dispatcher.backbone_used_kbps(), 0);
 
-        if let Some(c) = &state.controller {
+        if let Some(c) = &state.actuator {
             state.metrics.set_recovery_stats(
                 c.bytes_copied(),
                 c.copies_completed(),
@@ -743,7 +737,7 @@ impl<'a> Simulation<'a> {
         }
         if let Some(d) = &state.drift {
             let (copies, bytes) = state
-                .controller
+                .actuator
                 .as_ref()
                 .map(|c| (c.drift_copies_completed(), c.drift_bytes_copied()))
                 .unwrap_or((0, 0));
@@ -761,7 +755,7 @@ impl<'a> Simulation<'a> {
         state.tally.transitions = state.next_transition as u64;
         state.tally.probes = state.dispatcher.admission_probes();
         state.tally.peak_len = peak_len;
-        let controller = state.controller.as_ref();
+        let actuator = state.actuator.as_ref();
         Ok(EngineOutcome {
             samples: state.sample_log.unwrap_or_default(),
             tally: state.tally,
@@ -770,12 +764,12 @@ impl<'a> Simulation<'a> {
                 .into_iter()
                 .collect(),
             shard_events: Vec::new(),
-            actuated: controller.is_some(),
+            actuated: actuator.is_some(),
             coded: state.coded.map(|cs| CodedTally {
                 degraded_reads: cs.degraded_reads,
                 shares_reattached: cs.shares_reattached,
-                reconstructions: controller.map_or(0, |c| c.coded_reconstructions()),
-                bytes_read: controller.map_or(0, |c| c.coded_bytes_read()),
+                reconstructions: actuator.map_or(0, |c| c.coded_reconstructions()),
+                bytes_read: actuator.map_or(0, |c| c.coded_bytes_read()),
             }),
             metrics: state.metrics,
         })
@@ -1033,8 +1027,7 @@ fn release_departure(
     dispatcher: &mut Dispatcher,
     coded: &Option<CodedState>,
 ) {
-    let live = d.stream == NO_STREAM || stream_live(coded, d.stream);
-    if live && links.epoch(d.server) == d.epoch {
+    if stream_live(coded, d) && links.epoch(d.server) == d.epoch {
         links.release(d.server, d.kbps);
     }
     if d.backbone_kbps > 0 {
@@ -1042,13 +1035,33 @@ fn release_departure(
     }
 }
 
-/// Whether coded stream `stream` is still live (not killed by
-/// failover). False without coded state — replicated runs carry no
-/// stream-tagged departures, so the question never arises there.
-fn stream_live(coded: &Option<CodedState>, stream: u32) -> bool {
-    coded
-        .as_ref()
-        .is_some_and(|cs| !cs.streams[stream as usize].killed)
+/// Whether `d`'s stream is still live: always for a replica stream, and
+/// for a coded share while failover has not killed its stream.
+fn stream_live(coded: &Option<CodedState>, d: &Departure) -> bool {
+    d.stream == NO_STREAM
+        || coded
+            .as_ref()
+            .is_some_and(|cs| !cs.streams[d.stream as usize].killed)
+}
+
+/// The current holders of `video`: the actuator's evolving content map
+/// when one runs, else the bound layout.
+fn holders<'s>(
+    actuator: &'s Option<ReplicaActuator>,
+    layout: &'s Layout,
+    video: VideoId,
+) -> &'s [ServerId] {
+    match actuator {
+        Some(c) => c.holders(video),
+        None => layout.replicas_of(video),
+    }
+}
+
+/// The [`BitRate::LADDER`] rates below `kbps`, descending.
+fn ladder_below(kbps: u64) -> impl Iterator<Item = u64> {
+    let below = |r: BitRate| r.step_down(&BitRate::LADDER);
+    std::iter::successors(below(BitRate::from_kbps(kbps as u32)), move |&r| below(r))
+        .map(|r| r.kbps() as u64)
 }
 
 /// How a failing server's stream fared under failover.
@@ -1093,6 +1106,34 @@ struct CodedState {
     shares_reattached: u64,
 }
 
+/// A periodic clock (load samples, control ticks): due at `next_min`,
+/// then every `step` minutes up to and including the horizon.
+struct Ticker {
+    next_min: f64,
+    /// `next_min` converted once per firing instead of once per pump
+    /// iteration (`None` past the horizon, or when the clock is off).
+    next_at: Option<SimTime>,
+    step: f64,
+    horizon: f64,
+}
+
+impl Ticker {
+    fn new(first_min: f64, step: f64, on: bool, horizon: f64) -> Self {
+        Ticker {
+            next_min: first_min,
+            next_at: (on && first_min <= horizon).then(|| SimTime::from_min(first_min)),
+            step,
+            horizon,
+        }
+    }
+
+    /// Moves to the next firing instant.
+    fn advance(&mut self) {
+        self.next_min += self.step;
+        self.next_at = (self.next_min <= self.horizon).then(|| SimTime::from_min(self.next_min));
+    }
+}
+
 /// Mutable run-loop state, split out so the background-event pump and the
 /// failover logic can borrow its fields independently.
 struct RunState<'a> {
@@ -1100,7 +1141,7 @@ struct RunState<'a> {
     dispatcher: Dispatcher,
     metrics: MetricsCollector,
     departures: DepartureQueue,
-    controller: Option<ReplicaActuator>,
+    actuator: Option<ReplicaActuator>,
     /// Coded-serving state (`None` for all-replicated layouts).
     coded: Option<CodedState>,
     /// Rack of each server (`u32::MAX` = unracked), non-empty only when
@@ -1113,17 +1154,10 @@ struct RunState<'a> {
     layout: &'a Layout,
     transitions: Vec<Transition>,
     next_transition: usize,
-    next_sample_min: f64,
-    /// `next_sample_min` converted once per sample instead of once per
-    /// pump iteration (`None` past the horizon).
-    next_sample_at: Option<SimTime>,
-    sample_step: f64,
-    /// Next control-tick instant (`None` when the controller is off or
-    /// past the horizon).
-    next_ctrl_at: Option<SimTime>,
-    next_ctrl_min: f64,
-    ctrl_step: f64,
-    horizon: f64,
+    /// The load-sample clock.
+    sample: Ticker,
+    /// The control-tick clock (never due when the controller is off).
+    ctrl: Ticker,
     failover: FailoverPolicy,
     admission: AdmissionState,
     auditor: Option<Auditor>,
@@ -1155,12 +1189,12 @@ impl RunState<'_> {
     fn advance_to(&mut self, t: SimTime) -> Result<(), ModelError> {
         loop {
             let dep_at = self.departures.next_time();
-            let rep_at = self.controller.as_ref().and_then(|c| c.next_completion());
+            let rep_at = self.actuator.as_ref().and_then(|c| c.next_completion());
             let tr_at = self.transitions.get(self.next_transition).map(|x| x.at);
             let aband_at = self.admission.next_deadline();
             let retry_at = self.admission.next_retry();
-            let sample_at = self.next_sample_at;
-            let ctrl_at = self.next_ctrl_at;
+            let sample_at = self.sample.next_at;
+            let ctrl_at = self.ctrl.next_at;
 
             let candidates = [
                 dep_at, rep_at, tr_at, aband_at, retry_at, sample_at, ctrl_at,
@@ -1182,13 +1216,13 @@ impl RunState<'_> {
                 release_departure(&d, &mut self.links, &mut self.dispatcher, &self.coded);
                 // Freed streaming bandwidth may unblock a stalled copy
                 // first (repair priority), then waiting clients.
-                if let Some(c) = self.controller.as_mut() {
+                if let Some(c) = self.actuator.as_mut() {
                     c.pump(min_at, &mut self.links, &mut self.dispatcher);
                 }
                 self.drain_queue(min_at);
             } else if rep_at == Some(min_at) {
-                let c = self.controller.as_mut().ok_or(ModelError::Internal {
-                    context: "repair completion due without a controller",
+                let c = self.actuator.as_mut().ok_or(ModelError::Internal {
+                    context: "repair completion due without an actuator",
                 })?;
                 c.complete_next(&mut self.links, &mut self.dispatcher)?;
                 self.drain_queue(min_at);
@@ -1211,18 +1245,8 @@ impl RunState<'_> {
                     .ok_or(ModelError::Internal {
                         context: "admission deadline due with no expirable request",
                     })?;
-                if req.retries_left > 0 {
-                    // Patience ran out, but the client retries later.
-                    self.admission.schedule_retry(
-                        min_at,
-                        PendingRequest {
-                            retries_left: req.retries_left - 1,
-                            attempt: req.attempt + 1,
-                            ..req
-                        },
-                    );
-                    self.metrics.on_retried();
-                } else {
+                // Patience ran out; the client retries later if it can.
+                if !self.retry(min_at, req) {
                     self.metrics.on_abandoned();
                 }
             } else if retry_at == Some(min_at) {
@@ -1243,22 +1267,18 @@ impl RunState<'_> {
                 } else {
                     self.tally.samples += 1;
                     self.metrics
-                        .sample_loads(&self.load_scratch, self.next_sample_min);
+                        .sample_loads(&self.load_scratch, self.sample.next_min);
                 }
-                self.next_sample_min += self.sample_step;
-                self.next_sample_at = (self.next_sample_min <= self.horizon)
-                    .then(|| SimTime::from_min(self.next_sample_min));
+                self.sample.advance();
             } else {
-                let c = self.controller.as_mut().ok_or(ModelError::Internal {
+                let c = self.actuator.as_mut().ok_or(ModelError::Internal {
                     context: "control tick due without an actuation layer",
                 })?;
                 let d = self.drift.as_mut().ok_or(ModelError::Internal {
                     context: "control tick due without a drift controller",
                 })?;
                 d.tick(min_at, c, &mut self.links, &mut self.dispatcher);
-                self.next_ctrl_min += self.ctrl_step;
-                self.next_ctrl_at = (self.next_ctrl_min <= self.horizon)
-                    .then(|| SimTime::from_min(self.next_ctrl_min));
+                self.ctrl.advance();
             }
             self.audit_check(min_at)?;
         }
@@ -1294,7 +1314,7 @@ impl RunState<'_> {
             // what needs auditing is the actuator's evolving holder map
             // (repair destinations). Static coded runs audit the layout
             // itself once per event — cheap at audit-only cadence.
-            let holders = match &self.controller {
+            let holders = match &self.actuator {
                 Some(c) => c.holders_all(),
                 None => self.layout.assignments(),
             };
@@ -1315,19 +1335,27 @@ impl RunState<'_> {
         if self.admission.queueing() {
             self.admission.enqueue(now, req);
             self.metrics.on_queued();
-        } else if req.retries_left > 0 {
-            self.admission.schedule_retry(
-                now,
-                PendingRequest {
-                    retries_left: req.retries_left - 1,
-                    attempt: req.attempt + 1,
-                    ..req
-                },
-            );
-            self.metrics.on_retried();
-        } else {
+        } else if !self.retry(now, req) {
             self.metrics.on_reject(req.video.index());
         }
+    }
+
+    /// Schedules `req`'s next attempt if it has retries left; returns
+    /// whether it did.
+    fn retry(&mut self, now: SimTime, req: PendingRequest) -> bool {
+        if req.retries_left == 0 {
+            return false;
+        }
+        self.admission.schedule_retry(
+            now,
+            PendingRequest {
+                retries_left: req.retries_left - 1,
+                attempt: req.attempt + 1,
+                ..req
+            },
+        );
+        self.metrics.on_retried();
+        true
     }
 
     /// One admission attempt: full rate first, then (under a degrading
@@ -1336,17 +1364,7 @@ impl RunState<'_> {
         if self.try_admit_at(now, req, req.kbps) {
             return true;
         }
-        if !self.admission.degrades() {
-            return false;
-        }
-        let mut rate = BitRate::from_kbps(req.kbps as u32).step_down(&BitRate::LADDER);
-        while let Some(r) = rate {
-            if self.try_admit_at(now, req, r.kbps() as u64) {
-                return true;
-            }
-            rate = r.step_down(&BitRate::LADDER);
-        }
-        false
+        self.admission.degrades() && ladder_below(req.kbps).any(|r| self.try_admit_at(now, req, r))
     }
 
     /// Dispatches `req` at `rate` kbps — over `k` fragment holders for a
@@ -1374,10 +1392,7 @@ impl RunState<'_> {
     /// Replica admission: the dispatcher picks one holder (or a backbone
     /// redirect). Returns the backbone kbps reserved, `None` on reject.
     fn try_admit_replica(&mut self, now: SimTime, req: &PendingRequest, rate: u64) -> Option<u64> {
-        let replicas = match &self.controller {
-            Some(c) => c.holders(req.video),
-            None => self.layout.replicas_of(req.video),
-        };
+        let replicas = holders(&self.actuator, self.layout, req.video);
         let Decision::Admit {
             server,
             backbone_kbps,
@@ -1387,17 +1402,32 @@ impl RunState<'_> {
         else {
             return None;
         };
-        self.links.admit(server, rate);
+        let at = now + SimTime::from_secs(req.duration_s);
+        self.start_stream(at, server, req.video, rate, backbone_kbps, NO_STREAM);
+        Some(backbone_kbps)
+    }
+
+    /// Takes `kbps` of `server`'s link and queues the stream's departure
+    /// at `at` under the server's current failure epoch.
+    fn start_stream(
+        &mut self,
+        at: SimTime,
+        server: ServerId,
+        video: VideoId,
+        kbps: u64,
+        backbone_kbps: u64,
+        stream: u32,
+    ) {
+        self.links.admit(server, kbps);
         self.departures.push(Departure {
-            at: now + SimTime::from_secs(req.duration_s),
+            at,
             server,
-            video: req.video,
-            kbps: rate,
+            video,
+            kbps,
             backbone_kbps,
             epoch: self.links.epoch(server),
-            stream: NO_STREAM,
+            stream,
         });
-        Some(backbone_kbps)
     }
 
     /// Coded admission: serve `req` from `k` live fragment holders, each
@@ -1411,10 +1441,7 @@ impl RunState<'_> {
         let scheme = cs.schemes.get(req.video);
         let k = scheme.min_live() as usize;
         let share = scheme.share_kbps(rate);
-        let holders = match &self.controller {
-            Some(c) => c.holders(req.video),
-            None => self.layout.replicas_of(req.video),
-        };
+        let holders = holders(&self.actuator, self.layout, req.video);
         let mut chosen: Vec<ServerId> = Vec::with_capacity(k);
         let mut degraded_read = false;
         for (pos, &h) in holders.iter().enumerate() {
@@ -1447,16 +1474,7 @@ impl RunState<'_> {
         };
         let at = now + SimTime::from_secs(req.duration_s);
         for &h in &chosen {
-            self.links.admit(h, share);
-            self.departures.push(Departure {
-                at,
-                server: h,
-                video: req.video,
-                kbps: share,
-                backbone_kbps: 0,
-                epoch: self.links.epoch(h),
-                stream,
-            });
+            self.start_stream(at, h, req.video, share, 0, stream);
         }
         true
     }
@@ -1470,30 +1488,13 @@ impl RunState<'_> {
         let pick = (self.failover != FailoverPolicy::Kill).then(|| {
             let cs = self.coded.as_ref().expect("coded share without state");
             let serving = &cs.streams[d.stream as usize].servers;
-            let holders = match &self.controller {
-                Some(c) => c.holders(d.video),
-                None => self.layout.replicas_of(d.video),
-            };
-            holders
-                .iter()
-                .copied()
-                .filter(|&h| h != from && !serving.contains(&h) && self.links.can_admit(h, d.kbps))
-                .max_by_key(|&h| (self.links.free_kbps(h), std::cmp::Reverse(h)))
+            self.best_holder(d.video, d.kbps, |h| h == from || serving.contains(&h))
         });
         let Some(h) = pick.flatten() else {
             self.kill_coded_stream(at, d, from);
             return false;
         };
-        self.links.admit(h, d.kbps);
-        self.departures.push(Departure {
-            at: d.at,
-            server: h,
-            video: d.video,
-            kbps: d.kbps,
-            backbone_kbps: 0,
-            epoch: self.links.epoch(h),
-            stream: d.stream,
-        });
+        self.start_stream(d.at, h, d.video, d.kbps, 0, d.stream);
         let cs = self.coded.as_mut().expect("coded share without state");
         let s = &mut cs.streams[d.stream as usize];
         if let Some(slot) = s.servers.iter_mut().find(|x| **x == from) {
@@ -1555,7 +1556,7 @@ impl RunState<'_> {
         if excess == 0 || !self.links.is_up(server) {
             return;
         }
-        if let Some(c) = self.controller.as_mut() {
+        if let Some(c) = self.actuator.as_mut() {
             c.on_brownout(at, server, &mut self.links, &mut self.dispatcher);
         }
         let j = server.index();
@@ -1575,35 +1576,17 @@ impl RunState<'_> {
             let Some(d) = active.pop() else {
                 break;
             };
-            if d.stream != NO_STREAM && !stream_live(&self.coded, d.stream) {
+            if !stream_live(&self.coded, &d) {
                 // A sibling kill already released this share; the
                 // departure just waits to pop as a no-op.
                 self.departures.push(d);
                 continue;
             }
             self.links.release(server, d.kbps);
-            if d.stream != NO_STREAM {
-                if self.fail_over_share(at, &d, server) {
-                    resumed += 1;
-                } else {
-                    disrupted += 1;
-                }
-                continue;
-            }
-            match self.rescue_stream(at, &d, server) {
+            match self.fail_over(at, d, server, true) {
                 Rescued::Full => resumed += 1,
                 Rescued::Degraded => degraded += 1,
-                Rescued::No => {
-                    disrupted += 1;
-                    self.metrics.on_undelivered(d.kbps, (d.at - at).ticks());
-                    // Keep the departure so the backbone reservation is
-                    // reclaimed at the scheduled end; the sentinel epoch
-                    // guarantees no link release.
-                    self.departures.push(Departure {
-                        epoch: SHED_EPOCH,
-                        ..d
-                    });
-                }
+                Rescued::No => disrupted += 1,
             }
         }
         for d in active.drain(..) {
@@ -1621,12 +1604,12 @@ impl RunState<'_> {
             self.brownout_min += (at - start).as_min();
         }
         self.links.clear_brownout(server);
-        if let Some(c) = self.controller.as_mut() {
+        if let Some(c) = self.actuator.as_mut() {
             c.pump(at, &mut self.links, &mut self.dispatcher);
         }
     }
 
-    /// Server failure: hand the topology change to the repair controller,
+    /// Server failure: hand the topology change to the actuator,
     /// then fail over the server's active streams. Coded shares re-attach
     /// to surviving fragment holders or kill their stream; replicated
     /// streams are rescued if the policy allows. The departures are only
@@ -1646,7 +1629,7 @@ impl RunState<'_> {
         // without this priority, failed-over streams (plus fresh arrivals)
         // pack a popular video's sole surviving holder to the brim and its
         // re-replication starves for the whole outage.
-        if let Some(c) = self.controller.as_mut() {
+        if let Some(c) = self.actuator.as_mut() {
             c.on_failure(
                 at,
                 server,
@@ -1657,35 +1640,16 @@ impl RunState<'_> {
         }
         let (mut disrupted, mut resumed, mut degraded, mut live) = (0u64, 0u64, 0u64, 0u64);
         for d in extracted.drain(..) {
-            if d.stream != NO_STREAM && !stream_live(&self.coded, d.stream) {
+            if !stream_live(&self.coded, &d) {
                 // Share of an already-killed stream: its bandwidth was
                 // released at kill time (it is not in `dropped`).
                 continue;
             }
             live += 1;
-            if d.stream != NO_STREAM {
-                if self.fail_over_share(at, &d, server) {
-                    resumed += 1;
-                } else {
-                    disrupted += 1;
-                }
-                continue;
-            }
-            match self.rescue_stream(at, &d, server) {
+            match self.fail_over(at, d, server, false) {
                 Rescued::Full => resumed += 1,
                 Rescued::Degraded => degraded += 1,
-                Rescued::No => {
-                    disrupted += 1;
-                    // Under `Kill` goodput-uncharged — the documented
-                    // kill-path simplification.
-                    if self.failover != FailoverPolicy::Kill {
-                        self.metrics.on_undelivered(d.kbps, (d.at - at).ticks());
-                    }
-                    // Re-queue unchanged: the stale epoch means no link
-                    // release at pop time, but any backbone reservation
-                    // is still reclaimed at the scheduled end.
-                    self.departures.push(d);
-                }
+                Rescued::No => disrupted += 1,
             }
         }
         debug_assert!(!extract || live == dropped);
@@ -1696,26 +1660,57 @@ impl RunState<'_> {
         self.metrics.on_degraded(degraded);
     }
 
-    /// Server recovery: restore the link, then let the repair controller
+    /// Server recovery: restore the link, then let the actuator
     /// mark its stored replicas servable again.
     fn on_up(&mut self, at: SimTime, server: ServerId) {
         self.links.recover(server);
-        if let Some(c) = self.controller.as_mut() {
+        if let Some(c) = self.actuator.as_mut() {
             c.on_recovery(at, server, &mut self.links, &mut self.dispatcher);
         }
     }
 
-    /// The surviving replica holder of `video` with the most free link
-    /// bandwidth able to admit `kbps` (ties to the lowest id), if any.
-    fn best_holder(&self, video: VideoId, exclude: ServerId, kbps: u64) -> Option<ServerId> {
-        let holders = match &self.controller {
-            Some(c) => c.holders(video),
-            None => self.layout.replicas_of(video),
-        };
-        holders
+    /// One departure `d` of `server`, lost to a crash or shed by a
+    /// brownout (`shed`; its link share is already released), failed
+    /// over per the policy: a coded share re-attaches or kills its
+    /// stream, a replica stream goes through [`Self::rescue_stream`].
+    /// A lost replica stream books its undelivered remainder (not after
+    /// a crash under `Kill` — the documented kill-path simplification)
+    /// and stays queued so any backbone reservation is reclaimed at the
+    /// scheduled end: unchanged after a crash, whose stale epoch means
+    /// no link release at pop time, and under [`SHED_EPOCH`] after a
+    /// shed, which guarantees none.
+    fn fail_over(&mut self, at: SimTime, d: Departure, server: ServerId, shed: bool) -> Rescued {
+        if d.stream != NO_STREAM {
+            return if self.fail_over_share(at, &d, server) {
+                Rescued::Full
+            } else {
+                Rescued::No
+            };
+        }
+        let rescued = self.rescue_stream(at, &d, server);
+        if let Rescued::No = rescued {
+            if shed || self.failover != FailoverPolicy::Kill {
+                self.metrics.on_undelivered(d.kbps, (d.at - at).ticks());
+            }
+            let epoch = if shed { SHED_EPOCH } else { d.epoch };
+            self.departures.push(Departure { epoch, ..d });
+        }
+        rescued
+    }
+
+    /// The holder of `video` with the most free link bandwidth able to
+    /// admit `kbps` (ties to the lowest id), skipping those `exclude`
+    /// names, if any.
+    fn best_holder(
+        &self,
+        video: VideoId,
+        kbps: u64,
+        exclude: impl Fn(ServerId) -> bool,
+    ) -> Option<ServerId> {
+        holders(&self.actuator, self.layout, video)
             .iter()
             .copied()
-            .filter(|&h| h != exclude && self.links.can_admit(h, kbps))
+            .filter(|&h| !exclude(h) && self.links.can_admit(h, kbps))
             .max_by_key(|&h| (self.links.free_kbps(h), std::cmp::Reverse(h)))
     }
 
@@ -1730,40 +1725,20 @@ impl RunState<'_> {
         if self.failover == FailoverPolicy::Kill {
             return Rescued::No;
         }
-        if let Some(h) = self.best_holder(d.video, failed, d.kbps) {
-            self.links.admit(h, d.kbps);
-            self.departures.push(Departure {
-                at: d.at,
-                server: h,
-                video: d.video,
-                kbps: d.kbps,
-                backbone_kbps: d.backbone_kbps,
-                epoch: self.links.epoch(h),
-                stream: d.stream,
-            });
+        let is_failed = |h| h == failed;
+        if let Some(h) = self.best_holder(d.video, d.kbps, is_failed) {
+            self.start_stream(d.at, h, d.video, d.kbps, d.backbone_kbps, d.stream);
             return Rescued::Full;
         }
         if self.failover == FailoverPolicy::ResumeOrDegrade {
-            let mut rate = BitRate::from_kbps(d.kbps as u32).step_down(&BitRate::LADDER);
-            while let Some(r) = rate {
-                let kbps = r.kbps() as u64;
-                if let Some(h) = self.best_holder(d.video, failed, kbps) {
-                    self.links.admit(h, kbps);
+            for kbps in ladder_below(d.kbps) {
+                if let Some(h) = self.best_holder(d.video, kbps, is_failed) {
                     // The remaining minutes stream at the thinner rate.
                     self.metrics
                         .on_undelivered(d.kbps - kbps, (d.at - at).ticks());
-                    self.departures.push(Departure {
-                        at: d.at,
-                        server: h,
-                        video: d.video,
-                        kbps,
-                        backbone_kbps: d.backbone_kbps,
-                        epoch: self.links.epoch(h),
-                        stream: d.stream,
-                    });
+                    self.start_stream(d.at, h, d.video, kbps, d.backbone_kbps, d.stream);
                     return Rescued::Degraded;
                 }
-                rate = r.step_down(&BitRate::LADDER);
             }
         }
         Rescued::No

@@ -138,6 +138,29 @@ fn check_times(o: &Outage) -> Result<(), ModelError> {
     Ok(())
 }
 
+/// Rejects two `(server, start, end)` intervals of one server that
+/// overlap (`end: None` runs to the end of the run), reporting the later
+/// one's start under `name`. Sorting by (server, start) leaves only
+/// *adjacent* intervals of one server to compare — O(n log n) total,
+/// which matters once stochastic models generate hundreds per run.
+fn check_no_overlap(
+    spans: impl Iterator<Item = (ServerId, f64, Option<f64>)>,
+    name: &'static str,
+) -> Result<(), ModelError> {
+    let mut spans: Vec<_> = spans.collect();
+    spans.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    for w in spans.windows(2) {
+        let ((server, _, end), (next_server, next_start, _)) = (w[0], w[1]);
+        if server == next_server && next_start < end.unwrap_or(f64::INFINITY) {
+            return Err(ModelError::InvalidParameter {
+                name,
+                value: next_start,
+            });
+        }
+    }
+    Ok(())
+}
+
 impl FailurePlan {
     /// No failures.
     pub fn none() -> Self {
@@ -155,42 +178,16 @@ impl FailurePlan {
                 .total_cmp(&b.down_at_min)
                 .then(a.server.cmp(&b.server))
         });
-        // Overlap check per server: sort an index by (server, down) so
-        // only *adjacent* outages of one server need comparing — O(n log n)
-        // total, which matters once stochastic models generate hundreds
-        // of outages per run.
-        let mut by_server: Vec<usize> = (0..outages.len()).collect();
-        by_server.sort_by(|&a, &b| {
-            outages[a]
-                .server
-                .cmp(&outages[b].server)
-                .then(outages[a].down_at_min.total_cmp(&outages[b].down_at_min))
-        });
-        for w in by_server.windows(2) {
-            let (prev, next) = (&outages[w[0]], &outages[w[1]]);
-            if prev.server != next.server {
-                continue;
-            }
-            let prev_end = prev.up_at_min.unwrap_or(f64::INFINITY);
-            if next.down_at_min < prev_end {
-                return Err(ModelError::InvalidParameter {
-                    name: "overlapping outages",
-                    value: next.down_at_min,
-                });
-            }
-        }
+        check_no_overlap(
+            outages
+                .iter()
+                .map(|o| (o.server, o.down_at_min, o.up_at_min)),
+            "overlapping outages",
+        )?;
         Ok(FailurePlan {
             outages,
             brownouts: Vec::new(),
         })
-    }
-
-    /// Validates and builds a plan carrying both outages and brownouts.
-    pub fn with_brownouts(
-        outages: Vec<Outage>,
-        brownouts: Vec<Brownout>,
-    ) -> Result<Self, ModelError> {
-        Self::new(outages)?.add_brownouts(brownouts)
     }
 
     /// Attaches brownouts to this plan, validating times, capacity
@@ -206,30 +203,12 @@ impl FailurePlan {
                 .total_cmp(&b.start_min)
                 .then(a.server.cmp(&b.server))
         });
-        let mut by_server: Vec<usize> = (0..self.brownouts.len()).collect();
-        by_server.sort_by(|&a, &b| {
-            self.brownouts[a]
-                .server
-                .cmp(&self.brownouts[b].server)
-                .then(
-                    self.brownouts[a]
-                        .start_min
-                        .total_cmp(&self.brownouts[b].start_min),
-                )
-        });
-        for w in by_server.windows(2) {
-            let (prev, next) = (&self.brownouts[w[0]], &self.brownouts[w[1]]);
-            if prev.server != next.server {
-                continue;
-            }
-            let prev_end = prev.end_min.unwrap_or(f64::INFINITY);
-            if next.start_min < prev_end {
-                return Err(ModelError::InvalidParameter {
-                    name: "overlapping brownouts",
-                    value: next.start_min,
-                });
-            }
-        }
+        check_no_overlap(
+            self.brownouts
+                .iter()
+                .map(|b| (b.server, b.start_min, b.end_min)),
+            "overlapping brownouts",
+        )?;
         Ok(self)
     }
 
@@ -879,19 +858,18 @@ mod tests {
 
     #[test]
     fn brownout_plan_validates_and_flattens() {
-        let plan = FailurePlan::with_brownouts(
-            vec![Outage {
-                server: ServerId(0),
-                down_at_min: 10.0,
-                up_at_min: Some(20.0),
-            }],
-            vec![Brownout {
-                server: ServerId(1),
-                start_min: 5.0,
-                end_min: Some(30.0),
-                capacity_frac: 0.5,
-            }],
-        )
+        let plan = FailurePlan::new(vec![Outage {
+            server: ServerId(0),
+            down_at_min: 10.0,
+            up_at_min: Some(20.0),
+        }])
+        .unwrap()
+        .add_brownouts(vec![Brownout {
+            server: ServerId(1),
+            start_min: 5.0,
+            end_min: Some(30.0),
+            capacity_frac: 0.5,
+        }])
         .unwrap();
         assert!(!plan.is_empty());
         let t = plan.transitions();
@@ -911,22 +889,15 @@ mod tests {
             end_min: end,
             capacity_frac: frac,
         };
-        assert!(FailurePlan::with_brownouts(vec![], vec![bo(0.0, Some(5.0), 0.0)]).is_err());
-        assert!(FailurePlan::with_brownouts(vec![], vec![bo(0.0, Some(5.0), 1.5)]).is_err());
-        assert!(FailurePlan::with_brownouts(vec![], vec![bo(5.0, Some(5.0), 0.5)]).is_err());
-        assert!(FailurePlan::with_brownouts(vec![], vec![bo(-1.0, None, 0.5)]).is_err());
+        let plan = |brownouts| FailurePlan::none().add_brownouts(brownouts);
+        assert!(plan(vec![bo(0.0, Some(5.0), 0.0)]).is_err());
+        assert!(plan(vec![bo(0.0, Some(5.0), 1.5)]).is_err());
+        assert!(plan(vec![bo(5.0, Some(5.0), 0.5)]).is_err());
+        assert!(plan(vec![bo(-1.0, None, 0.5)]).is_err());
         // Overlapping brownouts of one server are ambiguous.
-        assert!(FailurePlan::with_brownouts(
-            vec![],
-            vec![bo(0.0, Some(10.0), 0.5), bo(5.0, Some(15.0), 0.7)]
-        )
-        .is_err());
+        assert!(plan(vec![bo(0.0, Some(10.0), 0.5), bo(5.0, Some(15.0), 0.7)]).is_err());
         // Back-to-back is fine.
-        assert!(FailurePlan::with_brownouts(
-            vec![],
-            vec![bo(0.0, Some(10.0), 0.5), bo(10.0, Some(15.0), 0.7)]
-        )
-        .is_ok());
+        assert!(plan(vec![bo(0.0, Some(10.0), 0.5), bo(10.0, Some(15.0), 0.7)]).is_ok());
     }
 
     #[test]

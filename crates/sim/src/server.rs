@@ -62,13 +62,6 @@ impl LinkState {
         self.up[w] & m != 0
     }
 
-    /// The availability bitmask, one bit per server (bit set = up),
-    /// packed little-endian into u64 words.
-    #[inline]
-    pub fn up_mask(&self) -> &[u64] {
-        &self.up
-    }
-
     /// The server's failure epoch (bumped on every failure).
     #[inline]
     pub fn epoch(&self, server: ServerId) -> u32 {
@@ -112,13 +105,6 @@ impl LinkState {
     pub fn clear_brownout(&mut self, server: ServerId) {
         let j = server.index();
         self.effective_kbps[j] = self.capacity_kbps[j];
-    }
-
-    /// Whether `server`'s link is currently running below full capacity.
-    #[inline]
-    pub fn is_browned_out(&self, server: ServerId) -> bool {
-        let j = server.index();
-        self.effective_kbps[j] < self.capacity_kbps[j]
     }
 
     /// Current effective (brownout-adjusted) capacity of `server`'s link.
@@ -365,7 +351,6 @@ mod tests {
         // 50% brownout: effective 5 000 kbps, 8 000 committed → shed 3 000.
         let excess = l.set_brownout(ServerId(0), 0.5);
         assert_eq!(excess, 3_000);
-        assert!(l.is_browned_out(ServerId(0)));
         assert_eq!(l.effective_capacity_kbps(ServerId(0)), 5_000);
         assert_eq!(l.free_kbps(ServerId(0)), 0); // saturates, no underflow
         assert!(!l.can_admit(ServerId(0), 1));
@@ -374,7 +359,7 @@ mod tests {
         assert!(l.within_capacity());
         assert_eq!(l.free_kbps(ServerId(0)), 1_000);
         l.clear_brownout(ServerId(0));
-        assert!(!l.is_browned_out(ServerId(0)));
+        assert_eq!(l.effective_capacity_kbps(ServerId(0)), 10_000);
         assert_eq!(l.free_kbps(ServerId(0)), 6_000);
     }
 
@@ -384,7 +369,6 @@ mod tests {
         l.set_brownout(ServerId(0), 0.3);
         l.fail(ServerId(0));
         l.recover(ServerId(0));
-        assert!(l.is_browned_out(ServerId(0)));
         assert_eq!(l.effective_capacity_kbps(ServerId(0)), 3_000);
         assert!(!l.can_admit(ServerId(0), 3_001));
         assert!(l.can_admit(ServerId(0), 3_000));

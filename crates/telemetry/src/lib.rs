@@ -181,12 +181,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Adds 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -379,7 +373,7 @@ mod tests {
         let telemetry = Telemetry::enabled();
         let a = telemetry.counter("arrivals");
         let b = telemetry.counter("arrivals");
-        a.inc();
+        a.add(1);
         b.add(4);
         assert_eq!(a.get(), 5);
         assert_eq!(telemetry.snapshot().counter("arrivals"), 5);
@@ -507,7 +501,7 @@ mod tests {
                 let c = telemetry.counter("shared");
                 scope.spawn(move || {
                     for _ in 0..1000 {
-                        c.inc();
+                        c.add(1);
                     }
                 });
             }

@@ -1,34 +1,12 @@
 //! Pull-based streaming arrival sources.
 //!
-//! The materialized pipeline ([`TraceGenerator::generate`] → [`Trace`] →
-//! engine) allocates the full request vector before the first event fires;
-//! at production scale (multi-day diurnal traces, millions of users) that
-//! is tens of GiB. This module provides the streaming alternative: an
-//! [`ArrivalSource`] yields requests one at a time in arrival order with
-//! O(per-catalog) state, so the engine can pull arrivals lazily and merge
-//! the next-arrival time into its `(time, seq)` event ordering.
-//!
-//! ## Draw-for-draw identity
-//!
-//! The streaming sources are **provably request-for-request identical** to
-//! their materialized twins at the same seed — that is how the golden
-//! reports stay byte-identical. The materialized generators draw *all*
-//! inter-arrival gaps first (including the final horizon-overshoot draw),
-//! then the per-request video choices. A naive streaming source would
-//! interleave gap and video draws and diverge immediately. Instead each
-//! streaming source keeps **two clones of the seeded RNG**:
-//!
-//! * the *gap clone* replays the gap (or thinning) stream lazily, one
-//!   arrival at a time;
-//! * the *video clone* is advanced through the entire gap pre-pass at
-//!   construction (same number of draws, O(1) memory), leaving it parked
-//!   exactly where the materialized generator starts sampling videos.
-//!
-//! Each `next_request` then draws one gap from the first clone and one
-//! video from the second — the exact draw sequence of the materialized
-//! path, paid for with one extra O(n)-time, O(1)-memory pass at
-//! construction. [`StreamingDrift`] applies the same discipline per
-//! segment, carrying the video clone's end state into the next segment.
+//! The materialized pipeline (a generator → [`Trace`] → engine)
+//! allocates the full request vector before the first event fires; at
+//! production scale (multi-day diurnal traces, millions of users) that
+//! is tens of GiB. An [`ArrivalSource`] instead yields requests one at a
+//! time in arrival order with O(per-catalog) state, so the engine can
+//! pull arrivals lazily and merge the next-arrival time into its
+//! `(time, seq)` event ordering.
 //!
 //! ## Time-varying rates
 //!
@@ -38,13 +16,37 @@
 //! ([`RateModel`]) composes a diurnal sinusoid, scheduled flash-crowd
 //! pulses, and a catalog-churn modulator that rotates which titles are
 //! hot as epochs pass — the production-scale arrival shapes of
-//! arXiv:1307.0849. It has both a materialized [`ThinnedWorkload::generate`]
-//! and a streaming [`ThinnedWorkload::stream`] twin under the same
-//! two-clone contract.
+//! arXiv:1307.0849. Over [`RateModel::constant`] it is a homogeneous
+//! Poisson/Zipf workload of the paper's kind (statistically, not draw
+//! for draw, the one `TraceGenerator` draws), and every candidate is
+//! accepted without evaluating `λ(t)`.
+//!
+//! ## Draw-for-draw identity
+//!
+//! [`ThinnedWorkload`] has a materialized [`ThinnedWorkload::generate`]
+//! and a streaming [`ThinnedWorkload::stream`] twin that is
+//! **request-for-request identical** to it at the same seed — that is
+//! how the streamed and materialized engine reports stay byte-identical.
+//! `generate` draws the *whole* thinning stream first (every candidate
+//! gap and acceptance draw, including the final horizon-overshoot gap),
+//! then the per-request video choices. A naive stream would interleave
+//! gap and video draws and diverge immediately. [`StreamingThinned`]
+//! instead keeps **two clones of the seeded RNG**:
+//!
+//! * the *gap clone* replays the thinning stream lazily, one accepted
+//!   arrival at a time;
+//! * the *video clone* is advanced through the entire thinning pre-pass
+//!   at construction (same number of draws, O(1) memory), leaving it
+//!   parked exactly where `generate` starts sampling videos.
+//!
+//! Each `next_request` then takes its instant from the first clone and
+//! its video from the second — the exact draw sequence of the
+//! materialized path, paid for with one extra O(n)-time, O(1)-memory
+//! pass at construction. The paper's [`TraceGenerator`](crate::TraceGenerator)
+//! and A-7's [`DriftingWorkload`](crate::DriftingWorkload) only
+//! materialize; the engine replays their [`Trace`]s directly.
 
-use crate::drift::DriftingWorkload;
-use crate::poisson::PoissonProcess;
-use crate::trace::{Request, Trace, TraceGenerator};
+use crate::trace::{Request, Trace};
 use crate::zipf::ZipfSampler;
 use rand::Rng;
 use vod_model::{ModelError, Popularity};
@@ -73,188 +75,6 @@ impl<S: ArrivalSource> Iterator for ArrivalIter<S> {
     #[inline]
     fn next(&mut self) -> Option<Request> {
         self.0.next_request()
-    }
-}
-
-/// Streaming twin of [`TraceGenerator::generate`]: constant-rate Poisson
-/// arrivals with a fixed popularity distribution.
-///
-/// Construct via [`TraceGenerator::stream`]. Yields exactly the requests
-/// `generate` would materialize from the same RNG state, in order, with
-/// O(catalog) memory.
-#[derive(Debug, Clone)]
-pub struct StreamingTrace<R: Rng + Clone> {
-    process: PoissonProcess,
-    sampler: ZipfSampler,
-    horizon_min: f64,
-    /// Replays the materialized gap pre-pass lazily.
-    gaps_rng: R,
-    /// Parked after the gap pre-pass; draws video choices.
-    videos_rng: R,
-    t: f64,
-}
-
-impl<R: Rng + Clone> StreamingTrace<R> {
-    pub(crate) fn new(generator: &TraceGenerator, rng: R) -> Self {
-        let process = *generator.process();
-        let horizon_min = generator.horizon_min();
-        let gaps_rng = rng.clone();
-        let mut videos_rng = rng;
-        // Pre-pass: advance the video clone past every gap draw the
-        // materialized generator would make (including the overshoot).
-        let mut t = 0.0;
-        loop {
-            t += process.next_gap_min(&mut videos_rng);
-            if t >= horizon_min {
-                break;
-            }
-        }
-        StreamingTrace {
-            process,
-            sampler: generator.sampler().clone(),
-            horizon_min,
-            gaps_rng,
-            videos_rng,
-            t: 0.0,
-        }
-    }
-}
-
-impl<R: Rng + Clone> ArrivalSource for StreamingTrace<R> {
-    fn next_request(&mut self) -> Option<Request> {
-        self.t += self.process.next_gap_min(&mut self.gaps_rng);
-        if self.t >= self.horizon_min {
-            return None;
-        }
-        Some(Request {
-            arrival_min: self.t,
-            video: self.sampler.sample(&mut self.videos_rng),
-        })
-    }
-
-    fn horizon_min(&self) -> f64 {
-        self.horizon_min
-    }
-}
-
-impl TraceGenerator {
-    /// A streaming source drawing the exact request sequence
-    /// [`TraceGenerator::generate`] would produce from the same RNG
-    /// state, without materializing it.
-    pub fn stream<R: Rng + Clone>(&self, rng: R) -> StreamingTrace<R> {
-        StreamingTrace::new(self, rng)
-    }
-}
-
-/// Streaming twin of [`DriftingWorkload::generate`]: piecewise-stationary
-/// arrivals (constant λ, per-segment popularity permutations + flash
-/// crowds), segment by segment.
-///
-/// Construct via [`DriftingWorkload::stream`]. Holds one segment's
-/// sampler at a time; segment boundaries re-run the two-clone pre-pass
-/// from the video clone's carried-over state, mirroring how the
-/// materialized path chains `TraceGenerator::generate` calls on one RNG.
-#[derive(Debug, Clone)]
-pub struct StreamingDrift<R: Rng + Clone> {
-    workload: DriftingWorkload,
-    segment: usize,
-    segment_start: f64,
-    segment_len: f64,
-    process: PoissonProcess,
-    sampler: ZipfSampler,
-    gaps_rng: R,
-    videos_rng: R,
-    /// Local time within the current segment.
-    t: f64,
-}
-
-impl<R: Rng + Clone> StreamingDrift<R> {
-    pub(crate) fn new(
-        workload: &DriftingWorkload,
-        lambda_per_min: f64,
-        rng: R,
-    ) -> Result<Self, ModelError> {
-        // Validate λ once up front; segment samplers are built lazily.
-        let process = PoissonProcess::new(lambda_per_min)?;
-        let mut source = StreamingDrift {
-            workload: workload.clone(),
-            segment: 0,
-            segment_start: 0.0,
-            segment_len: 0.0,
-            process,
-            sampler: ZipfSampler::from_raw_weights(&workload.segment_weights(0))?,
-            gaps_rng: rng.clone(),
-            videos_rng: rng,
-            t: 0.0,
-        };
-        source.enter_segment(0)?;
-        Ok(source)
-    }
-
-    /// Positions both clones for segment `k`: the video clone (carrying
-    /// the materialized path's RNG state at the segment boundary) seeds
-    /// the gap clone, then runs the segment's gap pre-pass.
-    fn enter_segment(&mut self, k: usize) -> Result<(), ModelError> {
-        let (start, len) = self.workload.segment_span(k);
-        self.segment = k;
-        self.segment_start = start;
-        self.segment_len = len;
-        self.t = 0.0;
-        self.sampler = ZipfSampler::from_raw_weights(&self.workload.segment_weights(k))?;
-        self.gaps_rng = self.videos_rng.clone();
-        let mut t = 0.0;
-        loop {
-            t += self.process.next_gap_min(&mut self.videos_rng);
-            if t >= len {
-                break;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<R: Rng + Clone> ArrivalSource for StreamingDrift<R> {
-    fn next_request(&mut self) -> Option<Request> {
-        loop {
-            self.t += self.process.next_gap_min(&mut self.gaps_rng);
-            if self.t < self.segment_len {
-                return Some(Request {
-                    arrival_min: self.segment_start + self.t,
-                    video: self.sampler.sample(&mut self.videos_rng),
-                });
-            }
-            let next = self.segment + 1;
-            if next >= self.workload.n_segments() {
-                return None;
-            }
-            // Weights of a valid workload are always positive, so the
-            // sampler rebuild cannot fail; debug-assert and end cleanly
-            // in release if it somehow does.
-            if let Err(e) = self.enter_segment(next) {
-                debug_assert!(false, "segment sampler rebuild failed: {e:?}");
-                return None;
-            }
-        }
-    }
-
-    fn horizon_min(&self) -> f64 {
-        let (start, len) = self
-            .workload
-            .segment_span(self.workload.n_segments().saturating_sub(1));
-        start + len
-    }
-}
-
-impl DriftingWorkload {
-    /// A streaming source drawing the exact request sequence
-    /// [`DriftingWorkload::generate`] would produce at `lambda_per_min`
-    /// from the same RNG state, without materializing it.
-    pub fn stream<R: Rng + Clone>(
-        &self,
-        lambda_per_min: f64,
-        rng: R,
-    ) -> Result<StreamingDrift<R>, ModelError> {
-        StreamingDrift::new(self, lambda_per_min, rng)
     }
 }
 
@@ -721,10 +541,8 @@ impl<R: Rng + Clone> ArrivalSource for StreamingThinned<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drift::FlashCrowd;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use vod_model::VideoId;
 
     fn collect<S: ArrivalSource>(mut s: S) -> Vec<Request> {
         let mut out = Vec::new();
@@ -732,33 +550,6 @@ mod tests {
             out.push(r);
         }
         out
-    }
-
-    #[test]
-    fn streaming_trace_matches_materialized() {
-        let pop = Popularity::zipf(50, 1.0).unwrap();
-        let g = TraceGenerator::new(40.0, &pop, 90.0).unwrap();
-        let materialized = g.generate(&mut ChaCha8Rng::seed_from_u64(9));
-        let streamed = collect(g.stream(ChaCha8Rng::seed_from_u64(9)));
-        assert_eq!(materialized.requests(), &streamed[..]);
-        assert!(!streamed.is_empty());
-    }
-
-    #[test]
-    fn streaming_drift_matches_materialized() {
-        let base = Popularity::zipf(32, 1.0).unwrap();
-        let w = DriftingWorkload::new(base, 90.0, 10.0, 8, 41)
-            .unwrap()
-            .with_flash_crowds(vec![FlashCrowd {
-                at_min: 45.0,
-                video: VideoId(31),
-                boost: 3.0,
-            }])
-            .unwrap();
-        let materialized = w.generate(6.0, &mut ChaCha8Rng::seed_from_u64(17)).unwrap();
-        let streamed = collect(w.stream(6.0, ChaCha8Rng::seed_from_u64(17)).unwrap());
-        assert_eq!(materialized.requests(), &streamed[..]);
-        assert!(!streamed.is_empty());
     }
 
     #[test]
@@ -1184,19 +975,5 @@ mod tests {
             .sum::<f64>()
             / ENVELOPE_CELLS as f64;
         assert!(undecided < 0.005, "undecided share {undecided}");
-    }
-
-    #[test]
-    fn streaming_sources_are_cloneable_midstream() {
-        // A cloned source replays the identical suffix from where it
-        // was cloned.
-        let pop = Popularity::zipf(20, 1.0).unwrap();
-        let g = TraceGenerator::new(30.0, &pop, 90.0).unwrap();
-        let mut a = g.stream(ChaCha8Rng::seed_from_u64(12));
-        for _ in 0..100 {
-            a.next_request();
-        }
-        let b = a.clone();
-        assert_eq!(collect(a), collect(b));
     }
 }

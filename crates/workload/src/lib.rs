@@ -9,14 +9,18 @@
 //!
 //! * [`alias`] — Walker's alias method: O(M) setup, O(1) categorical
 //!   sampling, used for video selection;
-//! * [`arrival`] — pull-based streaming arrival sources (constant,
-//!   drifting, and Lewis–Shedler-thinned time-varying λ with diurnal /
-//!   flash-crowd / catalog-churn modulators), draw-for-draw identical to
-//!   the materialized generators at the same seed;
+//! * [`arrival`] — the pull-based [`ArrivalSource`] trait and
+//!   [`ThinnedWorkload`]: Lewis–Shedler-thinned time-varying λ with
+//!   diurnal / flash-crowd / catalog-churn modulators, with a
+//!   materialized `generate` and a streamed `stream` twin that is
+//!   draw-for-draw identical to it at the same seed (the module docs
+//!   explain how);
+//! * [`drift`] — popularity drift: day-over-day models for adaptive
+//!   re-planning and A-7's intra-run [`DriftingWorkload`];
 //! * [`zipf`] — a Zipf-like video sampler on top of the alias table;
 //! * [`poisson`] — homogeneous Poisson arrival processes (exponential
-//!   inter-arrival times) plus a piecewise-constant-rate extension;
-//! * [`trace`] — request traces: (arrival time, video id) streams,
+//!   inter-arrival times);
+//! * [`trace`] — request traces: (arrival time, video id) sequences,
 //!   generatable, serializable, and replayable into `vod-sim`;
 //! * [`stats`] — empirical-distribution helpers used by the test suites to
 //!   verify the samplers.
@@ -37,8 +41,8 @@ pub mod zipf;
 
 pub use alias::AliasTable;
 pub use arrival::{
-    ArrivalIter, ArrivalSource, CatalogChurn, DiurnalCycle, RateModel, RatePulse, StreamingDrift,
-    StreamingThinned, StreamingTrace, ThinnedWorkload,
+    ArrivalIter, ArrivalSource, CatalogChurn, DiurnalCycle, RateModel, RatePulse, StreamingThinned,
+    ThinnedWorkload,
 };
 pub use drift::{DriftModel, DriftingWorkload, FlashCrowd, RankRotation, Stationary};
 pub use poisson::PoissonProcess;

@@ -3,10 +3,9 @@
 //! "Within the peak period … the request arrivals were generated by a
 //! Poisson process with arrival rate λ" (paper, Sec. 5). A homogeneous
 //! Poisson process is simulated by exponential inter-arrival gaps
-//! `Δ = −ln(U)/λ`. A piecewise-constant-rate variant supports the
-//! flash-crowd example and sensitivity studies (the paper's model assumes
-//! one peak-period rate; time-varying rates are our extension, flagged as
-//! such in DESIGN.md).
+//! `Δ = −ln(U)/λ`. Time-varying rates (our extension, flagged as such in
+//! DESIGN.md) are thinned against a [`RateModel`](crate::RateModel) by
+//! [`ThinnedWorkload`](crate::ThinnedWorkload).
 
 use rand::Rng;
 use vod_model::ModelError;
@@ -55,75 +54,6 @@ impl PoissonProcess {
                 break;
             }
             out.push(t);
-        }
-        out
-    }
-}
-
-/// A piecewise-constant-rate arrival process: rate `rates[k].1` applies on
-/// `[rates[k].0, rates[k+1].0)`. Simulated by thinning-free segment-wise
-/// generation (each segment is homogeneous).
-#[derive(Debug, Clone)]
-pub struct PiecewisePoisson {
-    /// `(segment start minute, rate per minute)` pairs, ascending starts.
-    segments: Vec<(f64, f64)>,
-}
-
-impl PiecewisePoisson {
-    /// Builds from `(start_min, rate_per_min)` pairs; starts must begin at
-    /// 0.0 and strictly ascend, rates must be positive and finite.
-    pub fn new(segments: Vec<(f64, f64)>) -> Result<Self, ModelError> {
-        if segments.is_empty() {
-            return Err(ModelError::Empty);
-        }
-        if segments[0].0 != 0.0 {
-            return Err(ModelError::InvalidParameter {
-                name: "segment_start",
-                value: segments[0].0,
-            });
-        }
-        for w in segments.windows(2) {
-            if w[1].0 <= w[0].0 {
-                return Err(ModelError::InvalidParameter {
-                    name: "segment_start",
-                    value: w[1].0,
-                });
-            }
-        }
-        for &(_, r) in &segments {
-            if !r.is_finite() || r <= 0.0 {
-                return Err(ModelError::InvalidParameter {
-                    name: "lambda",
-                    value: r,
-                });
-            }
-        }
-        Ok(PiecewisePoisson { segments })
-    }
-
-    /// Generates all arrival instants (minutes, ascending) in
-    /// `[0, horizon_min)`.
-    pub fn arrivals_within<R: Rng + ?Sized>(&self, horizon_min: f64, rng: &mut R) -> Vec<f64> {
-        let mut out = Vec::new();
-        for (k, &(start, rate)) in self.segments.iter().enumerate() {
-            let end = self
-                .segments
-                .get(k + 1)
-                .map(|&(s, _)| s)
-                .unwrap_or(horizon_min)
-                .min(horizon_min);
-            if end <= start {
-                continue;
-            }
-            let proc = PoissonProcess { rate_per_min: rate };
-            let mut t = start;
-            loop {
-                t += proc.next_gap_min(rng);
-                if t >= end {
-                    break;
-                }
-                out.push(t);
-            }
         }
         out
     }
@@ -183,43 +113,5 @@ mod tests {
         let sum: f64 = (0..n).map(|_| p.next_gap_min(&mut rng)).sum();
         let mean = sum / n as f64;
         assert!((mean - 0.2).abs() < 0.005, "mean gap {mean}");
-    }
-
-    #[test]
-    fn piecewise_validation() {
-        assert!(PiecewisePoisson::new(vec![]).is_err());
-        assert!(PiecewisePoisson::new(vec![(1.0, 5.0)]).is_err());
-        assert!(PiecewisePoisson::new(vec![(0.0, 5.0), (0.0, 6.0)]).is_err());
-        assert!(PiecewisePoisson::new(vec![(0.0, 5.0), (10.0, -1.0)]).is_err());
-        assert!(PiecewisePoisson::new(vec![(0.0, 5.0), (10.0, 20.0)]).is_ok());
-    }
-
-    #[test]
-    fn piecewise_rate_shift_visible_in_counts() {
-        let p = PiecewisePoisson::new(vec![(0.0, 5.0), (45.0, 50.0)]).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(25);
-        let mut first = 0usize;
-        let mut second = 0usize;
-        for _ in 0..50 {
-            for t in p.arrivals_within(90.0, &mut rng) {
-                if t < 45.0 {
-                    first += 1;
-                } else {
-                    second += 1;
-                }
-            }
-        }
-        // Expected 225 vs 2250 per run; ratio ~10.
-        let ratio = second as f64 / first as f64;
-        assert!((ratio - 10.0).abs() < 1.5, "ratio {ratio}");
-    }
-
-    #[test]
-    fn piecewise_sorted_within_horizon() {
-        let p = PiecewisePoisson::new(vec![(0.0, 10.0), (30.0, 20.0), (60.0, 5.0)]).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(26);
-        let arr = p.arrivals_within(90.0, &mut rng);
-        assert!(arr.windows(2).all(|w| w[0] < w[1]));
-        assert!(arr.iter().all(|&t| (0.0..90.0).contains(&t)));
     }
 }

@@ -162,18 +162,6 @@ impl TraceGenerator {
         self.horizon_min
     }
 
-    /// The arrival process (streaming twin internals).
-    #[inline]
-    pub(crate) fn process(&self) -> &PoissonProcess {
-        &self.process
-    }
-
-    /// The video sampler (streaming twin internals).
-    #[inline]
-    pub(crate) fn sampler(&self) -> &ZipfSampler {
-        &self.sampler
-    }
-
     /// Generates one trace.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Trace {
         let arrivals = self.process.arrivals_within(self.horizon_min, rng);

@@ -1,16 +1,15 @@
-//! Differential property tests for the streaming arrival pipeline.
+//! Differential and property tests for the streaming arrival pipeline.
 //!
 //! Two contracts, each locked by proptest over randomized worlds:
 //!
-//! 1. **Draw-for-draw identity** — every streaming source
-//!    ([`vod_workload::StreamingTrace`], [`vod_workload::StreamingDrift`],
-//!    [`vod_workload::StreamingThinned`]) yields *exactly* the request
-//!    sequence its materialized twin produces from the same seed:
-//!    identical videos and bit-identical arrival times, across random
-//!    rates, skews, horizons, segment schedules, diurnal/pulse shapes
-//!    and churn periods. This is the property that lets the engine swap
-//!    a multi-GiB trace for an O(catalog) source without moving a
-//!    single golden byte.
+//! 1. **Draw-for-draw identity** — the streaming source
+//!    ([`vod_workload::StreamingThinned`]) yields *exactly* the request
+//!    sequence its materialized twin ([`ThinnedWorkload::generate`])
+//!    produces from the same seed: identical videos and bit-identical
+//!    arrival times, across random rates, skews, horizons,
+//!    diurnal/pulse shapes and churn periods. This is the property that
+//!    lets the engine swap a multi-GiB trace for an O(catalog) source
+//!    without moving a single golden byte.
 //!
 //! 2. **Engine equivalence** — pulling a streaming source through
 //!    [`vod_sim::Simulation::run_streaming`] produces a [`SimReport`]
@@ -18,13 +17,19 @@
 //!    with [`vod_sim::Simulation::run`], at `shards = 1` (serial pull)
 //!    and `shards = 8` (one pull routed to the decoupled workers on pod
 //!    worlds, the serial loop on bridged ones).
+//!
+//! Two fixed-seed tests cover what callers rely on besides identity: a
+//! source cloned mid-stream replays the same suffix (a benchmark clones
+//! one fresh source per pass), and a constant [`RateModel`] streams
+//! homogeneous Poisson arrivals.
+//!
+//! [`SimReport`]: vod_sim::SimReport
 
 use proptest::prelude::*;
-use vod_model::{BitRate, Catalog, ClusterSpec, Layout, Popularity, ServerId, ServerSpec, VideoId};
+use vod_model::{BitRate, Catalog, ClusterSpec, Layout, Popularity, ServerId, ServerSpec};
 use vod_sim::{SimConfig, Simulation};
 use vod_workload::{
-    ArrivalSource, CatalogChurn, DiurnalCycle, DriftingWorkload, FlashCrowd, RateModel, RatePulse,
-    Request, ThinnedWorkload, TraceGenerator,
+    ArrivalSource, CatalogChurn, DiurnalCycle, RateModel, RatePulse, Request, ThinnedWorkload,
 };
 
 use rand::SeedableRng;
@@ -54,57 +59,6 @@ proptest! {
     // 64 novel cases per property (the CI `PROPTEST_CASES` env caps
     // this further when set).
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn streaming_trace_is_draw_identical(
-        lambda in 0.5f64..60.0,
-        m in 2usize..64,
-        theta in 0.0f64..1.4,
-        horizon in 5.0f64..120.0,
-        seed in any::<u64>(),
-    ) {
-        let pop = Popularity::zipf(m, theta).unwrap();
-        let generator = TraceGenerator::new(lambda, &pop, horizon).unwrap();
-        let materialized = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
-        let streamed = collect(generator.stream(ChaCha8Rng::seed_from_u64(seed)));
-        assert_identical(materialized.requests(), &streamed);
-    }
-
-    #[test]
-    fn streaming_drift_is_draw_identical(
-        lambda in 0.5f64..30.0,
-        m in 4usize..48,
-        horizon in 20.0f64..90.0,
-        n_segments in 1usize..7,
-        swaps in 0u32..9,
-        flash_at in prop::option::of(0.1f64..0.9),
-        flash_boost in 1.5f64..8.0,
-        seed in any::<u64>(),
-    ) {
-        let base = Popularity::zipf(m, 1.0).unwrap();
-        let mut workload = DriftingWorkload::new(
-            base,
-            horizon,
-            horizon / n_segments as f64,
-            swaps,
-            seed ^ 0xD21F7,
-        )
-        .unwrap();
-        if let Some(at_frac) = flash_at {
-            workload = workload
-                .with_flash_crowds(vec![FlashCrowd {
-                    at_min: at_frac * horizon,
-                    video: VideoId((m - 1) as u32),
-                    boost: flash_boost,
-                }])
-                .unwrap();
-        }
-        let materialized = workload
-            .generate(lambda, &mut ChaCha8Rng::seed_from_u64(seed))
-            .unwrap();
-        let streamed = collect(workload.stream(lambda, ChaCha8Rng::seed_from_u64(seed)).unwrap());
-        assert_identical(materialized.requests(), &streamed);
-    }
 
     #[test]
     fn streaming_thinned_is_draw_identical(
@@ -233,5 +187,78 @@ proptest! {
                 shards
             );
         }
+    }
+}
+
+#[test]
+fn streaming_sources_are_cloneable_midstream() {
+    // A cloned source replays the identical suffix from where it was
+    // cloned: both RNG clones, the thinning clock and the churn epoch's
+    // sampler travel with it.
+    let rate = RateModel::constant(30.0)
+        .unwrap()
+        .with_diurnal(DiurnalCycle {
+            period_min: 60.0,
+            amplitude: 0.5,
+        })
+        .unwrap();
+    let workload = ThinnedWorkload::new(rate, Popularity::zipf(20, 1.0).unwrap(), 90.0)
+        .unwrap()
+        .with_churn(CatalogChurn {
+            period_min: 20.0,
+            step: 3,
+        })
+        .unwrap();
+    let mut a = workload.stream(ChaCha8Rng::seed_from_u64(12)).unwrap();
+    for _ in 0..1_000 {
+        a.next_request().unwrap();
+    }
+    let b = a.clone();
+    let suffix = collect(a);
+    assert!(!suffix.is_empty());
+    assert_identical(&suffix, &collect(b));
+}
+
+#[test]
+fn constant_rate_streams_a_homogeneous_poisson_hour() {
+    // N(0, T) ~ Poisson(λT): the mean of `RUNS` counts has standard
+    // deviation sqrt(λT / RUNS). Each quarter of the hour is Poisson
+    // with a quarter of the mean, so a rate that drifted within the hour
+    // would show there. Five standard deviations keeps the fixed seeds
+    // far from the edge.
+    const LAMBDA: f64 = 40.0;
+    const HOUR: f64 = 60.0;
+    const RUNS: u64 = 200;
+    let workload = ThinnedWorkload::new(
+        RateModel::constant(LAMBDA).unwrap(),
+        Popularity::zipf(50, 1.0).unwrap(),
+        HOUR,
+    )
+    .unwrap();
+    let mut quarters = [0usize; 4];
+    for seed in 0..RUNS {
+        let requests = collect(workload.stream(ChaCha8Rng::seed_from_u64(seed)).unwrap());
+        assert!(requests
+            .windows(2)
+            .all(|w| w[0].arrival_min <= w[1].arrival_min));
+        for r in &requests {
+            assert!(
+                (0.0..HOUR).contains(&r.arrival_min),
+                "{r:?} outside the hour"
+            );
+            quarters[(r.arrival_min / (HOUR / 4.0)) as usize] += 1;
+        }
+    }
+    let within = |count: usize, expected: f64| {
+        let mean = count as f64 / RUNS as f64;
+        let tolerance = 5.0 * (expected / RUNS as f64).sqrt();
+        assert!(
+            (mean - expected).abs() < tolerance,
+            "mean {mean} vs λT {expected} (tolerance {tolerance})"
+        );
+    };
+    within(quarters.iter().sum(), LAMBDA * HOUR);
+    for &q in &quarters {
+        within(q, LAMBDA * HOUR / 4.0);
     }
 }
