@@ -5,7 +5,7 @@
 //! on the parsa library" (Sec. 4.3). parsa is a proprietary parallel-SA
 //! framework; this crate is the from-scratch replacement (see DESIGN.md):
 //!
-//! * [`schedule`] — cooling schedules (geometric, linear);
+//! * [`schedule`] — the geometric cooling schedule;
 //! * [`engine`] — a generic Metropolis annealer over any
 //!   [`engine::AnnealProblem`];
 //! * [`parallel`] — parallel multi-chain annealing with periodic

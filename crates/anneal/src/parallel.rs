@@ -50,24 +50,11 @@ impl Default for ParallelParams {
 /// Shifts a schedule so epoch 0 of a round corresponds to global epoch
 /// `offset`.
 fn shifted(schedule: CoolingSchedule, offset: u32) -> CoolingSchedule {
-    match schedule {
-        CoolingSchedule::Geometric { t0, alpha, t_min } => CoolingSchedule::Geometric {
-            t0: (t0 * alpha.powi(offset as i32)).max(t_min),
-            alpha,
-            t_min,
-        },
-        CoolingSchedule::Linear { t0, epochs, t_min } => CoolingSchedule::Linear {
-            t0: {
-                let frac = if epochs == 0 {
-                    1.0
-                } else {
-                    1.0 - (offset as f64 / epochs as f64)
-                };
-                (t0 * frac.max(0.0)).max(t_min)
-            },
-            epochs: epochs.saturating_sub(offset),
-            t_min,
-        },
+    let CoolingSchedule::Geometric { alpha, t_min, .. } = schedule;
+    CoolingSchedule::Geometric {
+        t0: schedule.temperature(offset),
+        alpha,
+        t_min,
     }
 }
 

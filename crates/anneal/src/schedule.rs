@@ -1,8 +1,7 @@
 //! Cooling schedules.
 //!
-//! A schedule maps the epoch index to a temperature. Geometric cooling
-//! (`T_k = T_0 · α^k`) is the workhorse; linear cooling is provided for
-//! ablations.
+//! A schedule maps the epoch index to a temperature: geometric cooling,
+//! `T_k = T_0 · α^k`.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,15 +15,6 @@ pub enum CoolingSchedule {
         /// Cooling factor in (0, 1).
         alpha: f64,
         /// Floor temperature (> 0 keeps acceptance defined).
-        t_min: f64,
-    },
-    /// `T_k = t0 · (1 − k/epochs)`, floored at `t_min`.
-    Linear {
-        /// Initial temperature.
-        t0: f64,
-        /// Total number of epochs the ramp spans.
-        epochs: u32,
-        /// Floor temperature.
         t_min: f64,
     },
 }
@@ -42,20 +32,8 @@ impl CoolingSchedule {
 
     /// Temperature at epoch `k`.
     pub fn temperature(&self, k: u32) -> f64 {
-        match *self {
-            CoolingSchedule::Geometric { t0, alpha, t_min } => {
-                (t0 * alpha.powi(k as i32)).max(t_min)
-            }
-            CoolingSchedule::Linear { t0, epochs, t_min } => {
-                // epochs == 0 degenerates to a constant-temperature chain.
-                let frac = if epochs == 0 {
-                    1.0
-                } else {
-                    1.0 - (k as f64 / epochs as f64)
-                };
-                (t0 * frac.max(0.0)).max(t_min)
-            }
-        }
+        let CoolingSchedule::Geometric { t0, alpha, t_min } = *self;
+        (t0 * alpha.powi(k as i32)).max(t_min)
     }
 }
 
@@ -75,29 +53,6 @@ mod tests {
         assert_eq!(s.temperature(2), 2.5);
         // Floors at t_min.
         assert_eq!(s.temperature(100), 0.01);
-    }
-
-    #[test]
-    fn linear_ramps_to_floor() {
-        let s = CoolingSchedule::Linear {
-            t0: 8.0,
-            epochs: 4,
-            t_min: 0.5,
-        };
-        assert_eq!(s.temperature(0), 8.0);
-        assert_eq!(s.temperature(2), 4.0);
-        assert_eq!(s.temperature(4), 0.5);
-        assert_eq!(s.temperature(9), 0.5);
-    }
-
-    #[test]
-    fn zero_epoch_linear_degenerates_safely() {
-        let s = CoolingSchedule::Linear {
-            t0: 8.0,
-            epochs: 0,
-            t_min: 0.5,
-        };
-        assert_eq!(s.temperature(0), 8.0);
     }
 
     #[test]

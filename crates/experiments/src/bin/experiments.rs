@@ -631,7 +631,6 @@ fn drift_perf_measurement() -> Result<Rate, Box<dyn std::error::Error>> {
             ewma_window_ticks: 6,
             cooldown_ticks: 12,
             max_changes_per_tick: 8 * DRIFT_PODS,
-            ..ControllerConfig::default()
         },
         failover: FailoverPolicy::Resume,
         ..SimConfig::default()

@@ -124,7 +124,7 @@ fn run_cell(
 
     let catalog = setup.catalog()?;
     let map = RedundancyMap::uniform(setup.n_videos, scheme)?;
-    let layout = place_coded(setup.n_servers, &[], &map)?;
+    let layout = place_coded(setup.n_servers, &map)?;
     // The cluster is sized to the scheme's own footprint plus one
     // catalog-share of spare slots per server — repair needs somewhere
     // to put replacement fragments, exactly as A-4 provisions spare

@@ -55,7 +55,6 @@ fn run_striped(
     let config = StripedConfig {
         overhead,
         horizon_min: setup.horizon_min,
-        sample_interval_min: 1.0,
         failures,
     };
     let sim = StripedSimulation::new(&catalog, &cluster, config)?;

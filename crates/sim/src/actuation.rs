@@ -154,13 +154,6 @@ impl CopyBook {
         self.dsts.contains(&(video, dst))
     }
 
-    /// Destinations of `video`'s in-flight copies.
-    fn dsts_of(&self, video: VideoId) -> impl Iterator<Item = ServerId> + '_ {
-        self.dsts
-            .range((video, ServerId(0))..=(video, ServerId(u32::MAX)))
-            .map(|&(_, d)| d)
-    }
-
     /// Keys of the copies touching `server`, in `(done_at, seq)` order.
     fn touching(&self, server: ServerId) -> impl DoubleEndedIterator<Item = CopyKey> + '_ {
         let lo = (server, (SimTime(0), 0));
@@ -274,12 +267,6 @@ pub(crate) struct ReplicaActuator {
     /// Whether any video is coded (false keeps every hot path on the
     /// exact replicated code, preserving byte-identical reports).
     any_coded: bool,
-    /// Rack of each server (`u32::MAX` = unracked; empty = no rack
-    /// model). Coded repair destinations respect the per-rack fragment
-    /// bound `⌈(k+m) / n_racks⌉`.
-    rack_of: Vec<u32>,
-    /// Number of racks in `rack_of` (0 = no rack bound).
-    n_racks: usize,
     /// In-flight copies per video.
     in_flight: Vec<u32>,
     /// Videos that may need a copy (lazily re-checked at pump time).
@@ -373,8 +360,6 @@ impl ReplicaActuator {
             video_bytes,
             min_live,
             any_coded,
-            rack_of: Vec::new(),
-            n_racks: 0,
             used_bytes,
             capacity_bytes,
             min_bytes,
@@ -417,18 +402,6 @@ impl ReplicaActuator {
     /// entry) — what the placement auditor checks anti-affinity against.
     pub fn holders_all(&self) -> &[Vec<ServerId>] {
         &self.holders
-    }
-
-    /// Installs the rack map coded repair destinations are bounded by:
-    /// `rack_of[j]` is server `j`'s rack, `u32::MAX` marks an unracked
-    /// server. An empty map (the default) disables the rack bound.
-    pub fn set_rack_map(&mut self, rack_of: Vec<u32>) {
-        self.n_racks = rack_of
-            .iter()
-            .filter(|&&x| x != u32::MAX)
-            .max()
-            .map_or(0, |&x| x as usize + 1);
-        self.rack_of = rack_of;
     }
 
     /// Coded fragment reconstructions completed.
@@ -915,37 +888,6 @@ impl ReplicaActuator {
             && links.free_kbps(dst) >= bw
             && !self.holders[v].contains(&dst)
             && !self.copies.heads_to(VideoId(v as u32), dst)
-            && self.rack_fits(v, dst)
-    }
-
-    /// Rack anti-affinity for coded stripes: placing a fragment of `v`
-    /// on `dst` must keep `dst`'s rack at or below
-    /// `⌈(k+m) / n_racks⌉` *live-or-pending* fragments (down holders do
-    /// not count — their rack slot is exactly where the replacement may
-    /// go, and recovery retires the surplus). Replicated videos and
-    /// rackless clusters are unconstrained.
-    fn rack_fits(&self, v: usize, dst: ServerId) -> bool {
-        if self.min_live[v] <= 1 || self.n_racks == 0 {
-            return true;
-        }
-        let Some(&r) = self.rack_of.get(dst.index()) else {
-            return true;
-        };
-        if r == u32::MAX {
-            return true;
-        }
-        let cap = (self.targets[v] as usize).div_ceil(self.n_racks) as u32;
-        let in_rack = |s: ServerId| self.rack_of.get(s.index()) == Some(&r);
-        let live = self.holders[v]
-            .iter()
-            .filter(|&&h| self.up[h.index()] && in_rack(h))
-            .count();
-        let pending = self
-            .copies
-            .dsts_of(VideoId(v as u32))
-            .filter(|&d| in_rack(d))
-            .count();
-        ((live + pending) as u32) < cap
     }
 
     /// Destination for the next copy of `v`: the incremental plan's pick
@@ -1338,14 +1280,13 @@ mod tests {
     }
 
     /// A uniformly `Coded { k, m }` world: fragments are `⌈bytes/k⌉`
-    /// each, placed by [`place_coded`] over `racks`.
+    /// each, placed by [`place_coded`].
     fn coded_world(
         n: usize,
         m_videos: usize,
         k: u32,
         par: u32,
         storage_slots: u64,
-        racks: &[Vec<ServerId>],
     ) -> (Catalog, ClusterSpec, Layout) {
         let catalog = Catalog::fixed_rate(m_videos, BitRate::MPEG2, 600).unwrap();
         let frag = catalog.videos()[0].storage_bytes().div_ceil(k as u64);
@@ -1358,7 +1299,7 @@ mod tests {
         )
         .unwrap();
         let map = RedundancyMap::uniform(m_videos, RedundancyScheme::Coded { k, m: par }).unwrap();
-        let layout = place_coded(n, racks, &map).unwrap();
+        let layout = place_coded(n, &map).unwrap();
         (catalog, cluster, layout)
     }
 
@@ -1677,7 +1618,7 @@ mod tests {
 
     #[test]
     fn coded_failure_reconstructs_with_k_sources() {
-        let (catalog, cluster, layout) = coded_world(6, 4, 2, 1, 8, &[]);
+        let (catalog, cluster, layout) = coded_world(6, 4, 2, 1, 8);
         let frag = catalog.videos()[0].storage_bytes().div_ceil(2);
         let mut links = LinkState::new(&cluster);
         let mut disp = Dispatcher::new(Default::default(), 4);
@@ -1716,7 +1657,7 @@ mod tests {
     #[test]
     fn coded_repair_never_starts_below_k_survivors() {
         // One (2, 1) stripe over 3 of 4 servers.
-        let (catalog, cluster, layout) = coded_world(4, 1, 2, 1, 8, &[]);
+        let (catalog, cluster, layout) = coded_world(4, 1, 2, 1, 8);
         let mut links = LinkState::new(&cluster);
         let mut disp = Dispatcher::new(Default::default(), 1);
         let mut c = ReplicaActuator::new(&catalog, &cluster, &layout, enabled(50_000));
@@ -1755,7 +1696,7 @@ mod tests {
     #[test]
     fn fractional_deficit_integrates_parity_margin() {
         // (2, 2): margin m = 2, so one lost fragment weighs 1/2.
-        let (catalog, cluster, layout) = coded_world(6, 1, 2, 2, 8, &[]);
+        let (catalog, cluster, layout) = coded_world(6, 1, 2, 2, 8);
         let mut links = LinkState::new(&cluster);
         let mut disp = Dispatcher::new(Default::default(), 1);
         let mut c = ReplicaActuator::new(&catalog, &cluster, &layout, RepairConfig::default());
@@ -1774,45 +1715,6 @@ mod tests {
         assert!((c.deficit_video_min() - 5.0).abs() < 1e-9);
         assert!((c.deficit_min() - 10.0).abs() < 1e-9);
         assert!((c.unavailability_video_min()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rack_bound_steers_reconstruction_into_dead_rack() {
-        // 3 racks of 2; a (2, 1) stripe holds one fragment per rack, so
-        // the only rack below the ⌈3/3⌉ = 1 live-fragment cap is the
-        // dead holder's own — the rebuild must land on its rack buddy.
-        let racks: Vec<Vec<ServerId>> = (0..3)
-            .map(|r| vec![ServerId(2 * r), ServerId(2 * r + 1)])
-            .collect();
-        let (catalog, cluster, layout) = coded_world(6, 1, 2, 1, 8, &racks);
-        let mut links = LinkState::new(&cluster);
-        let mut disp = Dispatcher::new(Default::default(), 1);
-        let mut c = ReplicaActuator::new(&catalog, &cluster, &layout, enabled(50_000));
-        c.set_rack_map(vec![0, 0, 1, 1, 2, 2]);
-        let victim = layout.replicas_of(VideoId(0))[0];
-        let buddy = ServerId(victim.0 ^ 1);
-        links.fail(victim);
-        c.on_failure(
-            SimTime::from_min(1.0),
-            victim,
-            &[0; 1],
-            &mut links,
-            &mut disp,
-        );
-        c.check_invariants();
-        assert_eq!(c.copies.len(), 1);
-        assert_eq!(
-            c.copies.iter().next().unwrap().dst,
-            buddy,
-            "rebuild must stay in the dead rack"
-        );
-        c.complete_next(&mut links, &mut disp).unwrap();
-        // Recovery retires the replacement: back to the original stripe.
-        links.recover(victim);
-        c.on_recovery(SimTime::from_min(5.0), victim, &mut links, &mut disp);
-        c.check_invariants();
-        assert_eq!(c.holders[0].len(), 3);
-        assert_eq!(c.alive[0], 3);
     }
 
     /// The whole-map replan the deficit-only planner replaces: the
@@ -2101,15 +2003,11 @@ mod tests {
                 prop_assert_eq!(book.len(), list.len());
                 let repair = list.iter().filter(|c| c.purpose == CopyPurpose::Repair).count();
                 prop_assert_eq!(book.repair, repair);
-                for v in 0..6u32 {
-                    let mut want: Vec<ServerId> = list
+                for (v, d) in (0..6u32).flat_map(|v| (0..8u32).map(move |d| (v, d))) {
+                    let headed = list
                         .iter()
-                        .filter(|c| c.video == VideoId(v))
-                        .map(|c| c.dst)
-                        .collect();
-                    want.sort();
-                    let got: Vec<ServerId> = book.dsts_of(VideoId(v)).collect();
-                    prop_assert_eq!(got, want);
+                        .any(|c| c.video == VideoId(v) && c.dst == ServerId(d));
+                    prop_assert_eq!(book.heads_to(VideoId(v), ServerId(d)), headed);
                 }
             }
         }
@@ -2249,7 +2147,7 @@ mod tests {
         ) {
             let k = 2u32;
             let slots = ((m * (k + par) as usize).div_ceil(n)) as u64 + spare + 2;
-            let (catalog, cluster, layout) = coded_world(n, m, k, par, slots, &[]);
+            let (catalog, cluster, layout) = coded_world(n, m, k, par, slots);
             let mut links = LinkState::new(&cluster);
             let mut disp = Dispatcher::new(Default::default(), m);
             let mut c = ReplicaActuator::new(

@@ -156,9 +156,9 @@ pub(crate) struct AdmissionState {
     /// (abandonment deadline, seq); entries may be stale (admitted
     /// meanwhile) and are skipped lazily.
     deadlines: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// (retry instant, seq) with payloads in `retry_map`.
-    retry_heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    retry_map: BTreeMap<u64, PendingRequest>,
+    /// Sleeping requests keyed by (retry instant, seq): the first entry
+    /// is the next retry due.
+    retries: BTreeMap<(SimTime, u64), PendingRequest>,
     next_seq: u64,
 }
 
@@ -176,8 +176,7 @@ impl AdmissionState {
             ),
             queue: BTreeMap::new(),
             deadlines: BinaryHeap::new(),
-            retry_heap: BinaryHeap::new(),
-            retry_map: BTreeMap::new(),
+            retries: BTreeMap::new(),
             next_seq: 0,
         }
     }
@@ -199,7 +198,7 @@ impl AdmissionState {
 
     /// Requests the pipeline still owes an outcome.
     pub fn in_flight(&self) -> u64 {
-        (self.queue.len() + self.retry_map.len()) as u64
+        (self.queue.len() + self.retries.len()) as u64
     }
 
     /// Enqueues `req` with a freshly drawn abandonment deadline
@@ -255,24 +254,21 @@ impl AdmissionState {
         let base = self.backoff_min * f64::powi(2.0, exp as i32);
         let jitter = splitmix64(self.jitter_seed ^ seq) as f64 / u64::MAX as f64;
         let at = now + SimTime::from_min(base * (1.0 + 0.25 * jitter));
-        self.retry_heap.push(Reverse((at, seq)));
-        self.retry_map.insert(seq, req);
+        self.retries.insert((at, seq), req);
         at
     }
 
     /// Earliest pending retry instant.
     pub fn next_retry(&self) -> Option<SimTime> {
-        self.retry_heap.peek().map(|Reverse((at, _))| *at)
+        self.retries.first_key_value().map(|(&(at, _), _)| at)
     }
 
     /// Removes and returns the earliest retry due at or before `now`.
     pub fn pop_due_retry(&mut self, now: SimTime) -> Option<PendingRequest> {
-        let Reverse((at, _)) = self.retry_heap.peek().copied()?;
-        if at > now {
+        if self.next_retry()? > now {
             return None;
         }
-        let Reverse((_, seq)) = self.retry_heap.pop()?;
-        self.retry_map.remove(&seq)
+        self.retries.pop_first().map(|(_, req)| req)
     }
 
     /// The waiting requests in FIFO order (test convenience; the engine
@@ -303,9 +299,8 @@ impl AdmissionState {
     /// Drains every request the pipeline still owns (end-of-run flush).
     pub fn drain_remaining(&mut self) -> Vec<PendingRequest> {
         let mut out: Vec<PendingRequest> = std::mem::take(&mut self.queue).into_values().collect();
-        out.extend(std::mem::take(&mut self.retry_map).into_values());
+        out.extend(std::mem::take(&mut self.retries).into_values());
         self.deadlines.clear();
-        self.retry_heap.clear();
         out
     }
 }
@@ -433,7 +428,7 @@ mod tests {
         // Attempt 3 backs off 4x the base: strictly later even with
         // maximal jitter on attempt 1 (1.25 × base < 4 × base).
         assert!(t3 > t1a);
-        assert_eq!(a.retry_map.len(), 2);
+        assert_eq!(a.retries.len(), 2);
         assert_eq!(a.pop_due_retry(t1a).unwrap().attempt, 1);
         assert!(a.pop_due_retry(t1a).is_none(), "t3 not due yet");
     }

@@ -27,7 +27,7 @@
 use crate::admission::AdmissionState;
 use crate::server::LinkState;
 use crate::time::SimTime;
-use vod_model::{ModelError, RedundancyMap, ServerId, VideoId};
+use vod_model::{ModelError, ServerId, VideoId};
 
 /// Running totals the engine feeds the auditor (terminal outcomes only;
 /// in-flight counts come from [`AdmissionState`]).
@@ -111,25 +111,12 @@ impl Auditor {
 
     /// Anti-affinity audit for redundancy placements (run after every
     /// event of a coded run): no video may keep two fragments/replicas
-    /// on one server, and when a rack map is configured (`rack_of[j] !=
-    /// u32::MAX` marks server `j`'s rack) no coded stripe may
-    /// concentrate more than `⌈(k+m) / n_racks⌉` fragments in one rack —
-    /// the tightest bound any placement of `k + m` fragments over
-    /// `n_racks` racks can honor.
+    /// on one server (the paper's constraint (6)).
     pub fn check_placement(
         &self,
         at: SimTime,
         holders: &[Vec<ServerId>],
-        schemes: &RedundancyMap,
-        rack_of: &[u32],
     ) -> Result<(), ModelError> {
-        let n_racks = rack_of
-            .iter()
-            .filter(|&&r| r != u32::MAX)
-            .max()
-            .map(|&r| r as usize + 1)
-            .unwrap_or(0);
-        let mut per_rack: Vec<u32> = vec![0; n_racks];
         for (v, servers) in holders.iter().enumerate() {
             for (i, &a) in servers.iter().enumerate() {
                 if servers[..i].contains(&a) {
@@ -137,38 +124,6 @@ impl Auditor {
                         at,
                         format!(
                             "anti-affinity broken: video {} holds two fragments on {a}",
-                            VideoId(v as u32)
-                        ),
-                    ));
-                }
-            }
-            let scheme = schemes.get(VideoId(v as u32));
-            if n_racks == 0 || !scheme.is_coded() {
-                continue;
-            }
-            per_rack.iter_mut().for_each(|c| *c = 0);
-            // During repair overlap a stripe briefly holds one extra
-            // fragment (the replacement completes before the recovered
-            // original retires), so bound by the actual holder count;
-            // at steady state it equals k + m and the bound is exact.
-            let cap = scheme
-                .holders()
-                .max(servers.len() as u32)
-                .div_ceil(n_racks as u32);
-            for &a in servers {
-                let Some(&r) = rack_of.get(a.index()) else {
-                    continue;
-                };
-                if r == u32::MAX {
-                    continue;
-                }
-                per_rack[r as usize] += 1;
-                if per_rack[r as usize] > cap {
-                    return Err(violation(
-                        at,
-                        format!(
-                            "rack anti-affinity broken: video {} has more than {cap} \
-                             fragments in rack {r}",
                             VideoId(v as u32)
                         ),
                     ));

@@ -25,9 +25,8 @@
 //!   hottest promotions first, coldest demotions last;
 //! * **backoff** — a tick does nothing (beyond updating estimators)
 //!   while a server is down, failure repair has copies in flight, or
-//!   cluster streaming utilization exceeds
-//!   [`ControllerConfig::overload_headroom_pct`] — QoS traffic and
-//!   outage recovery always win over rebalancing.
+//!   cluster streaming utilization exceeds 95 % of effective capacity —
+//!   QoS traffic and outage recovery always win over rebalancing.
 //!
 //! Determinism: the estimator is integer fixed-point (16.16), the
 //! apportionment compares rates by `u128` cross-multiplication (no
@@ -49,6 +48,10 @@ use vod_model::ModelError;
 /// Fixed-point scale of the rate estimator (16.16).
 const FP: u64 = 1 << 16;
 
+/// A tick backs off when cluster streaming utilization exceeds this
+/// percent of effective capacity.
+const OVERLOAD_HEADROOM_PCT: u64 = 95;
+
 /// Online replication controller knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ControllerConfig {
@@ -66,9 +69,6 @@ pub struct ControllerConfig {
     pub cooldown_ticks: u32,
     /// Maximum videos whose target may move in one tick.
     pub max_changes_per_tick: usize,
-    /// Back off when cluster streaming utilization exceeds this percent
-    /// of effective capacity.
-    pub overload_headroom_pct: u8,
 }
 
 impl Default for ControllerConfig {
@@ -79,7 +79,6 @@ impl Default for ControllerConfig {
             ewma_window_ticks: 4,
             cooldown_ticks: 3,
             max_changes_per_tick: 8,
-            overload_headroom_pct: 95,
         }
     }
 }
@@ -108,12 +107,6 @@ impl ControllerConfig {
             return Err(ModelError::InvalidParameter {
                 name: "controller.max_changes_per_tick",
                 value: 0.0,
-            });
-        }
-        if self.overload_headroom_pct > 100 {
-            return Err(ModelError::InvalidParameter {
-                name: "controller.overload_headroom_pct",
-                value: self.overload_headroom_pct as f64,
             });
         }
         Ok(())
@@ -238,7 +231,7 @@ impl DriftController {
     }
 
     /// Cluster streaming utilization check: busy when used streaming
-    /// bandwidth exceeds `overload_headroom_pct` of the effective
+    /// bandwidth exceeds `OVERLOAD_HEADROOM_PCT` of the effective
     /// capacity of up servers. Pure integer math.
     fn overloaded(&self, links: &LinkState) -> bool {
         let mut used = 0u64;
@@ -250,7 +243,7 @@ impl DriftController {
                 cap += links.effective_capacity_kbps(s);
             }
         }
-        used * 100 > cap * self.cfg.overload_headroom_pct as u64
+        used * 100 > cap * OVERLOAD_HEADROOM_PCT
     }
 
     /// Recomputes desired replication degrees from the rate estimates by
@@ -482,11 +475,6 @@ mod tests {
             ..Default::default()
         };
         assert!(bad_budget.validate().is_err());
-        let bad_headroom = ControllerConfig {
-            overload_headroom_pct: 101,
-            ..Default::default()
-        };
-        assert!(bad_headroom.validate().is_err());
     }
 
     #[test]

@@ -109,13 +109,6 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// Alias for [`Default::default`], spelling out the provenance.
-    pub fn paper_default() -> Self {
-        Self::default()
-    }
-}
-
 /// A bound simulation: catalog + cluster + layout + config.
 #[derive(Debug, Clone)]
 pub struct Simulation<'a> {
@@ -160,7 +153,7 @@ impl<'a> Simulation<'a> {
         }
         config.failures.validate_servers(cluster.len())?;
         if let Some(model) = &config.failure_model {
-            model.validate(cluster.len())?;
+            model.validate()?;
         }
         config.admission.validate()?;
         config.controller.validate()?;
@@ -383,10 +376,10 @@ impl<'a> Simulation<'a> {
     /// The server-group partition for the decoupled parallel path, or
     /// `None` when the run must stay on the serial loop: sharding is
     /// only sound when no event can cross server groups, i.e. no
-    /// failure injection (fault schedules are drawn per server and per
-    /// rack before the run, but metered repair may copy into any group,
-    /// and float accumulators such as brownout minutes sum in global
-    /// transition order), a fully passive admission pipeline (the FIFO
+    /// failure injection (fault schedules are drawn per server before
+    /// the run, but metered repair may copy into any group, and float
+    /// accumulators such as brownout minutes sum in global transition
+    /// order), a fully passive admission pipeline (the FIFO
     /// queue and its patience RNG are cluster-scoped), no shared
     /// backbone pool — and a replica graph that actually partitions.
     fn decoupled_plan(&self) -> Option<ShardPlan> {
@@ -632,29 +625,6 @@ impl<'a> Simulation<'a> {
                 degraded_reads: 0,
                 shares_reattached: 0,
             });
-        let rack_of = if coded.is_some() {
-            let mut rack_of = vec![u32::MAX; self.cluster.len()];
-            if let Some(model) = &self.config.failure_model {
-                for (r, rack) in model.racks.iter().enumerate() {
-                    for &s in &rack.servers {
-                        if rack_of[s.index()] == u32::MAX {
-                            rack_of[s.index()] = r as u32;
-                        }
-                    }
-                }
-            }
-            rack_of
-        } else {
-            Vec::new()
-        };
-        let actuator = actuator.map(|mut c| {
-            if !rack_of.is_empty() {
-                // Coded repair destinations honor the same per-rack
-                // fragment bound the auditor enforces.
-                c.set_rack_map(rack_of.clone());
-            }
-            c
-        });
 
         let mut state = RunState {
             links: LinkState::new(self.cluster),
@@ -663,7 +633,6 @@ impl<'a> Simulation<'a> {
             departures: DepartureQueue::with_capacity(self.cluster.len()),
             actuator,
             coded,
-            rack_of,
             layout: self.layout,
             transitions,
             next_transition: 0,
@@ -1144,10 +1113,6 @@ struct RunState<'a> {
     actuator: Option<ReplicaActuator>,
     /// Coded-serving state (`None` for all-replicated layouts).
     coded: Option<CodedState>,
-    /// Rack of each server (`u32::MAX` = unracked), non-empty only when
-    /// a coded layout runs under a rack failure model; feeds the
-    /// auditor's rack anti-affinity check.
-    rack_of: Vec<u32>,
     /// Sensing/decision state of the online replication controller
     /// (`None` unless [`ControllerConfig::enabled`]).
     drift: Option<DriftController>,
@@ -1309,7 +1274,7 @@ impl RunState<'_> {
                 abandoned,
             },
         )?;
-        if let Some(cs) = &self.coded {
+        if self.coded.is_some() {
             // Anti-affinity holds for the bound layout by construction;
             // what needs auditing is the actuator's evolving holder map
             // (repair destinations). Static coded runs audit the layout
@@ -1321,7 +1286,7 @@ impl RunState<'_> {
             self.auditor
                 .as_ref()
                 .expect("auditor vanished")
-                .check_placement(at, holders, &cs.schemes, &self.rack_of)?;
+                .check_placement(at, holders)?;
         }
         Ok(())
     }
@@ -1776,7 +1741,7 @@ mod tests {
 
     fn run_tiny(requests: Vec<Request>) -> SimReport {
         let (catalog, cluster, layout) = tiny_world();
-        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default()).unwrap();
+        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::default()).unwrap();
         sim.run(&Trace::new(requests).unwrap()).unwrap()
     }
 
@@ -1834,7 +1799,7 @@ mod tests {
         )
         .unwrap();
         let layout = Layout::new(2, vec![vec![ServerId(0), ServerId(1)]]).unwrap();
-        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default()).unwrap();
+        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::default()).unwrap();
         let r = sim
             .run(&Trace::new(vec![req(0.0, 0), req(0.5, 0), req(1.0, 0)]).unwrap())
             .unwrap();
@@ -1861,7 +1826,7 @@ mod tests {
             policy: AdmissionPolicy::BackboneRedirect {
                 backbone_capacity_kbps: 1_000_000,
             },
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         };
         let r = Simulation::new(&catalog, &cluster, &layout, cfg)
             .unwrap()
@@ -1875,7 +1840,7 @@ mod tests {
     #[test]
     fn unknown_video_is_an_error() {
         let (catalog, cluster, layout) = tiny_world();
-        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default()).unwrap();
+        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::default()).unwrap();
         let trace = Trace::new(vec![req(0.0, 5)]).unwrap();
         assert!(matches!(
             sim.run(&trace),
@@ -1887,10 +1852,10 @@ mod tests {
     fn dimension_mismatches_rejected() {
         let (catalog, cluster, _) = tiny_world();
         let layout2 = Layout::new(2, vec![vec![ServerId(0)]]).unwrap();
-        assert!(Simulation::new(&catalog, &cluster, &layout2, SimConfig::paper_default()).is_err());
+        assert!(Simulation::new(&catalog, &cluster, &layout2, SimConfig::default()).is_err());
         let cfg = SimConfig {
             horizon_min: 0.0,
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         };
         let layout = Layout::new(1, vec![vec![ServerId(0)]]).unwrap();
         assert!(Simulation::new(&catalog, &cluster, &layout, cfg).is_err());
@@ -1909,7 +1874,7 @@ mod tests {
         .unwrap();
         let layout = Layout::new(1, vec![vec![ServerId(0)]]).unwrap();
         assert!(matches!(
-            Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default()),
+            Simulation::new(&catalog, &cluster, &layout, SimConfig::default()),
             Err(ModelError::StorageExceeded { .. })
         ));
     }
@@ -1928,7 +1893,7 @@ mod tests {
         .unwrap();
         let layout = Layout::new(2, vec![vec![ServerId(0)]]).unwrap();
         let trace = Trace::new(vec![req(0.0, 0), req(1.0, 0), req(2.0, 0)]).unwrap();
-        let r = Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default())
+        let r = Simulation::new(&catalog, &cluster, &layout, SimConfig::default())
             .unwrap()
             .run(&trace)
             .unwrap();
@@ -1941,7 +1906,7 @@ mod tests {
     fn failing_cfg(outages: Vec<Outage>) -> SimConfig {
         SimConfig {
             failures: FailurePlan::new(outages).unwrap(),
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         }
     }
 
@@ -2037,7 +2002,7 @@ mod tests {
         let failover_cfg = SimConfig {
             policy: AdmissionPolicy::RoundRobinFailover,
             failures: FailurePlan::new(outage).unwrap(),
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         };
         let failover = Simulation::new(&catalog, &cluster, &layout, failover_cfg)
             .unwrap()
@@ -2070,7 +2035,7 @@ mod tests {
             }])
             .unwrap(),
             failover: crate::repair::FailoverPolicy::Resume,
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         };
         let sim = Simulation::new(&catalog, &cluster, &layout, cfg).unwrap();
         let r = sim.run(&Trace::new(vec![req(0.0, 0)]).unwrap()).unwrap();
@@ -2103,7 +2068,7 @@ mod tests {
         let mk = |failover| SimConfig {
             failures: FailurePlan::new(outage.clone()).unwrap(),
             failover,
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         };
         let trace = Trace::new(vec![req(0.0, 0), req(0.5, 0)]).unwrap();
 
@@ -2161,7 +2126,7 @@ mod tests {
                 bandwidth_kbps,
                 max_concurrent: 4,
             },
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         };
         let trace = Trace::new(vec![]).unwrap();
 
@@ -2210,7 +2175,7 @@ mod tests {
                 bandwidth_kbps,
                 max_concurrent: 4,
             },
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         };
         // 300 Mbit replica at 4 Mbps repair bandwidth: 75 s rebuild, done
         // by t=2.25 min. Both t=30/t=31 requests overlap for 10 minutes.
@@ -2256,7 +2221,7 @@ mod tests {
                 max_concurrent: 2,
             },
             failover: crate::repair::FailoverPolicy::ResumeOrDegrade,
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         };
         let trace = Trace::new(
             (0..60)
@@ -2276,7 +2241,7 @@ mod tests {
     #[test]
     fn telemetry_counters_match_report() {
         let (catalog, cluster, layout) = tiny_world();
-        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default()).unwrap();
+        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::default()).unwrap();
         let trace = Trace::new(vec![req(0.0, 0), req(5.0, 0), req(12.0, 0)]).unwrap();
         let telemetry = Telemetry::enabled();
         let r = sim.run_with_telemetry(&trace, &telemetry).unwrap();
@@ -2303,7 +2268,7 @@ mod tests {
     #[test]
     fn disabled_telemetry_is_equivalent() {
         let (catalog, cluster, layout) = tiny_world();
-        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default()).unwrap();
+        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::default()).unwrap();
         let trace = Trace::new(vec![req(0.0, 0), req(5.0, 0)]).unwrap();
         let plain = sim.run(&trace).unwrap();
         let telemetry = Telemetry::enabled();
@@ -2366,15 +2331,14 @@ mod tests {
     fn decoupled_sharded_run_is_byte_identical_to_serial() {
         let (catalog, cluster, layout) = pods_world();
         let trace = pods_trace();
-        let serial =
-            Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default()).unwrap();
+        let serial = Simulation::new(&catalog, &cluster, &layout, SimConfig::default()).unwrap();
         let sharded = Simulation::new(
             &catalog,
             &cluster,
             &layout,
             SimConfig {
                 shards: 4,
-                ..SimConfig::paper_default()
+                ..SimConfig::default()
             },
         )
         .unwrap();
@@ -2466,7 +2430,7 @@ mod tests {
             &layout,
             SimConfig {
                 shards: 20,
-                ..SimConfig::paper_default()
+                ..SimConfig::default()
             },
         )
         .unwrap();
@@ -2506,7 +2470,7 @@ mod tests {
         let cfg = |shards| SimConfig {
             shards,
             admission: admission.clone(),
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         };
         let a = Simulation::new(&catalog, &cluster, &layout, cfg(1))
             .unwrap()
@@ -2527,7 +2491,7 @@ mod tests {
         let (catalog, cluster, layout) = tiny_world();
         let cfg = SimConfig {
             shards: 0,
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         };
         assert!(matches!(
             Simulation::new(&catalog, &cluster, &layout, cfg),
@@ -2571,7 +2535,7 @@ mod tests {
             .map(|shards| {
                 let cfg = SimConfig {
                     shards,
-                    ..SimConfig::paper_default()
+                    ..SimConfig::default()
                 };
                 let sim = Simulation::new(&catalog, &cluster, &layout, cfg).unwrap();
                 match run(&sim) {
@@ -2673,7 +2637,7 @@ mod tests {
         let requests = long_pods_requests(4 * 2 * (INBOX_DEPTH + 2) * BATCH);
         let (catalog, cluster, layout) = pods_world();
         let trace = Trace::new(requests.clone()).unwrap();
-        let serial = Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default())
+        let serial = Simulation::new(&catalog, &cluster, &layout, SimConfig::default())
             .unwrap()
             .run(&trace)
             .unwrap();
@@ -2685,7 +2649,7 @@ mod tests {
                 &layout,
                 SimConfig {
                     shards,
-                    ..SimConfig::paper_default()
+                    ..SimConfig::default()
                 },
             )
             .unwrap();
@@ -2732,7 +2696,7 @@ mod tests {
         let (catalog, cluster, layout) = pods_world();
         let cfg = SimConfig {
             shards: 2,
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         };
         let sim = Simulation::new(&catalog, &cluster, &layout, cfg).unwrap();
         let source = Panics(Replay {
@@ -2768,7 +2732,7 @@ mod tests {
                 tick_min,
                 ..ControllerConfig::default()
             },
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         }
     }
 
@@ -2969,7 +2933,7 @@ mod tests {
             vod_model::redundancy::RedundancyScheme::Coded { k, m: par },
         )
         .unwrap();
-        let layout = vod_placement::place_coded(n, &[], &map).unwrap();
+        let layout = vod_placement::place_coded(n, &map).unwrap();
         (catalog, cluster, layout)
     }
 
@@ -2979,7 +2943,7 @@ mod tests {
         // share: the first stream occupies two fragments, leaving one —
         // a concurrent request cannot gather k = 2 and is rejected.
         let (catalog, cluster, layout) = coded_tiny(3, 2, 1, 2_000);
-        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::paper_default()).unwrap();
+        let sim = Simulation::new(&catalog, &cluster, &layout, SimConfig::default()).unwrap();
         let r = sim
             .run(&Trace::new(vec![req(0.0, 0), req(5.0, 0), req(10.0, 0)]).unwrap())
             .unwrap();
@@ -3067,7 +3031,7 @@ mod tests {
             policy: AdmissionPolicy::BackboneRedirect {
                 backbone_capacity_kbps: 1_000_000,
             },
-            ..SimConfig::paper_default()
+            ..SimConfig::default()
         };
         assert!(Simulation::new(&catalog, &cluster, &layout, backbone).is_err());
         assert!(Simulation::new(&catalog, &cluster, &layout, controller_cfg(5.0)).is_err());

@@ -9,8 +9,8 @@
 //! * a [`FailurePlan`] takes servers down (and optionally back up) at
 //!   fixed instants — the scripted outages of the A-2 experiment;
 //! * a [`FailureModel`] draws outages stochastically — per-server
-//!   exponential MTBF/MTTR renewal processes plus optional correlated
-//!   rack failures — from a seeded RNG, so a run is deterministic per
+//!   exponential MTBF/MTTR renewal processes, one server at a time as
+//!   in the paper — from a seeded RNG, so a run is deterministic per
 //!   seed. The model *compiles* to a `FailurePlan`, so the engine
 //!   consumes one transition stream regardless of provenance.
 //!
@@ -212,11 +212,10 @@ impl FailurePlan {
         Ok(self)
     }
 
-    /// Builds a plan from outages that may overlap per server (e.g. a
-    /// rack failure overlapping an independent server failure), merging
-    /// overlapping or touching intervals into one outage. Used by
-    /// [`FailureModel::compile`], where a server can be down for more
-    /// than one cause at once.
+    /// Builds a plan from outages that may overlap per server, merging
+    /// overlapping or touching intervals into one outage. The engine
+    /// unites a scripted plan with a compiled [`FailureModel`] this way,
+    /// where a server can be down for more than one cause at once.
     pub fn merged(mut outages: Vec<Outage>) -> Result<Self, ModelError> {
         for o in &outages {
             check_times(o)?;
@@ -321,19 +320,6 @@ impl FailurePlan {
     }
 }
 
-/// Correlated failures of a group of servers (a rack, a power domain):
-/// the whole group fails and recovers together, on its own exponential
-/// MTBF/MTTR renewal process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RackFailures {
-    /// Members that fail together.
-    pub servers: Vec<ServerId>,
-    /// Mean time between rack failures, minutes (exponential).
-    pub mtbf_min: f64,
-    /// Mean time to repair the rack, minutes (exponential).
-    pub mttr_min: f64,
-}
-
 /// Stochastic partial-degradation model: each server's outgoing link
 /// browns out on an independent exponential MTBF/MTTR renewal process,
 /// with the surviving capacity fraction drawn uniformly from
@@ -387,21 +373,19 @@ impl BrownoutModel {
 
 /// Stochastic fault injection: each server fails on an independent
 /// exponential MTBF/MTTR alternating-renewal process, optionally
-/// overlaid with correlated [`RackFailures`] and partial-capacity
-/// [`BrownoutModel`] episodes. Deterministic per `seed` — every server,
-/// rack, and brownout process derives its own RNG stream from it, so
-/// the drawn faults do not depend on iteration order.
+/// overlaid with partial-capacity [`BrownoutModel`] episodes.
+/// Deterministic per `seed` — every server and brownout process derives
+/// its own RNG stream from it, so the drawn faults do not depend on
+/// iteration order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailureModel {
     /// Per-server mean time between failures, minutes. `f64::INFINITY`
-    /// disables independent per-server failures (rack failures only).
+    /// disables crashes (brownouts only).
     pub mtbf_min: f64,
     /// Per-server mean time to repair, minutes.
     pub mttr_min: f64,
     /// Base RNG seed; identical seeds produce identical outage sets.
     pub seed: u64,
-    /// Correlated group failures overlaid on the per-server processes.
-    pub racks: Vec<RackFailures>,
     /// Optional partial bandwidth degradation overlaid on the crash
     /// processes (`None` = links always run at full capacity).
     #[serde(default)]
@@ -409,31 +393,29 @@ pub struct FailureModel {
 }
 
 impl FailureModel {
-    /// A rack-free model: independent per-server MTBF/MTTR.
+    /// Independent per-server MTBF/MTTR crashes, no brownouts.
     pub fn exponential(mtbf_min: f64, mttr_min: f64, seed: u64) -> Self {
         FailureModel {
             mtbf_min,
             mttr_min,
             seed,
-            racks: Vec::new(),
             brownouts: None,
         }
     }
 
-    /// A model that injects only brownouts: no crashes, no racks.
+    /// A model that injects only brownouts: no crashes.
     pub fn brownouts_only(model: BrownoutModel, seed: u64) -> Self {
         FailureModel {
             mtbf_min: f64::INFINITY,
             mttr_min: 1.0, // unused: infinite MTBF draws no crashes
             seed,
-            racks: Vec::new(),
             brownouts: Some(model),
         }
     }
 
     /// Parameter validation: positive MTBF (infinity allowed — "never"),
-    /// positive finite MTTR, rack members inside the cluster.
-    pub fn validate(&self, n_servers: usize) -> Result<(), ModelError> {
+    /// positive finite MTTR, and a valid brownout model if any.
+    pub fn validate(&self) -> Result<(), ModelError> {
         if self.mtbf_min.is_nan() || self.mtbf_min <= 0.0 {
             return Err(ModelError::InvalidParameter {
                 name: "mtbf_min",
@@ -446,25 +428,6 @@ impl FailureModel {
                 value: self.mttr_min,
             });
         }
-        for rack in &self.racks {
-            if rack.mtbf_min.is_nan() || rack.mtbf_min <= 0.0 {
-                return Err(ModelError::InvalidParameter {
-                    name: "rack mtbf_min",
-                    value: rack.mtbf_min,
-                });
-            }
-            if !rack.mttr_min.is_finite() || rack.mttr_min <= 0.0 {
-                return Err(ModelError::InvalidParameter {
-                    name: "rack mttr_min",
-                    value: rack.mttr_min,
-                });
-            }
-            for &s in &rack.servers {
-                if s.index() >= n_servers {
-                    return Err(ModelError::UnknownServer(s));
-                }
-            }
-        }
         if let Some(b) = &self.brownouts {
             b.validate()?;
         }
@@ -472,10 +435,10 @@ impl FailureModel {
     }
 
     /// Draws every outage in `[0, horizon_min)` and compiles them into a
-    /// [`FailurePlan`] (per-server and rack intervals merged), which the
-    /// engine consumes exactly like a scripted plan.
+    /// [`FailurePlan`], which the engine consumes exactly like a
+    /// scripted plan.
     pub fn compile(&self, n_servers: usize, horizon_min: f64) -> Result<FailurePlan, ModelError> {
-        self.validate(n_servers)?;
+        self.validate()?;
         if !horizon_min.is_finite() || horizon_min <= 0.0 {
             return Err(ModelError::InvalidParameter {
                 name: "horizon_min",
@@ -491,24 +454,10 @@ impl FailureModel {
                     self.mtbf_min,
                     self.mttr_min,
                     horizon_min,
-                    &[ServerId(j as u32)],
+                    ServerId(j as u32),
                     &mut outages,
                 );
             }
-        }
-        for (k, rack) in self.racks.iter().enumerate() {
-            if !rack.mtbf_min.is_finite() || rack.servers.is_empty() {
-                continue;
-            }
-            let mut rng = self.stream_rng(0x2ACC_0000 + k as u64);
-            draw_renewal_outages(
-                &mut rng,
-                rack.mtbf_min,
-                rack.mttr_min,
-                horizon_min,
-                &rack.servers,
-                &mut outages,
-            );
         }
         let mut brownouts = Vec::new();
         if let Some(model) = &self.brownouts {
@@ -578,13 +527,13 @@ fn draw_renewal_brownouts(
 }
 
 /// Walks one alternating up/down renewal process over `[0, horizon)`,
-/// appending one outage per failure for each server in `servers`.
+/// appending one outage of `server` per failure.
 fn draw_renewal_outages(
     rng: &mut ChaCha8Rng,
     mtbf_min: f64,
     mttr_min: f64,
     horizon_min: f64,
-    servers: &[ServerId],
+    server: ServerId,
     out: &mut Vec<Outage>,
 ) {
     let mut t = 0.0f64;
@@ -596,13 +545,11 @@ fn draw_renewal_outages(
         let up = down + sample_exp(rng, mttr_min);
         // An outage running past the horizon is permanent for the run.
         let up_at_min = (up < horizon_min).then_some(up);
-        for &server in servers {
-            out.push(Outage {
-                server,
-                down_at_min: down,
-                up_at_min,
-            });
-        }
+        out.push(Outage {
+            server,
+            down_at_min: down,
+            up_at_min,
+        });
         match up_at_min {
             Some(up) => t = up,
             None => break,
@@ -799,61 +746,12 @@ mod tests {
     }
 
     #[test]
-    fn infinite_mtbf_means_rack_only() {
-        let model = FailureModel {
-            mtbf_min: f64::INFINITY,
-            mttr_min: 10.0,
-            seed: 1,
-            racks: vec![RackFailures {
-                servers: vec![ServerId(0), ServerId(1)],
-                mtbf_min: 20.0,
-                mttr_min: 5.0,
-            }],
-            brownouts: None,
-        };
-        let plan = model.compile(4, 90.0).unwrap();
-        assert!(!plan.is_empty());
-        // Every drawn outage hits a rack member, and members fail in pairs.
-        for o in plan.outages() {
-            assert!(o.server.index() <= 1);
-        }
-        let downs_s0: Vec<f64> = plan
-            .outages()
-            .iter()
-            .filter(|o| o.server == ServerId(0))
-            .map(|o| o.down_at_min)
-            .collect();
-        let downs_s1: Vec<f64> = plan
-            .outages()
-            .iter()
-            .filter(|o| o.server == ServerId(1))
-            .map(|o| o.down_at_min)
-            .collect();
-        assert_eq!(downs_s0, downs_s1, "rack members fail together");
-    }
-
-    #[test]
     fn model_validation_rejects_bad_parameters() {
-        assert!(FailureModel::exponential(0.0, 10.0, 1).validate(4).is_err());
-        assert!(FailureModel::exponential(10.0, 0.0, 1).validate(4).is_err());
+        assert!(FailureModel::exponential(0.0, 10.0, 1).validate().is_err());
+        assert!(FailureModel::exponential(10.0, 0.0, 1).validate().is_err());
         assert!(FailureModel::exponential(10.0, f64::INFINITY, 1)
-            .validate(4)
+            .validate()
             .is_err());
-        let bad_rack = FailureModel {
-            mtbf_min: f64::INFINITY,
-            mttr_min: 1.0,
-            seed: 0,
-            racks: vec![RackFailures {
-                servers: vec![ServerId(9)],
-                mtbf_min: 10.0,
-                mttr_min: 1.0,
-            }],
-            brownouts: None,
-        };
-        assert_eq!(
-            bad_rack.validate(4),
-            Err(ModelError::UnknownServer(ServerId(9)))
-        );
     }
 
     #[test]
@@ -939,7 +837,7 @@ mod tests {
 
     #[test]
     fn brownout_model_validation() {
-        let bad = |m: BrownoutModel| FailureModel::brownouts_only(m, 0).validate(4).is_err();
+        let bad = |m: BrownoutModel| FailureModel::brownouts_only(m, 0).validate().is_err();
         let base = BrownoutModel {
             mtbf_min: 30.0,
             mttr_min: 10.0,
@@ -947,7 +845,7 @@ mod tests {
             max_capacity_frac: 0.7,
         };
         assert!(FailureModel::brownouts_only(base.clone(), 0)
-            .validate(4)
+            .validate()
             .is_ok());
         assert!(bad(BrownoutModel {
             mtbf_min: 0.0,

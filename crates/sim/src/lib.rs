@@ -97,7 +97,7 @@ pub use admission::{AdmissionConfig, QueuePolicy};
 pub use controller::ControllerConfig;
 pub use dispatch::AdmissionPolicy;
 pub use engine::{SimConfig, Simulation};
-pub use failure::{Brownout, BrownoutModel, FailureModel, FailurePlan, Outage, RackFailures};
+pub use failure::{Brownout, BrownoutModel, FailureModel, FailurePlan, Outage};
 pub use metrics::SimReport;
 pub use repair::{FailoverPolicy, RepairConfig};
 pub use shard::ShardPlan;

@@ -22,16 +22,9 @@ pub struct LinkState {
     used_kbps: Vec<u64>,
     repair_kbps: Vec<u64>,
     streams: Vec<u32>,
-    /// Availability bitmask, one bit per server (bit set = up), packed
-    /// into u64 words so alive-replica scans read 64 servers per load.
-    up: Vec<u64>,
+    /// Availability per server (true = up).
+    up: Vec<bool>,
     epoch: Vec<u32>,
-}
-
-/// Splits a server index into its (word, bit) position in the up-bitmask.
-#[inline]
-fn bit(j: usize) -> (usize, u64) {
-    (j / 64, 1u64 << (j % 64))
 }
 
 impl LinkState {
@@ -39,18 +32,13 @@ impl LinkState {
     pub fn new(cluster: &ClusterSpec) -> Self {
         let capacity_kbps: Vec<u64> = cluster.servers().iter().map(|s| s.bandwidth_kbps).collect();
         let n = capacity_kbps.len();
-        let mut up = vec![u64::MAX; n.div_ceil(64)];
-        if !n.is_multiple_of(64) {
-            // Clear the bits past the last server so the mask is exact.
-            *up.last_mut().expect("n > 0 implies a mask word") = (1u64 << (n % 64)) - 1;
-        }
         LinkState {
             effective_kbps: capacity_kbps.clone(),
             capacity_kbps,
             used_kbps: vec![0; n],
             repair_kbps: vec![0; n],
             streams: vec![0; n],
-            up,
+            up: vec![true; n],
             epoch: vec![0; n],
         }
     }
@@ -58,8 +46,7 @@ impl LinkState {
     /// Whether `server` is currently up.
     #[inline]
     pub fn is_up(&self, server: ServerId) -> bool {
-        let (w, m) = bit(server.index());
-        self.up[w] & m != 0
+        self.up[server.index()]
     }
 
     /// The server's failure epoch (bumped on every failure).
@@ -76,8 +63,7 @@ impl LinkState {
         self.streams[j] = 0;
         self.used_kbps[j] = 0;
         self.repair_kbps[j] = 0;
-        let (w, m) = bit(j);
-        self.up[w] &= !m;
+        self.up[j] = false;
         self.epoch[j] += 1;
         dropped
     }
@@ -86,8 +72,7 @@ impl LinkState {
     /// outage: the link comes back at its degraded effective capacity
     /// until the scheduled brownout end clears it.
     pub fn recover(&mut self, server: ServerId) {
-        let (w, m) = bit(server.index());
-        self.up[w] |= m;
+        self.up[server.index()] = true;
     }
 
     /// Starts a brownout: the link's effective capacity drops to

@@ -30,6 +30,9 @@ use vod_model::{Catalog, ClusterSpec, ModelError};
 use vod_telemetry::Telemetry;
 use vod_workload::Trace;
 
+/// Load-sampling cadence in minutes.
+const SAMPLE_INTERVAL_MIN: f64 = 1.0;
+
 /// Configuration of the striped-cluster simulation.
 #[derive(Debug, Clone)]
 pub struct StripedConfig {
@@ -37,10 +40,8 @@ pub struct StripedConfig {
     /// (0.1 = 10%; the "high scheduling and extension overhead" of wide
     /// striping). Must be ≥ 0 and finite.
     pub overhead: f64,
-    /// Peak-period length in minutes.
+    /// Peak-period length in minutes; load is sampled every minute.
     pub horizon_min: f64,
-    /// Load-sampling cadence in minutes.
-    pub sample_interval_min: f64,
     /// Injected outages; any down server blocks all admissions and kills
     /// all active streams (full coupling).
     pub failures: FailurePlan,
@@ -51,7 +52,6 @@ impl Default for StripedConfig {
         StripedConfig {
             overhead: 0.1,
             horizon_min: 90.0,
-            sample_interval_min: 1.0,
             failures: FailurePlan::none(),
         }
     }
@@ -84,12 +84,6 @@ impl<'a> StripedSimulation<'a> {
             return Err(ModelError::InvalidParameter {
                 name: "horizon_min",
                 value: config.horizon_min,
-            });
-        }
-        if !config.sample_interval_min.is_finite() || config.sample_interval_min <= 0.0 {
-            return Err(ModelError::InvalidParameter {
-                name: "sample_interval_min",
-                value: config.sample_interval_min,
             });
         }
         config.failures.validate_servers(cluster.len())?;
@@ -129,44 +123,46 @@ impl<'a> StripedSimulation<'a> {
     /// smallest per-server bandwidth.
     pub fn run(&self, trace: &Trace) -> Result<SimReport, ModelError> {
         let n = self.cluster.len() as f64;
-        // Admission limit: each stream consumes b(1+ovh)/N per link; the
-        // weakest link caps the concurrent aggregate.
+        // Admission limit: each stream consumes b(1+ovh)/N per link and
+        // the weakest link caps the concurrent aggregate, so a stream fits
+        // while the aggregate demand stays within N × the weakest link.
+        // Demands are booked in integer milli-kbps: a departure releases
+        // exactly what its admission took, so no residue accumulates.
         let min_link_kbps = self
             .cluster
             .servers()
             .iter()
             .map(|s| s.bandwidth_kbps)
             .min()
-            .expect("non-empty cluster") as f64;
+            .expect("non-empty cluster");
+        let capacity_milli = (self.cluster.len() as u64)
+            .saturating_mul(min_link_kbps)
+            .saturating_mul(1_000);
 
         let mut metrics = MetricsCollector::new(self.catalog.len());
-        // (end_time, epoch, per-link kbps) per active stream.
-        let mut departures: BinaryHeap<Reverse<(SimTime, u64, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut used_per_link_kbps = 0.0f64; // identical on every link
+        // (end time, admission epoch, demand in milli-kbps) per active
+        // stream. Streams killed by a failure leave their departures in
+        // the heap; an epoch older than the current one marks them.
+        let mut departures: BinaryHeap<Reverse<(SimTime, u32, u64)>> = BinaryHeap::new();
+        let mut used_milli = 0u64; // aggregate over all links
         let mut epoch = 0u32;
         let mut down_servers = 0usize;
 
         let transitions = self.config.failures.transitions();
         let mut next_transition = 0usize;
-        let sample_step = self.config.sample_interval_min;
         let mut next_sample_min = 0.0f64;
         let horizon = self.config.horizon_min;
         let mut active = 0u32;
-        // Stale-epoch bookkeeping: streams killed by a failure leave
-        // their departures in the heap; a mismatched epoch marks them.
-        let mut epoch_of: Vec<u32> = Vec::new();
 
         let process_until = |t: SimTime,
                              metrics: &mut MetricsCollector,
-                             departures: &mut BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-                             used: &mut f64,
+                             departures: &mut BinaryHeap<Reverse<(SimTime, u32, u64)>>,
+                             used: &mut u64,
                              active: &mut u32,
                              epoch: &mut u32,
                              down: &mut usize,
                              next_transition: &mut usize,
-                             next_sample_min: &mut f64,
-                             epoch_of: &mut Vec<u32>| {
+                             next_sample_min: &mut f64| {
             loop {
                 let dep_at = departures.peek().map(|Reverse((at, _, _))| *at);
                 let tr_at = transitions.get(*next_transition).map(|x| x.at);
@@ -183,9 +179,9 @@ impl<'a> StripedSimulation<'a> {
                     break;
                 }
                 if dep_at == Some(min_at) {
-                    let Reverse((_, id, kbps_milli)) = departures.pop().expect("peeked");
-                    if epoch_of[id as usize] == *epoch {
-                        *used -= kbps_milli as f64 / 1_000.0;
+                    let Reverse((_, admitted_in, demand)) = departures.pop().expect("peeked");
+                    if admitted_in == *epoch {
+                        *used -= demand;
                         *active -= 1;
                     }
                 } else if tr_at == Some(min_at) {
@@ -199,7 +195,7 @@ impl<'a> StripedSimulation<'a> {
                             // Full coupling: every active stream dies.
                             metrics.on_disrupted(*active as u64);
                             *active = 0;
-                            *used = 0.0;
+                            *used = 0;
                             *epoch += 1;
                             *down += 1;
                         }
@@ -213,7 +209,7 @@ impl<'a> StripedSimulation<'a> {
                     let per_link = *active as f64 / n;
                     let loads = vec![per_link; self.cluster.len()];
                     metrics.sample_loads(&loads, *next_sample_min);
-                    *next_sample_min += sample_step;
+                    *next_sample_min += SAMPLE_INTERVAL_MIN;
                 }
             }
         };
@@ -224,32 +220,32 @@ impl<'a> StripedSimulation<'a> {
                 t,
                 &mut metrics,
                 &mut departures,
-                &mut used_per_link_kbps,
+                &mut used_milli,
                 &mut active,
                 &mut epoch,
                 &mut down_servers,
                 &mut next_transition,
                 &mut next_sample_min,
-                &mut epoch_of,
             );
 
             let video = self
                 .catalog
                 .get(req.video)
                 .ok_or(ModelError::UnknownVideo(req.video))?;
-            let per_link_kbps = video.bitrate.kbps() as f64 * (1.0 + self.config.overhead) / n;
+            let demand_milli =
+                (video.bitrate.kbps() as f64 * (1.0 + self.config.overhead) * 1_000.0).round()
+                    as u64;
 
             metrics.on_arrival(req.video.index());
-            if down_servers == 0 && used_per_link_kbps + per_link_kbps <= min_link_kbps + 1e-9 {
-                used_per_link_kbps += per_link_kbps;
+            // `used_milli <= capacity_milli` holds: admission keeps it.
+            if down_servers == 0 && demand_milli <= capacity_milli - used_milli {
+                used_milli += demand_milli;
                 active += 1;
-                epoch_of.push(epoch);
                 departures.push(Reverse((
                     t + SimTime::from_secs(video.duration_s),
-                    seq,
-                    (per_link_kbps * 1_000.0).round() as u64,
+                    epoch,
+                    demand_milli,
                 )));
-                seq += 1;
                 metrics.on_admit(false);
             } else {
                 metrics.on_reject(req.video.index());
@@ -260,13 +256,12 @@ impl<'a> StripedSimulation<'a> {
             SimTime::from_min(horizon),
             &mut metrics,
             &mut departures,
-            &mut used_per_link_kbps,
+            &mut used_milli,
             &mut active,
             &mut epoch,
             &mut down_servers,
             &mut next_transition,
             &mut next_sample_min,
-            &mut epoch_of,
         );
 
         Ok(metrics.finish(horizon))
@@ -335,6 +330,32 @@ mod tests {
         let reqs: Vec<Request> = (0..5).map(|k| req(k as f64 * 0.5, k % 4)).collect();
         let r_heavy = sim_heavy.run(&Trace::new(reqs).unwrap()).unwrap();
         assert!(r_heavy.admitted < r.admitted);
+    }
+
+    #[test]
+    fn departures_release_exactly_what_admission_booked() {
+        // 3 × 1 000 kbps links and a 1 000 kbps video: each stream takes
+        // 1 000/3 kbps per link, which no rounded per-link share books
+        // exactly. Three streams fill the cluster; once the first departs
+        // (t = 10) a fourth fits again.
+        let catalog = Catalog::fixed_rate(1, BitRate::from_kbps(1_000), 600).unwrap();
+        let cluster = ClusterSpec::homogeneous(
+            3,
+            ServerSpec {
+                storage_bytes: BitRate::from_kbps(1_000).storage_bytes(600),
+                bandwidth_kbps: 1_000,
+            },
+        )
+        .unwrap();
+        let cfg = StripedConfig {
+            overhead: 0.0,
+            ..StripedConfig::default()
+        };
+        let sim = StripedSimulation::new(&catalog, &cluster, cfg).unwrap();
+        let reqs = vec![req(0.0, 0), req(1.0, 0), req(2.0, 0), req(10.5, 0)];
+        let r = sim.run(&Trace::new(reqs).unwrap()).unwrap();
+        assert_eq!(r.admitted, 4);
+        assert_eq!(r.rejected, 0);
     }
 
     #[test]

@@ -29,12 +29,6 @@ impl PoissonProcess {
         Ok(PoissonProcess { rate_per_min })
     }
 
-    /// The arrival rate in requests per minute.
-    #[inline]
-    pub fn rate_per_min(&self) -> f64 {
-        self.rate_per_min
-    }
-
     /// Draws the next inter-arrival gap, in minutes.
     #[inline]
     pub fn next_gap_min<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {

@@ -870,7 +870,7 @@ fn coded_layout_survives_failures_end_to_end() {
     let catalog = Catalog::paper_default(40).unwrap();
     let cluster = ClusterSpec::paper_default(30);
     let map = RedundancyMap::uniform(40, RedundancyScheme::Coded { k: 2, m: 1 }).unwrap();
-    let layout = place_coded(cluster.len(), &[], &map).unwrap();
+    let layout = place_coded(cluster.len(), &map).unwrap();
     let pop = Popularity::zipf(40, 1.0).unwrap();
     let trace = {
         let mut rng = ChaCha8Rng::seed_from_u64(0xC0DED);
@@ -955,7 +955,7 @@ fn coded_overload_run(shards: usize, telemetry: &vod_telemetry::Telemetry) -> vo
     let catalog = Catalog::paper_default(40).unwrap();
     let cluster = ClusterSpec::paper_default(30);
     let map = RedundancyMap::uniform(40, RedundancyScheme::Coded { k: 2, m: 1 }).unwrap();
-    let layout = place_coded(cluster.len(), &[], &map).unwrap();
+    let layout = place_coded(cluster.len(), &map).unwrap();
     let pop = Popularity::zipf(40, 1.0).unwrap();
     let trace = TraceGenerator::new(45.0, &pop, 90.0)
         .unwrap()
