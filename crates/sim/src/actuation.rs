@@ -1008,7 +1008,7 @@ impl ReplicaActuator {
                     kbps: bw,
                     bytes: self.video_bytes[v],
                     backbone_kbps,
-                    done_at: SimTime(now.ticks() + dur_ms),
+                    done_at: now + SimTime(dur_ms),
                     seq: self.seq,
                     purpose,
                     extra_srcs,

@@ -25,24 +25,16 @@
 //! outcome, only whether a corrupted run fails fast.
 
 use crate::admission::AdmissionState;
+use crate::metrics::SimReport;
 use crate::server::LinkState;
 use crate::time::SimTime;
 use vod_model::{ModelError, ServerId, VideoId};
 
-/// Running totals the engine feeds the auditor (terminal outcomes only;
-/// in-flight counts come from [`AdmissionState`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Ledger {
-    pub arrivals: u64,
-    pub admitted: u64,
-    pub rejected: u64,
-    pub abandoned: u64,
-}
-
 /// See the module docs. One instance lives for one run.
 #[derive(Debug, Default)]
 pub(crate) struct Auditor {
-    last_event: SimTime,
+    /// The latest instant checked so far.
+    pub last_event: SimTime,
 }
 
 impl Auditor {
@@ -50,14 +42,16 @@ impl Auditor {
         Auditor::default()
     }
 
-    /// Checks all invariants after an event processed at `at`.
+    /// Checks all invariants after an event processed at `at`, reading
+    /// the terminal outcomes from the run's `report` so far (in-flight
+    /// requests come from `admission`).
     pub fn check(
         &mut self,
         at: SimTime,
         links: &LinkState,
         backbone_free: bool,
         admission: &mut AdmissionState,
-        ledger: Ledger,
+        report: &SimReport,
     ) -> Result<(), ModelError> {
         if at < self.last_event {
             return Err(violation(
@@ -70,15 +64,15 @@ impl Auditor {
         }
         self.last_event = at;
 
-        let settled = ledger.admitted + ledger.rejected + ledger.abandoned;
+        let settled = report.admitted + report.rejected + report.abandoned;
         let in_flight = admission.in_flight();
-        if settled + in_flight != ledger.arrivals {
+        if settled + in_flight != report.arrivals {
             return Err(violation(
                 at,
                 format!(
                     "request conservation broken: {} arrivals vs {} admitted + {} rejected \
                      + {} abandoned + {} in flight",
-                    ledger.arrivals, ledger.admitted, ledger.rejected, ledger.abandoned, in_flight
+                    report.arrivals, report.admitted, report.rejected, report.abandoned, in_flight
                 ),
             ));
         }
@@ -167,12 +161,11 @@ mod tests {
         })
     }
 
-    fn ledger(arrivals: u64, admitted: u64) -> Ledger {
-        Ledger {
+    fn outcomes(arrivals: u64, admitted: u64) -> SimReport {
+        SimReport {
             arrivals,
             admitted,
-            rejected: 0,
-            abandoned: 0,
+            ..SimReport::default()
         }
     }
 
@@ -180,14 +173,14 @@ mod tests {
     fn clean_state_passes() {
         let mut a = Auditor::new();
         let mut adm = admission();
-        a.check(SimTime::ZERO, &links(), true, &mut adm, ledger(3, 3))
+        a.check(SimTime::ZERO, &links(), true, &mut adm, &outcomes(3, 3))
             .unwrap();
         a.check(
             SimTime::from_min(1.0),
             &links(),
             true,
             &mut adm,
-            ledger(4, 4),
+            &outcomes(4, 4),
         )
         .unwrap();
     }
@@ -201,7 +194,7 @@ mod tests {
                 &links(),
                 true,
                 &mut admission(),
-                ledger(5, 3),
+                &outcomes(5, 3),
             )
             .unwrap_err();
         assert!(matches!(err, ModelError::InvariantViolation { .. }));
@@ -224,7 +217,7 @@ mod tests {
                 attempt: 0,
             },
         );
-        a.check(SimTime::ZERO, &links(), true, &mut adm, ledger(1, 0))
+        a.check(SimTime::ZERO, &links(), true, &mut adm, &outcomes(1, 0))
             .unwrap();
     }
 
@@ -234,7 +227,7 @@ mod tests {
         l.admit(ServerId(0), 8_000);
         l.set_brownout(ServerId(0), 0.5); // 8 000 used vs 5 000 effective
         let err = Auditor::new()
-            .check(SimTime::ZERO, &l, true, &mut admission(), ledger(1, 1))
+            .check(SimTime::ZERO, &l, true, &mut admission(), &outcomes(1, 1))
             .unwrap_err();
         assert!(err.to_string().contains("effective capacity"));
     }
@@ -255,7 +248,7 @@ mod tests {
             },
         );
         // At the deadline instant itself the entry is still fair game…
-        a.check(deadline, &links(), true, &mut adm, ledger(1, 0))
+        a.check(deadline, &links(), true, &mut adm, &outcomes(1, 0))
             .unwrap();
         // …one tick past it, an unprocessed entry is a violation.
         let err = a
@@ -264,7 +257,7 @@ mod tests {
                 &links(),
                 true,
                 &mut adm,
-                ledger(1, 0),
+                &outcomes(1, 0),
             )
             .unwrap_err();
         assert!(err.to_string().contains("overdue"));
@@ -279,7 +272,7 @@ mod tests {
             &links(),
             true,
             &mut adm,
-            ledger(0, 0),
+            &outcomes(0, 0),
         )
         .unwrap();
         let err = a
@@ -288,7 +281,7 @@ mod tests {
                 &links(),
                 true,
                 &mut adm,
-                ledger(0, 0),
+                &outcomes(0, 0),
             )
             .unwrap_err();
         assert!(err.to_string().contains("backwards"));

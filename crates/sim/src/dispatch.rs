@@ -148,12 +148,7 @@ impl Dispatcher {
             }
             AdmissionPolicy::LeastLoadedReplica => {
                 self.probes += replicas.len() as u64;
-                let best = replicas
-                    .iter()
-                    .copied()
-                    .filter(|&s| links.can_admit(s, kbps))
-                    .max_by_key(|&s| (links.free_kbps(s), std::cmp::Reverse(s)));
-                match best {
+                match links.most_free(replicas.iter().copied(), kbps) {
                     Some(server) => Decision::Admit {
                         server,
                         backbone_kbps: 0,
@@ -177,11 +172,8 @@ impl Dispatcher {
                 // fetching over the backbone; prefer the most free link.
                 if self.backbone_used_kbps + kbps <= backbone_capacity_kbps {
                     self.probes += links.len() as u64;
-                    let proxy = (0..links.len())
-                        .map(|j| ServerId(j as u32))
-                        .filter(|&s| links.can_admit(s, kbps))
-                        .max_by_key(|&s| (links.free_kbps(s), std::cmp::Reverse(s)));
-                    if let Some(server) = proxy {
+                    let servers = (0..links.len()).map(|j| ServerId(j as u32));
+                    if let Some(server) = links.most_free(servers, kbps) {
                         self.backbone_used_kbps += kbps;
                         return Decision::Admit {
                             server,

@@ -18,11 +18,11 @@
 
 use crate::actuation::ReplicaActuator;
 use crate::admission::{AdmissionConfig, AdmissionState, PendingRequest};
-use crate::audit::{Auditor, Ledger};
+use crate::audit::Auditor;
 use crate::controller::{ControllerConfig, DriftController};
 use crate::dispatch::{AdmissionPolicy, Decision, Dispatcher};
 use crate::event::{Departure, DepartureQueue, NO_STREAM};
-use crate::failure::{FailureModel, FailurePlan, Transition, TransitionKind};
+use crate::failure::{FailureModel, FailurePlan, FaultSchedule, Transition, TransitionKind};
 use crate::metrics::{MetricsCollector, SimReport};
 use crate::repair::{FailoverPolicy, RepairConfig};
 use crate::server::LinkState;
@@ -52,8 +52,9 @@ pub struct SimConfig {
     pub sample_interval_min: f64,
     /// Injected server outages (empty = the paper's failure-free runs).
     pub failures: FailurePlan,
-    /// Stochastic fault injection: compiled to outages at run start and
-    /// merged with `failures`. Deterministic per the model's seed.
+    /// Stochastic fault injection: drawn at run start and compiled with
+    /// `failures` into one fault schedule. Deterministic per the model's
+    /// seed.
     pub failure_model: Option<FailureModel>,
     /// Mid-run re-replication of lost redundancy (off by default).
     pub repair: RepairConfig,
@@ -204,10 +205,10 @@ impl<'a> Simulation<'a> {
     /// `telemetry` (see the `sim.*` instrument names below). With a
     /// disabled handle this is identical to [`Simulation::run`].
     ///
-    /// The engine books every outcome once, in the run's
-    /// [`MetricsCollector`]; the instruments are published once per
-    /// *finished* run, from its report plus the pass's event tallies, so
-    /// runs sharing one handle across threads add up exactly. A run
+    /// The engine books every outcome once, in the run's report; the
+    /// instruments are published once per *finished* run, from its
+    /// report plus the pass's event tallies, so runs sharing one handle
+    /// across threads add up exactly. A run
     /// that returns `Err` publishes no counters (its `sim.run` span
     /// still records).
     ///
@@ -376,12 +377,13 @@ impl<'a> Simulation<'a> {
     /// The server-group partition for the decoupled parallel path, or
     /// `None` when the run must stay on the serial loop: sharding is
     /// only sound when no event can cross server groups, i.e. no
-    /// failure injection (fault schedules are drawn per server before
-    /// the run, but metered repair may copy into any group, and float
-    /// accumulators such as brownout minutes sum in global transition
-    /// order), a fully passive admission pipeline (the FIFO
-    /// queue and its patience RNG are cluster-scoped), no shared
-    /// backbone pool — and a replica graph that actually partitions.
+    /// failure injection (the fault schedule, brownout minutes included,
+    /// is compiled before the first event, but metered repair may copy
+    /// into any group, and its redundancy integrals accumulate over all
+    /// videos in global event order), a fully passive admission pipeline
+    /// (the FIFO queue and its patience RNG are cluster-scoped), no
+    /// shared backbone pool — and a replica graph that actually
+    /// partitions.
     fn decoupled_plan(&self) -> Option<ShardPlan> {
         if self.config.shards <= 1 {
             return None;
@@ -414,9 +416,9 @@ impl<'a> Simulation<'a> {
     /// is exact: every shard-local total is an integer (or has disjoint
     /// support across shards), and load samples are *replayed* on the
     /// coordinator — each sample instant's per-shard load vectors sum
-    /// into the full cluster vector, which feeds the same
-    /// [`MetricsCollector::sample_loads`] sequence the serial loop
-    /// executes. The result is byte-identical to `shards: 1`.
+    /// into the full cluster vector, which feeds the same load-sample
+    /// sequence the serial loop executes. The result is byte-identical
+    /// to `shards: 1`.
     ///
     /// The calling thread is the producer: it pulls `arrivals` once and
     /// routes each request to its owning worker's inbox (see
@@ -453,7 +455,7 @@ impl<'a> Simulation<'a> {
         let shards = results.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         let mut merged = EngineOutcome {
-            metrics: MetricsCollector::new(self.catalog.len()),
+            metrics: MetricsCollector::new(self.catalog.len(), self.config.record_series),
             samples: Vec::new(),
             tally: Tally::default(),
             queue_bytes_per_stream: Vec::new(),
@@ -461,7 +463,6 @@ impl<'a> Simulation<'a> {
             actuated: false,
             coded: None,
         };
-        merged.metrics.record_series(self.config.record_series);
         let n_samples = shards.first().map(|s| s.samples.len()).unwrap_or(0);
         let mut sample_grid = Vec::with_capacity(shards.len());
         for shard in shards {
@@ -473,8 +474,9 @@ impl<'a> Simulation<'a> {
             // No transition, retry or abandonment exists here, so a
             // shard's events are its arrivals and departures (samples
             // are the coordinator's, below).
-            let (arrivals, ..) = shard.metrics.outcome_totals();
-            merged.shard_events.push(arrivals + shard.tally.departures);
+            merged
+                .shard_events
+                .push(shard.metrics.report.arrivals + shard.tally.departures);
             merged.tally.add(shard.tally);
             merged
                 .queue_bytes_per_stream
@@ -504,8 +506,14 @@ impl<'a> Simulation<'a> {
 
         // Merged-view audit: the per-shard auditors checked their own
         // state after every event; the coordinator re-checks request
-        // conservation over the merged ledger.
-        let (arrivals, admitted, rejected, abandoned) = merged.metrics.outcome_totals();
+        // conservation over the merged report.
+        let SimReport {
+            arrivals,
+            admitted,
+            rejected,
+            abandoned,
+            ..
+        } = merged.metrics.report;
         if admitted + rejected + abandoned != arrivals || arrivals != pulled {
             return Err(ModelError::InvariantViolation {
                 at_min: self.config.horizon_min,
@@ -571,31 +579,19 @@ impl<'a> Simulation<'a> {
         self.finish_core(state)
     }
 
-    /// Binds the mutable run-loop state for one engine pass: compiled
-    /// failure transitions, the actuation layer, coded-serving state
-    /// and the departure queue.
+    /// Binds the mutable run-loop state for one engine pass: the fault
+    /// schedule, the actuation layer, coded-serving state and the
+    /// departure queue.
     fn build_state(&self, capture_samples: bool) -> Result<RunState<'a>, ModelError> {
-        // Fixed outages plus, when configured, the stochastic model's
+        // Scripted outages plus, when configured, the stochastic model's
         // draws for this horizon (deterministic per the model's seed).
-        // The compiled plan is consumed, not cloned, and the fixed plan
-        // is only copied when the two actually have to merge.
-        let transitions = match &self.config.failure_model {
-            Some(model) => {
-                let compiled = model.compile(self.cluster.len(), self.config.horizon_min)?;
-                if self.config.failures.is_empty() {
-                    // `compile` already merged its own overlaps.
-                    compiled.transitions()
-                } else {
-                    let (mut outages, mut brownouts) = compiled.into_parts();
-                    outages.extend_from_slice(self.config.failures.outages());
-                    brownouts.extend_from_slice(self.config.failures.brownouts());
-                    FailurePlan::merged(outages)?
-                        .add_brownouts(brownouts)?
-                        .transitions()
-                }
-            }
-            None => self.config.failures.transitions(),
-        };
+        let faults = FaultSchedule::compile(
+            &self.config.failures,
+            self.config.failure_model.as_ref(),
+            self.cluster.len(),
+            self.config.horizon_min,
+        )?;
+        let transitions = faults.transitions;
         // The actuation layer engages when failures can happen or the
         // online controller needs to move replicas. With repair disabled
         // it is pure bookkeeping: its content map stays identical to the
@@ -626,10 +622,14 @@ impl<'a> Simulation<'a> {
                 shares_reattached: 0,
             });
 
-        let mut state = RunState {
+        // Nothing the run does moves a brownout, so its minutes are
+        // known before the first event.
+        let mut metrics = MetricsCollector::new(self.catalog.len(), self.config.record_series);
+        metrics.report.brownout_active_min = faults.brownout_min;
+        Ok(RunState {
             links: LinkState::new(self.cluster),
             dispatcher: Dispatcher::new(self.config.policy, self.catalog.len()),
-            metrics: MetricsCollector::new(self.catalog.len()),
+            metrics,
             departures: DepartureQueue::with_capacity(self.cluster.len()),
             actuator,
             coded,
@@ -642,27 +642,24 @@ impl<'a> Simulation<'a> {
             failover: self.config.failover,
             admission: AdmissionState::new(&self.config.admission),
             auditor: (cfg!(debug_assertions) || self.config.audit).then(Auditor::new),
-            brownout_started: vec![None; self.cluster.len()],
-            brownout_min: 0.0,
             load_scratch: Vec::new(),
             extract_scratch: Vec::new(),
             fifo_scratch: Vec::new(),
             sample_log: capture_samples.then(Vec::new),
             tally: Tally::default(),
-        };
-        state.metrics.record_series(self.config.record_series);
-        Ok(state)
+        })
     }
 
     /// Horizon tail of every engine pass: runs the remaining
-    /// background events, settles the admission pipeline and brownout
-    /// windows, releases post-horizon streams and books the optional
-    /// layers' end-of-run figures.
+    /// background events, settles the admission pipeline, releases
+    /// post-horizon streams and books the optional layers' end-of-run
+    /// figures.
     fn finish_core(&self, mut state: RunState) -> Result<EngineOutcome, ModelError> {
         // Tail: run the remaining background events out to the horizon,
         // abort any still-in-flight repair copies (releasing their
         // reservations), then retire whatever still streams past it.
-        state.advance_to(SimTime::from_min(self.config.horizon_min))?;
+        let horizon = SimTime::from_min(self.config.horizon_min);
+        state.advance_to(horizon)?;
         if let Some(c) = state.actuator.as_mut() {
             c.finish(
                 self.config.horizon_min,
@@ -673,17 +670,13 @@ impl<'a> Simulation<'a> {
         // Requests the pipeline still owes an outcome at the horizon
         // (queued or sleeping until a retry) count as abandoned: the peak
         // period ended before they were served.
-        for _ in state.admission.drain_remaining() {
-            state.metrics.on_abandoned();
-        }
-        // Close brownout windows still open at the horizon.
-        for j in 0..state.brownout_started.len() {
-            if let Some(start) = state.brownout_started[j].take() {
-                state.brownout_min += (self.config.horizon_min - start.as_min()).max(0.0);
-            }
-        }
-        state.metrics.set_brownout_active_min(state.brownout_min);
-        state.audit_check(SimTime::from_min(self.config.horizon_min))?;
+        state.metrics.report.abandoned += state.admission.drain_remaining().len() as u64;
+        // An arrival past the horizon has already moved the clock there.
+        let end = state
+            .auditor
+            .as_ref()
+            .map_or(horizon, |a| a.last_event.max(horizon));
+        state.audit_check(end)?;
         // Release what still streams past the horizon. The releases are
         // integer and commute, so the queue empties in storage order
         // rather than popping in time order.
@@ -695,30 +688,24 @@ impl<'a> Simulation<'a> {
         debug_assert_eq!(state.links.total_streams(), 0);
         debug_assert_eq!(state.dispatcher.backbone_used_kbps(), 0);
 
+        let r = &mut state.metrics.report;
         if let Some(c) = &state.actuator {
-            state.metrics.set_recovery_stats(
-                c.bytes_copied(),
-                c.copies_completed(),
-                c.deficit_min(),
-                c.deficit_video_min(),
-                c.unavailability_video_min(),
-            );
+            r.repair_bytes_copied = c.bytes_copied();
+            r.repair_copies = c.copies_completed();
+            r.time_to_redundancy_min = c.deficit_min();
+            r.redundancy_deficit_video_min = c.deficit_video_min();
+            r.unavailability_video_min = c.unavailability_video_min();
         }
         if let Some(d) = &state.drift {
-            let (copies, bytes) = state
-                .actuator
-                .as_ref()
-                .map(|c| (c.drift_copies_completed(), c.drift_bytes_copied()))
-                .unwrap_or((0, 0));
-            state.metrics.set_controller_stats(
-                d.ticks(),
-                d.backoffs(),
-                d.promotions(),
-                d.demotions(),
-                d.retired(),
-                copies,
-                bytes,
-            );
+            r.controller_ticks = d.ticks();
+            r.controller_backoffs = d.backoffs();
+            r.controller_promotions = d.promotions();
+            r.controller_demotions = d.demotions();
+            r.controller_retired = d.retired();
+            if let Some(c) = &state.actuator {
+                r.controller_copies = c.drift_copies_completed();
+                r.controller_bytes_copied = c.drift_bytes_copied();
+            }
         }
         let peak_len = state.departures.peak_len();
         state.tally.transitions = state.next_transition as u64;
@@ -1126,10 +1113,6 @@ struct RunState<'a> {
     failover: FailoverPolicy,
     admission: AdmissionState,
     auditor: Option<Auditor>,
-    /// Per-server brownout start instant, `Some` while one is active.
-    brownout_started: Vec<Option<SimTime>>,
-    /// Accumulated server·minutes of brownout (closed windows).
-    brownout_min: f64,
     /// Reusable buffer for per-sample stream loads.
     load_scratch: Vec<f64>,
     /// When `Some`, raw per-sample load vectors are logged here instead
@@ -1212,7 +1195,7 @@ impl RunState<'_> {
                     })?;
                 // Patience ran out; the client retries later if it can.
                 if !self.retry(min_at, req) {
-                    self.metrics.on_abandoned();
+                    self.metrics.report.abandoned += 1;
                 }
             } else if retry_at == Some(min_at) {
                 let req = self
@@ -1255,7 +1238,6 @@ impl RunState<'_> {
         let Some(aud) = self.auditor.as_mut() else {
             return Ok(());
         };
-        let (arrivals, admitted, rejected, abandoned) = self.metrics.outcome_totals();
         let backbone_ok = match self.dispatcher.policy() {
             AdmissionPolicy::BackboneRedirect {
                 backbone_capacity_kbps,
@@ -1267,12 +1249,7 @@ impl RunState<'_> {
             &self.links,
             backbone_ok,
             &mut self.admission,
-            Ledger {
-                arrivals,
-                admitted,
-                rejected,
-                abandoned,
-            },
+            &self.metrics.report,
         )?;
         if self.coded.is_some() {
             // Anti-affinity holds for the bound layout by construction;
@@ -1299,7 +1276,7 @@ impl RunState<'_> {
         }
         if self.admission.queueing() {
             self.admission.enqueue(now, req);
-            self.metrics.on_queued();
+            self.metrics.report.queued += 1;
         } else if !self.retry(now, req) {
             self.metrics.on_reject(req.video.index());
         }
@@ -1319,7 +1296,7 @@ impl RunState<'_> {
                 ..req
             },
         );
-        self.metrics.on_retried();
+        self.metrics.report.retried += 1;
         true
     }
 
@@ -1349,7 +1326,7 @@ impl RunState<'_> {
         self.metrics.on_wait((now - req.arrived).as_min());
         self.metrics.on_delivered(rate, req.duration_s);
         if rate < req.kbps {
-            self.metrics.on_degraded_served();
+            self.metrics.report.degraded_served += 1;
         }
         true
     }
@@ -1516,7 +1493,6 @@ impl RunState<'_> {
     /// streams (latest-ending first), failing each shed stream over per
     /// the failover policy exactly like a crash would.
     fn on_brownout_start(&mut self, at: SimTime, server: ServerId, frac: f64) {
-        self.brownout_started[server.index()] = Some(at);
         let excess = self.links.set_brownout(server, frac);
         if excess == 0 || !self.links.is_up(server) {
             return;
@@ -1558,16 +1534,14 @@ impl RunState<'_> {
             self.departures.push(d);
         }
         self.extract_scratch = active;
-        self.metrics.on_disrupted(disrupted);
-        self.metrics.on_resumed(resumed);
-        self.metrics.on_degraded(degraded);
+        let r = &mut self.metrics.report;
+        r.disrupted += disrupted;
+        r.resumed += resumed;
+        r.degraded += degraded;
     }
 
     /// Brownout over: restore full capacity and let stalled repairs pump.
     fn on_brownout_end(&mut self, at: SimTime, server: ServerId) {
-        if let Some(start) = self.brownout_started[server.index()].take() {
-            self.brownout_min += (at - start).as_min();
-        }
         self.links.clear_brownout(server);
         if let Some(c) = self.actuator.as_mut() {
             c.pump(at, &mut self.links, &mut self.dispatcher);
@@ -1598,7 +1572,7 @@ impl RunState<'_> {
             c.on_failure(
                 at,
                 server,
-                self.metrics.per_video_arrivals(),
+                &self.metrics.report.per_video_arrivals,
                 &mut self.links,
                 &mut self.dispatcher,
             );
@@ -1620,9 +1594,10 @@ impl RunState<'_> {
         debug_assert!(!extract || live == dropped);
         disrupted += dropped - live;
         self.extract_scratch = extracted;
-        self.metrics.on_disrupted(disrupted);
-        self.metrics.on_resumed(resumed);
-        self.metrics.on_degraded(degraded);
+        let r = &mut self.metrics.report;
+        r.disrupted += disrupted;
+        r.resumed += resumed;
+        r.degraded += degraded;
     }
 
     /// Server recovery: restore the link, then let the actuator
@@ -1663,20 +1638,18 @@ impl RunState<'_> {
         rescued
     }
 
-    /// The holder of `video` with the most free link bandwidth able to
-    /// admit `kbps` (ties to the lowest id), skipping those `exclude`
-    /// names, if any.
+    /// The holder of `video` with the most free link able to admit
+    /// `kbps`, skipping those `exclude` names (see
+    /// [`LinkState::most_free`]).
     fn best_holder(
         &self,
         video: VideoId,
         kbps: u64,
         exclude: impl Fn(ServerId) -> bool,
     ) -> Option<ServerId> {
-        holders(&self.actuator, self.layout, video)
-            .iter()
-            .copied()
-            .filter(|&h| !exclude(h) && self.links.can_admit(h, kbps))
-            .max_by_key(|&h| (self.links.free_kbps(h), std::cmp::Reverse(h)))
+        let holders = holders(&self.actuator, self.layout, video);
+        self.links
+            .most_free(holders.iter().copied().filter(|&h| !exclude(h)), kbps)
     }
 
     /// Tries to continue one of a failed server's streams elsewhere
@@ -2497,6 +2470,74 @@ mod tests {
             Simulation::new(&catalog, &cluster, &layout, cfg),
             Err(ModelError::InvalidParameter { name: "shards", .. })
         ));
+    }
+
+    /// Instants beyond `u64::MAX` ticks saturate there instead of
+    /// wrapping into the past, in debug and release builds alike: a
+    /// retry backed off by 1e15 minutes never comes before the horizon
+    /// (the request is abandoned there, not retried at once and
+    /// rejected), and a stream admitted at minute 1e15 ends at the end
+    /// of time. Each holds at shards 1 and 2; the arrival case's world
+    /// splits into two groups, so shards 2 runs it decoupled.
+    #[test]
+    fn far_future_instants_saturate_at_one_and_two_shards() {
+        let run = |catalog, cluster, layout, admission, requests: &[Request]| {
+            let reports = [1, 2].map(|shards| {
+                let cfg = SimConfig {
+                    shards,
+                    admission: crate::admission::AdmissionConfig::clone(admission),
+                    ..SimConfig::default()
+                };
+                let sim = Simulation::new(catalog, cluster, layout, cfg).unwrap();
+                sim.run(&Trace::new(requests.to_vec()).unwrap()).unwrap()
+            });
+            let json = reports
+                .each_ref()
+                .map(|r| serde_json::to_string(r).unwrap());
+            assert_eq!(json[0], json[1]);
+            let [r, _] = reports;
+            assert!(r.is_conservative());
+            r
+        };
+
+        let (catalog, cluster, layout) = tiny_world();
+        let backoff = crate::admission::AdmissionConfig {
+            max_retries: 1,
+            retry_backoff_min: 1e15,
+            ..Default::default()
+        };
+        let r = run(
+            &catalog,
+            &cluster,
+            &layout,
+            &backoff,
+            &[req(1.0, 0), req(2.0, 0)],
+        );
+        assert_eq!(
+            (r.admitted, r.retried, r.rejected, r.abandoned),
+            (1, 1, 0, 1)
+        );
+
+        let catalog = Catalog::fixed_rate(2, BitRate::MPEG2, 600).unwrap();
+        let cluster = ClusterSpec::homogeneous(
+            2,
+            ServerSpec {
+                storage_bytes: u64::MAX,
+                bandwidth_kbps: 4_000,
+            },
+        )
+        .unwrap();
+        let layout = Layout::new(2, vec![vec![ServerId(0)], vec![ServerId(1)]]).unwrap();
+        assert_eq!(ShardPlan::decoupled(&layout, 2).n_shards, 2);
+        let block = crate::admission::AdmissionConfig::default();
+        let r = run(
+            &catalog,
+            &cluster,
+            &layout,
+            &block,
+            &[req(1.0, 0), req(1e15, 1)],
+        );
+        assert_eq!((r.arrivals, r.admitted, r.rejected), (2, 2, 0));
     }
 
     /// A pull-based source replaying a fixed request list, including

@@ -10,9 +10,14 @@
 //!   fixed instants — the scripted outages of the A-2 experiment;
 //! * a [`FailureModel`] draws outages stochastically — per-server
 //!   exponential MTBF/MTTR renewal processes, one server at a time as
-//!   in the paper — from a seeded RNG, so a run is deterministic per
-//!   seed. The model *compiles* to a `FailurePlan`, so the engine
-//!   consumes one transition stream regardless of provenance.
+//!   in the paper — and, with a [`BrownoutModel`], partial-capacity
+//!   link brownouts, from a seeded RNG, so a run is deterministic per
+//!   seed.
+//!
+//! At run start the engine compiles both into one fault schedule: the
+//! scripted outages merged with the drawn ones, every transition in
+//! time order, and the browned-out server·minutes those transitions
+//! imply (fixed up front, since nothing the run does moves a brownout).
 //!
 //! A failing server kills its active streams (counted as *disrupted*
 //! unless the engine's failover policy rescues them) and admits nothing
@@ -38,27 +43,21 @@ pub struct Outage {
     pub up_at_min: Option<f64>,
 }
 
-/// One brownout: `server`'s outgoing link runs at `capacity_frac` of its
-/// nominal bandwidth from `start_min` until `end_min` (or the end of the
-/// run). The server stays *up* — it is slow, not dead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Brownout {
-    /// The degraded server.
-    pub server: ServerId,
-    /// Degradation onset, minutes from the simulation epoch.
-    pub start_min: f64,
-    /// Restoration instant; `None` = degraded for the rest of the run.
-    pub end_min: Option<f64>,
-    /// Remaining fraction of link capacity, in `(0, 1]`.
-    pub capacity_frac: f64,
+/// One drawn brownout: `server`'s outgoing link runs at `capacity_frac`
+/// of its nominal bandwidth from `start_min` until `end_min` (or the end
+/// of the run). The server stays *up* — it is slow, not dead.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Brownout {
+    server: ServerId,
+    start_min: f64,
+    end_min: Option<f64>,
+    capacity_frac: f64,
 }
 
-/// A validated set of outages plus (optionally) brownouts.
+/// A validated set of scripted outages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct FailurePlan {
     outages: Vec<Outage>,
-    #[serde(default)]
-    brownouts: Vec<Brownout>,
 }
 
 /// Internal: what happens to a server at a transition instant.
@@ -96,30 +95,6 @@ pub(crate) struct Transition {
     pub kind: TransitionKind,
 }
 
-fn check_brownout(b: &Brownout) -> Result<(), ModelError> {
-    if !b.start_min.is_finite() || b.start_min < 0.0 {
-        return Err(ModelError::InvalidParameter {
-            name: "brownout start_min",
-            value: b.start_min,
-        });
-    }
-    if let Some(end) = b.end_min {
-        if !end.is_finite() || end <= b.start_min {
-            return Err(ModelError::InvalidParameter {
-                name: "brownout end_min",
-                value: end,
-            });
-        }
-    }
-    if !b.capacity_frac.is_finite() || b.capacity_frac <= 0.0 || b.capacity_frac > 1.0 {
-        return Err(ModelError::InvalidParameter {
-            name: "brownout capacity_frac (must be in (0, 1])",
-            value: b.capacity_frac,
-        });
-    }
-    Ok(())
-}
-
 fn check_times(o: &Outage) -> Result<(), ModelError> {
     if !o.down_at_min.is_finite() || o.down_at_min < 0.0 {
         return Err(ModelError::InvalidParameter {
@@ -132,29 +107,6 @@ fn check_times(o: &Outage) -> Result<(), ModelError> {
             return Err(ModelError::InvalidParameter {
                 name: "up_at_min",
                 value: up,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Rejects two `(server, start, end)` intervals of one server that
-/// overlap (`end: None` runs to the end of the run), reporting the later
-/// one's start under `name`. Sorting by (server, start) leaves only
-/// *adjacent* intervals of one server to compare — O(n log n) total,
-/// which matters once stochastic models generate hundreds per run.
-fn check_no_overlap(
-    spans: impl Iterator<Item = (ServerId, f64, Option<f64>)>,
-    name: &'static str,
-) -> Result<(), ModelError> {
-    let mut spans: Vec<_> = spans.collect();
-    spans.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    for w in spans.windows(2) {
-        let ((server, _, end), (next_server, next_start, _)) = (w[0], w[1]);
-        if server == next_server && next_start < end.unwrap_or(f64::INFINITY) {
-            return Err(ModelError::InvalidParameter {
-                name,
-                value: next_start,
             });
         }
     }
@@ -178,45 +130,32 @@ impl FailurePlan {
                 .total_cmp(&b.down_at_min)
                 .then(a.server.cmp(&b.server))
         });
-        check_no_overlap(
-            outages
-                .iter()
-                .map(|o| (o.server, o.down_at_min, o.up_at_min)),
-            "overlapping outages",
-        )?;
-        Ok(FailurePlan {
-            outages,
-            brownouts: Vec::new(),
-        })
-    }
-
-    /// Attaches brownouts to this plan, validating times, capacity
-    /// fractions in `(0, 1]`, and per-server non-overlap (two concurrent
-    /// brownouts of one link would make the effective capacity ambiguous).
-    pub fn add_brownouts(mut self, brownouts: Vec<Brownout>) -> Result<Self, ModelError> {
-        self.brownouts.extend(brownouts);
-        for b in &self.brownouts {
-            check_brownout(b)?;
-        }
-        self.brownouts.sort_by(|a, b| {
-            a.start_min
-                .total_cmp(&b.start_min)
-                .then(a.server.cmp(&b.server))
+        // Sorting by (server, down) leaves only *adjacent* outages of one
+        // server to compare — O(n log n) total, which matters once
+        // stochastic models generate hundreds per run.
+        let mut spans: Vec<&Outage> = outages.iter().collect();
+        spans.sort_by(|a, b| {
+            a.server
+                .cmp(&b.server)
+                .then(a.down_at_min.total_cmp(&b.down_at_min))
         });
-        check_no_overlap(
-            self.brownouts
-                .iter()
-                .map(|b| (b.server, b.start_min, b.end_min)),
-            "overlapping brownouts",
-        )?;
-        Ok(self)
+        for w in spans.windows(2) {
+            if w[0].server == w[1].server
+                && w[1].down_at_min < w[0].up_at_min.unwrap_or(f64::INFINITY)
+            {
+                return Err(ModelError::InvalidParameter {
+                    name: "overlapping outages",
+                    value: w[1].down_at_min,
+                });
+            }
+        }
+        Ok(FailurePlan { outages })
     }
 
     /// Builds a plan from outages that may overlap per server, merging
-    /// overlapping or touching intervals into one outage. The engine
-    /// unites a scripted plan with a compiled [`FailureModel`] this way,
-    /// where a server can be down for more than one cause at once.
-    pub fn merged(mut outages: Vec<Outage>) -> Result<Self, ModelError> {
+    /// overlapping or touching intervals into one outage: a server can
+    /// be down for a scripted and a drawn cause at once.
+    fn merged(mut outages: Vec<Outage>) -> Result<Self, ModelError> {
         for o in &outages {
             check_times(o)?;
         }
@@ -248,17 +187,10 @@ impl FailurePlan {
     /// `ServerId(99)` outage on an 8-server cluster is a
     /// [`ModelError::UnknownServer`], not a silent no-op or a panic.
     pub fn validate_servers(&self, n_servers: usize) -> Result<(), ModelError> {
-        for o in &self.outages {
-            if o.server.index() >= n_servers {
-                return Err(ModelError::UnknownServer(o.server));
-            }
+        match self.outages.iter().find(|o| o.server.index() >= n_servers) {
+            Some(o) => Err(ModelError::UnknownServer(o.server)),
+            None => Ok(()),
         }
-        for b in &self.brownouts {
-            if b.server.index() >= n_servers {
-                return Err(ModelError::UnknownServer(b.server));
-            }
-        }
-        Ok(())
     }
 
     /// The outages, sorted by failure time.
@@ -266,57 +198,122 @@ impl FailurePlan {
         &self.outages
     }
 
-    /// The brownouts, sorted by start time.
-    pub fn brownouts(&self) -> &[Brownout] {
-        &self.brownouts
-    }
-
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.outages.is_empty() && self.brownouts.is_empty()
+        self.outages.is_empty()
     }
+}
 
-    /// Decomposes the plan into its outages and brownouts. Used by the
-    /// engine to merge a compiled stochastic plan with fixed failures
-    /// without re-cloning either side.
-    pub(crate) fn into_parts(self) -> (Vec<Outage>, Vec<Brownout>) {
-        (self.outages, self.brownouts)
-    }
+/// One run's faults, compiled once at run start: every outage and
+/// brownout transition in the order the engine processes them, and the
+/// browned-out server·minutes they imply.
+#[derive(Debug, PartialEq)]
+pub(crate) struct FaultSchedule {
+    /// Transitions sorted by `(time, server, kind rank)`.
+    pub transitions: Vec<Transition>,
+    /// Browned-out time summed over servers, minutes: each brownout's
+    /// span is added at its end, in transition order, then every
+    /// brownout still open at the horizon is closed there, in server
+    /// order.
+    pub brownout_min: f64,
+}
 
-    /// Flattens into time-sorted state transitions for the engine.
-    pub(crate) fn transitions(&self) -> Vec<Transition> {
-        let mut t: Vec<Transition> =
-            Vec::with_capacity(self.outages.len() * 2 + self.brownouts.len() * 2);
-        for o in &self.outages {
-            t.push(Transition {
-                at: SimTime::from_min(o.down_at_min),
-                server: o.server,
-                kind: TransitionKind::Down,
+impl FaultSchedule {
+    /// Compiles the scripted `plan` and, when given, `model`'s draws for
+    /// an `n_servers` cluster over `[0, horizon_min)`. A model's outages
+    /// merge with the scripted ones (see [`FailurePlan::merged`]); on
+    /// its own, a plan is flattened as validated. The model's parameters
+    /// must already be valid ([`FailureModel::validate`]).
+    pub fn compile(
+        plan: &FailurePlan,
+        model: Option<&FailureModel>,
+        n_servers: usize,
+        horizon_min: f64,
+    ) -> Result<Self, ModelError> {
+        let Some(model) = model else {
+            return Ok(Self::flatten(
+                &plan.outages,
+                Vec::new(),
+                n_servers,
+                horizon_min,
+            ));
+        };
+        let (mut outages, brownouts) = model.draw(n_servers, horizon_min);
+        outages.extend_from_slice(&plan.outages);
+        let outages = FailurePlan::merged(outages)?.outages;
+        // A draw whose `Exp(mttr)` length rounds to nothing yields an
+        // empty episode; refuse it, as `FailurePlan::new` does an outage.
+        if let Some(end) = brownouts
+            .iter()
+            .find_map(|b| b.end_min.filter(|&end| end <= b.start_min))
+        {
+            return Err(ModelError::InvalidParameter {
+                name: "brownout end_min",
+                value: end,
             });
+        }
+        Ok(Self::flatten(&outages, brownouts, n_servers, horizon_min))
+    }
+
+    /// Flattens outages and brownouts into sorted transitions and meters
+    /// the brownout minutes as the engine would accumulate them.
+    fn flatten(
+        outages: &[Outage],
+        mut brownouts: Vec<Brownout>,
+        n_servers: usize,
+        horizon_min: f64,
+    ) -> Self {
+        brownouts.sort_by(|a, b| {
+            a.start_min
+                .total_cmp(&b.start_min)
+                .then(a.server.cmp(&b.server))
+        });
+        let mut transitions = Vec::with_capacity(2 * (outages.len() + brownouts.len()));
+        let mut push = |server, at: f64, kind| {
+            transitions.push(Transition {
+                at: SimTime::from_min(at),
+                server,
+                kind,
+            })
+        };
+        for o in outages {
+            push(o.server, o.down_at_min, TransitionKind::Down);
             if let Some(up) = o.up_at_min {
-                t.push(Transition {
-                    at: SimTime::from_min(up),
-                    server: o.server,
-                    kind: TransitionKind::Up,
-                });
+                push(o.server, up, TransitionKind::Up);
             }
         }
-        for b in &self.brownouts {
-            t.push(Transition {
-                at: SimTime::from_min(b.start_min),
-                server: b.server,
-                kind: TransitionKind::BrownoutStart(b.capacity_frac),
-            });
+        for b in &brownouts {
+            push(
+                b.server,
+                b.start_min,
+                TransitionKind::BrownoutStart(b.capacity_frac),
+            );
             if let Some(end) = b.end_min {
-                t.push(Transition {
-                    at: SimTime::from_min(end),
-                    server: b.server,
-                    kind: TransitionKind::BrownoutEnd,
-                });
+                push(b.server, end, TransitionKind::BrownoutEnd);
             }
         }
-        t.sort_by_key(|a| (a.at, a.server, a.kind.rank()));
-        t
+        transitions.sort_by_key(|t| (t.at, t.server, t.kind.rank()));
+
+        let mut started: Vec<Option<SimTime>> = vec![None; n_servers];
+        let mut brownout_min = 0.0;
+        for t in &transitions {
+            match t.kind {
+                TransitionKind::BrownoutStart(_) => started[t.server.index()] = Some(t.at),
+                TransitionKind::BrownoutEnd => {
+                    if let Some(start) = started[t.server.index()].take() {
+                        brownout_min += (t.at - start).as_min();
+                    }
+                }
+                TransitionKind::Down | TransitionKind::Up => {}
+            }
+        }
+        for start in started.into_iter().flatten() {
+            brownout_min += (horizon_min - start.as_min()).max(0.0);
+        }
+        FaultSchedule {
+            transitions,
+            brownout_min,
+        }
     }
 }
 
@@ -434,47 +431,55 @@ impl FailureModel {
         Ok(())
     }
 
-    /// Draws every outage in `[0, horizon_min)` and compiles them into a
-    /// [`FailurePlan`], which the engine consumes exactly like a
-    /// scripted plan.
-    pub fn compile(&self, n_servers: usize, horizon_min: f64) -> Result<FailurePlan, ModelError> {
-        self.validate()?;
-        if !horizon_min.is_finite() || horizon_min <= 0.0 {
-            return Err(ModelError::InvalidParameter {
-                name: "horizon_min",
-                value: horizon_min,
-            });
-        }
+    /// Draws every crash and brownout episode of an `n_servers` cluster
+    /// in `[0, horizon_min)`: one independent renewal process per server
+    /// and kind, crashes first.
+    fn draw(&self, n_servers: usize, horizon_min: f64) -> (Vec<Outage>, Vec<Brownout>) {
         let mut outages = Vec::new();
         if self.mtbf_min.is_finite() {
             for j in 0..n_servers {
+                let server = ServerId(j as u32);
                 let mut rng = self.stream_rng(0x5EC0_0000 + j as u64);
-                draw_renewal_outages(
+                walk_renewal(
                     &mut rng,
                     self.mtbf_min,
                     self.mttr_min,
                     horizon_min,
-                    ServerId(j as u32),
-                    &mut outages,
+                    |_, down, up| {
+                        outages.push(Outage {
+                            server,
+                            down_at_min: down,
+                            up_at_min: up,
+                        })
+                    },
                 );
             }
         }
         let mut brownouts = Vec::new();
-        if let Some(model) = &self.brownouts {
-            if model.mtbf_min.is_finite() {
-                for j in 0..n_servers {
-                    let mut rng = self.stream_rng(0xB120_0000 + j as u64);
-                    draw_renewal_brownouts(
-                        &mut rng,
-                        model,
-                        horizon_min,
-                        ServerId(j as u32),
-                        &mut brownouts,
-                    );
-                }
+        if let Some(m) = self.brownouts.as_ref().filter(|m| m.mtbf_min.is_finite()) {
+            for j in 0..n_servers {
+                let server = ServerId(j as u32);
+                let mut rng = self.stream_rng(0xB120_0000 + j as u64);
+                walk_renewal(
+                    &mut rng,
+                    m.mtbf_min,
+                    m.mttr_min,
+                    horizon_min,
+                    |rng, start, end| {
+                        let u: f64 = rng.gen();
+                        let frac =
+                            m.min_capacity_frac + u * (m.max_capacity_frac - m.min_capacity_frac);
+                        brownouts.push(Brownout {
+                            server,
+                            start_min: start,
+                            end_min: end,
+                            capacity_frac: frac.clamp(m.min_capacity_frac, m.max_capacity_frac),
+                        })
+                    },
+                );
             }
         }
-        FailurePlan::merged(outages)?.add_brownouts(brownouts)
+        (outages, brownouts)
     }
 
     /// One independent, order-insensitive RNG stream per entity.
@@ -492,66 +497,29 @@ fn sample_exp(rng: &mut ChaCha8Rng, mean_min: f64) -> f64 {
     -mean_min * (1.0 - u).ln()
 }
 
-/// Walks one alternating healthy/degraded renewal process over
-/// `[0, horizon)`, appending one brownout per episode with a fresh
-/// uniform capacity-fraction draw.
-fn draw_renewal_brownouts(
-    rng: &mut ChaCha8Rng,
-    model: &BrownoutModel,
-    horizon_min: f64,
-    server: ServerId,
-    out: &mut Vec<Brownout>,
-) {
-    let mut t = 0.0f64;
-    loop {
-        let start = t + sample_exp(rng, model.mtbf_min);
-        if start >= horizon_min {
-            break;
-        }
-        let end = start + sample_exp(rng, model.mttr_min);
-        let u: f64 = rng.gen();
-        let frac =
-            model.min_capacity_frac + u * (model.max_capacity_frac - model.min_capacity_frac);
-        let end_min = (end < horizon_min).then_some(end);
-        out.push(Brownout {
-            server,
-            start_min: start,
-            end_min,
-            capacity_frac: frac.clamp(model.min_capacity_frac, model.max_capacity_frac),
-        });
-        match end_min {
-            Some(end) => t = end,
-            None => break,
-        }
-    }
-}
-
-/// Walks one alternating up/down renewal process over `[0, horizon)`,
-/// appending one outage of `server` per failure.
-fn draw_renewal_outages(
+/// Walks one alternating renewal process over `[0, horizon)`: healthy
+/// for an `Exp(mtbf)` draw, then faulty for an `Exp(mttr)` draw, and so
+/// on. Calls `episode(rng, start, end)` once per fault, after both of
+/// its draws, with `end: None` for a fault still running at the horizon
+/// (an outage or brownout past the horizon is permanent for the run).
+fn walk_renewal(
     rng: &mut ChaCha8Rng,
     mtbf_min: f64,
     mttr_min: f64,
     horizon_min: f64,
-    server: ServerId,
-    out: &mut Vec<Outage>,
+    mut episode: impl FnMut(&mut ChaCha8Rng, f64, Option<f64>),
 ) {
     let mut t = 0.0f64;
     loop {
-        let down = t + sample_exp(rng, mtbf_min);
-        if down >= horizon_min {
+        let start = t + sample_exp(rng, mtbf_min);
+        if start >= horizon_min {
             break;
         }
-        let up = down + sample_exp(rng, mttr_min);
-        // An outage running past the horizon is permanent for the run.
-        let up_at_min = (up < horizon_min).then_some(up);
-        out.push(Outage {
-            server,
-            down_at_min: down,
-            up_at_min,
-        });
-        match up_at_min {
-            Some(up) => t = up,
+        let end = start + sample_exp(rng, mttr_min);
+        let end = (end < horizon_min).then_some(end);
+        episode(rng, start, end);
+        match end {
+            Some(end) => t = end,
             None => break,
         }
     }
@@ -560,6 +528,11 @@ fn draw_renewal_outages(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The schedule of `model`'s draws alone.
+    fn drawn(model: &FailureModel, n_servers: usize, horizon_min: f64) -> FaultSchedule {
+        FaultSchedule::compile(&FailurePlan::none(), Some(model), n_servers, horizon_min).unwrap()
+    }
 
     #[test]
     fn valid_plan_sorted() {
@@ -577,7 +550,9 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(plan.outages()[0].server, ServerId(0));
-        let t = plan.transitions();
+        let t = FaultSchedule::compile(&plan, None, 8, 90.0)
+            .unwrap()
+            .transitions;
         assert_eq!(t.len(), 3);
         assert!(t.windows(2).all(|w| w[0].at <= w[1].at));
     }
@@ -653,7 +628,9 @@ mod tests {
     #[test]
     fn empty_plan() {
         assert!(FailurePlan::none().is_empty());
-        assert!(FailurePlan::none().transitions().is_empty());
+        let schedule = FaultSchedule::compile(&FailurePlan::none(), None, 8, 90.0).unwrap();
+        assert!(schedule.transitions.is_empty());
+        assert_eq!(schedule.brownout_min, 0.0);
     }
 
     #[test]
@@ -722,26 +699,28 @@ mod tests {
     #[test]
     fn model_is_deterministic_per_seed() {
         let model = FailureModel::exponential(120.0, 15.0, 42);
-        let a = model.compile(8, 90.0).unwrap();
-        let b = model.compile(8, 90.0).unwrap();
-        assert_eq!(a, b);
-        let c = FailureModel::exponential(120.0, 15.0, 43)
-            .compile(8, 90.0)
-            .unwrap();
+        let a = drawn(&model, 8, 90.0);
+        assert_eq!(a, drawn(&model, 8, 90.0));
+        let c = drawn(&FailureModel::exponential(120.0, 15.0, 43), 8, 90.0);
         assert_ne!(a, c, "different seeds should draw different outages");
     }
 
     #[test]
     fn model_outages_inside_horizon() {
         let model = FailureModel::exponential(30.0, 10.0, 7);
-        let plan = model.compile(8, 90.0).unwrap();
-        assert!(!plan.is_empty(), "MTBF 30 over 90 min should fail someone");
-        for o in plan.outages() {
+        let (outages, brownouts) = model.draw(8, 90.0);
+        assert!(
+            !outages.is_empty(),
+            "MTBF 30 over 90 min should fail someone"
+        );
+        assert!(brownouts.is_empty());
+        for o in &outages {
             assert!(o.down_at_min >= 0.0 && o.down_at_min < 90.0);
             if let Some(up) = o.up_at_min {
                 assert!(up < 90.0);
             }
         }
+        let plan = FailurePlan::merged(outages).unwrap();
         plan.validate_servers(8).unwrap();
     }
 
@@ -755,47 +734,97 @@ mod tests {
     }
 
     #[test]
-    fn brownout_plan_validates_and_flattens() {
-        let plan = FailurePlan::new(vec![Outage {
+    fn schedule_orders_ties_and_meters_brownout_minutes() {
+        // Server 0: back-to-back outages; server 1: back-to-back
+        // brownouts, the second still open at the 90-minute horizon.
+        let outage = |down, up| Outage {
             server: ServerId(0),
-            down_at_min: 10.0,
-            up_at_min: Some(20.0),
-        }])
-        .unwrap()
-        .add_brownouts(vec![Brownout {
+            down_at_min: down,
+            up_at_min: Some(up),
+        };
+        let brownout = |start, end, frac| Brownout {
             server: ServerId(1),
-            start_min: 5.0,
-            end_min: Some(30.0),
-            capacity_frac: 0.5,
-        }])
-        .unwrap();
-        assert!(!plan.is_empty());
-        let t = plan.transitions();
-        assert_eq!(t.len(), 4);
-        assert!(t.windows(2).all(|w| w[0].at <= w[1].at));
-        assert_eq!(t[0].kind, TransitionKind::BrownoutStart(0.5));
-        assert_eq!(t[3].kind, TransitionKind::BrownoutEnd);
-        plan.validate_servers(2).unwrap();
-        assert!(plan.validate_servers(1).is_err());
-    }
-
-    #[test]
-    fn brownout_validation_rejects_bad_fractions_and_overlaps() {
-        let bo = |start: f64, end: Option<f64>, frac: f64| Brownout {
-            server: ServerId(0),
             start_min: start,
             end_min: end,
             capacity_frac: frac,
         };
-        let plan = |brownouts| FailurePlan::none().add_brownouts(brownouts);
-        assert!(plan(vec![bo(0.0, Some(5.0), 0.0)]).is_err());
-        assert!(plan(vec![bo(0.0, Some(5.0), 1.5)]).is_err());
-        assert!(plan(vec![bo(5.0, Some(5.0), 0.5)]).is_err());
-        assert!(plan(vec![bo(-1.0, None, 0.5)]).is_err());
-        // Overlapping brownouts of one server are ambiguous.
-        assert!(plan(vec![bo(0.0, Some(10.0), 0.5), bo(5.0, Some(15.0), 0.7)]).is_err());
-        // Back-to-back is fine.
-        assert!(plan(vec![bo(0.0, Some(10.0), 0.5), bo(10.0, Some(15.0), 0.7)]).is_ok());
+        let plan = FailurePlan::new(vec![outage(20.0, 30.0), outage(10.0, 20.0)]).unwrap();
+        let schedule = FaultSchedule::flatten(
+            plan.outages(),
+            vec![brownout(10.0, None, 0.7), brownout(5.0, Some(10.0), 0.5)],
+            2,
+            90.0,
+        );
+        let at = |min, server, kind| Transition {
+            at: SimTime::from_min(min),
+            server: ServerId(server),
+            kind,
+        };
+        use TransitionKind::*;
+        assert_eq!(
+            schedule.transitions,
+            vec![
+                at(5.0, 1, BrownoutStart(0.5)),
+                at(10.0, 0, Down),
+                // A brownout end sorts before a start at the same instant…
+                at(10.0, 1, BrownoutEnd),
+                at(10.0, 1, BrownoutStart(0.7)),
+                // …and a down before an up.
+                at(20.0, 0, Down),
+                at(20.0, 0, Up),
+                at(30.0, 0, Up),
+            ]
+        );
+        // 5 closed minutes, then 80 open ones closed at the horizon.
+        assert_eq!(schedule.brownout_min, 85.0);
+    }
+
+    #[test]
+    fn drawn_schedule_stays_in_range_and_never_overlaps() {
+        let model = FailureModel {
+            brownouts: Some(BrownoutModel {
+                mtbf_min: 20.0,
+                mttr_min: 15.0,
+                min_capacity_frac: 0.3,
+                max_capacity_frac: 0.7,
+            }),
+            ..FailureModel::exponential(30.0, 10.0, 5)
+        };
+        let (n, horizon) = (16, 600.0);
+        let schedule = drawn(&model, n, horizon);
+        let t = &schedule.transitions;
+        assert!(t
+            .windows(2)
+            .all(|w| (w[0].at, w[0].server, w[0].kind.rank())
+                <= (w[1].at, w[1].server, w[1].kind.rank())));
+        // Per server, crashes and brownouts each alternate begin/end: no
+        // two drawn episodes of one kind overlap on one server.
+        let (mut down, mut browned) = (vec![false; n], vec![false; n]);
+        let mut fracs = 0;
+        for tr in t {
+            let j = tr.server.index();
+            match tr.kind {
+                TransitionKind::Down => assert!(!std::mem::replace(&mut down[j], true)),
+                TransitionKind::Up => assert!(std::mem::replace(&mut down[j], false)),
+                TransitionKind::BrownoutStart(frac) => {
+                    assert!((0.3..=0.7).contains(&frac), "{frac}");
+                    fracs += 1;
+                    assert!(!std::mem::replace(&mut browned[j], true));
+                }
+                TransitionKind::BrownoutEnd => {
+                    assert!(std::mem::replace(&mut browned[j], false))
+                }
+            }
+        }
+        assert!(fracs > n, "every server browns out more than once");
+        // The meter agrees with the drawn episodes' lengths, up to the
+        // millisecond rounding of each endpoint.
+        let (_, brownouts) = model.draw(n, horizon);
+        let spans: f64 = brownouts
+            .iter()
+            .map(|b| b.end_min.unwrap_or(horizon) - b.start_min)
+            .sum();
+        assert!((schedule.brownout_min - spans).abs() < 1e-3 * brownouts.len() as f64);
     }
 
     #[test]
@@ -809,30 +838,25 @@ mod tests {
             },
             99,
         );
-        let a = model.compile(8, 90.0).unwrap();
-        let b = model.compile(8, 90.0).unwrap();
-        assert_eq!(a, b);
-        assert!(a.outages().is_empty(), "brownouts_only draws no crashes");
-        assert!(!a.brownouts().is_empty());
-        for br in a.brownouts() {
+        let a = drawn(&model, 8, 90.0);
+        assert_eq!(a, drawn(&model, 8, 90.0));
+        assert!(!a.transitions.is_empty());
+        assert!(a.brownout_min > 0.0);
+        let (outages, brownouts) = model.draw(8, 90.0);
+        assert!(outages.is_empty(), "brownouts_only draws no crashes");
+        for br in &brownouts {
             assert!(br.start_min >= 0.0 && br.start_min < 90.0);
             assert!((0.3..=0.7).contains(&br.capacity_frac));
             if let Some(end) = br.end_min {
                 assert!(end < 90.0);
             }
         }
-        let c = FailureModel::brownouts_only(
-            BrownoutModel {
-                mtbf_min: 30.0,
-                mttr_min: 10.0,
-                min_capacity_frac: 0.3,
-                max_capacity_frac: 0.7,
-            },
-            100,
-        )
-        .compile(8, 90.0)
-        .unwrap();
-        assert_ne!(a, c, "different seeds draw different brownouts");
+        let c = FailureModel { seed: 100, ..model };
+        assert_ne!(
+            a,
+            drawn(&c, 8, 90.0),
+            "different seeds draw different brownouts"
+        );
     }
 
     #[test]
@@ -878,7 +902,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plan.outages().len(), 1);
-        assert!(plan.brownouts().is_empty());
+        // Plans serialized while they could carry brownouts still load.
+        let plan: FailurePlan = serde_json::from_str(
+            r#"{"outages":[{"server":3,"down_at_min":1.0,"up_at_min":null}],"brownouts":[]}"#,
+        )
+        .unwrap();
+        assert_eq!(plan.outages().len(), 1);
     }
 
     #[test]

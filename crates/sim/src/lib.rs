@@ -21,9 +21,10 @@
 //!   backbone-redirection extension of the authors' follow-up work \[19\];
 //! * [`admission`] — the overload pipeline: FIFO wait queue with client
 //!   patience, bounded retries with backoff, degrade-at-admission;
-//! * [`failure`] — injected server outages (availability experiments),
-//!   the stochastic MTBF/MTTR fault model (recovery experiments), and
-//!   partial bandwidth brownouts;
+//! * [`failure`] — scripted server outages (availability experiments)
+//!   and the stochastic MTBF/MTTR model of crashes and partial bandwidth
+//!   brownouts (recovery and overload experiments), compiled into one
+//!   fault schedule per run;
 //! * [`repair`] — mid-run re-replication of lost redundancy and the
 //!   stream-failover policies (resume / graceful degradation); the
 //!   shared actuation mechanism (metered copies, storage reservations,
@@ -33,7 +34,8 @@
 //!   periodic re-replication/retirement of drifting titles;
 //! * [`striping`] — the wide-striping comparator architecture the paper
 //!   argues against (perfect balance, full failure coupling);
-//! * [`metrics`] — rejection accounting and load-imbalance sampling;
+//! * [`metrics`] — the run report, the one ledger the engine counts
+//!   into: rejection accounting and load-imbalance sampling;
 //! * [`shard`] — deterministic partitioning of servers into independent
 //!   groups for the parallel engine;
 //! * [`engine`] — the run loop tying it together.
@@ -97,7 +99,7 @@ pub use admission::{AdmissionConfig, QueuePolicy};
 pub use controller::ControllerConfig;
 pub use dispatch::AdmissionPolicy;
 pub use engine::{SimConfig, Simulation};
-pub use failure::{Brownout, BrownoutModel, FailureModel, FailurePlan, Outage};
+pub use failure::{BrownoutModel, FailureModel, FailurePlan, Outage};
 pub use metrics::SimReport;
 pub use repair::{FailoverPolicy, RepairConfig};
 pub use shard::ShardPlan;

@@ -6,6 +6,10 @@
 //! samples per-server loads (in concurrent streams) on a fixed cadence and
 //! averages the Eq. (2)/(3) imbalance over all samples with non-zero mean
 //! load.
+//!
+//! A run's [`SimReport`] is its one ledger: the engine counts every
+//! outcome straight into the report the collector will return, and the
+//! invariant auditor reads its totals from there.
 
 use serde::{Deserialize, Serialize};
 use vod_model::load;
@@ -21,20 +25,14 @@ pub struct LoadSample {
     pub streams: Vec<f64>,
 }
 
-/// Online metrics accumulator.
-#[derive(Debug, Clone)]
-pub struct MetricsCollector {
-    arrivals: u64,
-    admitted: u64,
-    rejected: u64,
-    redirected: u64,
-    disrupted: u64,
-    resumed: u64,
-    degraded: u64,
-    queued: u64,
-    retried: u64,
-    abandoned: u64,
-    degraded_served: u64,
+/// Online metrics accumulator. Every count the report carries is kept
+/// in the report itself ([`MetricsCollector::report`], zeroed at the
+/// start); the collector adds only the running sums the derived fields
+/// need, and [`MetricsCollector::finish`] fills those fields in.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MetricsCollector {
+    /// The run's report: counts accumulate here as they happen.
+    pub report: SimReport,
     waits: WaitLog,
     /// Offered traffic in exact `kbps·seconds` (integer so shard merges
     /// are order-independent); converted to `kbps·minutes` once, in
@@ -45,143 +43,49 @@ pub struct MetricsCollector {
     /// Traffic booked as delivered but later killed or rate-reduced, in
     /// exact `kbps·ticks` (millisecond resolution).
     undelivered_kbps_ticks: u128,
-    brownout_active_min: f64,
-    repair_bytes_copied: u64,
-    repair_copies: u64,
-    time_to_redundancy_min: f64,
-    redundancy_deficit_video_min: f64,
-    unavailability_video_min: f64,
-    controller_ticks: u64,
-    controller_backoffs: u64,
-    controller_promotions: u64,
-    controller_demotions: u64,
-    controller_retired: u64,
-    controller_copies: u64,
-    controller_bytes_copied: u64,
-    per_video_arrivals: Vec<u64>,
-    per_video_rejections: Vec<u64>,
     imbalance_cv_sum: f64,
     imbalance_maxdev_rel_sum: f64,
     imbalance_samples: u64,
     imbalance_maxdev_abs_sum: f64,
     all_samples: u64,
-    peak_streams: u64,
     stream_time_integral: f64,
     last_sample_min: f64,
     record_series: bool,
-    series: Vec<LoadSample>,
 }
 
 impl MetricsCollector {
-    /// A collector for `n_videos` videos.
-    pub fn new(n_videos: usize) -> Self {
+    /// A collector for `n_videos` videos; `record_series` keeps every
+    /// load sample in the report (`N × samples` floats per run).
+    pub fn new(n_videos: usize, record_series: bool) -> Self {
         MetricsCollector {
-            arrivals: 0,
-            admitted: 0,
-            rejected: 0,
-            redirected: 0,
-            disrupted: 0,
-            resumed: 0,
-            degraded: 0,
-            queued: 0,
-            retried: 0,
-            abandoned: 0,
-            degraded_served: 0,
-            waits: WaitLog::default(),
-            offered_kbps_s: 0,
-            delivered_kbps_s: 0,
-            undelivered_kbps_ticks: 0,
-            brownout_active_min: 0.0,
-            repair_bytes_copied: 0,
-            repair_copies: 0,
-            time_to_redundancy_min: 0.0,
-            redundancy_deficit_video_min: 0.0,
-            unavailability_video_min: 0.0,
-            controller_ticks: 0,
-            controller_backoffs: 0,
-            controller_promotions: 0,
-            controller_demotions: 0,
-            controller_retired: 0,
-            controller_copies: 0,
-            controller_bytes_copied: 0,
-            per_video_arrivals: vec![0; n_videos],
-            per_video_rejections: vec![0; n_videos],
-            imbalance_cv_sum: 0.0,
-            imbalance_maxdev_rel_sum: 0.0,
-            imbalance_samples: 0,
-            imbalance_maxdev_abs_sum: 0.0,
-            all_samples: 0,
-            peak_streams: 0,
-            stream_time_integral: 0.0,
-            last_sample_min: 0.0,
-            record_series: false,
-            series: Vec::new(),
+            report: SimReport {
+                per_video_arrivals: vec![0; n_videos],
+                per_video_rejections: vec![0; n_videos],
+                ..SimReport::default()
+            },
+            record_series,
+            ..MetricsCollector::default()
         }
-    }
-
-    /// Enables per-sample load-series recording (off by default — the
-    /// series costs `N × samples` floats per run).
-    pub fn record_series(&mut self, on: bool) {
-        self.record_series = on;
     }
 
     /// Records an arrival for `video` (0-based index).
     pub fn on_arrival(&mut self, video: usize) {
-        self.arrivals += 1;
-        self.per_video_arrivals[video] += 1;
+        self.report.arrivals += 1;
+        self.report.per_video_arrivals[video] += 1;
     }
 
     /// Records an admission (`redirected` marks backbone-proxied streams).
     pub fn on_admit(&mut self, redirected: bool) {
-        self.admitted += 1;
+        self.report.admitted += 1;
         if redirected {
-            self.redirected += 1;
+            self.report.redirected += 1;
         }
     }
 
-    /// Records a rejection for `video`.
+    /// Records a final rejection for `video`.
     pub fn on_reject(&mut self, video: usize) {
-        self.rejected += 1;
-        self.per_video_rejections[video] += 1;
-    }
-
-    /// Records `count` streams killed by a server failure.
-    pub fn on_disrupted(&mut self, count: u64) {
-        self.disrupted += count;
-    }
-
-    /// Records `count` streams migrated to a surviving replica holder at
-    /// full rate after their server failed.
-    pub fn on_resumed(&mut self, count: u64) {
-        self.resumed += count;
-    }
-
-    /// Records `count` streams that continued at a reduced bit rate after
-    /// their server failed (graceful degradation).
-    pub fn on_degraded(&mut self, count: u64) {
-        self.degraded += count;
-    }
-
-    /// Records a request entering the admission wait queue.
-    pub fn on_queued(&mut self) {
-        self.queued += 1;
-    }
-
-    /// Records a retry being scheduled for a blocked/abandoning request.
-    pub fn on_retried(&mut self) {
-        self.retried += 1;
-    }
-
-    /// Records a final abandonment (patience and retry budget exhausted,
-    /// or the run ended while the request was still waiting).
-    pub fn on_abandoned(&mut self) {
-        self.abandoned += 1;
-    }
-
-    /// Records an admission below the requested bit rate (the
-    /// `QueueOrDegrade` policy settled for a thinner slot).
-    pub fn on_degraded_served(&mut self) {
-        self.degraded_served += 1;
+        self.report.rejected += 1;
+        self.report.per_video_rejections[video] += 1;
     }
 
     /// Records the wait of an admitted request, in minutes: every
@@ -194,7 +98,7 @@ impl MetricsCollector {
     /// immediate admissions as one batch, then the rest in admission
     /// order (adding `+0.0` never moves a non-negative float sum, so the
     /// histogram's sum is the one per-admission observation gives).
-    pub(crate) fn observe_waits(&self, histogram: &Histogram) {
+    pub fn observe_waits(&self, histogram: &Histogram) {
         histogram.observe_n(0.0, self.waits.zeros);
         for &w in &self.waits.waited {
             histogram.observe(w);
@@ -221,60 +125,6 @@ impl MetricsCollector {
         self.undelivered_kbps_ticks += kbps as u128 * remaining_ticks as u128;
     }
 
-    /// Stores the total browned-out server time for the run.
-    pub fn set_brownout_active_min(&mut self, min: f64) {
-        self.brownout_active_min = min;
-    }
-
-    /// Terminal-outcome totals for the invariant auditor:
-    /// `(arrivals, admitted, rejected, abandoned)`.
-    pub(crate) fn outcome_totals(&self) -> (u64, u64, u64, u64) {
-        (self.arrivals, self.admitted, self.rejected, self.abandoned)
-    }
-
-    /// Arrivals observed so far, per video (used as demand weights when
-    /// re-planning replica placement mid-run).
-    pub fn per_video_arrivals(&self) -> &[u64] {
-        &self.per_video_arrivals
-    }
-
-    /// Stores the repair controller's end-of-run accounting.
-    pub fn set_recovery_stats(
-        &mut self,
-        bytes_copied: u64,
-        copies: u64,
-        time_to_redundancy_min: f64,
-        redundancy_deficit_video_min: f64,
-        unavailability_video_min: f64,
-    ) {
-        self.repair_bytes_copied = bytes_copied;
-        self.repair_copies = copies;
-        self.time_to_redundancy_min = time_to_redundancy_min;
-        self.redundancy_deficit_video_min = redundancy_deficit_video_min;
-        self.unavailability_video_min = unavailability_video_min;
-    }
-
-    /// Stores the online replication controller's end-of-run accounting.
-    #[allow(clippy::too_many_arguments)]
-    pub fn set_controller_stats(
-        &mut self,
-        ticks: u64,
-        backoffs: u64,
-        promotions: u64,
-        demotions: u64,
-        retired: u64,
-        copies: u64,
-        bytes_copied: u64,
-    ) {
-        self.controller_ticks = ticks;
-        self.controller_backoffs = backoffs;
-        self.controller_promotions = promotions;
-        self.controller_demotions = demotions;
-        self.controller_retired = retired;
-        self.controller_copies = copies;
-        self.controller_bytes_copied = bytes_copied;
-    }
-
     /// Takes a load sample: `stream_loads` are per-server concurrent
     /// stream counts at minute `now_min`.
     pub fn sample_loads(&mut self, stream_loads: &[f64], now_min: f64) {
@@ -290,13 +140,13 @@ impl MetricsCollector {
         // paper's Figure 6 shape when normalized by link capacity.
         self.imbalance_maxdev_abs_sum += load::max_deviation(stream_loads);
         self.all_samples += 1;
-        let streams = total as u64;
-        self.peak_streams = self.peak_streams.max(streams);
+        let peak = &mut self.report.peak_concurrent_streams;
+        *peak = (*peak).max(total as u64);
         let dt = (now_min - self.last_sample_min).max(0.0);
         self.stream_time_integral += total * dt;
         self.last_sample_min = now_min;
         if self.record_series {
-            self.series.push(LoadSample {
+            self.report.series.push(LoadSample {
                 at_min: now_min,
                 streams: stream_loads.to_vec(),
             });
@@ -312,126 +162,90 @@ impl MetricsCollector {
     /// shards, which serve disjoint server groups and defer load
     /// sampling to the coordinator's replay.
     pub fn absorb(&mut self, other: MetricsCollector) {
-        debug_assert_eq!(
-            self.per_video_arrivals.len(),
-            other.per_video_arrivals.len()
-        );
-        self.arrivals += other.arrivals;
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.redirected += other.redirected;
-        self.disrupted += other.disrupted;
-        self.resumed += other.resumed;
-        self.degraded += other.degraded;
-        self.queued += other.queued;
-        self.retried += other.retried;
-        self.abandoned += other.abandoned;
-        self.degraded_served += other.degraded_served;
+        let (r, o) = (&mut self.report, other.report);
+        debug_assert_eq!(r.per_video_arrivals.len(), o.per_video_arrivals.len());
+        r.arrivals += o.arrivals;
+        r.admitted += o.admitted;
+        r.rejected += o.rejected;
+        r.redirected += o.redirected;
+        r.disrupted += o.disrupted;
+        r.resumed += o.resumed;
+        r.degraded += o.degraded;
+        r.queued += o.queued;
+        r.retried += o.retried;
+        r.abandoned += o.abandoned;
+        r.degraded_served += o.degraded_served;
+        r.brownout_active_min += o.brownout_active_min;
+        r.repair_bytes_copied += o.repair_bytes_copied;
+        r.repair_copies += o.repair_copies;
+        r.time_to_redundancy_min += o.time_to_redundancy_min;
+        r.redundancy_deficit_video_min += o.redundancy_deficit_video_min;
+        r.unavailability_video_min += o.unavailability_video_min;
+        r.controller_ticks += o.controller_ticks;
+        r.controller_backoffs += o.controller_backoffs;
+        r.controller_promotions += o.controller_promotions;
+        r.controller_demotions += o.controller_demotions;
+        r.controller_retired += o.controller_retired;
+        r.controller_copies += o.controller_copies;
+        r.controller_bytes_copied += o.controller_bytes_copied;
+        for (a, b) in r.per_video_arrivals.iter_mut().zip(o.per_video_arrivals) {
+            *a += b;
+        }
+        for (a, b) in r
+            .per_video_rejections
+            .iter_mut()
+            .zip(o.per_video_rejections)
+        {
+            *a += b;
+        }
+        r.peak_concurrent_streams = r.peak_concurrent_streams.max(o.peak_concurrent_streams);
+        r.series.extend(o.series);
         self.waits.zeros += other.waits.zeros;
         self.waits.waited.extend(other.waits.waited);
         self.offered_kbps_s += other.offered_kbps_s;
         self.delivered_kbps_s += other.delivered_kbps_s;
         self.undelivered_kbps_ticks += other.undelivered_kbps_ticks;
-        self.brownout_active_min += other.brownout_active_min;
-        self.repair_bytes_copied += other.repair_bytes_copied;
-        self.repair_copies += other.repair_copies;
-        self.time_to_redundancy_min += other.time_to_redundancy_min;
-        self.redundancy_deficit_video_min += other.redundancy_deficit_video_min;
-        self.unavailability_video_min += other.unavailability_video_min;
-        self.controller_ticks += other.controller_ticks;
-        self.controller_backoffs += other.controller_backoffs;
-        self.controller_promotions += other.controller_promotions;
-        self.controller_demotions += other.controller_demotions;
-        self.controller_retired += other.controller_retired;
-        self.controller_copies += other.controller_copies;
-        self.controller_bytes_copied += other.controller_bytes_copied;
-        for (a, b) in self
-            .per_video_arrivals
-            .iter_mut()
-            .zip(other.per_video_arrivals)
-        {
-            *a += b;
-        }
-        for (a, b) in self
-            .per_video_rejections
-            .iter_mut()
-            .zip(other.per_video_rejections)
-        {
-            *a += b;
-        }
         self.imbalance_cv_sum += other.imbalance_cv_sum;
         self.imbalance_maxdev_rel_sum += other.imbalance_maxdev_rel_sum;
         self.imbalance_samples += other.imbalance_samples;
         self.imbalance_maxdev_abs_sum += other.imbalance_maxdev_abs_sum;
         self.all_samples += other.all_samples;
-        self.peak_streams = self.peak_streams.max(other.peak_streams);
         self.stream_time_integral += other.stream_time_integral;
         self.last_sample_min = self.last_sample_min.max(other.last_sample_min);
-        self.series.extend(other.series);
     }
 
-    /// Finalizes into an immutable report. `horizon_min` is the simulated
-    /// peak-period length.
+    /// Fills in the report's derived fields — rates, means, wait
+    /// percentiles and goodput — and returns it. `horizon_min` is the
+    /// simulated peak-period length.
     pub fn finish(mut self, horizon_min: f64) -> SimReport {
+        let mut r = self.report;
         let n = self.imbalance_samples.max(1) as f64;
         // The mean sums in admission order, so it goes before the sort.
-        let mean_wait_min = self.waits.mean();
-        let [wait_p50_min, wait_p95_min] = self.waits.percentiles([0.50, 0.95]);
-        SimReport {
-            arrivals: self.arrivals,
-            admitted: self.admitted,
-            rejected: self.rejected,
-            redirected: self.redirected,
-            disrupted: self.disrupted,
-            resumed: self.resumed,
-            degraded: self.degraded,
-            queued: self.queued,
-            retried: self.retried,
-            abandoned: self.abandoned,
-            degraded_served: self.degraded_served,
-            mean_wait_min,
-            wait_p50_min,
-            wait_p95_min,
-            goodput: if self.offered_kbps_s > 0 {
-                let offered_kbps_min = self.offered_kbps_s as f64 / 60.0;
-                let delivered_kbps_min = self.delivered_kbps_s as f64 / 60.0
-                    - self.undelivered_kbps_ticks as f64 / 60_000.0;
-                (delivered_kbps_min / offered_kbps_min).clamp(0.0, 1.0)
-            } else {
-                1.0
-            },
-            brownout_active_min: self.brownout_active_min,
-            repair_bytes_copied: self.repair_bytes_copied,
-            repair_copies: self.repair_copies,
-            time_to_redundancy_min: self.time_to_redundancy_min,
-            redundancy_deficit_video_min: self.redundancy_deficit_video_min,
-            unavailability_video_min: self.unavailability_video_min,
-            controller_ticks: self.controller_ticks,
-            controller_backoffs: self.controller_backoffs,
-            controller_promotions: self.controller_promotions,
-            controller_demotions: self.controller_demotions,
-            controller_retired: self.controller_retired,
-            controller_copies: self.controller_copies,
-            controller_bytes_copied: self.controller_bytes_copied,
-            rejection_rate: if self.arrivals == 0 {
-                0.0
-            } else {
-                self.rejected as f64 / self.arrivals as f64
-            },
-            mean_imbalance_cv: self.imbalance_cv_sum / n,
-            mean_imbalance_maxdev_rel: self.imbalance_maxdev_rel_sum / n,
-            mean_imbalance_maxdev_streams: self.imbalance_maxdev_abs_sum
-                / self.all_samples.max(1) as f64,
-            peak_concurrent_streams: self.peak_streams,
-            mean_concurrent_streams: if horizon_min > 0.0 {
-                self.stream_time_integral / horizon_min
-            } else {
-                0.0
-            },
-            per_video_arrivals: self.per_video_arrivals,
-            per_video_rejections: self.per_video_rejections,
-            series: self.series,
-        }
+        r.mean_wait_min = self.waits.mean();
+        [r.wait_p50_min, r.wait_p95_min] = self.waits.percentiles([0.50, 0.95]);
+        r.goodput = if self.offered_kbps_s > 0 {
+            let offered_kbps_min = self.offered_kbps_s as f64 / 60.0;
+            let delivered_kbps_min =
+                self.delivered_kbps_s as f64 / 60.0 - self.undelivered_kbps_ticks as f64 / 60_000.0;
+            (delivered_kbps_min / offered_kbps_min).clamp(0.0, 1.0)
+        } else {
+            1.0
+        };
+        r.rejection_rate = if r.arrivals == 0 {
+            0.0
+        } else {
+            r.rejected as f64 / r.arrivals as f64
+        };
+        r.mean_imbalance_cv = self.imbalance_cv_sum / n;
+        r.mean_imbalance_maxdev_rel = self.imbalance_maxdev_rel_sum / n;
+        r.mean_imbalance_maxdev_streams =
+            self.imbalance_maxdev_abs_sum / self.all_samples.max(1) as f64;
+        r.mean_concurrent_streams = if horizon_min > 0.0 {
+            self.stream_time_integral / horizon_min
+        } else {
+            0.0
+        };
+        r
     }
 }
 
@@ -497,7 +311,7 @@ impl WaitLog {
 }
 
 /// The outcome of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Total requests that arrived during the peak period.
     pub arrivals: u64,
@@ -669,7 +483,7 @@ mod tests {
 
     #[test]
     fn counts_flow_through() {
-        let mut c = MetricsCollector::new(2);
+        let mut c = MetricsCollector::new(2, false);
         c.on_arrival(0);
         c.on_admit(false);
         c.on_arrival(1);
@@ -690,18 +504,18 @@ mod tests {
 
     #[test]
     fn admission_pipeline_counters_flow_through() {
-        let mut c = MetricsCollector::new(1);
+        let mut c = MetricsCollector::new(1, false);
         // Request 1: queued, waits 2 min, then served at a thinner rate.
         c.on_arrival(0);
-        c.on_queued();
+        c.report.queued += 1;
         c.on_wait(2.0);
         c.on_admit(false);
-        c.on_degraded_served();
+        c.report.degraded_served += 1;
         // Request 2: queued, one retry, then gives up.
         c.on_arrival(0);
-        c.on_queued();
-        c.on_retried();
-        c.on_abandoned();
+        c.report.queued += 1;
+        c.report.retried += 1;
+        c.report.abandoned += 1;
         // Request 3: served instantly.
         c.on_arrival(0);
         c.on_wait(6.0);
@@ -711,7 +525,7 @@ mod tests {
         c.on_offered(100, 60);
         c.on_delivered(80, 60);
         c.on_undelivered(10, 60_000);
-        c.set_brownout_active_min(3.5);
+        c.report.brownout_active_min = 3.5;
         let r = c.finish(90.0);
         assert_eq!(
             (r.queued, r.retried, r.abandoned, r.degraded_served),
@@ -730,18 +544,18 @@ mod tests {
     fn absorb_merges_shard_collectors_exactly() {
         // Two collectors with disjoint per-video support, as engine
         // shards produce, must merge into the serial-run totals.
-        let mut a = MetricsCollector::new(3);
+        let mut a = MetricsCollector::new(3, false);
         a.on_arrival(0);
         a.on_admit(false);
         a.on_offered(100, 60);
         a.on_delivered(100, 60);
         a.on_wait(0.0);
-        let mut b = MetricsCollector::new(3);
+        let mut b = MetricsCollector::new(3, false);
         b.on_arrival(2);
         b.on_reject(2);
         b.on_offered(100, 120);
         b.on_undelivered(50, 60_000);
-        let mut merged = MetricsCollector::new(3);
+        let mut merged = MetricsCollector::new(3, false);
         merged.absorb(a);
         merged.absorb(b);
         let r = merged.finish(90.0);
@@ -755,7 +569,7 @@ mod tests {
 
     #[test]
     fn goodput_defaults_to_one_when_nothing_offered() {
-        let r = MetricsCollector::new(1).finish(90.0);
+        let r = MetricsCollector::new(1, false).finish(90.0);
         assert_eq!(r.goodput, 1.0);
         assert_eq!(r.wait_p50_min, 0.0);
     }
@@ -782,12 +596,11 @@ mod tests {
 
     #[test]
     fn series_recorded_only_when_enabled() {
-        let mut off = MetricsCollector::new(1);
+        let mut off = MetricsCollector::new(1, false);
         off.sample_loads(&[1.0, 2.0], 1.0);
         assert!(off.finish(90.0).series.is_empty());
 
-        let mut on = MetricsCollector::new(1);
-        on.record_series(true);
+        let mut on = MetricsCollector::new(1, true);
         on.sample_loads(&[1.0, 2.0], 1.0);
         on.sample_loads(&[3.0, 0.0], 2.0);
         let r = on.finish(90.0);
@@ -797,16 +610,8 @@ mod tests {
     }
 
     #[test]
-    fn disruption_counter_accumulates() {
-        let mut c = MetricsCollector::new(1);
-        c.on_disrupted(3);
-        c.on_disrupted(2);
-        assert_eq!(c.finish(90.0).disrupted, 5);
-    }
-
-    #[test]
     fn imbalance_averaged_over_busy_samples() {
-        let mut c = MetricsCollector::new(1);
+        let mut c = MetricsCollector::new(1, false);
         c.sample_loads(&[0.0, 0.0], 0.0); // idle: skipped
         c.sample_loads(&[2.0, 4.0, 6.0], 1.0);
         c.sample_loads(&[4.0, 4.0, 4.0], 2.0);
@@ -819,7 +624,7 @@ mod tests {
 
     #[test]
     fn absolute_maxdev_includes_idle_samples() {
-        let mut c = MetricsCollector::new(1);
+        let mut c = MetricsCollector::new(1, false);
         c.sample_loads(&[0.0, 0.0], 0.0); // idle: counts as 0 deviation
         c.sample_loads(&[2.0, 6.0], 1.0); // maxdev = 2 (mean 4)
         let r = c.finish(90.0);
@@ -828,7 +633,7 @@ mod tests {
 
     #[test]
     fn peak_and_mean_streams() {
-        let mut c = MetricsCollector::new(1);
+        let mut c = MetricsCollector::new(1, false);
         c.sample_loads(&[1.0, 1.0], 1.0);
         c.sample_loads(&[5.0, 5.0], 2.0);
         c.sample_loads(&[0.0, 0.0], 3.0);
@@ -842,7 +647,7 @@ mod tests {
     /// p50 and p95 bit for bit against the statistics of the full list,
     /// and the histogram observations against one `observe` per wait.
     fn check_wait_log(waits: &[f64]) {
-        let mut c = MetricsCollector::new(1);
+        let mut c = MetricsCollector::new(1, false);
         for &w in waits {
             c.on_wait(w);
         }
@@ -905,7 +710,7 @@ mod tests {
 
     #[test]
     fn empty_run_is_well_defined() {
-        let c = MetricsCollector::new(1);
+        let c = MetricsCollector::new(1, false);
         let r = c.finish(90.0);
         assert_eq!(r.rejection_rate, 0.0);
         assert_eq!(r.mean_imbalance_cv, 0.0);

@@ -133,6 +133,21 @@ impl LinkState {
         self.effective_kbps[j].saturating_sub(self.used_kbps[j] + self.repair_kbps[j])
     }
 
+    /// Among `candidates`, the server with the most free bandwidth that
+    /// can admit `kbps`, ties to the lowest id — the one "most free
+    /// link" rule of least-loaded dispatch, backbone proxies and
+    /// failover.
+    #[inline]
+    pub(crate) fn most_free(
+        &self,
+        candidates: impl Iterator<Item = ServerId>,
+        kbps: u64,
+    ) -> Option<ServerId> {
+        candidates
+            .filter(|&s| self.can_admit(s, kbps))
+            .max_by_key(|&s| (self.free_kbps(s), std::cmp::Reverse(s)))
+    }
+
     /// Admits a stream; panics in debug builds if capacity would be
     /// exceeded (callers must check [`Self::can_admit`] first).
     #[inline]

@@ -21,7 +21,7 @@
 //!   active stream (each needs all stripes) and halts admission until
 //!   recovery, where the replicated cluster degrades by ~1/N.
 
-use crate::failure::{FailurePlan, TransitionKind};
+use crate::failure::{FailurePlan, FaultSchedule, TransitionKind};
 use crate::metrics::{MetricsCollector, SimReport};
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -139,7 +139,7 @@ impl<'a> StripedSimulation<'a> {
             .saturating_mul(min_link_kbps)
             .saturating_mul(1_000);
 
-        let mut metrics = MetricsCollector::new(self.catalog.len());
+        let mut metrics = MetricsCollector::new(self.catalog.len(), false);
         // (end time, admission epoch, demand in milli-kbps) per active
         // stream. Streams killed by a failure leave their departures in
         // the heap; an epoch older than the current one marks them.
@@ -148,10 +148,12 @@ impl<'a> StripedSimulation<'a> {
         let mut epoch = 0u32;
         let mut down_servers = 0usize;
 
-        let transitions = self.config.failures.transitions();
+        let horizon = self.config.horizon_min;
+        let transitions =
+            FaultSchedule::compile(&self.config.failures, None, self.cluster.len(), horizon)?
+                .transitions;
         let mut next_transition = 0usize;
         let mut next_sample_min = 0.0f64;
-        let horizon = self.config.horizon_min;
         let mut active = 0u32;
 
         let process_until = |t: SimTime,
@@ -193,15 +195,13 @@ impl<'a> StripedSimulation<'a> {
                         }
                         TransitionKind::Down => {
                             // Full coupling: every active stream dies.
-                            metrics.on_disrupted(*active as u64);
+                            metrics.report.disrupted += *active as u64;
                             *active = 0;
                             *used = 0;
                             *epoch += 1;
                             *down += 1;
                         }
-                        // The comparator models full failures only;
-                        // partial bandwidth degradation of one member is
-                        // outside its (deliberately pessimal) scope.
+                        // A scripted plan carries no brownouts.
                         TransitionKind::BrownoutStart(_) | TransitionKind::BrownoutEnd => {}
                     }
                 } else {

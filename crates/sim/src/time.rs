@@ -20,7 +20,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Converts minutes (e.g. trace arrival times) to ticks, rounding to
-    /// the nearest millisecond.
+    /// the nearest millisecond (saturating at `u64::MAX` ticks).
     #[inline]
     pub fn from_min(minutes: f64) -> SimTime {
         debug_assert!(minutes >= 0.0 && minutes.is_finite());
@@ -46,11 +46,13 @@ impl SimTime {
     }
 }
 
+/// Saturates at the end of time, as [`SimTime::from_min`] and `Sub` do:
+/// an instant past `u64::MAX` ticks never comes, so it stays there.
 impl Add for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -91,6 +93,13 @@ mod tests {
             SimTime::from_secs(60) + SimTime::from_secs(30),
             SimTime(90_000)
         );
+    }
+
+    #[test]
+    fn add_saturates() {
+        let end = SimTime::from_min(1e15);
+        assert_eq!(end, SimTime(u64::MAX));
+        assert_eq!(end + SimTime::from_secs(600), end);
     }
 
     #[test]
