@@ -75,7 +75,7 @@ impl<T: Copy> SnapLog<T> {
 /// Inserts `v` into a sorted vector, keeping it sorted. The hosted-video
 /// lists this maintains are the proposal candidate lists: keeping them
 /// in ascending video order makes an index draw over them pick the same
-/// video the legacy filter-in-index-order scan would.
+/// video the clone-path reference's filter-in-index-order scan would.
 pub(crate) fn sorted_insert(list: &mut Vec<u32>, v: u32) {
     let pos = list.partition_point(|&x| x < v);
     debug_assert!(list.get(pos) != Some(&v), "duplicate hosted entry");

@@ -1,22 +1,14 @@
 //! The generic Metropolis annealer, delta-evaluated.
 //!
 //! Problem-agnostic: anything exposing reversible in-place moves with an
-//! incrementally maintainable energy can be annealed without cloning the
-//! state at every step. The engine is deterministic given the caller's
-//! RNG, making every SA experiment reproducible from a seed.
-//!
-//! Two problem shapes are supported:
-//!
-//! * [`AnnealProblem`] — the move-based API the engine consumes directly:
-//!   `propose_move` / `evaluate_move` / `apply` / `revert`. Problems that
-//!   cache per-state aggregates (see `vod-anneal::problem` and
-//!   `vod-anneal::multirate`) evaluate a move in O(affected) instead of
-//!   O(M·N), which is what makes millions of Metropolis steps cheap.
-//! * [`NeighborProblem`] — the legacy clone-based shape (`energy` +
-//!   `neighbor`). The [`CloneAdapter`] gives any such problem the move
-//!   API for free (each "move" carries the cloned successor state), so
-//!   simple problems keep working unchanged and the pre-delta search
-//!   path stays available for A/B benchmarking.
+//! incrementally maintainable energy ([`AnnealProblem`]:
+//! `propose_move` / `evaluate_move` / `apply` / `revert`) can be
+//! annealed without cloning the state at every step. Problems that cache
+//! per-state aggregates (see `vod-anneal::problem` and
+//! `vod-anneal::multirate`) evaluate a move in O(affected) instead of
+//! O(M·N), which is what makes millions of Metropolis steps cheap. The
+//! engine is deterministic given the caller's RNG, making every SA
+//! experiment reproducible from a seed.
 
 use crate::schedule::CoolingSchedule;
 use rand::Rng;
@@ -97,82 +89,6 @@ pub trait AnnealProblem {
     /// restoring the state (and caches) bit-for-bit. No-op if that
     /// call left the state unchanged.
     fn revert(&self, state: &mut Self::State, mv: &Self::Move);
-
-    /// One-shot delta evaluation: the energy change `mv` would cause,
-    /// with the state left untouched. `None` when the move is
-    /// infeasible. Built from the primitives; provided for harnesses
-    /// and ad-hoc callers — the engine fuses these calls instead.
-    fn energy_delta(&self, state: &mut Self::State, mv: &Self::Move) -> Option<f64> {
-        let before = self.state_energy(state);
-        let after = self.evaluate_move(state, mv)?;
-        self.revert(state, mv);
-        Some(after - before)
-    }
-}
-
-/// The legacy clone-based problem shape: a full-state energy and a
-/// neighborhood move that builds a successor state.
-pub trait NeighborProblem {
-    /// The search-space point.
-    type State: Clone;
-
-    /// Energy of a state; lower is better.
-    fn energy(&self, state: &Self::State) -> f64;
-
-    /// Proposes a random neighbor of `state`.
-    fn neighbor<R: Rng + ?Sized>(&self, state: &Self::State, rng: &mut R) -> Self::State;
-}
-
-/// A move of the [`CloneAdapter`]: the cloned predecessor and successor
-/// states.
-#[derive(Debug, Clone)]
-pub struct CloneMove<S> {
-    prev: S,
-    next: S,
-}
-
-/// Adapter running any [`NeighborProblem`] on the move-based engine.
-/// Each proposal clones the successor (and predecessor, for revert), so
-/// the per-step cost matches the pre-delta clone-and-swap engine; use it
-/// for simple problems and for legacy-path A/B benchmarks.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CloneAdapter<P>(pub P);
-
-impl<P: NeighborProblem> AnnealProblem for CloneAdapter<P> {
-    type State = P::State;
-    type Move = CloneMove<P::State>;
-
-    fn energy(&self, state: &Self::State) -> f64 {
-        self.0.energy(state)
-    }
-
-    fn propose_move<R: Rng + ?Sized>(
-        &self,
-        state: &mut Self::State,
-        rng: &mut R,
-    ) -> Option<Self::Move> {
-        let next = self.0.neighbor(state, rng);
-        Some(CloneMove {
-            prev: state.clone(),
-            next,
-        })
-    }
-
-    fn evaluate_move(&self, _state: &mut Self::State, mv: &Self::Move) -> Option<f64> {
-        // Pure evaluation: nothing is tentatively applied, so the
-        // follow-up revert is a no-op assignment and apply does the
-        // clone-in.
-        Some(self.0.energy(&mv.next))
-    }
-
-    fn apply(&self, state: &mut Self::State, mv: &Self::Move) -> bool {
-        *state = mv.next.clone();
-        true
-    }
-
-    fn revert(&self, state: &mut Self::State, mv: &Self::Move) {
-        *state = mv.prev.clone();
-    }
 }
 
 /// Annealer knobs.
@@ -238,17 +154,6 @@ pub fn anneal<P: AnnealProblem, R: Rng + ?Sized>(
     anneal_with_telemetry(problem, initial, params, rng, &Telemetry::disabled())
 }
 
-/// [`anneal`] for a clone-based [`NeighborProblem`], via the
-/// [`CloneAdapter`].
-pub fn anneal_neighbor<P: NeighborProblem + Clone, R: Rng + ?Sized>(
-    problem: &P,
-    initial: P::State,
-    params: &AnnealParams,
-    rng: &mut R,
-) -> AnnealResult<P::State> {
-    anneal(&CloneAdapter(problem.clone()), initial, params, rng)
-}
-
 /// [`anneal`], recording engine counters and timings into `telemetry`.
 /// With a disabled handle the instrumentation reduces to branches on
 /// `None` and this is identical to [`anneal`].
@@ -301,7 +206,7 @@ pub fn anneal_with_telemetry<P: AnnealProblem, R: Rng + ?Sized>(
             } else {
                 // Rejected by Metropolis, or (vanishingly rare) accepted
                 // but unappliable — e.g. a penalized move kept only for
-                // RNG parity with the legacy penalty path. Either way
+                // RNG parity with the clone-path reference. Either way
                 // the tentative application (if any) is rolled back.
                 problem.revert(&mut current, &mv);
                 rejected += 1;
@@ -351,25 +256,37 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    /// 1-D quadratic over integers: minimum at x = 17.
+    /// 1-D quadratic over integers: minimum at x = 17. A move is the
+    /// `(from, to)` pair of a ±1 step, so `revert` can restore `from`.
     #[derive(Clone, Copy)]
     struct Quadratic;
 
-    impl NeighborProblem for Quadratic {
+    impl AnnealProblem for Quadratic {
         type State = i64;
+        type Move = (i64, i64);
         fn energy(&self, s: &i64) -> f64 {
             let d = (*s - 17) as f64;
             d * d
         }
-        fn neighbor<R: Rng + ?Sized>(&self, s: &i64, rng: &mut R) -> i64 {
-            s + if rng.gen::<bool>() { 1 } else { -1 }
+        fn propose_move<R: Rng + ?Sized>(&self, s: &mut i64, rng: &mut R) -> Option<(i64, i64)> {
+            Some((*s, *s + if rng.gen::<bool>() { 1 } else { -1 }))
+        }
+        fn evaluate_move(&self, _: &mut i64, &(_, to): &(i64, i64)) -> Option<f64> {
+            Some(self.energy(&to))
+        }
+        fn apply(&self, s: &mut i64, &(_, to): &(i64, i64)) -> bool {
+            *s = to;
+            true
+        }
+        fn revert(&self, s: &mut i64, &(from, _): &(i64, i64)) {
+            *s = from;
         }
     }
 
     #[test]
     fn finds_quadratic_minimum() {
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let result = anneal_neighbor(
+        let result = anneal(
             &Quadratic,
             -50,
             &AnnealParams {
@@ -386,7 +303,7 @@ mod tests {
     #[test]
     fn trajectory_is_monotone_non_increasing() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let result = anneal_neighbor(&Quadratic, 1000, &AnnealParams::default(), &mut rng);
+        let result = anneal(&Quadratic, 1000, &AnnealParams::default(), &mut rng);
         assert_eq!(result.trajectory.len(), 100);
         assert!(result.trajectory.windows(2).all(|w| w[1] <= w[0]));
     }
@@ -395,22 +312,9 @@ mod tests {
     fn deterministic_given_seed() {
         let run = |seed| {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            anneal_neighbor(&Quadratic, -5, &AnnealParams::default(), &mut rng).best_state
+            anneal(&Quadratic, -5, &AnnealParams::default(), &mut rng).best_state
         };
         assert_eq!(run(3), run(3));
-    }
-
-    #[test]
-    fn one_shot_energy_delta_leaves_state_untouched() {
-        let adapter = CloneAdapter(Quadratic);
-        let mut state = 10i64;
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let mv = adapter.propose_move(&mut state, &mut rng).unwrap();
-        let before = state;
-        let delta = adapter.energy_delta(&mut state, &mv).unwrap();
-        assert_eq!(state, before);
-        let full = adapter.energy(&mv.next) - adapter.energy(&before);
-        assert_eq!(delta, full);
     }
 
     #[test]
@@ -422,15 +326,14 @@ mod tests {
             epochs: 20,
             steps_per_epoch: 30,
         };
-        let result =
-            anneal_with_telemetry(&CloneAdapter(Quadratic), -50, &params, &mut rng, &telemetry);
+        let result = anneal_with_telemetry(&Quadratic, -50, &params, &mut rng, &telemetry);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("anneal.proposed"), 600);
         assert_eq!(snap.counter("anneal.accepted"), result.accepted);
         assert_eq!(snap.counter("anneal.rejected"), result.rejected);
         assert_eq!(snap.counter("anneal.moves.proposed"), 600);
         assert_eq!(snap.counter("anneal.moves.accepted"), result.accepted);
-        // The adapter always has a candidate, so nothing is infeasible.
+        // Every step has a candidate, so nothing is infeasible.
         assert_eq!(snap.counter("anneal.moves.infeasible"), 0);
         assert_eq!(result.infeasible, 0);
         assert_eq!(snap.counter("anneal.epochs"), 20);
@@ -445,7 +348,7 @@ mod tests {
         let run = |telemetry: &Telemetry| {
             let mut rng = ChaCha8Rng::seed_from_u64(5);
             anneal_with_telemetry(
-                &CloneAdapter(Quadratic),
+                &Quadratic,
                 -30,
                 &AnnealParams::default(),
                 &mut rng,
@@ -463,7 +366,7 @@ mod tests {
     fn hot_chain_accepts_uphill() {
         // At very high temperature nearly everything is accepted.
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let result = anneal_neighbor(
+        let result = anneal(
             &Quadratic,
             0,
             &AnnealParams {
@@ -485,7 +388,7 @@ mod tests {
         // Near-zero temperature: only downhill moves accepted, so from the
         // minimum nothing moves.
         let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let result = anneal_neighbor(
+        let result = anneal(
             &Quadratic,
             17,
             &AnnealParams {

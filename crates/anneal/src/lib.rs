@@ -21,9 +21,9 @@
 //! moves ([`engine::AnnealProblem`]) over search states carrying cached
 //! per-server aggregates ([`problem::ScalableSearch`],
 //! [`multirate::MultiRateSearch`]), so a Metropolis step costs
-//! O(touched servers) instead of a full O(M·N) recompute. Clone-based
-//! problems still work through [`engine::NeighborProblem`] and the
-//! [`engine::CloneAdapter`] (also the legacy path for A/B benchmarks).
+//! O(touched servers) instead of a full O(M·N) recompute. That is the
+//! one search path; the clone-per-step reference it must walk in
+//! lockstep with lives in the workspace's `tests/anneal_differential.rs`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,10 +35,7 @@ pub mod parallel;
 pub mod problem;
 pub mod schedule;
 
-pub use engine::{
-    anneal, anneal_neighbor, anneal_with_telemetry, AnnealParams, AnnealProblem, AnnealResult,
-    CloneAdapter, NeighborProblem,
-};
+pub use engine::{anneal, anneal_with_telemetry, AnnealParams, AnnealProblem, AnnealResult};
 pub use multirate::{
     MultiRateMove, MultiRateProblem, MultiRateSearch, MultiRateState, RatedReplica,
 };

@@ -24,21 +24,22 @@
 //!   replica, with the same decrease-or-drop repair discipline, plus an
 //!   occasional explicit replica drop.
 //!
-//! Like the scalable problem, both search paths are provided: the
-//! legacy clone-based [`NeighborProblem`] and the delta-evaluated
-//! [`AnnealProblem`] over [`MultiRateSearch`] with incrementally
-//! maintained per-server aggregates. One legacy quirk is reproduced
-//! deliberately: an explicit drop was returned *without* repair, so a
-//! drop that overloads the survivors produced an infeasible candidate
-//! whose 1e9-penalized energy went through a Metropolis draw (and was
+//! Like the scalable problem, it anneals through [`AnnealProblem`] over
+//! [`MultiRateSearch`] with incrementally maintained per-server
+//! aggregates, and the workspace's `tests/anneal_differential.rs` keeps
+//! the clone-per-step neighborhood as the reference it must walk in
+//! lockstep with. One quirk of that reference is reproduced
+//! deliberately: an explicit drop is returned *without* repair, so a
+//! drop that overloads the survivors yields an infeasible candidate
+//! whose 1e9-penalized energy goes through a Metropolis draw (and is
 //! rejected for any sane temperature). The delta path proposes the same
 //! drop, detects the violation against cached headroom, and returns the
 //! same penalized candidate energy while keeping the state feasible —
-//! consuming the identical RNG draw, so both paths walk the same
-//! trajectory from the same seed.
+//! consuming the identical RNG draw, so both walk the same trajectory
+//! from the same seed.
 
 use crate::delta::{nth_absent, sorted_insert, sorted_remove, SnapLog, TxnStatus};
-use crate::engine::{AnnealProblem, NeighborProblem};
+use crate::engine::AnnealProblem;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use vod_model::{load, BitRate, ClusterSpec, ModelError, ObjectiveWeights, Popularity, ServerId};
@@ -234,76 +235,14 @@ impl MultiRateProblem {
         self.weights.evaluate_components(quality, state.degree(), l)
     }
 
-    /// Energy (`−O`, plus the legacy 1e9 penalty if infeasible) from a
-    /// full recompute — the reference both search paths must agree with.
+    /// Energy (`−O`, plus a 1e9 penalty if infeasible) from a full
+    /// recompute — what the cached energy must agree with.
     fn scratch_energy(&self, state: &MultiRateState) -> f64 {
         let mut e = -self.objective(state);
         if !self.is_feasible(state) {
             e += 1e9;
         }
         e
-    }
-
-    /// Repairs `server` after a load-increasing move: step down or drop
-    /// the lowest-rate replica hosted there (never a video's last
-    /// replica). Returns false if stuck.
-    fn repair(&self, state: &mut MultiRateState, server: usize) -> bool {
-        let sid = ServerId(server as u32);
-        let mut guard = 0;
-        loop {
-            let spec = &self.cluster.servers()[server];
-            let (storage, bandwidth) = {
-                let mut st = 0u64;
-                let mut bw = 0.0f64;
-                for (v, reps) in state.replicas.iter().enumerate() {
-                    let share = self.pop.get(v) * self.demand / reps.len() as f64;
-                    for r in reps.iter().filter(|r| r.server == sid) {
-                        st += r.rate.storage_bytes(self.duration_s);
-                        bw += share * r.rate.kbps() as f64;
-                    }
-                }
-                (st, bw)
-            };
-            if storage <= spec.storage_bytes && bandwidth <= spec.bandwidth_kbps as f64 + 1e-6 {
-                return true;
-            }
-            guard += 1;
-            if guard > 10_000 {
-                return false;
-            }
-            // Victim: the lowest-rate replica on this server, preferring
-            // ones that can step down; otherwise a droppable one.
-            let mut downgrade: Option<(usize, usize)> = None; // (video, replica idx)
-            let mut droppable: Option<(usize, usize)> = None;
-            for (v, reps) in state.replicas.iter().enumerate() {
-                for (k, r) in reps.iter().enumerate() {
-                    if r.server != sid {
-                        continue;
-                    }
-                    if r.rate.step_down(&self.ladder).is_some()
-                        && downgrade.is_none_or(|(dv, dk)| r.rate < state.replicas[dv][dk].rate)
-                    {
-                        downgrade = Some((v, k));
-                    }
-                    if reps.len() > 1
-                        && droppable.is_none_or(|(dv, dk)| r.rate < state.replicas[dv][dk].rate)
-                    {
-                        droppable = Some((v, k));
-                    }
-                }
-            }
-            if let Some((v, k)) = downgrade {
-                let down = state.replicas[v][k]
-                    .rate
-                    .step_down(&self.ladder)
-                    .expect("checked");
-                state.replicas[v][k].rate = down;
-            } else if let Some((v, k)) = droppable {
-                state.replicas[v].remove(k);
-            } else {
-                return false;
-            }
-        }
     }
 
     /// Wraps a feasible state into the delta-evaluated search
@@ -624,9 +563,12 @@ impl MultiRateSearch {
             .expect("replica hosted on server")
     }
 
-    /// Cached-aggregate mirror of [`MultiRateProblem::repair`]: same
-    /// victim preference (strictly-lowest rate, first video among ties;
-    /// downgrades before drops).
+    /// Repairs `server` after a load-increasing move, over the cached
+    /// aggregates: while it violates (4)/(5), step its lowest-rate
+    /// downgradable replica down a rung, else drop its lowest-rate
+    /// replica of a video with spare copies (strictly-lowest rate, first
+    /// video among ties), never a video's last replica. Returns false if
+    /// stuck.
     fn repair(&mut self, p: &MultiRateProblem, server: usize) -> bool {
         let sid = ServerId(server as u32);
         let mut guard = 0;
@@ -681,7 +623,7 @@ impl MultiRateSearch {
 
     /// Whether the open transaction's net effect on the *state* is the
     /// identity — e.g. an added replica that repair immediately dropped,
-    /// or an upgrade stepped straight back down. The legacy path saw
+    /// or an upgrade stepped straight back down. The reference saw
     /// two equal states there and got an exactly-zero energy delta
     /// (accepting without a Metropolis draw); the caller must reproduce
     /// that by rolling back the (drifted) caches and reporting the
@@ -735,113 +677,12 @@ pub struct MultiRateMove {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MultiRateMoveKind {
     /// Drop `video`'s replica on `server` (an explicit load-shedding
-    /// move; applied without repair, like the legacy path).
+    /// move; applied without repair, like the reference).
     Drop,
     /// Step the rate of `video`'s replica on `server` up one rung.
     Upgrade,
     /// Add a lowest-rate replica of `video` on `server`.
     Add,
-}
-
-/// Legacy clone-based search path (reference implementation).
-impl NeighborProblem for MultiRateProblem {
-    type State = MultiRateState;
-
-    fn energy(&self, state: &MultiRateState) -> f64 {
-        self.scratch_energy(state)
-    }
-
-    fn neighbor<R: Rng + ?Sized>(&self, state: &MultiRateState, rng: &mut R) -> MultiRateState {
-        let mut next = state.clone();
-        let n = self.n_servers();
-        let server = rng.gen_range(0..n);
-        let sid = ServerId(server as u32);
-
-        // Move mix: mostly upgrades and additions, with an occasional
-        // explicit drop so the chain can trade replicas back into rate
-        // headroom (without it, storage-saturated replica-heavy states
-        // are a strong local optimum).
-        let dice = rng.gen_range(0..10);
-        if dice == 0 {
-            let droppable: Vec<(usize, usize)> = next
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, reps)| reps.len() > 1)
-                .flat_map(|(v, reps)| {
-                    reps.iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.server == sid)
-                        .map(move |(k, _)| (v, k))
-                })
-                .collect();
-            if droppable.is_empty() {
-                return state.clone();
-            }
-            let (v, k) = droppable[rng.gen_range(0..droppable.len())];
-            next.replicas[v].remove(k);
-            return next; // unrepaired: an overloading drop is penalized away
-        }
-
-        let mut moved = false;
-        if dice < 5 {
-            // Upgrade one replica hosted on the server.
-            let hosted: Vec<(usize, usize)> = next
-                .replicas
-                .iter()
-                .enumerate()
-                .flat_map(|(v, reps)| {
-                    reps.iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.server == sid)
-                        .map(move |(k, _)| (v, k))
-                })
-                .collect();
-            if !hosted.is_empty() {
-                let (v, k) = hosted[rng.gen_range(0..hosted.len())];
-                if let Some(up) = next.replicas[v][k].rate.step_up(&self.ladder) {
-                    next.replicas[v][k].rate = up;
-                    moved = true;
-                }
-            }
-        }
-        if !moved {
-            // Add a lowest-rate replica of a video absent from the server.
-            let absent: Vec<usize> = next
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, reps)| reps.len() < n && !reps.iter().any(|r| r.server == sid))
-                .map(|(v, _)| v)
-                .collect();
-            if absent.is_empty() {
-                return state.clone();
-            }
-            let v = absent[rng.gen_range(0..absent.len())];
-            next.replicas[v].push(RatedReplica {
-                server: sid,
-                rate: self.ladder[0],
-            });
-        }
-
-        let mut ok = self.repair(&mut next, server);
-        if ok {
-            // Adding/removing replicas shifts shares on other servers too.
-            for j in 0..n {
-                if j != server {
-                    ok = self.repair(&mut next, j);
-                    if !ok {
-                        break;
-                    }
-                }
-            }
-        }
-        if ok && self.is_feasible(&next) {
-            next
-        } else {
-            state.clone()
-        }
-    }
 }
 
 /// Delta-evaluated search path.
@@ -857,7 +698,7 @@ impl AnnealProblem for MultiRateProblem {
         search.cache.energy
     }
 
-    /// Draws the legacy neighborhood's RNG sequence: server, the 0..10
+    /// Draws the reference neighborhood's RNG sequence: server, the 0..10
     /// move die, then an index into the relevant candidate list —
     /// counted and rank-selected from the cached hosted lists, with no
     /// per-call allocation.
@@ -871,7 +712,7 @@ impl AnnealProblem for MultiRateProblem {
         let dice = rng.gen_range(0..10);
         if dice == 0 {
             // Count-then-pick over hosted videos with spare replicas
-            // (the legacy path materialized this list on every call).
+            // (the reference materializes this list on every call).
             let droppable = search.cache.hosted[server]
                 .iter()
                 .filter(|&&v| search.state.replicas[v as usize].len() > 1)
@@ -908,7 +749,7 @@ impl AnnealProblem for MultiRateProblem {
                     });
                 }
                 // Top rung already: fall through to the add branch,
-                // like the legacy `moved = false` path.
+                // like the reference's `moved = false` path.
             }
         }
         let hosted = &search.cache.hosted[server];
@@ -939,8 +780,8 @@ impl AnnealProblem for MultiRateProblem {
                     search.txn.pending = Some(*mv);
                     return Some(search.cache.energy);
                 }
-                // The legacy path returned this infeasible candidate and
-                // let its 1e9-penalized energy lose the Metropolis draw.
+                // The reference returns this infeasible candidate and
+                // lets its 1e9-penalized energy lose the Metropolis draw.
                 // Reproduce the identical draw (and its penalized energy)
                 // while keeping the live state feasible: roll back now
                 // and hand the engine a candidate it will reject.
@@ -963,7 +804,7 @@ impl AnnealProblem for MultiRateProblem {
         let mut ok = search.repair(self, server);
         if ok {
             // Adding replicas shifts request shares on other servers too;
-            // the legacy path re-ran repair everywhere (each run is a
+            // the reference re-runs repair everywhere (each run is a
             // no-op when the server already fits).
             for j in 0..n {
                 if j != server {
@@ -984,7 +825,7 @@ impl AnnealProblem for MultiRateProblem {
             // updates drift even over an identity cycle) and commit an
             // empty transaction, so the candidate energy equals the
             // current energy exactly and the engine accepts without a
-            // Metropolis draw — just like the legacy clone path.
+            // Metropolis draw — just like the clone-path reference.
             search.rollback();
             search.txn.status = TxnStatus::Tentative;
             search.txn.pending = Some(*mv);
@@ -1025,7 +866,7 @@ impl AnnealProblem for MultiRateProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{anneal, anneal_neighbor, AnnealParams};
+    use crate::engine::{anneal, AnnealParams};
     use crate::schedule::CoolingSchedule;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1062,14 +903,16 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_preserves_feasibility_and_identity() {
+    fn walk_preserves_feasibility_and_identity() {
         let p = problem(false);
-        let mut s = p.initial_state();
+        let mut search = p.initial_search();
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         for _ in 0..400 {
-            s = p.neighbor(&s, &mut rng);
-            assert!(p.is_feasible(&s));
-            assert!(s.replicas.iter().all(|r| !r.is_empty()));
+            if let Some(mv) = p.propose_move(&mut search, &mut rng) {
+                p.apply(&mut search, &mv);
+            }
+            assert!(p.is_feasible(search.state()));
+            assert!(search.state().replicas.iter().all(|r| !r.is_empty()));
         }
     }
 
@@ -1078,12 +921,16 @@ mod tests {
         // The defining capability of the extension: walk until some video
         // holds replicas at two different rates.
         let p = problem(false);
-        let mut s = p.initial_state();
+        let mut search = p.initial_search();
         let mut rng = ChaCha8Rng::seed_from_u64(22);
         let mut found = false;
         for _ in 0..2_000 {
-            s = p.neighbor(&s, &mut rng);
-            if s.replicas
+            if let Some(mv) = p.propose_move(&mut search, &mut rng) {
+                p.apply(&mut search, &mv);
+            }
+            if search
+                .state()
+                .replicas
                 .iter()
                 .any(|reps| reps.len() > 1 && reps.iter().any(|r| r.rate != reps[0].rate))
             {
@@ -1112,30 +959,6 @@ mod tests {
         );
         assert!(p.objective(result.best_state.state()) > o0);
         assert!(p.is_feasible(result.best_state.state()));
-    }
-
-    #[test]
-    fn delta_walk_matches_legacy_walk() {
-        // Same seed ⇒ identical trajectories — including the penalized
-        // infeasible-drop candidates, which must consume one Metropolis
-        // draw exactly like the legacy 1e9-penalty path did.
-        for weighted in [false, true] {
-            let p = problem(weighted);
-            let params = AnnealParams {
-                schedule: CoolingSchedule::default_geometric(0.5),
-                epochs: 40,
-                steps_per_epoch: 60,
-            };
-            let mut rng_legacy = ChaCha8Rng::seed_from_u64(31);
-            let legacy = anneal_neighbor(&p, p.initial_state(), &params, &mut rng_legacy);
-            let mut rng_delta = ChaCha8Rng::seed_from_u64(31);
-            let delta = anneal(&p, p.initial_search(), &params, &mut rng_delta);
-            assert_eq!(delta.best_state.state(), &legacy.best_state);
-            assert!((delta.best_energy - legacy.best_energy).abs() < 1e-9);
-            for (a, b) in delta.trajectory.iter().zip(&legacy.trajectory) {
-                assert!((a - b).abs() < 1e-9, "trajectory diverged: {a} vs {b}");
-            }
-        }
     }
 
     #[test]

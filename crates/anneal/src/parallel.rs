@@ -168,27 +168,35 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{CloneAdapter, NeighborProblem};
     use rand::Rng;
 
     /// Rastrigin-flavored 1-D integer landscape with many local minima;
-    /// global minimum at x = 0.
+    /// global minimum at x = 0. A move is the `(from, to)` pair of a
+    /// step of at most 3.
     #[derive(Clone, Copy)]
     struct BumpyLandscape;
 
-    impl NeighborProblem for BumpyLandscape {
+    impl AnnealProblem for BumpyLandscape {
         type State = i64;
+        type Move = (i64, i64);
         fn energy(&self, s: &i64) -> f64 {
             let x = *s as f64 / 10.0;
             x * x + 5.0 * (1.0 - (2.0 * std::f64::consts::PI * x).cos())
         }
-        fn neighbor<R: Rng + ?Sized>(&self, s: &i64, rng: &mut R) -> i64 {
-            s + rng.gen_range(-3i64..=3)
+        fn propose_move<R: Rng + ?Sized>(&self, s: &mut i64, rng: &mut R) -> Option<(i64, i64)> {
+            Some((*s, *s + rng.gen_range(-3i64..=3)))
+        }
+        fn evaluate_move(&self, _: &mut i64, &(_, to): &(i64, i64)) -> Option<f64> {
+            Some(self.energy(&to))
+        }
+        fn apply(&self, s: &mut i64, &(_, to): &(i64, i64)) -> bool {
+            *s = to;
+            true
+        }
+        fn revert(&self, s: &mut i64, &(from, _): &(i64, i64)) {
+            *s = from;
         }
     }
-
-    /// The landscape on the move-based engine, via the adapter.
-    const BUMPY: CloneAdapter<BumpyLandscape> = CloneAdapter(BumpyLandscape);
 
     #[test]
     fn parallel_finds_global_minimum() {
@@ -200,7 +208,7 @@ mod tests {
             schedule: CoolingSchedule::default_geometric(20.0),
             seed: 1,
         };
-        let result = anneal_parallel(&BUMPY, 500, &params);
+        let result = anneal_parallel(&BumpyLandscape, 500, &params);
         assert_eq!(result.best_state, 0, "energy {}", result.best_energy);
     }
 
@@ -211,8 +219,8 @@ mod tests {
             rounds: 3,
             ..Default::default()
         };
-        let a = anneal_parallel(&BUMPY, 100, &params);
-        let b = anneal_parallel(&BUMPY, 100, &params);
+        let a = anneal_parallel(&BumpyLandscape, 100, &params);
+        let b = anneal_parallel(&BumpyLandscape, 100, &params);
         assert_eq!(a.best_state, b.best_state);
         assert_eq!(a.trajectory, b.trajectory);
     }
@@ -231,8 +239,8 @@ mod tests {
                 schedule: CoolingSchedule::default_geometric(5.0),
                 seed: 9,
             };
-            let a = anneal_parallel(&BUMPY, 250, &params);
-            let b = anneal_parallel(&BUMPY, 250, &params);
+            let a = anneal_parallel(&BumpyLandscape, 250, &params);
+            let b = anneal_parallel(&BumpyLandscape, 250, &params);
             assert_eq!(a.best_state, b.best_state, "chains={chains}");
             assert_eq!(a.best_energy.to_bits(), b.best_energy.to_bits());
             let bits = |t: &[f64]| t.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
@@ -253,7 +261,7 @@ mod tests {
             steps_per_epoch: 50,
             ..Default::default()
         };
-        let r = anneal_parallel(&BUMPY, 200, &params);
+        let r = anneal_parallel(&BumpyLandscape, 200, &params);
         assert_eq!(r.trajectory.len(), 20);
         assert!(r.trajectory.windows(2).all(|w| w[1] <= w[0]));
     }
@@ -268,8 +276,8 @@ mod tests {
             schedule: CoolingSchedule::default_geometric(10.0),
             seed: 5,
         };
-        let single = anneal_parallel(&BUMPY, 300, &base);
-        let multi = anneal_parallel(&BUMPY, 300, &ParallelParams { chains: 4, ..base });
+        let single = anneal_parallel(&BumpyLandscape, 300, &base);
+        let multi = anneal_parallel(&BumpyLandscape, 300, &ParallelParams { chains: 4, ..base });
         assert_eq!(single.accepted + single.rejected, 4_000);
         assert_eq!(multi.accepted + multi.rejected, 16_000);
         // Elitist exchange: the result can never be worse than the start.
@@ -286,7 +294,7 @@ mod tests {
             ..Default::default()
         };
         let telemetry = Telemetry::enabled();
-        let r = anneal_parallel_with_telemetry(&BUMPY, 200, &params, &telemetry);
+        let r = anneal_parallel_with_telemetry(&BumpyLandscape, 200, &params, &telemetry);
         let snap = telemetry.snapshot();
         // 2 chains × 3 rounds × 5 epochs × 40 steps.
         assert_eq!(snap.counter("anneal.proposed"), 1_200);

@@ -23,31 +23,29 @@
 //! `w_i · b_i = (p_i · demand / r_i) · b_i` kbps of expected outgoing
 //! traffic, compared against the server's link capacity (constraint 5).
 //!
-//! # Two search paths
+//! # Search path
 //!
-//! The problem implements both engine traits:
+//! The problem implements [`AnnealProblem`] over [`ScalableSearch`], the
+//! delta-evaluated path: the state carries per-server aggregates
+//! (storage used, expected bandwidth load, hosted-video lists, and the
+//! Eq. (1) component sums) that moves update incrementally, so one
+//! Metropolis step costs O(replicas touched) + O(N) for the imbalance
+//! term instead of an O(M·N) full rescan.
 //!
-//! * [`NeighborProblem`] over plain [`ScalableState`] — the original
-//!   clone-and-recompute neighborhood, kept as the reference
-//!   implementation and the legacy side of A/B benchmarks;
-//! * [`AnnealProblem`] over [`ScalableSearch`] — the delta-evaluated
-//!   path: the state carries per-server aggregates (storage used,
-//!   expected bandwidth load, hosted-video lists, and the Eq. (1)
-//!   component sums) that moves update incrementally, so one Metropolis
-//!   step costs O(replicas touched) + O(N) for the imbalance term
-//!   instead of an O(M·N) full rescan. Proposals draw the *same RNG
-//!   sequence* as the legacy neighborhood (hosted lists are kept in
-//!   ascending video order, absent videos are rank-selected from the
-//!   complement), and repair reproduces the legacy victim order, so
-//!   both paths walk identical trajectories from the same seed. Where
-//!   the legacy path returned the unchanged state as a "no-op neighbor"
-//!   (saturated server, unrepairable move) — an accepted move that
-//!   changed nothing and consumed no Metropolis draw — the delta path
-//!   rejects the proposal instead, which is the same search with
-//!   different bookkeeping.
+//! The workspace's `tests/anneal_differential.rs` keeps the plain
+//! clone-and-recompute neighborhood over [`ScalableState`] as the
+//! *reference* and checks that both walk identical trajectories from the
+//! same seed. Proposals draw the reference's RNG sequence (hosted lists
+//! are kept in ascending video order, absent videos are rank-selected
+//! from the complement), and repair reproduces its victim order. Where
+//! the reference returns the unchanged state as a "no-op neighbor"
+//! (saturated server, unrepairable move) — an accepted move that
+//! changes nothing and consumes no Metropolis draw — the delta path
+//! rejects the proposal instead, which is the same search with
+//! different bookkeeping.
 
 use crate::delta::{nth_absent, sorted_insert, sorted_remove, SnapLog, TxnStatus};
-use crate::engine::{AnnealProblem, NeighborProblem};
+use crate::engine::AnnealProblem;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use vod_model::{load, BitRate, ClusterSpec, ModelError, ObjectiveWeights, Popularity, ServerId};
@@ -171,31 +169,6 @@ impl ScalableProblem {
         loads
     }
 
-    /// Whether `server` satisfies constraints (4) and (5) in `state`.
-    fn server_ok(&self, state: &ScalableState, server: usize) -> bool {
-        let spec = &self.cluster.servers()[server];
-        let storage: u64 = state
-            .assignments
-            .iter()
-            .enumerate()
-            .filter(|(_, servers)| servers.contains(&ServerId(server as u32)))
-            .map(|(v, _)| state.rates[v].storage_bytes(self.duration_s))
-            .sum();
-        if storage > spec.storage_bytes {
-            return false;
-        }
-        let load: f64 = state
-            .assignments
-            .iter()
-            .enumerate()
-            .filter(|(_, servers)| servers.contains(&ServerId(server as u32)))
-            .map(|(v, servers)| {
-                self.pop.get(v) * self.demand / servers.len() as f64 * state.rates[v].kbps() as f64
-            })
-            .sum();
-        load <= spec.bandwidth_kbps as f64 + 1e-6
-    }
-
     /// Whether every constraint holds: storage (4), bandwidth (5),
     /// distinct servers (6), `1 ≤ r_i ≤ N` (7), ladder membership.
     pub fn is_feasible(&self, state: &ScalableState) -> bool {
@@ -239,74 +212,14 @@ impl ScalableProblem {
         self.weights.evaluate_components(mean_rate_mbps, degree, l)
     }
 
-    /// Energy (`−O`, plus the legacy 1e9 penalty if infeasible) from a
-    /// full recompute — the reference both search paths must agree with.
+    /// Energy (`−O`, plus a 1e9 penalty if infeasible) from a full
+    /// recompute — what the cached energy must agree with.
     fn scratch_energy(&self, state: &ScalableState) -> f64 {
         let mut e = -self.objective(state);
         if !self.is_feasible(state) {
             e += 1e9;
         }
         e
-    }
-
-    /// Repairs `state` in place after a load-increasing move on `server`:
-    /// while the server violates (4)/(5), step the lowest-rate video on it
-    /// down the ladder, or drop a replica (never the last one). Returns
-    /// false if the violation cannot be repaired.
-    fn repair(&self, state: &mut ScalableState, server: usize) -> bool {
-        let sid = ServerId(server as u32);
-        let mut guard = 0;
-        while !self.server_ok(state, server) {
-            guard += 1;
-            if guard > 10_000 {
-                return false;
-            }
-            // Videos on this server, lowest rate first, least popular
-            // first among ties.
-            let victim = state
-                .assignments
-                .iter()
-                .enumerate()
-                .filter(|(_, servers)| servers.contains(&sid))
-                .map(|(v, _)| v)
-                .min_by(|&a, &b| {
-                    state.rates[a].cmp(&state.rates[b]).then(b.cmp(&a)) // less popular (higher index) first
-                });
-            let Some(v) = victim else {
-                return false; // nothing on the server yet it violates: impossible
-            };
-            if let Some(down) = state.rates[v].step_down(&self.ladder) {
-                state.rates[v] = down;
-            } else if state.assignments[v].len() > 1 {
-                state.assignments[v].retain(|&s| s != sid);
-            } else {
-                // Last replica at the lowest rate: look for any *other*
-                // removable or downgradable video on the server.
-                let other = state
-                    .assignments
-                    .iter()
-                    .enumerate()
-                    .filter(|(u, servers)| {
-                        *u != v
-                            && servers.contains(&sid)
-                            && (state.rates[*u].step_down(&self.ladder).is_some()
-                                || servers.len() > 1)
-                    })
-                    .map(|(u, _)| u)
-                    .next();
-                match other {
-                    Some(u) => {
-                        if let Some(down) = state.rates[u].step_down(&self.ladder) {
-                            state.rates[u] = down;
-                        } else {
-                            state.assignments[u].retain(|&s| s != sid);
-                        }
-                    }
-                    None => return false,
-                }
-            }
-        }
-        true
     }
 
     /// Wraps a feasible state into the delta-evaluated search
@@ -364,8 +277,8 @@ struct ScalableCache {
     /// Expected outgoing kbps per server.
     load: Vec<f64>,
     /// Videos hosted per server, ascending — the proposal candidate
-    /// lists (ascending order keeps RNG draws aligned with the legacy
-    /// filter-in-index-order scans).
+    /// lists (ascending order keeps RNG draws aligned with the
+    /// reference's filter-in-index-order scans).
     hosted: Vec<Vec<u32>>,
     /// `Σ_i b_i` in Mbps (quality component numerator).
     rate_sum_mbps: f64,
@@ -473,7 +386,7 @@ impl ScalableSearch {
     }
 
     /// Cached constraint check for one server — the O(1) replacement
-    /// for the legacy per-server rescan.
+    /// for the reference's per-server rescan.
     fn server_ok(&self, p: &ScalableProblem, server: usize) -> bool {
         let spec = &p.cluster.servers()[server];
         self.cache.storage[server] <= spec.storage_bytes
@@ -570,9 +483,12 @@ impl ScalableSearch {
         });
     }
 
-    /// Cached-aggregate mirror of [`ScalableProblem::repair`]: same
-    /// victim order (lowest rate, then highest video index), same
-    /// decrease-or-drop discipline, same last-replica fallback.
+    /// The paper's constraint repair on `server`, over the cached
+    /// aggregates: while the server violates (4)/(5), step the
+    /// lowest-rate video on it (the highest video index among ties)
+    /// down the ladder, or drop one of its replicas; a video's last
+    /// replica at the lowest rate gives way to the first other video on
+    /// the server that can shrink. Returns false if stuck.
     fn repair(&mut self, p: &ScalableProblem, server: usize) -> bool {
         let mut guard = 0;
         while !self.server_ok(p, server) {
@@ -584,7 +500,7 @@ impl ScalableSearch {
             for &v in &self.cache.hosted[server] {
                 let rate = self.state.rates[v as usize];
                 // `<=` keeps the last (highest-index) video among
-                // rate ties, matching the legacy comparator.
+                // rate ties, matching the reference's comparator.
                 if victim.is_none_or(|(best, _)| rate <= best) {
                     victim = Some((rate, v));
                 }
@@ -639,7 +555,7 @@ impl ScalableSearch {
     /// Whether the open transaction's net effect on the *state* is the
     /// identity — e.g. an upgrade that repair stepped straight back
     /// down, or an added replica that repair immediately dropped. The
-    /// legacy path saw two equal states there and got an exactly-zero
+    /// reference saw two equal states there and got an exactly-zero
     /// energy delta (accepting without a Metropolis draw); the caller
     /// must reproduce that by rolling back the (drifted) caches and
     /// reporting the current energy unchanged.
@@ -695,80 +611,6 @@ enum ScalableMoveKind {
     AddReplica,
 }
 
-/// Legacy clone-based search path (reference implementation).
-impl NeighborProblem for ScalableProblem {
-    type State = ScalableState;
-
-    /// Energy is `−O`; infeasible states (which repair should prevent)
-    /// are pushed out by a large penalty.
-    fn energy(&self, state: &ScalableState) -> f64 {
-        self.scratch_energy(state)
-    }
-
-    fn neighbor<R: Rng + ?Sized>(&self, state: &ScalableState, rng: &mut R) -> ScalableState {
-        let mut next = state.clone();
-        let n = self.n_servers();
-        let server = rng.gen_range(0..n);
-        let sid = ServerId(server as u32);
-
-        let try_upgrade = rng.gen::<bool>();
-        let mut moved = false;
-
-        if try_upgrade {
-            // Raise the rate of a random video hosted on the server.
-            let hosted: Vec<usize> = next
-                .assignments
-                .iter()
-                .enumerate()
-                .filter(|(_, servers)| servers.contains(&sid))
-                .map(|(v, _)| v)
-                .collect();
-            if !hosted.is_empty() {
-                let v = hosted[rng.gen_range(0..hosted.len())];
-                if let Some(up) = next.rates[v].step_up(&self.ladder) {
-                    next.rates[v] = up;
-                    moved = true;
-                }
-            }
-        }
-        if !moved {
-            // Place a new replica of a random absent video on the server.
-            let absent: Vec<usize> = next
-                .assignments
-                .iter()
-                .enumerate()
-                .filter(|(_, servers)| !servers.contains(&sid) && servers.len() < n)
-                .map(|(v, _)| v)
-                .collect();
-            if absent.is_empty() {
-                return state.clone(); // saturated server: no move
-            }
-            let v = absent[rng.gen_range(0..absent.len())];
-            next.assignments[v].push(sid);
-            moved = true;
-        }
-        debug_assert!(moved);
-
-        // The move may overload any server a re-rated video touches.
-        let mut ok = self.repair(&mut next, server);
-        if ok {
-            for j in 0..n {
-                if j != server && !self.server_ok(&next, j) {
-                    ok = self.repair(&mut next, j);
-                    if !ok {
-                        break;
-                    }
-                }
-            }
-        }
-        if ok && self.is_feasible(&next) {
-            next
-        } else {
-            state.clone()
-        }
-    }
-}
-
 /// Delta-evaluated search path.
 impl AnnealProblem for ScalableProblem {
     type State = ScalableSearch;
@@ -782,10 +624,10 @@ impl AnnealProblem for ScalableProblem {
         search.cache.energy
     }
 
-    /// Draws the legacy neighborhood's RNG sequence: server, upgrade
+    /// Draws the reference neighborhood's RNG sequence: server, upgrade
     /// coin, then an index into the hosted (ascending) or absent
     /// (rank-selected) candidate list. Returns `None` exactly where the
-    /// legacy path returned the unchanged state (saturated server).
+    /// reference returns the unchanged state (saturated server).
     fn propose_move<R: Rng + ?Sized>(
         &self,
         search: &mut ScalableSearch,
@@ -809,7 +651,7 @@ impl AnnealProblem for ScalableProblem {
                     });
                 }
                 // Already at the top rung: fall through to add-replica,
-                // like the legacy `moved = false` path.
+                // like the reference's `moved = false` path.
             }
         }
         let hosted = &search.cache.hosted[server];
@@ -853,7 +695,7 @@ impl AnnealProblem for ScalableProblem {
         // Repairing a later server can re-load an earlier one (dropping
         // a replica shifts its request share onto the survivors), so
         // sweep all headrooms once more — the cached equivalent of the
-        // legacy full `is_feasible` recheck.
+        // reference's full `is_feasible` recheck.
         ok = ok && (0..n).all(|j| search.server_ok(self, j));
         if !ok {
             search.rollback();
@@ -864,7 +706,7 @@ impl AnnealProblem for ScalableProblem {
             // updates drift even over an identity cycle) and commit an
             // empty transaction, so the candidate energy equals the
             // current energy exactly and the engine accepts without a
-            // Metropolis draw — just like the legacy clone path.
+            // Metropolis draw — just like the clone-path reference.
             search.rollback();
             search.txn.status = TxnStatus::Tentative;
             search.txn.pending = Some(*mv);
@@ -902,7 +744,7 @@ impl AnnealProblem for ScalableProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{anneal, anneal_neighbor, AnnealParams};
+    use crate::engine::{anneal, AnnealParams};
     use crate::schedule::CoolingSchedule;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -942,24 +784,28 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_preserves_feasibility() {
+    fn walk_preserves_feasibility() {
         let p = small_problem();
-        let mut s = p.initial_state();
+        let mut search = p.initial_search();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         for _ in 0..500 {
-            s = p.neighbor(&s, &mut rng);
-            assert!(p.is_feasible(&s));
+            if let Some(mv) = p.propose_move(&mut search, &mut rng) {
+                p.apply(&mut search, &mv);
+            }
+            assert!(p.is_feasible(search.state()));
         }
     }
 
     #[test]
-    fn neighbor_never_drops_a_video() {
+    fn walk_never_drops_a_video() {
         let p = small_problem();
-        let mut s = p.initial_state();
+        let mut search = p.initial_search();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         for _ in 0..500 {
-            s = p.neighbor(&s, &mut rng);
-            assert!(s.assignments.iter().all(|a| !a.is_empty()));
+            if let Some(mv) = p.propose_move(&mut search, &mut rng) {
+                p.apply(&mut search, &mv);
+            }
+            assert!(search.state().assignments.iter().all(|a| !a.is_empty()));
         }
     }
 
@@ -985,29 +831,6 @@ mod tests {
             "SA failed to improve: {o_best} vs initial {o0}"
         );
         assert!(p.is_feasible(result.best_state.state()));
-    }
-
-    #[test]
-    fn delta_walk_matches_legacy_walk() {
-        // The strongest equivalence check: from the same seed, the
-        // delta-evaluated search and the legacy clone-based search must
-        // visit identical states (the delta path counts legacy "no-op
-        // accepts" as rejections, so only move counters may differ).
-        let p = small_problem();
-        let params = AnnealParams {
-            schedule: CoolingSchedule::default_geometric(0.5),
-            epochs: 40,
-            steps_per_epoch: 60,
-        };
-        let mut rng_legacy = ChaCha8Rng::seed_from_u64(11);
-        let legacy = anneal_neighbor(&p, p.initial_state(), &params, &mut rng_legacy);
-        let mut rng_delta = ChaCha8Rng::seed_from_u64(11);
-        let delta = anneal(&p, p.initial_search(), &params, &mut rng_delta);
-        assert_eq!(delta.best_state.state(), &legacy.best_state);
-        assert!((delta.best_energy - legacy.best_energy).abs() < 1e-9);
-        for (a, b) in delta.trajectory.iter().zip(&legacy.trajectory) {
-            assert!((a - b).abs() < 1e-9, "trajectory diverged: {a} vs {b}");
-        }
     }
 
     #[test]
@@ -1097,7 +920,7 @@ mod tests {
             s.rates[v] = BitRate::STUDIO;
         }
         assert!(!p.is_feasible(&s));
-        assert!(NeighborProblem::energy(&p, &s) > 1e8);
+        assert!(p.scratch_energy(&s) > 1e8);
     }
 
     #[test]
@@ -1143,12 +966,14 @@ mod tests {
     #[test]
     fn constraint_7_respected_after_long_walk() {
         let p = small_problem();
-        let mut s = p.initial_state();
+        let mut search = p.initial_search();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         for _ in 0..300 {
-            s = p.neighbor(&s, &mut rng);
+            if let Some(mv) = p.propose_move(&mut search, &mut rng) {
+                p.apply(&mut search, &mv);
+            }
         }
-        for servers in &s.assignments {
+        for servers in &search.state().assignments {
             assert!(servers.len() <= p.n_servers());
             let mut sorted = servers.clone();
             sorted.sort();

@@ -1,13 +1,12 @@
-//! Simulated-annealing substrate cost: the neighborhood move (with
-//! constraint repair) and energy evaluation, plus a small end-to-end run
-//! on the delta-evaluated engine. The delta-vs-legacy A/B comparison
-//! lives in `sa_hotpath.rs`.
+//! Simulated-annealing substrate cost: a small end-to-end run on the
+//! delta-evaluated engine. Per-step throughput at larger catalogs lives
+//! in `sa_hotpath.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
-use vod_anneal::{anneal, AnnealParams, CoolingSchedule, NeighborProblem, ScalableProblem};
+use vod_anneal::{anneal, AnnealParams, CoolingSchedule, ScalableProblem};
 use vod_model::{BitRate, ClusterSpec, ObjectiveWeights, Popularity, ServerSpec};
 
 fn problem(m: usize) -> ScalableProblem {
@@ -32,19 +31,6 @@ fn problem(m: usize) -> ScalableProblem {
 
 fn bench_anneal(c: &mut Criterion) {
     let mut group = c.benchmark_group("anneal");
-    group.sample_size(20);
-
-    let p = problem(100);
-    let state = p.initial_state();
-    group.bench_function("energy_m100", |b| {
-        b.iter(|| black_box(p.energy(black_box(&state))))
-    });
-
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
-    group.bench_function("neighbor_m100", |b| {
-        b.iter(|| black_box(p.neighbor(black_box(&state), &mut rng)))
-    });
-
     group.sample_size(10);
     group.bench_function("anneal_m50_2k_steps", |b| {
         let p = problem(50);

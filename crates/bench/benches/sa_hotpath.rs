@@ -1,11 +1,10 @@
-//! SA hot-path A/B: the delta-evaluated move engine vs the legacy
-//! clone-per-step path, on both annealing problems.
+//! SA hot path: the delta-evaluated move engine on both annealing
+//! problems.
 //!
 //! Each benchmark runs a fixed budget of Metropolis steps through
-//! `anneal` (delta: `*Search` states with cached per-server aggregates,
-//! O(touched) per step) or `anneal_neighbor` (legacy: clone + full
-//! O(M·N) energy recompute per step) and reports element throughput =
-//! steps/sec. The `perf-smoke` CI gate pins a floor for the delta path
+//! `anneal` over `*Search` states with cached per-server aggregates
+//! (O(touched) per step) and reports element throughput = steps/sec.
+//! The `perf-smoke` CI gate pins a floor for this path
 //! (`sa_steps_per_sec` in `bench/baseline.json`); these benches are the
 //! diagnostic view behind that number.
 
@@ -13,9 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
-use vod_anneal::{
-    anneal, anneal_neighbor, AnnealParams, CoolingSchedule, MultiRateProblem, ScalableProblem,
-};
+use vod_anneal::{anneal, AnnealParams, CoolingSchedule, MultiRateProblem, ScalableProblem};
 use vod_model::{BitRate, ClusterSpec, ObjectiveWeights, Popularity, ServerSpec};
 
 const DURATION_S: u64 = 90 * 60;
@@ -76,57 +73,27 @@ fn params(m: usize, steps: u32) -> AnnealParams {
 }
 
 fn bench_sa_hotpath(c: &mut Criterion) {
-    // (label, catalog size, steps per iteration, legacy steps per iteration)
-    // The legacy path gets a smaller budget at M = 1000 — a full clone
-    // walk at that scale would push one criterion sample past minutes.
-    let scales: &[(&str, usize, u32, u32)] = &[
-        ("m200", 200, 24_000, 6_000),
-        ("m1000", 1_000, 24_000, 1_200),
-    ];
+    // (label, catalog size, steps per iteration)
+    let scales: &[(&str, usize, u32)] = &[("m200", 200, 24_000), ("m1000", 1_000, 24_000)];
 
     let mut group = c.benchmark_group("sa_hotpath");
     group.sample_size(10);
 
-    for &(label, m, steps, legacy_steps) in scales {
-        let p = scalable(m);
+    for &(label, m, steps) in scales {
         group.throughput(Throughput::Elements(u64::from(steps)));
+        let p = scalable(m);
         group.bench_function(format!("scalable_{label}_delta"), |b| {
             b.iter(|| {
                 let mut rng = ChaCha8Rng::seed_from_u64(0xBE);
                 black_box(anneal(&p, p.initial_search(), &params(m, steps), &mut rng))
             })
         });
-        group.throughput(Throughput::Elements(u64::from(legacy_steps)));
-        group.bench_function(format!("scalable_{label}_legacy"), |b| {
-            b.iter(|| {
-                let mut rng = ChaCha8Rng::seed_from_u64(0xBE);
-                black_box(anneal_neighbor(
-                    &p,
-                    p.initial_state(),
-                    &params(m, legacy_steps),
-                    &mut rng,
-                ))
-            })
-        });
 
         let q = multirate(m);
-        group.throughput(Throughput::Elements(u64::from(steps)));
         group.bench_function(format!("multirate_{label}_delta"), |b| {
             b.iter(|| {
                 let mut rng = ChaCha8Rng::seed_from_u64(0xBF);
                 black_box(anneal(&q, q.initial_search(), &params(m, steps), &mut rng))
-            })
-        });
-        group.throughput(Throughput::Elements(u64::from(legacy_steps)));
-        group.bench_function(format!("multirate_{label}_legacy"), |b| {
-            b.iter(|| {
-                let mut rng = ChaCha8Rng::seed_from_u64(0xBF);
-                black_box(anneal_neighbor(
-                    &q,
-                    q.initial_state(),
-                    &params(m, legacy_steps),
-                    &mut rng,
-                ))
             })
         });
     }

@@ -236,23 +236,6 @@ impl AdaptiveRunner {
         Layout::new(self.cluster.len(), assignments)
     }
 
-    /// Replicas that must be copied to bring `old` to `new`: for each
-    /// video, the servers newly holding it.
-    pub fn migration_cost(old: &Layout, new: &Layout) -> u64 {
-        debug_assert_eq!(old.n_videos(), new.n_videos());
-        let mut cost = 0u64;
-        for v in 0..new.n_videos() {
-            let vid = vod_model::VideoId(v as u32);
-            let old_servers = old.replicas_of(vid);
-            cost += new
-                .replicas_of(vid)
-                .iter()
-                .filter(|s| !old_servers.contains(s))
-                .count() as u64;
-        }
-        cost
-    }
-
     /// Runs `days` consecutive peak periods against `drift`, re-planning
     /// per the configured strategy. Deterministic given `rng`.
     pub fn run_days<D: DriftModel, R: Rng + ?Sized>(
@@ -286,7 +269,7 @@ impl AdaptiveRunner {
                 _ => self.plan_from_weights_with(&estimate, previous_layout.as_ref())?,
             };
             let migrated = match &previous_layout {
-                Some(old) => Self::migration_cost(old, &layout),
+                Some(old) => IncrementalPlacement::migration_cost(old, &layout),
                 None => layout.scheme().total(),
             };
 
@@ -509,17 +492,6 @@ mod tests {
             },
         );
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn migration_cost_counts_new_servers_only() {
-        use vod_model::VideoId;
-        let old = Layout::new(3, vec![vec![ServerId(0), ServerId(1)], vec![ServerId(2)]]).unwrap();
-        let new = Layout::new(3, vec![vec![ServerId(0), ServerId(2)], vec![ServerId(2)]]).unwrap();
-        // v0 gains s2 (s0 kept, s1 dropped — drops are free); v1 unchanged.
-        assert_eq!(AdaptiveRunner::migration_cost(&old, &new), 1);
-        assert_eq!(AdaptiveRunner::migration_cost(&old, &old), 0);
-        let _ = VideoId(0);
     }
 
     #[test]

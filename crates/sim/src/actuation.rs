@@ -13,14 +13,16 @@
 //! Two policy layers drive it and therefore *compete for the same
 //! repair-bandwidth budget*:
 //!
-//! * the failure-repair hooks ([`Self::on_failure`] /
-//!   [`Self::on_recovery`] / [`Self::on_brownout`], historically the
+//! * the failure-repair hooks ([`ReplicaActuator::on_failure`] /
+//!   [`ReplicaActuator::on_recovery`] /
+//!   [`ReplicaActuator::on_brownout`], historically the
 //!   `RepairController` that lived in [`crate::repair`]) restore the
 //!   per-video `targets` after outages;
 //! * the online controller ([`crate::controller`]) *moves* the targets
-//!   themselves ([`Self::set_target`]) as observed popularity drifts,
-//!   then fills deficits ([`Self::request_fill`] + [`Self::pump`]) and
-//!   retires the surplus of cooled videos ([`Self::retire_to_target`]).
+//!   themselves ([`ReplicaActuator::set_target`]) as observed popularity
+//!   drifts, then fills deficits ([`ReplicaActuator::request_fill`] +
+//!   [`ReplicaActuator::pump`]) and retires the surplus of cooled videos
+//!   ([`ReplicaActuator::retire_to_target`]).
 //!
 //! Completed copies are attributed to one of the two policies by
 //! [`CopyPurpose`]: a copy that restores a video to (at most) the bound
@@ -35,10 +37,10 @@
 //! replication target and video·minutes with *zero* servable replicas.
 //!
 //! Work is proportional to what changed, not to catalog × cluster:
-//! [`Self::replan`] places only the videos short of their replica count
-//! (the result equals `vod_placement::IncrementalPlacement` run over the
-//! whole content map; DESIGN.md §7 gives the argument), and the
-//! in-flight copies live in an indexed copy book.
+//! [`ReplicaActuator::replan`] places only the videos short of their
+//! replica count (the result equals `vod_placement::IncrementalPlacement`
+//! run over the whole content map; DESIGN.md §7 gives the argument), and
+//! the in-flight copies live in an indexed copy book.
 
 use crate::dispatch::Dispatcher;
 use crate::repair::RepairConfig;

@@ -241,28 +241,24 @@ impl FaultSchedule {
         let (mut outages, brownouts) = model.draw(n_servers, horizon_min);
         outages.extend_from_slice(&plan.outages);
         let outages = FailurePlan::merged(outages)?.outages;
-        // A draw whose `Exp(mttr)` length rounds to nothing yields an
-        // empty episode; refuse it, as `FailurePlan::new` does an outage.
-        if let Some(end) = brownouts
-            .iter()
-            .find_map(|b| b.end_min.filter(|&end| end <= b.start_min))
-        {
-            return Err(ModelError::InvalidParameter {
-                name: "brownout end_min",
-                value: end,
-            });
-        }
         Ok(Self::flatten(&outages, brownouts, n_servers, horizon_min))
     }
 
     /// Flattens outages and brownouts into sorted transitions and meters
     /// the brownout minutes as the engine would accumulate them.
+    /// A brownout whose start and end round to one tick lasts no engine
+    /// time and is dropped: kept, its end would sort before its own
+    /// start and leave the link browned out.
     fn flatten(
         outages: &[Outage],
         mut brownouts: Vec<Brownout>,
         n_servers: usize,
         horizon_min: f64,
     ) -> Self {
+        brownouts.retain(|b| {
+            b.end_min
+                .is_none_or(|end| SimTime::from_min(end) > SimTime::from_min(b.start_min))
+        });
         brownouts.sort_by(|a, b| {
             a.start_min
                 .total_cmp(&b.start_min)
@@ -777,6 +773,24 @@ mod tests {
         );
         // 5 closed minutes, then 80 open ones closed at the horizon.
         assert_eq!(schedule.brownout_min, 85.0);
+    }
+
+    #[test]
+    fn sub_tick_brownout_is_dropped() {
+        // Start and end round to the same millisecond tick.
+        let schedule = FaultSchedule::flatten(
+            &[],
+            vec![Brownout {
+                server: ServerId(0),
+                start_min: 10.0,
+                end_min: Some(10.000001),
+                capacity_frac: 0.5,
+            }],
+            1,
+            90.0,
+        );
+        assert_eq!(schedule.transitions, vec![]);
+        assert_eq!(schedule.brownout_min, 0.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use vod_anneal::{MultiRateProblem, NeighborProblem};
+use vod_anneal::{AnnealProblem, MultiRateProblem};
 use vod_model::{BitRate, ClusterSpec, ObjectiveWeights, Popularity, ServerSpec};
 use vod_placement::traits::PlacementInput;
 use vod_placement::{IncrementalPlacement, PlacementPolicy, SmallestLoadFirstPlacement};
@@ -166,11 +166,16 @@ proptest! {
             false,
         )
         .unwrap();
-        let mut state = problem.initial_state();
+        let mut search = problem.initial_search();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for _ in 0..150 {
-            state = problem.neighbor(&state, &mut rng);
-            prop_assert!(problem.is_feasible(&state));
+            // Commit every move that can be made feasible (no Metropolis
+            // test); `apply` refuses the rest.
+            if let Some(mv) = problem.propose_move(&mut search, &mut rng) {
+                problem.apply(&mut search, &mv);
+            }
+            let state = search.state();
+            prop_assert!(problem.is_feasible(state));
             // Constraint (7) and distinctness per video.
             for reps in &state.replicas {
                 prop_assert!(!reps.is_empty() && reps.len() <= 4);
