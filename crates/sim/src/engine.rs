@@ -29,6 +29,7 @@ use crate::server::LinkState;
 use crate::shard::ShardPlan;
 use crate::time::SimTime;
 use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::time::Instant;
 use vod_model::{
     BitRate, Catalog, ClusterSpec, Layout, ModelError, RedundancyMap, ServerId, VideoId,
 };
@@ -233,6 +234,14 @@ impl<'a> Simulation<'a> {
     /// `sim.controller.promotions`, `sim.controller.demotions`,
     /// `sim.controller.retired`, `sim.controller.copies`,
     /// `sim.controller.bytes_copied`.
+    ///
+    /// Phase clock: an enabled handle also times the background events
+    /// that do more than bookkeeping and publishes each run's totals in
+    /// seconds — histograms `sim.phase.copy_completion_s` (each copy
+    /// completion with the pump it triggers) and `sim.phase.transition_s`
+    /// (each fault transition) when the replica actuator runs, and
+    /// `sim.phase.control_tick_s` (each control tick) with the
+    /// controller on. A disabled handle reads no clock.
     pub fn run_with_telemetry(
         &self,
         trace: &Trace,
@@ -286,7 +295,7 @@ impl<'a> Simulation<'a> {
         let span = telemetry.span("sim.run");
         let outcome = match self.decoupled_plan() {
             Some(plan) => self.run_decoupled(&plan, arrivals)?,
-            None => self.run_core(arrivals, false)?,
+            None => self.run_core(arrivals, false, telemetry.is_enabled())?,
         };
         Ok(self.publish(outcome, telemetry, &span))
     }
@@ -320,12 +329,15 @@ impl<'a> Simulation<'a> {
         for (k, &n) in outcome.shard_events.iter().enumerate() {
             telemetry.shard_events(k).add(n);
         }
+        let phase = |name, secs| telemetry.histogram(name).observe(secs);
         if outcome.actuated {
             count("sim.repair.bytes_copied", report.repair_bytes_copied);
             count("sim.repair.copies", report.repair_copies);
             telemetry
                 .histogram("sim.repair.time_to_redundancy_min")
                 .observe(report.time_to_redundancy_min);
+            phase("sim.phase.copy_completion_s", tally.copy_completion_s);
+            phase("sim.phase.transition_s", tally.transition_s);
         }
         if let Some(c) = outcome.coded {
             // Coded-tier instruments exist only for coded runs, so
@@ -339,6 +351,7 @@ impl<'a> Simulation<'a> {
             }
         }
         if self.config.controller.enabled() {
+            phase("sim.phase.control_tick_s", tally.control_tick_s);
             count("sim.controller.ticks", report.controller_ticks);
             count("sim.controller.backoffs", report.controller_backoffs);
             count("sim.controller.promotions", report.controller_promotions);
@@ -437,7 +450,9 @@ impl<'a> Simulation<'a> {
                 .map(|_| {
                     let (tx, rx) = mpsc::sync_channel(INBOX_DEPTH);
                     outboxes.push(Outbox::new(tx));
-                    scope.spawn(move || self.run_core(Inbox::new(rx), true))
+                    // A decoupled run has no copy, transition or tick to
+                    // time.
+                    scope.spawn(move || self.run_core(Inbox::new(rx), true, false))
                 })
                 .collect();
             let pulled = route_arrivals(arrivals, &plan.video_shard, &mut outboxes);
@@ -537,7 +552,14 @@ impl<'a> Simulation<'a> {
     /// Arrivals are consumed lazily, one at a time, merged against the
     /// `(time, seq)` event queue; the loop never needs the stream's
     /// length or its backing storage.
-    fn run_core<I>(&self, requests: I, capture_samples: bool) -> Result<EngineOutcome, ModelError>
+    /// `phase_clock` times the background phases (see
+    /// [`Simulation::run_with_telemetry`]).
+    fn run_core<I>(
+        &self,
+        requests: I,
+        capture_samples: bool,
+        phase_clock: bool,
+    ) -> Result<EngineOutcome, ModelError>
     where
         I: Iterator<Item = Result<Request, ModelError>>,
     {
@@ -545,7 +567,7 @@ impl<'a> Simulation<'a> {
         // one u32 rate word and one u32 duration word per request
         // instead of chasing the catalog's full `Video` records.
         let videos = VideoTable::new(self.catalog)?;
-        let mut state = self.build_state(capture_samples)?;
+        let mut state = self.build_state(capture_samples, phase_clock)?;
         for req in requests {
             let req = req?;
             let t = SimTime::from_min(req.arrival_min);
@@ -582,7 +604,11 @@ impl<'a> Simulation<'a> {
     /// Binds the mutable run-loop state for one engine pass: the fault
     /// schedule, the actuation layer, coded-serving state and the
     /// departure queue.
-    fn build_state(&self, capture_samples: bool) -> Result<RunState<'a>, ModelError> {
+    fn build_state(
+        &self,
+        capture_samples: bool,
+        phase_clock: bool,
+    ) -> Result<RunState<'a>, ModelError> {
         // Scripted outages plus, when configured, the stochastic model's
         // draws for this horizon (deterministic per the model's seed).
         let faults = FaultSchedule::compile(
@@ -647,6 +673,7 @@ impl<'a> Simulation<'a> {
             fifo_scratch: Vec::new(),
             sample_log: capture_samples.then(Vec::new),
             tally: Tally::default(),
+            phase_clock,
         })
     }
 
@@ -933,7 +960,7 @@ struct EngineOutcome {
     coded: Option<CodedTally>,
 }
 
-/// Integer tallies of one engine pass that the report does not carry.
+/// Tallies of one engine pass that the report does not carry.
 #[derive(Debug, Default, Clone, Copy)]
 struct Tally {
     /// Departures popped in time order or drained at the horizon.
@@ -946,6 +973,12 @@ struct Tally {
     probes: u64,
     /// Peak of concurrently scheduled departures.
     peak_len: usize,
+    /// Phase-clock totals in seconds (0 unless the run's telemetry
+    /// records): control ticks, copy completions with their pump, and
+    /// fault transitions.
+    control_tick_s: f64,
+    copy_completion_s: f64,
+    transition_s: f64,
 }
 
 impl Tally {
@@ -956,6 +989,9 @@ impl Tally {
         self.samples += other.samples;
         self.probes += other.probes;
         self.peak_len += other.peak_len;
+        self.control_tick_s += other.control_tick_s;
+        self.copy_completion_s += other.copy_completion_s;
+        self.transition_s += other.transition_s;
     }
 }
 
@@ -1126,6 +1162,14 @@ struct RunState<'a> {
     fifo_scratch: Vec<u64>,
     /// This pass's event tallies (completed in `finish_core`).
     tally: Tally,
+    /// Whether the background phases are timed into `tally`.
+    phase_clock: bool,
+}
+
+/// Seconds since `started`; 0 when the phase clock is off.
+#[inline]
+fn phase_secs(started: Option<Instant>) -> f64 {
+    started.map_or(0.0, |t| t.elapsed().as_secs_f64())
 }
 
 impl RunState<'_> {
@@ -1169,12 +1213,15 @@ impl RunState<'_> {
                 }
                 self.drain_queue(min_at);
             } else if rep_at == Some(min_at) {
+                let started = self.phase_clock.then(Instant::now);
                 let c = self.actuator.as_mut().ok_or(ModelError::Internal {
                     context: "repair completion due without an actuator",
                 })?;
                 c.complete_next(&mut self.links, &mut self.dispatcher)?;
+                self.tally.copy_completion_s += phase_secs(started);
                 self.drain_queue(min_at);
             } else if tr_at == Some(min_at) {
+                let started = self.phase_clock.then(Instant::now);
                 let tr = self.transitions[self.next_transition];
                 self.next_transition += 1;
                 match tr.kind {
@@ -1185,6 +1232,7 @@ impl RunState<'_> {
                     }
                     TransitionKind::BrownoutEnd => self.on_brownout_end(tr.at, tr.server),
                 }
+                self.tally.transition_s += phase_secs(started);
                 self.drain_queue(min_at);
             } else if aband_at == Some(min_at) {
                 let req = self
@@ -1219,6 +1267,7 @@ impl RunState<'_> {
                 }
                 self.sample.advance();
             } else {
+                let started = self.phase_clock.then(Instant::now);
                 let c = self.actuator.as_mut().ok_or(ModelError::Internal {
                     context: "control tick due without an actuation layer",
                 })?;
@@ -1226,6 +1275,7 @@ impl RunState<'_> {
                     context: "control tick due without a drift controller",
                 })?;
                 d.tick(min_at, c, &mut self.links, &mut self.dispatcher);
+                self.tally.control_tick_s += phase_secs(started);
                 self.ctrl.advance();
             }
             self.audit_check(min_at)?;
@@ -2230,6 +2280,9 @@ mod tests {
         // 90-min horizon, 1-min cadence: samples at 0..=90.
         assert_eq!(snap.counter("sim.samples"), 91);
         assert_eq!(snap.histogram("sim.run").count, 1);
+        // No actuator, no controller: no phase to clock.
+        assert_eq!(snap.histogram("sim.phase.copy_completion_s").count, 0);
+        assert_eq!(snap.histogram("sim.phase.control_tick_s").count, 0);
         assert_eq!(snap.histogram("sim.engine.events_per_sec").count, 1);
         assert!(snap.histogram("sim.engine.events_per_sec").min > 0.0);
         assert_eq!(
@@ -2894,6 +2947,41 @@ mod tests {
         assert!(r.controller_backoffs >= 4, "{}", r.controller_backoffs);
         assert!(r.controller_promotions >= 1);
         assert!(r.is_conservative());
+    }
+
+    #[test]
+    fn phase_clock_times_ticks_copies_and_transitions() {
+        // The back-off world: an outage (two transitions), repair and
+        // controller copies, and eighteen control ticks.
+        let (catalog, cluster, layout) = controller_world();
+        let cfg = SimConfig {
+            failures: FailurePlan::new(vec![Outage {
+                server: ServerId(3),
+                down_at_min: 1.0,
+                up_at_min: Some(22.0),
+            }])
+            .unwrap(),
+            ..controller_cfg(5.0)
+        };
+        let sim = Simulation::new(&catalog, &cluster, &layout, cfg).unwrap();
+        let telemetry = Telemetry::enabled();
+        let timed = sim
+            .run_with_telemetry(&drifting_trace(), &telemetry)
+            .unwrap();
+        assert!(timed.controller_copies > 0);
+        let snap = telemetry.snapshot();
+        for name in [
+            "sim.phase.control_tick_s",
+            "sim.phase.copy_completion_s",
+            "sim.phase.transition_s",
+        ] {
+            // One per-run total, and the clock read something.
+            let h = snap.histogram(name);
+            assert_eq!(h.count, 1, "{name}");
+            assert!(h.sum > 0.0, "{name}");
+        }
+        // Timing moves no outcome.
+        assert_eq!(timed, sim.run(&drifting_trace()).unwrap());
     }
 
     #[test]
