@@ -136,16 +136,25 @@ impl LinkState {
     /// Among `candidates`, the server with the most free bandwidth that
     /// can admit `kbps`, ties to the lowest id — the one "most free
     /// link" rule of least-loaded dispatch, backbone proxies and
-    /// failover.
+    /// failover. Branch-free: see [`pick_most_free`].
     #[inline]
     pub(crate) fn most_free(
         &self,
         candidates: impl Iterator<Item = ServerId>,
         kbps: u64,
     ) -> Option<ServerId> {
-        candidates
-            .filter(|&s| self.can_admit(s, kbps))
-            .max_by_key(|&s| (self.free_kbps(s), std::cmp::Reverse(s)))
+        pick_most_free(
+            candidates.map(|s| {
+                let j = s.index();
+                Link {
+                    id: s,
+                    up: self.up[j],
+                    committed: self.used_kbps[j] + self.repair_kbps[j],
+                    effective: self.effective_kbps[j],
+                }
+            }),
+            kbps,
+        )
     }
 
     /// Admits a stream; panics in debug builds if capacity would be
@@ -237,9 +246,48 @@ impl LinkState {
     }
 }
 
+/// One candidate link as [`pick_most_free`] sees it.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    id: ServerId,
+    up: bool,
+    /// Streaming plus repair kbps.
+    committed: u64,
+    /// Brownout-adjusted capacity in kbps.
+    effective: u64,
+}
+
+/// The body of [`LinkState::most_free`], without a branch per link.
+/// Each link maps to one packed key, compared as a pair of words — its
+/// free kbps, then an admit bit above its inverted id — or to `(0, 0)`
+/// when it is down or `kbps` does not fit (the answer of
+/// [`LinkState::can_admit`]); the largest key names the winner. Free
+/// bandwidth is exact on an admissible link, whose commitments plus
+/// `kbps` fit under its capacity, and the admit bit keeps a fit with
+/// nothing to spare, id `u32::MAX` included, above every refusal. The
+/// running maximum moves by unpredictable selects, which keeps the
+/// compiler from turning them back into a branch.
+#[inline]
+fn pick_most_free(links: impl Iterator<Item = Link>, kbps: u64) -> Option<ServerId> {
+    use std::hint::select_unpredictable as select;
+    let (_, best) = links
+        .map(|l| {
+            let admits = l.up & (l.committed + kbps <= l.effective);
+            let mask = u64::from(admits).wrapping_neg();
+            let free = l.effective.wrapping_sub(l.committed);
+            (free & mask, (1 << 32 | u64::from(!l.id.0)) & mask)
+        })
+        .fold((0, 0), |best, key| {
+            let wins = key > best;
+            (select(wins, key.0, best.0), select(wins, key.1, best.1))
+        });
+    (best != 0).then_some(ServerId(!(best as u32)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vod_model::ServerSpec;
 
     fn links(n: usize, kbps: u64) -> LinkState {
@@ -372,6 +420,95 @@ mod tests {
         assert_eq!(l.effective_capacity_kbps(ServerId(0)), 3_000);
         assert!(!l.can_admit(ServerId(0), 3_001));
         assert!(l.can_admit(ServerId(0), 3_000));
+    }
+
+    /// The rule [`LinkState::most_free`] must keep: the links that can
+    /// admit `kbps`, then the most free, ties to the lowest id.
+    fn most_free_reference(l: &LinkState, candidates: &[ServerId], kbps: u64) -> Option<ServerId> {
+        candidates
+            .iter()
+            .copied()
+            .filter(|&s| l.can_admit(s, kbps))
+            .max_by_key(|&s| (l.free_kbps(s), std::cmp::Reverse(s)))
+    }
+
+    proptest! {
+        /// The packed-key pick equals the filter-then-max rule on links
+        /// that are idle, full, down, or committed beyond a brownout,
+        /// over capacities full of ties (zero included), demands from 0
+        /// to past capacity, and candidate lists that are empty, single
+        /// or repeat a server.
+        #[test]
+        fn most_free_matches_filter_then_max(seed in any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let n = rng.gen_range(1..=10usize);
+            let caps = [0u64, 1, 4_000, 10_000];
+            let mut l = LinkState::new(
+                &ClusterSpec::heterogeneous(
+                    (0..n)
+                        .map(|_| ServerSpec {
+                            storage_bytes: 1,
+                            bandwidth_kbps: caps[rng.gen_range(0..caps.len())],
+                        })
+                        .collect(),
+                )
+                .unwrap(),
+            );
+            for j in 0..n {
+                let s = ServerId(j as u32);
+                for _ in 0..rng.gen_range(0..=4) {
+                    let kbps = [1u64, 1_000, 2_000][rng.gen_range(0..3usize)];
+                    if l.can_admit(s, kbps) {
+                        l.admit(s, kbps);
+                    }
+                }
+                if rng.gen_bool(0.3) && l.free_kbps(s) >= 1_000 {
+                    l.reserve_repair(s, 1_000);
+                }
+                if rng.gen_bool(0.3) {
+                    // Often commits the link beyond its new capacity.
+                    l.set_brownout(s, [0.1, 0.5, 1.0][rng.gen_range(0..3usize)]);
+                }
+                if rng.gen_bool(0.2) {
+                    l.fail(s);
+                }
+            }
+            let candidates: Vec<ServerId> = (0..rng.gen_range(0..=n + 2))
+                .map(|_| ServerId(rng.gen_range(0..n as u32)))
+                .collect();
+            for kbps in [0, 1, 1_000, 4_000, 10_000, 10_001, rng.gen_range(0..=20_000)] {
+                prop_assert_eq!(
+                    l.most_free(candidates.iter().copied(), kbps),
+                    most_free_reference(&l, &candidates, kbps)
+                );
+            }
+        }
+
+        /// The key packs ids up to `u32::MAX` and free bandwidth beyond
+        /// 32 bits without losing the order.
+        #[test]
+        fn packed_key_keeps_order_up_to_u32_max(seed in any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let levels = [0u64, 1, 1 << 32, (1 << 62) - 1];
+            let cands: Vec<Link> = (0..rng.gen_range(0..=6))
+                .map(|_| Link {
+                    id: ServerId(u32::MAX - rng.gen_range(0..4u32)),
+                    up: rng.gen_bool(0.8),
+                    committed: levels[rng.gen_range(0..levels.len())],
+                    effective: levels[rng.gen_range(0..levels.len())],
+                })
+                .collect();
+            for kbps in [0, 1, 1 << 32] {
+                let reference = cands
+                    .iter()
+                    .filter(|l| l.up && l.committed + kbps <= l.effective)
+                    .max_by_key(|l| (l.effective - l.committed, std::cmp::Reverse(l.id)))
+                    .map(|l| l.id);
+                prop_assert_eq!(pick_most_free(cands.iter().copied(), kbps), reference);
+            }
+        }
     }
 
     #[test]
