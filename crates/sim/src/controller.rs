@@ -139,6 +139,49 @@ impl PartialOrd for Bid {
     }
 }
 
+impl Bid {
+    /// Whether this bid is worth at least `cut`: `rate / next_degree ≥
+    /// cut`, exactly.
+    #[inline]
+    fn reaches(&self, cut: u64) -> bool {
+        u128::from(self.rate) >= u128::from(cut) * u128::from(self.next_degree)
+    }
+}
+
+/// Division by a run-time constant `d ≥ 1` as a multiply and two shifts,
+/// exact for every `u64` dividend: the round-up method of Granlund &
+/// Montgomery (PLDI 1994, Fig. 4.1), as libdivide applies it. With
+/// `ℓ = ⌈log₂ d⌉` and `m = ⌊2⁶⁴ (2^ℓ − d) / d⌋ + 1`, `n / d` is
+/// `(t + ((n − t) >> min(ℓ, 1))) >> max(ℓ − 1, 0)` where `t` is the high
+/// word of `m · n`.
+#[derive(Debug, Clone, Copy)]
+struct Reciprocal {
+    magic: u64,
+    shift1: u32,
+    shift2: u32,
+}
+
+impl Reciprocal {
+    fn new(d: u64) -> Self {
+        assert!(d > 0, "division by zero");
+        let l = 64 - (d - 1).leading_zeros();
+        // 2^ℓ − d < d, so the quotient stays below 2⁶⁴.
+        let magic = ((((1u128 << l) - u128::from(d)) << 64) / u128::from(d)) as u64 + 1;
+        Reciprocal {
+            magic,
+            shift1: l.min(1),
+            shift2: l.saturating_sub(1),
+        }
+    }
+
+    /// `n / d`.
+    #[inline]
+    fn div(self, n: u64) -> u64 {
+        let t = ((u128::from(self.magic) * u128::from(n)) >> 64) as u64;
+        (t + ((n - t) >> self.shift1)) >> self.shift2
+    }
+}
+
 /// Sensing and decision state of the online controller. The engine
 /// feeds it observed arrivals ([`Self::observe`]) and fires
 /// [`Self::tick`] on the control cadence; actuation goes through the
@@ -148,6 +191,8 @@ pub(crate) struct DriftController {
     cfg: ControllerConfig,
     /// Arrivals per video since the last tick.
     window: Vec<u64>,
+    /// Division by the EWMA window (see [`Self::fold`]).
+    per_window: Reciprocal,
     /// Fixed-point (16.16) EWMA of per-tick arrival counts.
     est: Vec<u64>,
     /// The first tick seeds the estimator directly from its window.
@@ -162,9 +207,9 @@ pub(crate) struct DriftController {
     /// Scratch: the apportionment's bid heap storage, and the videos a
     /// tick would raise and may lower.
     bids: Vec<Bid>,
-    /// Where the next apportionment tries to cut the bids it grants
-    /// without the heap (a hint: see [`Self::apportion`]).
-    threshold: u64,
+    /// The value of the last apportionment's last grant, from which the
+    /// next one guesses its thresholds (see [`Self::apportion`]).
+    last_grant: u64,
     raises: Vec<u32>,
     lowers: Vec<u32>,
     // Stats (published as `sim.controller.*` and in the report).
@@ -180,13 +225,14 @@ impl DriftController {
         DriftController {
             cfg,
             window: vec![0; n_videos],
+            per_window: Reciprocal::new(u64::from(cfg.ewma_window_ticks)),
             est: vec![0; n_videos],
             seeded: false,
             cool: vec![0; n_videos],
             desired: vec![0; n_videos],
             weights: vec![0; n_videos],
             bids: Vec::new(),
-            threshold: 0,
+            last_grant: 0,
             raises: Vec::new(),
             lowers: Vec::new(),
             ticks: 0,
@@ -246,6 +292,23 @@ impl DriftController {
         used * 100 > cap * OVERLOAD_HEADROOM_PCT
     }
 
+    /// Folds the arrival window into the EWMA and clears it: the first
+    /// fold seeds each estimate with its window, later ones move it by
+    /// `1/k` of the gap (`k` = the EWMA window), as `e − e/k + obs/k`.
+    fn fold(&mut self) {
+        let k = self.per_window;
+        let seeded = std::mem::replace(&mut self.seeded, true);
+        for (e, w) in self.est.iter_mut().zip(self.window.iter_mut()) {
+            let obs = *w * FP;
+            *e = if seeded {
+                *e - k.div(*e) + k.div(obs)
+            } else {
+                obs
+            };
+            *w = 0;
+        }
+    }
+
     /// Recomputes desired replication degrees from the rate estimates by
     /// greedy proportional apportionment under the cluster-wide replica
     /// slot budget: every video keeps one replica; each further slot
@@ -254,64 +317,66 @@ impl DriftController {
     /// replica per server. Zero-rate videos never bid beyond degree 1.
     ///
     /// The greedy grants the top bids of a total order (rate / degree
-    /// descending, then video id). The bids strictly above an integer
-    /// threshold `t` are a top slice of that order, so when there are
-    /// no more of them than spare slots they are granted first, in one
-    /// division per video; a heap of each video's next bid grants the
-    /// rest. Last tick's threshold (plus a margin) usually fits;
-    /// `⌈Σ rate / spare slots⌉` always does, since a video at rate `r`
-    /// has at most `r / t` bids above `t`.
-    fn apportion(&mut self, budget: u64, n_servers: usize) {
+    /// descending, then video id), and both shortcuts below take a top
+    /// slice of that order without reordering it:
+    ///
+    /// * The bids strictly above an integer threshold `t` are a top
+    ///   slice, so when there are no more of them than spare slots they
+    ///   are granted first, in one division per video. Last tick's last
+    ///   grant plus a margin usually fits; `⌈Σ rate / spare slots⌉`
+    ///   always does, since a video at rate `r` has at most `r / t` bids
+    ///   above `t`.
+    /// * A heap of each video's next bid grants the rest, but it holds
+    ///   only the bids at or above a cut (last tick's last grant minus a
+    ///   margin); the others wait aside. Every bid outside the heap is
+    ///   below the cut and every bid inside is at or above it, so the
+    ///   heap's top is the greatest bid left. A winner whose next bid
+    ///   falls below the cut joins the ones aside. Should the heap run
+    ///   dry before the budget does, every bid aside is heaped and the
+    ///   greedy goes on over all of them.
+    ///
+    /// Returns whether the heap ran dry and took the bids aside.
+    fn apportion(&mut self, budget: u64, n_servers: usize) -> bool {
         let m = self.est.len() as u64;
         let spare = budget.saturating_sub(m);
         // Bids exist for degrees 2..=max(N, 2): the degree-2 bid is
         // always placed, later ones only below the server count.
         let cap = (n_servers as u64).max(2);
-        let above = |r: u64, t: u64| {
-            if r == 0 {
-                0
-            } else {
-                ((r - 1) / t).clamp(1, cap) - 1
+        let last = self.last_grant;
+        let hint = last.saturating_add(last / 16 + 1);
+        let hinted = (last > 0)
+            .then(|| self.grant_above(hint, cap))
+            .filter(|&granted| granted <= spare);
+        let (t, granted) = match hinted {
+            Some(granted) => (hint, granted),
+            None => {
+                let total: u128 = self.est.iter().map(|&r| u128::from(r)).sum();
+                let safe = if spare == 0 {
+                    u64::MAX
+                } else {
+                    total
+                        .div_ceil(u128::from(spare))
+                        .clamp(1, u128::from(u64::MAX)) as u64
+                };
+                (safe, self.grant_above(safe, cap))
             }
         };
-        let total: u128 = self.est.iter().map(|&r| u128::from(r)).sum();
-        let safe = if spare == 0 {
-            u64::MAX
-        } else {
-            total
-                .div_ceil(u128::from(spare))
-                .clamp(1, u128::from(u64::MAX)) as u64
-        };
-        let hint = self.threshold;
-        let t = if hint > 0
-            && hint < safe
-            && self.est.iter().map(|&r| above(r, hint)).sum::<u64>() <= spare
-        {
-            hint
-        } else {
-            safe
-        };
-        let mut bids = std::mem::take(&mut self.bids);
-        bids.clear();
-        let mut used = m;
-        for (v, (d, &r)) in self.desired.iter_mut().zip(&self.est).enumerate() {
-            let granted = above(r, t);
-            *d = 1 + granted as u32;
-            used += granted;
-            if r > 0 && u64::from(*d) < cap {
-                bids.push(Bid {
-                    rate: r,
-                    next_degree: *d + 1,
-                    video: v as u32,
-                });
-            }
-        }
-        // The winning bid is re-keyed in place: one sift instead of a
-        // pop and a push. Every bid is distinct under the order of
-        // [`Bid`], so the grants do not depend on the heap's layout.
-        let mut heap = BinaryHeap::from(bids);
+        let mut used = m + granted;
+        let mut cut = last.saturating_sub(last / 16 + 1);
+        let mut heap = self.heap_bids(cut, cap);
         let mut last = t;
+        let mut ran_dry = false;
         while used < budget {
+            if heap.is_empty() && cut > 0 {
+                // Every bid left sits below the cut.
+                self.bids = heap.into_vec();
+                cut = 0;
+                heap = self.heap_bids(cut, cap);
+                ran_dry = true;
+            }
+            // The winning bid is re-keyed in place: one sift instead of a
+            // pop and a push. Every bid is distinct under the order of
+            // [`Bid`], so the grants do not depend on the heap's layout.
             let Some(mut top) = heap.peek_mut() else {
                 break;
             };
@@ -320,12 +385,53 @@ impl DriftController {
             used += 1;
             if (top.next_degree as usize) < n_servers {
                 top.next_degree += 1;
+                if !top.reaches(cut) {
+                    PeekMut::pop(top);
+                }
             } else {
                 PeekMut::pop(top);
             }
         }
-        self.threshold = last.saturating_add(last / 16 + 1);
+        self.last_grant = last;
         self.bids = heap.into_vec();
+        ran_dry
+    }
+
+    /// Heaps each video's next bid (for one replica beyond its desired
+    /// degree, below `cap`) that is worth at least `cut`.
+    fn heap_bids(&mut self, cut: u64, cap: u64) -> BinaryHeap<Bid> {
+        let mut bids = std::mem::take(&mut self.bids);
+        bids.clear();
+        for (v, (&d, &r)) in self.desired.iter().zip(&self.est).enumerate() {
+            let bid = Bid {
+                rate: r,
+                next_degree: d + 1,
+                video: v as u32,
+            };
+            if r > 0 && u64::from(d) < cap && bid.reaches(cut) {
+                bids.push(bid);
+            }
+        }
+        BinaryHeap::from(bids)
+    }
+
+    /// Sets every video's desired degree to 1 plus its bids strictly
+    /// above `t ≥ 1` (capped at `cap`) and returns how many bids that
+    /// grants. A bid for degree `d` is above `t` when `d · t < r`, so
+    /// `⌊(r − 1) / t⌋` counts the degrees from 1 up.
+    fn grant_above(&mut self, t: u64, cap: u64) -> u64 {
+        let per_t = Reciprocal::new(t);
+        let mut granted = 0;
+        for (d, &r) in self.desired.iter_mut().zip(&self.est) {
+            let g = if r == 0 {
+                0
+            } else {
+                per_t.div(r - 1).clamp(1, cap) - 1
+            };
+            *d = 1 + g as u32;
+            granted += g;
+        }
+        granted
     }
 
     /// One control tick: fold the arrival window into the EWMA, then —
@@ -344,17 +450,7 @@ impl DriftController {
         dispatcher: &mut Dispatcher,
     ) {
         self.ticks += 1;
-        let k = self.cfg.ewma_window_ticks as u64;
-        for (e, w) in self.est.iter_mut().zip(self.window.iter_mut()) {
-            let obs = *w * FP;
-            *e = if self.seeded {
-                *e - *e / k + obs / k
-            } else {
-                obs
-            };
-            *w = 0;
-        }
-        self.seeded = true;
+        self.fold();
 
         // QoS and outage recovery outrank rebalancing: while a server is
         // down, repair owns the copy budget; while streaming runs hot,
@@ -523,9 +619,12 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Threshold pre-granting reproduces the plain greedy, tick after
-        /// tick (the threshold hint carries over), on rates full of ties
-        /// and zeros, for budgets below, at and far above the catalog.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// Threshold pre-granting and the cut heap reproduce the plain
+        /// greedy, tick after tick (the last grant carries over), on
+        /// rates full of ties and zeros, for budgets below, at and far
+        /// above the catalog.
         #[test]
         fn apportionment_matches_plain_greedy(seed in proptest::prelude::any::<u64>()) {
             use rand::{Rng, SeedableRng};
@@ -551,6 +650,67 @@ mod tests {
                 proptest::prop_assert_eq!(&d.desired, &apportion_reference(&d.est, budget, n));
             }
         }
+
+        /// The reciprocal divides exactly: every window 1..=64 and a
+        /// random `u32` one, over the edge dividends and random ones.
+        #[test]
+        fn reciprocal_matches_division(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let random_k = u64::from(rng.gen_range(1..=u32::MAX));
+            for k in (1..=64u64).chain([random_k]) {
+                let per_k = Reciprocal::new(k);
+                let random_n: u64 = rng.gen();
+                for n in [0, k - 1, k, u64::MAX, random_n, random_n >> rng.gen_range(0..64u32)] {
+                    proptest::prop_assert_eq!(per_k.div(n), n / k, "{} / {}", n, k);
+                }
+            }
+        }
+    }
+
+    /// Both heap paths on a fixed seed: ticks of small upward drift
+    /// leave bids aside below the cut and never run the heap dry; every
+    /// fourth tick halves demand, so the last grant falls below the cut
+    /// and the heap takes every bid aside. Each tick matches the plain
+    /// greedy.
+    #[test]
+    fn apportionment_cut_and_fallback_match_plain_greedy() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(25);
+        let (m, n) = (400usize, 16usize);
+        let budget = 3 * m as u64;
+        let mut d = DriftController::new(m, ControllerConfig::default());
+        d.est = (0..m).map(|_| rng.gen_range(0..1_000u64) * FP).collect();
+        let (mut cut_held, mut ran_dry) = (0, 0);
+        for tick in 1..=12 {
+            if tick % 4 == 0 {
+                d.est.iter_mut().for_each(|r| *r /= 2);
+            } else {
+                for r in &mut d.est {
+                    *r += rng.gen_range(0..=*r / 64);
+                }
+            }
+            let dry = d.apportion(budget, n);
+            // Bids the heap does not hold at the end sat below the cut.
+            let bidding = (0..m)
+                .filter(|&v| d.est[v] > 0 && (d.desired[v] as usize) < n)
+                .count();
+            if dry {
+                ran_dry += 1;
+            } else if d.bids.len() < bidding {
+                cut_held += 1;
+            }
+            assert_eq!(
+                d.desired,
+                apportion_reference(&d.est, budget, n),
+                "tick {tick}"
+            );
+        }
+        assert_eq!(ran_dry, 3, "every halving runs the heap dry");
+        assert_eq!(
+            cut_held, 8,
+            "every drift tick after the first holds the cut"
+        );
     }
 
     #[test]
@@ -574,32 +734,20 @@ mod tests {
         d.window[0] = 100;
         let k = 4u64;
         let mut est = 100 * FP;
-        d.fold_for_test();
+        d.fold();
         assert_eq!(d.est[0], est);
+        assert_eq!(d.window[0], 0);
         // Demand stops: the estimate decays by 1/k per tick, never
         // negative, and matches the closed-form recurrence exactly.
         for _ in 0..10 {
-            d.fold_for_test();
+            d.fold();
             est = est - est / k;
             assert_eq!(d.est[0], est);
         }
         assert!(d.est[0] < 10 * FP);
-    }
-
-    impl DriftController {
-        /// Test-only: run just the estimator fold of a tick.
-        fn fold_for_test(&mut self) {
-            let k = self.cfg.ewma_window_ticks as u64;
-            for (e, w) in self.est.iter_mut().zip(self.window.iter_mut()) {
-                let obs = *w * FP;
-                *e = if self.seeded {
-                    *e - *e / k + obs / k
-                } else {
-                    obs
-                };
-                *w = 0;
-            }
-            self.seeded = true;
-        }
+        // Demand returns: the observation enters with weight 1/k.
+        d.window[0] = 7;
+        d.fold();
+        assert_eq!(d.est[0], est - est / k + 7 * FP / k);
     }
 }
