@@ -271,7 +271,10 @@ pub(crate) struct ReplicaActuator {
     any_coded: bool,
     /// In-flight copies per video.
     in_flight: Vec<u32>,
-    /// Videos that may need a copy (lazily re-checked at pump time).
+    /// Videos that may need a copy: a superset of those whose target
+    /// exceeds their alive plus in-flight count. The pump drops a video
+    /// once that need is gone; every event that raises it again (a
+    /// raised target, a lost holder, an aborted copy) re-inserts it.
     pending: BTreeSet<u32>,
     /// Planned destinations for new copies, refreshed on every topology
     /// or target change; empty entries fall back to a greedy choice.
@@ -882,13 +885,15 @@ impl ReplicaActuator {
     }
 
     /// True when `dst` can receive a new replica of video `v` right now.
-    /// The cheap array checks run first; the index lookups last.
+    /// The cheap array checks run first; the index lookups last — the
+    /// holder test searches `dst`'s sorted `held` list, not a hot video's
+    /// long holder list.
     fn dst_ok(&self, v: usize, dst: ServerId, bw: u64, links: &LinkState) -> bool {
         let j = dst.index();
         self.up[j]
             && self.used_bytes[j] + self.video_bytes[v] <= self.capacity_bytes[j]
             && links.free_kbps(dst) >= bw
-            && !self.holders[v].contains(&dst)
+            && self.held[j].binary_search(&(v as u32)).is_err()
             && !self.copies.heads_to(VideoId(v as u32), dst)
     }
 
@@ -907,6 +912,12 @@ impl ReplicaActuator {
             .iter()
             .map(|&(_, d)| d)
             .find(|&d| self.dst_ok(v, d, bw, links))
+    }
+
+    /// Copies video `v` still needs: its target less its alive and
+    /// in-flight replicas (≤ 0 when none).
+    fn need(&self, v: usize) -> i64 {
+        i64::from(self.targets[v]) - i64::from(self.alive[v]) - i64::from(self.in_flight[v])
     }
 
     /// Starts as many pending copies as bandwidth, storage and the
@@ -940,11 +951,9 @@ impl ReplicaActuator {
                 break;
             }
             let v = vid as usize;
-            let need = self.targets[v] as i64 - self.alive[v] as i64 - self.in_flight[v] as i64;
+            let need = self.need(v);
             if need <= 0 {
-                if self.in_flight[v] == 0 {
-                    self.pending.remove(&vid);
-                }
+                self.pending.remove(&vid);
                 continue;
             }
             for _ in 0..need {
@@ -953,17 +962,17 @@ impl ReplicaActuator {
                 }
                 // A coded reconstruction reads `k` surviving fragments at
                 // once; a replicated copy reads a single source. Sources
-                // rank by most free link, ties to the lowest id —
-                // identical to the old `max_by_key` pick at fan-in 1.
+                // are the holders with the most free link that fits the
+                // copy, ties to the lowest id, picked one at a time.
                 let fan_in = self.min_live[v] as usize;
                 srcs.clear();
-                srcs.extend(
-                    self.holders[v]
-                        .iter()
-                        .copied()
-                        .filter(|&s| links.is_up(s) && links.free_kbps(s) >= bw),
-                );
-                srcs.sort_by_key(|&s| (Reverse(links.free_kbps(s)), s));
+                while srcs.len() < fan_in {
+                    let rest = self.holders[v].iter().copied();
+                    let Some(s) = links.most_free(rest.filter(|s| !srcs.contains(s)), bw) else {
+                        break;
+                    };
+                    srcs.push(s);
+                }
                 if srcs.len() < fan_in {
                     // Fewer than `k` servable fragments: reconstruction
                     // is impossible until a holder recovers.
@@ -1107,7 +1116,7 @@ impl ReplicaActuator {
     pub fn finish(&mut self, horizon_min: f64, links: &mut LinkState, dispatcher: &mut Dispatcher) {
         self.integrate(horizon_min.max(self.last_update_min));
         for c in std::mem::take(&mut self.copies).by_done.into_values() {
-            self.discard(&c, links, dispatcher);
+            self.abort(c, links, dispatcher);
         }
     }
 
@@ -1221,6 +1230,13 @@ impl ReplicaActuator {
             }
         }
         assert_eq!(per_video, self.in_flight, "in-flight counters out of sync");
+        for v in 0..self.holders.len() {
+            assert!(
+                self.need(v) <= 0 || self.pending.contains(&(v as u32)),
+                "video {v} needs {} copies but is not pending",
+                self.need(v)
+            );
+        }
         assert_eq!(dsts, self.copies.dsts, "copy destination index out of sync");
         assert_eq!(ends, self.copies.ends, "copy endpoint index out of sync");
         let repair = self
@@ -1832,6 +1848,10 @@ mod tests {
             if rng.gen_bool(0.4) {
                 let most = (c.holders[v].len() + 1).min(n) as u32;
                 c.set_target(0.0, v, rng.gen_range(1..=most));
+            }
+            // As the failure hook and the controller do.
+            if c.need(v) > 0 {
+                c.request_fill(v);
             }
         }
         let mut weights = || (0..m).map(|_| rng.gen_range(0..4u64)).collect::<Vec<_>>();
