@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the engine's per-event hot path: departure-queue
-//! operations, the dispatcher's replica pick, and alias-table sampling —
-//! the three inner loops every simulated event touches.
+//! operations, the dispatcher's replica pick (on an idle cluster and on
+//! one hot title's long holder list), and alias-table sampling — the
+//! three inner loops every simulated event touches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::{Rng, SeedableRng};
@@ -137,6 +138,44 @@ fn bench_dispatcher_pick(c: &mut Criterion) {
     group.finish();
 }
 
+/// The least-loaded scan over one hot title, as under the online
+/// controller's demand-proportional replication: 64 holders among 256
+/// servers loaded to seeded random levels (some full), so the most free
+/// link sits at an arbitrary place in the holder list.
+fn bench_hot_title_pick(c: &mut Criterion) {
+    const N: u32 = 256;
+    const HOLDERS: usize = 64;
+    let mut group = c.benchmark_group("dispatcher");
+    let cluster = ClusterSpec::homogeneous(
+        N as usize,
+        ServerSpec {
+            storage_bytes: u64::MAX,
+            bandwidth_kbps: 1_000_000,
+        },
+    )
+    .unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(25);
+    let mut links = LinkState::new(&cluster);
+    for j in 0..N {
+        for _ in 0..rng.gen_range(0..=250) {
+            links.admit(ServerId(j), 4_000);
+        }
+    }
+    let mut holders = Vec::with_capacity(HOLDERS);
+    while holders.len() < HOLDERS {
+        let s = ServerId(rng.gen_range(0..N));
+        if !holders.contains(&s) {
+            holders.push(s);
+        }
+    }
+    let mut dispatcher = Dispatcher::new(AdmissionPolicy::LeastLoadedReplica, 1);
+    group.throughput(Throughput::Elements(1));
+    group.bench_function(BenchmarkId::new("pick", "hot_title"), |b| {
+        b.iter(|| black_box(dispatcher.dispatch(VideoId(0), 4_000, &holders, &links)))
+    });
+    group.finish();
+}
+
 /// Walker/Vose alias sampling — the per-arrival video pick.
 fn bench_alias_sample(c: &mut Criterion) {
     let mut group = c.benchmark_group("alias");
@@ -152,6 +191,7 @@ criterion_group!(
     bench_queue_churn,
     bench_queue_extract,
     bench_dispatcher_pick,
+    bench_hot_title_pick,
     bench_alias_sample
 );
 criterion_main!(benches);

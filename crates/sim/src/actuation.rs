@@ -2033,6 +2033,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    // The fault-sequence walks below run `check_invariants` (pending
+    // included) after every hook; CI runs them at 1,024 cases on top of
+    // the workspace-wide cap.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
 
         /// Eq. (4) (per-server storage, counting in-flight reservations)
         /// and replica uniqueness survive any interleaving of failures,

@@ -433,6 +433,8 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
         /// The packed-key pick equals the filter-then-max rule on links
         /// that are idle, full, down, or committed beyond a brownout,
         /// over capacities full of ties (zero included), demands from 0
