@@ -328,14 +328,14 @@ impl DriftController {
     ///   above `t`.
     /// * A heap of each video's next bid grants the rest, but it holds
     ///   only the bids at or above a cut (last tick's last grant minus a
-    ///   margin); the others wait aside. Every bid outside the heap is
-    ///   below the cut and every bid inside is at or above it, so the
-    ///   heap's top is the greatest bid left. A winner whose next bid
-    ///   falls below the cut joins the ones aside. Should the heap run
-    ///   dry before the budget does, every bid aside is heaped and the
-    ///   greedy goes on over all of them.
+    ///   margin). Every bid outside the heap is below the cut and every
+    ///   bid inside is at or above it, so the heap's top is the greatest
+    ///   bid left. A winner whose next bid falls below the cut leaves
+    ///   the heap. Should the heap run dry before the budget does, it is
+    ///   rebuilt from every video's next bid with no cut, and the greedy
+    ///   goes on over all of them.
     ///
-    /// Returns whether the heap ran dry and took the bids aside.
+    /// Returns whether the heap ran dry and was rebuilt.
     fn apportion(&mut self, budget: u64, n_servers: usize) -> bool {
         let m = self.est.len() as u64;
         let spare = budget.saturating_sub(m);
@@ -669,10 +669,10 @@ mod tests {
     }
 
     /// Both heap paths on a fixed seed: ticks of small upward drift
-    /// leave bids aside below the cut and never run the heap dry; every
-    /// fourth tick halves demand, so the last grant falls below the cut
-    /// and the heap takes every bid aside. Each tick matches the plain
-    /// greedy.
+    /// leave bids below the cut out of the heap and never run it dry;
+    /// every fourth tick halves demand, so the last grant falls below
+    /// the cut and the heap is rebuilt from every bid. Each tick matches
+    /// the plain greedy.
     #[test]
     fn apportionment_cut_and_fallback_match_plain_greedy() {
         use rand::{Rng, SeedableRng};
