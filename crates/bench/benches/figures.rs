@@ -9,6 +9,9 @@ use std::hint::black_box;
 use vod_experiments::runner::{build_plan, run_point, Combo};
 use vod_experiments::{bound, quality, sa, PaperSetup};
 use vod_sim::AdmissionPolicy;
+use vod_telemetry::Telemetry;
+
+const RR: AdmissionPolicy = AdmissionPolicy::StaticRoundRobin;
 
 fn reduced_setup() -> PaperSetup {
     PaperSetup {
@@ -27,9 +30,7 @@ fn bench_fig4(c: &mut Criterion) {
         let point = build_plan(&setup, combo, 1.0, 1.4).unwrap();
         group.bench_with_input(BenchmarkId::new(name, "deg1.4_l40"), &combo, |b, _| {
             b.iter(|| {
-                black_box(
-                    run_point(&setup, &point, 40.0, AdmissionPolicy::StaticRoundRobin, 1).unwrap(),
-                )
+                black_box(run_point(&setup, &point, 40.0, RR, 1, &Telemetry::disabled()).unwrap())
             })
         });
     }
@@ -49,8 +50,7 @@ fn bench_fig5(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     black_box(
-                        run_point(&setup, &point, 40.0, AdmissionPolicy::StaticRoundRobin, 2)
-                            .unwrap(),
+                        run_point(&setup, &point, 40.0, RR, 2, &Telemetry::disabled()).unwrap(),
                     )
                 })
             },
@@ -68,9 +68,7 @@ fn bench_fig6(c: &mut Criterion) {
     let point = build_plan(&setup, Combo::CLASS_RR, 1.0, 1.2).unwrap();
     group.bench_function("class_rr_deg1.2_l32", |b| {
         b.iter(|| {
-            black_box(
-                run_point(&setup, &point, 32.0, AdmissionPolicy::StaticRoundRobin, 3).unwrap(),
-            )
+            black_box(run_point(&setup, &point, 32.0, RR, 3, &Telemetry::disabled()).unwrap())
         })
     });
     group.finish();
@@ -149,7 +147,7 @@ fn bench_tables(c: &mut Criterion) {
         ..PaperSetup::default()
     };
     group.bench_function("sa1_reduced", |b| {
-        b.iter(|| black_box(sa::evaluate(&sa_setup, 0.75).unwrap()))
+        b.iter(|| black_box(sa::evaluate(&sa_setup, 0.75, &Telemetry::disabled()).unwrap()))
     });
     group.finish();
 }

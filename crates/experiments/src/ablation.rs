@@ -9,7 +9,7 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{build_plan, run_point_with_telemetry, Combo};
+use crate::runner::{build_plan, run_point, Combo};
 use vod_sim::AdmissionPolicy;
 
 /// The policies compared.
@@ -48,7 +48,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
         let mut cells = vec![format!("{lambda:.0}")];
         let mut redirected_share = 0.0;
         for (k, (name, policy)) in policies().into_iter().enumerate() {
-            let stats = run_point_with_telemetry(
+            let stats = run_point(
                 setup,
                 &point,
                 lambda,
@@ -74,6 +74,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
 mod tests {
     use super::*;
     use crate::runner::run_point;
+    use vod_telemetry::Telemetry;
 
     #[test]
     fn dynamic_policies_never_reject_more() {
@@ -84,14 +85,23 @@ mod tests {
         };
         let point = build_plan(&setup, Combo::ZIPF_SLF, 1.0, 1.2).unwrap();
         let lambda = 44.0; // just past capacity: policies differentiate
-        let strict =
-            run_point(&setup, &point, lambda, AdmissionPolicy::StaticRoundRobin, 3).unwrap();
+        let off = Telemetry::disabled();
+        let strict = run_point(
+            &setup,
+            &point,
+            lambda,
+            AdmissionPolicy::StaticRoundRobin,
+            3,
+            &off,
+        )
+        .unwrap();
         let failover = run_point(
             &setup,
             &point,
             lambda,
             AdmissionPolicy::RoundRobinFailover,
             3,
+            &off,
         )
         .unwrap();
         // Failover admits whenever strict would (same trace), so it should

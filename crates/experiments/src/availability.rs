@@ -67,13 +67,8 @@ fn run_with_failures(
 }
 
 /// Computes the sweep: degree × policy, one server down at minute 30.
-pub fn compute(setup: &PaperSetup) -> Result<Vec<AvailabilityRow>, Box<dyn std::error::Error>> {
-    compute_with_telemetry(setup, &Telemetry::disabled())
-}
-
-/// [`compute`], recording every run's `sim.*` instruments into
-/// `telemetry`.
-pub fn compute_with_telemetry(
+/// Records every run's `sim.*` instruments into `telemetry`.
+pub fn compute(
     setup: &PaperSetup,
     telemetry: &Telemetry,
 ) -> Result<Vec<AvailabilityRow>, Box<dyn std::error::Error>> {
@@ -113,7 +108,7 @@ pub fn compute_with_telemetry(
 
 /// Regenerates the A-2 table.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
-    let rows = compute_with_telemetry(setup, reporter.telemetry())?;
+    let rows = compute(setup, reporter.telemetry())?;
     let mut table = Table::new(
         "A-2: rejection under a server failure at minute 30 \
          (zipf+slf plan, λ = 75% of capacity, θ = 1.0)",
@@ -143,7 +138,7 @@ mod tests {
             runs: 3,
             ..PaperSetup::default()
         };
-        let rows = compute(&setup).unwrap();
+        let rows = compute(&setup, &Telemetry::disabled()).unwrap();
         let get = |degree: f64, policy: &str| {
             rows.iter()
                 .find(|r| r.degree == degree && r.policy == policy)

@@ -59,7 +59,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 use vod_anneal::{anneal_with_telemetry, AnnealParams, CoolingSchedule, ScalableProblem};
 use vod_experiments::report::Reporter;
-use vod_experiments::runner::{build_plan, run_replications_with_telemetry, Combo};
+use vod_experiments::runner::{build_plan, run_replications, Combo};
 use vod_experiments::PaperSetup;
 use vod_experiments::{
     ablation, availability, bound, coding, controller, drift, fig1, fig2, fig3, fig4, fig5, fig6,
@@ -707,7 +707,7 @@ fn perf_smoke(
     let mut reports = Vec::new();
     let mut iterations = 0u32;
     while iterations < 3 || sim_started.elapsed().as_secs_f64() < 0.5 {
-        reports = run_replications_with_telemetry(
+        reports = run_replications(
             &setup,
             &point,
             lambda,

@@ -198,12 +198,8 @@ fn run_cell(
 }
 
 /// Computes the sweep: scheme (= storage budget) × MTTR.
-pub fn compute(setup: &PaperSetup) -> Result<Vec<CodingRow>, Box<dyn std::error::Error>> {
-    compute_with_telemetry(setup, &Telemetry::disabled())
-}
-
-/// [`compute`], mirroring the coded instruments into `telemetry`.
-pub fn compute_with_telemetry(
+/// Mirrors the coded instruments into `telemetry`.
+pub fn compute(
     setup: &PaperSetup,
     telemetry: &Telemetry,
 ) -> Result<Vec<CodingRow>, Box<dyn std::error::Error>> {
@@ -233,7 +229,7 @@ fn compute_schemes(
 
 /// Regenerates the A-8 table.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
-    let rows = compute_with_telemetry(setup, reporter.telemetry())?;
+    let rows = compute(setup, reporter.telemetry())?;
     emit(reporter, &rows)
 }
 
@@ -307,7 +303,7 @@ mod tests {
 
     #[test]
     fn coding_sweep_trends() {
-        let rows = compute(&tiny()).unwrap();
+        let rows = compute(&tiny(), &Telemetry::disabled()).unwrap();
         assert_eq!(rows.len(), SCHEMES.len() * 2);
         let get = |scheme: &str, mttr: f64| {
             rows.iter()

@@ -227,13 +227,9 @@ fn run_cell(
 
 /// Computes the six cells: {static, controller, oracle} × {fault-free,
 /// stochastic faults}.
-pub fn compute(setup: &PaperSetup) -> Result<Vec<ControllerRow>, Box<dyn std::error::Error>> {
-    compute_with_telemetry(setup, &Telemetry::disabled())
-}
-
-/// [`compute`], recording every run's `sim.*` instruments (including
-/// the `sim.controller.*` family) into `telemetry`.
-pub fn compute_with_telemetry(
+/// Records every run's `sim.*` instruments (including the
+/// `sim.controller.*` family) into `telemetry`.
+pub fn compute(
     setup: &PaperSetup,
     telemetry: &Telemetry,
 ) -> Result<Vec<ControllerRow>, Box<dyn std::error::Error>> {
@@ -297,7 +293,7 @@ pub fn compute_with_telemetry(
 
 /// Regenerates the A-7 table.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
-    let rows = compute_with_telemetry(setup, reporter.telemetry())?;
+    let rows = compute(setup, reporter.telemetry())?;
     let mut table = Table::new(
         "A-7: online replication controller under intra-run drift \
          (zipf+slf plan at degree 1.4, storage degree 1.6, λ = 85% of \
@@ -348,7 +344,7 @@ mod tests {
 
     #[test]
     fn controller_sits_between_static_and_oracle() {
-        let rows = compute(&tiny()).unwrap();
+        let rows = compute(&tiny(), &Telemetry::disabled()).unwrap();
         assert_eq!(rows.len(), 6);
         let get = |mode: &str, failures: bool| {
             rows.iter()

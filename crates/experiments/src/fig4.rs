@@ -13,7 +13,7 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{build_plan, run_point_with_telemetry, Combo};
+use crate::runner::{build_plan, run_point, Combo};
 use vod_sim::AdmissionPolicy;
 
 /// Regenerates the four Figure 4 subplots.
@@ -49,7 +49,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
         for lambda in setup.lambda_sweep() {
             let mut cells = vec![format!("{lambda:.0}")];
             for (k, point) in points.iter().enumerate() {
-                let stats = run_point_with_telemetry(
+                let stats = run_point(
                     setup,
                     point,
                     lambda,
@@ -72,6 +72,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
 mod tests {
     use super::*;
     use crate::runner::run_point;
+    use vod_telemetry::Telemetry;
 
     #[test]
     fn fast_subplot_runs() {
@@ -82,7 +83,8 @@ mod tests {
             ..PaperSetup::default()
         };
         let point = build_plan(&setup, Combo::ZIPF_SLF, 1.0, 1.2).unwrap();
-        let s = run_point(&setup, &point, 40.0, AdmissionPolicy::StaticRoundRobin, 1).unwrap();
+        let policy = AdmissionPolicy::StaticRoundRobin;
+        let s = run_point(&setup, &point, 40.0, policy, 1, &Telemetry::disabled()).unwrap();
         assert!(s.rejection_rate <= 1.0);
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{build_plan, run_point_with_telemetry, Combo};
+use crate::runner::{build_plan, run_point, Combo};
 use vod_sim::AdmissionPolicy;
 
 /// Regenerates the four Figure 5 subplots.
@@ -45,7 +45,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
         for lambda in setup.lambda_sweep() {
             let mut cells = vec![format!("{lambda:.0}")];
             for (k, point) in points.iter().enumerate() {
-                let stats = run_point_with_telemetry(
+                let stats = run_point(
                     setup,
                     point,
                     lambda,

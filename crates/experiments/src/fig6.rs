@@ -20,7 +20,7 @@
 
 use crate::config::PaperSetup;
 use crate::report::{f3, Reporter, Table};
-use crate::runner::{build_plan, run_point_with_telemetry, Combo};
+use crate::runner::{build_plan, run_point, Combo};
 use vod_sim::AdmissionPolicy;
 
 /// Regenerates the two Figure 6 subplots.
@@ -49,7 +49,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
         for lambda in setup.lambda_sweep() {
             let mut cells = vec![format!("{lambda:.0}")];
             for (k, point) in points.iter().enumerate() {
-                let stats = run_point_with_telemetry(
+                let stats = run_point(
                     setup,
                     point,
                     lambda,

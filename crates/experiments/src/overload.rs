@@ -128,13 +128,8 @@ fn run_cell(
 }
 
 /// Computes the sweep: load × patience × retry budget × brownouts.
-pub fn compute(setup: &PaperSetup) -> Result<Vec<OverloadRow>, Box<dyn std::error::Error>> {
-    compute_with_telemetry(setup, &Telemetry::disabled())
-}
-
-/// [`compute`], recording every run's `sim.*` instruments into
-/// `telemetry`.
-pub fn compute_with_telemetry(
+/// Records every run's `sim.*` instruments into `telemetry`.
+pub fn compute(
     setup: &PaperSetup,
     telemetry: &Telemetry,
 ) -> Result<Vec<OverloadRow>, Box<dyn std::error::Error>> {
@@ -194,7 +189,7 @@ pub fn compute_with_telemetry(
 
 /// Regenerates the A-6 table.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
-    let rows = compute_with_telemetry(setup, reporter.telemetry())?;
+    let rows = compute(setup, reporter.telemetry())?;
     let mut table = Table::new(
         "A-6: overload resilience — admission queueing, retries, brownouts \
          (zipf+slf plan, degree 1.2, θ = 1.0, backoff 0.5 min, \
@@ -249,7 +244,7 @@ mod tests {
 
     #[test]
     fn overload_sweep_trends() {
-        let rows = compute(&tiny()).unwrap();
+        let rows = compute(&tiny(), &Telemetry::disabled()).unwrap();
         assert_eq!(rows.len(), 3 * 3 * 2 * 2);
         let get = |load: f64, patience: f64, retries: u32, brownouts: bool| {
             rows.iter()

@@ -134,13 +134,8 @@ fn run_cell(
 }
 
 /// Computes the sweep: MTTR × repair bandwidth × replication degree.
-pub fn compute(setup: &PaperSetup) -> Result<Vec<RecoveryRow>, Box<dyn std::error::Error>> {
-    compute_with_telemetry(setup, &Telemetry::disabled())
-}
-
-/// [`compute`], recording every run's `sim.*` instruments into
-/// `telemetry`.
-pub fn compute_with_telemetry(
+/// Records every run's `sim.*` instruments into `telemetry`.
+pub fn compute(
     setup: &PaperSetup,
     telemetry: &Telemetry,
 ) -> Result<Vec<RecoveryRow>, Box<dyn std::error::Error>> {
@@ -206,7 +201,7 @@ pub fn compute_with_telemetry(
 
 /// Regenerates the A-4 table.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
-    let rows = compute_with_telemetry(setup, reporter.telemetry())?;
+    let rows = compute(setup, reporter.telemetry())?;
     let mut table = Table::new(
         "A-4: online failure recovery under stochastic faults \
          (zipf+slf plan, MTBF = 120 min, λ = 60% of capacity, θ = 1.0)",
@@ -260,7 +255,7 @@ mod tests {
 
     #[test]
     fn recovery_sweep_trends() {
-        let rows = compute(&tiny()).unwrap();
+        let rows = compute(&tiny(), &Telemetry::disabled()).unwrap();
         assert_eq!(rows.len(), 3 * 2 * 3);
         let get = |degree: f64, mttr: f64, kbps: u64| {
             rows.iter()

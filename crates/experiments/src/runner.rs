@@ -120,28 +120,10 @@ pub fn build_plan(
 }
 
 /// Runs `setup.runs` seeded replications at arrival rate `lambda_per_min`
-/// in parallel and averages.
+/// in parallel and averages. Every replication records its `sim.*`
+/// engine instruments into `telemetry` (shared across the worker
+/// threads, so counters accumulate over all runs of the point).
 pub fn run_point(
-    setup: &PaperSetup,
-    point: &PlannedPoint,
-    lambda_per_min: f64,
-    policy: AdmissionPolicy,
-    base_seed: u64,
-) -> Result<PointStats, ModelError> {
-    run_point_with_telemetry(
-        setup,
-        point,
-        lambda_per_min,
-        policy,
-        base_seed,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`run_point`], with every replication recording its `sim.*` engine
-/// instruments into `telemetry` (shared across the worker threads, so
-/// counters accumulate over all runs of the point).
-pub fn run_point_with_telemetry(
     setup: &PaperSetup,
     point: &PlannedPoint,
     lambda_per_min: f64,
@@ -149,14 +131,7 @@ pub fn run_point_with_telemetry(
     base_seed: u64,
     telemetry: &Telemetry,
 ) -> Result<PointStats, ModelError> {
-    let reports = run_replications_with_telemetry(
-        setup,
-        point,
-        lambda_per_min,
-        policy,
-        base_seed,
-        telemetry,
-    )?;
+    let reports = run_replications(setup, point, lambda_per_min, policy, base_seed, telemetry)?;
     Ok(aggregate_with_capacity(
         lambda_per_min,
         &reports,
@@ -164,26 +139,9 @@ pub fn run_point_with_telemetry(
     ))
 }
 
-/// Runs the replications and returns the raw per-run reports.
+/// Runs the replications and returns the raw per-run reports, recording
+/// engine instruments into `telemetry`.
 pub fn run_replications(
-    setup: &PaperSetup,
-    point: &PlannedPoint,
-    lambda_per_min: f64,
-    policy: AdmissionPolicy,
-    base_seed: u64,
-) -> Result<Vec<SimReport>, ModelError> {
-    run_replications_with_telemetry(
-        setup,
-        point,
-        lambda_per_min,
-        policy,
-        base_seed,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`run_replications`], recording engine instruments into `telemetry`.
-pub fn run_replications_with_telemetry(
     setup: &PaperSetup,
     point: &PlannedPoint,
     lambda_per_min: f64,
@@ -298,6 +256,8 @@ pub fn aggregate(lambda_per_min: f64, reports: &[SimReport]) -> PointStats {
 mod tests {
     use super::*;
 
+    const RR: AdmissionPolicy = AdmissionPolicy::StaticRoundRobin;
+
     fn tiny_setup() -> PaperSetup {
         PaperSetup {
             n_videos: 40,
@@ -310,7 +270,7 @@ mod tests {
     fn plan_and_run_roundtrip() {
         let setup = tiny_setup();
         let point = build_plan(&setup, Combo::ZIPF_SLF, 1.0, 1.2).unwrap();
-        let stats = run_point(&setup, &point, 20.0, AdmissionPolicy::StaticRoundRobin, 42).unwrap();
+        let stats = run_point(&setup, &point, 20.0, RR, 42, &Telemetry::disabled()).unwrap();
         assert_eq!(stats.runs, 4);
         assert!(stats.rejection_rate >= 0.0 && stats.rejection_rate <= 1.0);
         assert!(stats.imbalance_cv_pct >= 0.0);
@@ -320,8 +280,8 @@ mod tests {
     fn deterministic_given_seed() {
         let setup = tiny_setup();
         let point = build_plan(&setup, Combo::CLASS_RR, 0.5, 1.4).unwrap();
-        let a = run_point(&setup, &point, 30.0, AdmissionPolicy::StaticRoundRobin, 7).unwrap();
-        let b = run_point(&setup, &point, 30.0, AdmissionPolicy::StaticRoundRobin, 7).unwrap();
+        let a = run_point(&setup, &point, 30.0, RR, 7, &Telemetry::disabled()).unwrap();
+        let b = run_point(&setup, &point, 30.0, RR, 7, &Telemetry::disabled()).unwrap();
         assert_eq!(a, b);
     }
 
@@ -329,8 +289,8 @@ mod tests {
     fn overload_rejects_heavily() {
         let setup = tiny_setup();
         let point = build_plan(&setup, Combo::ZIPF_SLF, 1.0, 1.6).unwrap();
-        let light = run_point(&setup, &point, 8.0, AdmissionPolicy::StaticRoundRobin, 1).unwrap();
-        let heavy = run_point(&setup, &point, 60.0, AdmissionPolicy::StaticRoundRobin, 1).unwrap();
+        let light = run_point(&setup, &point, 8.0, RR, 1, &Telemetry::disabled()).unwrap();
+        let heavy = run_point(&setup, &point, 60.0, RR, 1, &Telemetry::disabled()).unwrap();
         assert!(heavy.rejection_rate > light.rejection_rate);
         assert!(heavy.rejection_rate > 0.2, "{}", heavy.rejection_rate);
     }

@@ -38,14 +38,9 @@ pub struct SaSummary {
     pub trajectory: Vec<f64>,
 }
 
-/// Runs the SA experiment at a planning demand within cluster capacity.
-pub fn evaluate(setup: &PaperSetup, theta: f64) -> Result<SaSummary, Box<dyn std::error::Error>> {
-    evaluate_with_telemetry(setup, theta, &Telemetry::disabled())
-}
-
-/// [`evaluate`], recording the annealer's `anneal.*` instruments into
-/// `telemetry`.
-pub fn evaluate_with_telemetry(
+/// Runs the SA experiment at a planning demand within cluster capacity,
+/// recording the annealer's `anneal.*` instruments into `telemetry`.
+pub fn evaluate(
     setup: &PaperSetup,
     theta: f64,
     telemetry: &Telemetry,
@@ -143,7 +138,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
     );
     let mut summaries = Vec::new();
     for theta in setup.thetas() {
-        let s = evaluate_with_telemetry(setup, theta, reporter.telemetry())?;
+        let s = evaluate(setup, theta, reporter.telemetry())?;
         table.row(vec![
             format!("{theta:.2}"),
             f3(s.initial_objective),
@@ -184,7 +179,7 @@ mod tests {
             runs: 1,
             ..PaperSetup::default()
         };
-        let s = evaluate(&setup, 0.75).unwrap();
+        let s = evaluate(&setup, 0.75, &Telemetry::disabled()).unwrap();
         assert!(
             s.final_objective >= s.initial_objective,
             "annealed {} < initial {}",

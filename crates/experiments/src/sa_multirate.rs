@@ -64,13 +64,8 @@ fn anneal_params(seed: u64, m: usize) -> ParallelParams {
 }
 
 /// Runs the three formulations.
-pub fn compute(setup: &PaperSetup) -> Result<Vec<FormulationSummary>, Box<dyn std::error::Error>> {
-    compute_with_telemetry(setup, &Telemetry::disabled())
-}
-
-/// [`compute`], recording the annealer's `anneal.*` instruments into
-/// `telemetry`.
-pub fn compute_with_telemetry(
+/// Records the annealer's `anneal.*` instruments into `telemetry`.
+pub fn compute(
     setup: &PaperSetup,
     telemetry: &Telemetry,
 ) -> Result<Vec<FormulationSummary>, Box<dyn std::error::Error>> {
@@ -180,7 +175,7 @@ pub fn compute_with_telemetry(
 
 /// Regenerates the SA-2 table.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
-    let rows = compute_with_telemetry(setup, reporter.telemetry())?;
+    let rows = compute(setup, reporter.telemetry())?;
     let mut table = Table::new(
         "SA-2: multi-rate replicas (future work) — delivered quality by formulation \
          (θ = 1.0, degree budget 1.4, demand 60% capacity)",
@@ -226,7 +221,7 @@ mod tests {
             runs: 1,
             ..PaperSetup::default()
         };
-        let rows = compute(&setup).unwrap();
+        let rows = compute(&setup, &Telemetry::disabled()).unwrap();
         let get = |name: &str| rows.iter().find(|r| r.name == name).unwrap();
         let single = get("single-rate");
         let eq1 = get("multi-rate eq1");

@@ -18,7 +18,7 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{aggregate, build_plan, replicate, run_point_with_telemetry, Combo};
+use crate::runner::{aggregate, build_plan, replicate, run_point, Combo};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -84,7 +84,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
     );
     let mut cells = Vec::new();
     for lambda in setup.lambda_sweep() {
-        let rep = run_point_with_telemetry(
+        let rep = run_point(
             setup,
             &replicated,
             lambda,

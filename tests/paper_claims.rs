@@ -5,6 +5,7 @@
 use vod_experiments::runner::{aggregate, build_plan, run_replications, Combo};
 use vod_experiments::PaperSetup;
 use vod_sim::AdmissionPolicy;
+use vod_telemetry::Telemetry;
 
 fn setup() -> PaperSetup {
     PaperSetup {
@@ -22,6 +23,7 @@ fn rejection(setup: &PaperSetup, combo: Combo, theta: f64, degree: f64, lambda: 
         lambda,
         AdmissionPolicy::StaticRoundRobin,
         0xC1A1_u64,
+        &Telemetry::disabled(),
     )
     .expect("runs");
     aggregate(lambda, &reports).rejection_rate
@@ -35,6 +37,7 @@ fn imbalance(setup: &PaperSetup, combo: Combo, theta: f64, degree: f64, lambda: 
         lambda,
         AdmissionPolicy::StaticRoundRobin,
         0xC1A2_u64,
+        &Telemetry::disabled(),
     )
     .expect("runs");
     aggregate(lambda, &reports).imbalance_cv_pct

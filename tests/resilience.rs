@@ -779,7 +779,7 @@ fn overload_experiment_is_reproducible() {
     };
     let run = || {
         let telemetry = Telemetry::enabled();
-        let rows = overload::compute_with_telemetry(&setup, &telemetry).unwrap();
+        let rows = overload::compute(&setup, &telemetry).unwrap();
         (serde_json::to_string(&rows).unwrap(), telemetry.snapshot())
     };
     let (rows_a, snap_a) = run();
