@@ -15,6 +15,9 @@
 //! * **failure case** — one server out for minutes 30–60: the striped
 //!   cluster loses *all* service (and every active stream), the
 //!   replicated one degrades gracefully.
+//!
+//! The striped cluster runs on the main engine as one pooled link (see
+//! [`pooled_world`]).
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
@@ -22,8 +25,8 @@ use crate::runner::{aggregate, build_plan, replicate, run_point, Combo};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use vod_model::ServerId;
-use vod_sim::{AdmissionPolicy, FailurePlan, Outage, StripedConfig, StripedSimulation};
+use vod_model::{BitRate, Catalog, ClusterSpec, Layout, ModelError, ServerId, ServerSpec};
+use vod_sim::{AdmissionPolicy, FailurePlan, Outage, SimConfig, Simulation};
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
 
@@ -40,24 +43,102 @@ pub struct StripedCell {
     pub disrupted_mean: f64,
 }
 
+/// The inputs of a [`Simulation`] that replays a striped cluster.
+struct PooledWorld {
+    catalog: Catalog,
+    cluster: ClusterSpec,
+    layout: Layout,
+    config: SimConfig,
+}
+
+/// `setup`'s catalog striped over every link of `cluster` with a
+/// fractional per-stream coordination `overhead`, as one pooled link.
+///
+/// Each stream takes `b(1+overhead)/N` from every one of the N links, so
+/// it fits exactly when one link of N × the weakest link has room for a
+/// `b(1+overhead)` stream, and any member's outage is an outage of the
+/// pooled link: a down server kills every active stream and blocks
+/// admission until it recovers. The pooled world is one server with that
+/// link, holding one copy of every title at `b(1+overhead)` kbps, with
+/// every outage of `failures` moved onto it. Balance is perfect by
+/// construction.
+///
+/// The overhead must be finite, ≥ 0 and give a whole number of kbps; one
+/// copy of the catalog must fit the cluster's total storage, since every
+/// server holds a stripe of every title.
+fn pooled_world(
+    setup: &PaperSetup,
+    cluster: &ClusterSpec,
+    overhead: f64,
+    failures: &FailurePlan,
+) -> Result<PooledWorld, ModelError> {
+    let milli_kbps = (f64::from(setup.bitrate.kbps()) * (1.0 + overhead) * 1_000.0).round();
+    let kbps = milli_kbps / 1_000.0;
+    if !overhead.is_finite() || overhead < 0.0 || kbps.fract() != 0.0 || kbps > f64::from(u32::MAX)
+    {
+        return Err(ModelError::InvalidParameter {
+            name: "overhead",
+            value: overhead,
+        });
+    }
+    let single_copy = setup.catalog()?.single_copy_storage_bytes();
+    let total = cluster.total_storage_bytes();
+    if single_copy > total {
+        return Err(ModelError::InsufficientStorage {
+            required: single_copy,
+            capacity: total,
+        });
+    }
+    failures.validate_servers(cluster.len())?;
+
+    let catalog = Catalog::fixed_rate(
+        setup.n_videos,
+        BitRate::from_kbps(kbps as u32),
+        setup.duration_s,
+    )?;
+    let weakest_kbps = cluster
+        .servers()
+        .iter()
+        .map(|s| s.bandwidth_kbps)
+        .min()
+        .expect("non-empty cluster");
+    let pooled = ClusterSpec::homogeneous(
+        1,
+        ServerSpec {
+            storage_bytes: catalog.single_copy_storage_bytes(),
+            bandwidth_kbps: (cluster.len() as u64).saturating_mul(weakest_kbps),
+        },
+    )?;
+    let layout = Layout::new(1, vec![vec![ServerId(0)]; setup.n_videos])?;
+    let on_pooled_link = failures.outages().iter().map(|o| Outage {
+        server: ServerId(0),
+        ..*o
+    });
+    let config = SimConfig {
+        horizon_min: setup.horizon_min,
+        failures: FailurePlan::merged(on_pooled_link.collect())?,
+        ..SimConfig::default()
+    };
+    Ok(PooledWorld {
+        catalog,
+        cluster: pooled,
+        layout,
+        config,
+    })
+}
+
 fn run_striped(
     setup: &PaperSetup,
     lambda: f64,
     overhead: f64,
-    failures: FailurePlan,
+    failures: &FailurePlan,
     base_seed: u64,
     telemetry: &Telemetry,
 ) -> Result<(f64, f64), Box<dyn std::error::Error>> {
-    let catalog = setup.catalog()?;
     // Same aggregate hardware as the replicated runs at degree 1.2.
-    let cluster = setup.cluster(1.2);
+    let world = pooled_world(setup, &setup.cluster(1.2), overhead, failures)?;
+    let sim = Simulation::new(&world.catalog, &world.cluster, &world.layout, world.config)?;
     let pop = setup.popularity(1.0)?;
-    let config = StripedConfig {
-        overhead,
-        horizon_min: setup.horizon_min,
-        failures,
-    };
-    let sim = StripedSimulation::new(&catalog, &cluster, config)?;
     let generator = TraceGenerator::new(lambda, &pop, setup.horizon_min)?;
     let reports = replicate(setup.runs, base_seed, |seed| {
         let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
@@ -98,7 +179,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
                 setup,
                 lambda,
                 ovh,
-                FailurePlan::none(),
+                &FailurePlan::none(),
                 0xA4,
                 reporter.telemetry(),
             )?;
@@ -122,25 +203,19 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
         down_at_min: 30.0,
         up_at_min: Some(60.0),
     }])?;
-    let (striped_rej, striped_dis) = run_striped(
-        setup,
-        lambda,
-        0.1,
-        outage.clone(),
-        0xA5,
-        reporter.telemetry(),
-    )?;
+    let (striped_rej, striped_dis) =
+        run_striped(setup, lambda, 0.1, &outage, 0xA5, reporter.telemetry())?;
 
     // Replicated counterpart under the identical outage (failover).
     let generator =
         TraceGenerator::new(lambda, replicated.planner().popularity(), setup.horizon_min)?;
-    let config = vod_sim::SimConfig {
+    let config = SimConfig {
         policy: AdmissionPolicy::RoundRobinFailover,
         failures: outage,
         shards: setup.shards,
-        ..vod_sim::SimConfig::default()
+        ..SimConfig::default()
     };
-    let sim = vod_sim::Simulation::new(
+    let sim = Simulation::new(
         replicated.planner().catalog(),
         replicated.planner().cluster(),
         &replicated.plan.layout,
@@ -175,6 +250,206 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vod_sim::SimReport;
+    use vod_workload::{Request, Trace};
+
+    /// 4 ten-minute MPEG-2 titles striped over 4 links of 4,400 kbps.
+    fn small() -> (PaperSetup, ClusterSpec) {
+        let setup = PaperSetup {
+            n_servers: 4,
+            n_videos: 4,
+            duration_s: 600,
+            ..PaperSetup::default()
+        };
+        let cluster = ClusterSpec::homogeneous(
+            4,
+            ServerSpec {
+                storage_bytes: 16 * BitRate::MPEG2.storage_bytes(600),
+                bandwidth_kbps: 4_400,
+            },
+        )
+        .unwrap();
+        (setup, cluster)
+    }
+
+    fn req(min: f64, v: u32) -> Request {
+        Request {
+            arrival_min: min,
+            video: vod_model::VideoId(v),
+        }
+    }
+
+    fn run_pooled(
+        setup: &PaperSetup,
+        cluster: &ClusterSpec,
+        overhead: f64,
+        failures: &FailurePlan,
+        reqs: Vec<Request>,
+    ) -> SimReport {
+        let world = pooled_world(setup, cluster, overhead, failures).unwrap();
+        let sim =
+            Simulation::new(&world.catalog, &world.cluster, &world.layout, world.config).unwrap();
+        sim.run(&Trace::new(reqs).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn aggregate_capacity_gates_admission() {
+        // 4,000 × 1.1 = 4,400 kbps per stream against a pooled 4 × 4,400
+        // kbps link: exactly 4 concurrent streams cluster-wide.
+        let (setup, cluster) = small();
+        let reqs = (0..6).map(|k| req(k as f64 * 0.5, k % 4)).collect();
+        let r = run_pooled(&setup, &cluster, 0.1, &FailurePlan::none(), reqs);
+        assert_eq!(r.admitted, 4);
+        assert_eq!(r.rejected, 2);
+        assert!(r.is_conservative());
+    }
+
+    #[test]
+    fn zero_overhead_admits_more() {
+        let (setup, cluster) = small();
+        let reqs = || (0..5).map(|k| req(k as f64 * 0.5, k % 4)).collect();
+        // 17,600 / 4,000 = 4.4 streams, floored.
+        let r = run_pooled(&setup, &cluster, 0.0, &FailurePlan::none(), reqs());
+        assert_eq!(r.admitted, 4);
+        let heavy = run_pooled(&setup, &cluster, 0.5, &FailurePlan::none(), reqs());
+        assert!(heavy.admitted < r.admitted);
+    }
+
+    #[test]
+    fn departures_release_exactly_what_admission_booked() {
+        // 3 × 1,000 kbps links and a 1,000 kbps title: each stream takes
+        // 1,000/3 kbps per link, which no rounded per-link share books
+        // exactly. Three streams fill the cluster; once the first departs
+        // (t = 10) a fourth fits again.
+        let setup = PaperSetup {
+            n_servers: 3,
+            n_videos: 1,
+            duration_s: 600,
+            bitrate: BitRate::from_kbps(1_000),
+            ..PaperSetup::default()
+        };
+        let cluster = ClusterSpec::homogeneous(
+            3,
+            ServerSpec {
+                storage_bytes: BitRate::from_kbps(1_000).storage_bytes(600),
+                bandwidth_kbps: 1_000,
+            },
+        )
+        .unwrap();
+        let reqs = vec![req(0.0, 0), req(1.0, 0), req(2.0, 0), req(10.5, 0)];
+        let r = run_pooled(&setup, &cluster, 0.0, &FailurePlan::none(), reqs);
+        assert_eq!(r.admitted, 4);
+        assert_eq!(r.rejected, 0);
+    }
+
+    #[test]
+    fn perfect_balance_by_construction() {
+        let (setup, cluster) = small();
+        let world = pooled_world(&setup, &cluster, 0.1, &FailurePlan::none()).unwrap();
+        assert_eq!(world.cluster.len(), 1);
+        let reqs = (0..4).map(|k| req(k as f64, k)).collect();
+        let r = run_pooled(&setup, &cluster, 0.1, &FailurePlan::none(), reqs);
+        assert_eq!(r.mean_imbalance_cv, 0.0);
+        assert_eq!(r.mean_imbalance_maxdev_streams, 0.0);
+    }
+
+    #[test]
+    fn single_failure_kills_everything() {
+        // 3 streams start before server 2 fails; all die at t = 2, the
+        // request during the outage is rejected, and admission resumes
+        // after recovery.
+        let (setup, cluster) = small();
+        let outage = FailurePlan::new(vec![Outage {
+            server: ServerId(2),
+            down_at_min: 2.0,
+            up_at_min: Some(5.0),
+        }])
+        .unwrap();
+        let reqs = vec![
+            req(0.0, 0),
+            req(0.5, 1),
+            req(1.0, 2),
+            req(3.0, 3),
+            req(6.0, 0),
+        ];
+        let r = run_pooled(&setup, &cluster, 0.1, &outage, reqs);
+        assert_eq!(r.disrupted, 3);
+        assert_eq!(r.rejected, 1);
+        assert_eq!(r.admitted, 4);
+        assert!(r.is_conservative());
+    }
+
+    #[test]
+    fn overlapping_outages_of_two_servers_block_their_union() {
+        // Server 1 is down 2–5 and server 3 is down 4–8: the pooled link
+        // is down 2–8, so the requests at 3, 5.5 and 7 are all rejected.
+        let (setup, cluster) = small();
+        let outages = FailurePlan::new(vec![
+            Outage {
+                server: ServerId(1),
+                down_at_min: 2.0,
+                up_at_min: Some(5.0),
+            },
+            Outage {
+                server: ServerId(3),
+                down_at_min: 4.0,
+                up_at_min: Some(8.0),
+            },
+        ])
+        .unwrap();
+        let reqs = vec![
+            req(0.0, 0),
+            req(3.0, 1),
+            req(5.5, 2),
+            req(7.0, 3),
+            req(9.0, 0),
+        ];
+        let r = run_pooled(&setup, &cluster, 0.1, &outages, reqs);
+        assert_eq!(r.disrupted, 1);
+        assert_eq!(r.rejected, 3);
+        assert_eq!(r.admitted, 2);
+    }
+
+    #[test]
+    fn storage_must_fit_one_catalog_copy() {
+        let (setup, _) = small();
+        let tiny = ClusterSpec::homogeneous(
+            4,
+            ServerSpec {
+                storage_bytes: 1,
+                bandwidth_kbps: 10_000,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            pooled_world(&setup, &tiny, 0.1, &FailurePlan::none()),
+            Err(ModelError::InsufficientStorage { .. })
+        ));
+    }
+
+    #[test]
+    fn invalid_overhead_rejected() {
+        let (setup, cluster) = small();
+        // A-5's overheads on 4 Mbps book whole kbps.
+        for (overhead, kbps) in [(0.0, 4_000), (0.1, 4_400), (0.25, 5_000)] {
+            let world = pooled_world(&setup, &cluster, overhead, &FailurePlan::none()).unwrap();
+            assert!(world
+                .catalog
+                .videos()
+                .iter()
+                .all(|v| v.bitrate.kbps() == kbps));
+        }
+        // Negative, non-finite, or a fractional kbps (4,000.4).
+        for bad in [-0.1, f64::NAN, f64::INFINITY, 0.0001] {
+            assert!(matches!(
+                pooled_world(&setup, &cluster, bad, &FailurePlan::none()),
+                Err(ModelError::InvalidParameter {
+                    name: "overhead",
+                    ..
+                })
+            ));
+        }
+    }
 
     #[test]
     fn striping_loses_under_overhead_and_failure() {
@@ -186,24 +461,10 @@ mod tests {
         // At the capacity rate, a 25%-overhead striped cluster rejects
         // far more than a 0%-overhead one.
         let lambda = setup.capacity_lambda_per_min();
-        let (r0, _) = run_striped(
-            &setup,
-            lambda,
-            0.0,
-            FailurePlan::none(),
-            1,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
-        let (r25, _) = run_striped(
-            &setup,
-            lambda,
-            0.25,
-            FailurePlan::none(),
-            1,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
+        let none = FailurePlan::none();
+        let off = Telemetry::disabled();
+        let (r0, _) = run_striped(&setup, lambda, 0.0, &none, 1, &off).unwrap();
+        let (r25, _) = run_striped(&setup, lambda, 0.25, &none, 1, &off).unwrap();
         assert!(r25 > r0 + 0.05, "25% ovh {r25} vs 0% {r0}");
 
         // Under an outage, the striped cluster loses service entirely
@@ -214,15 +475,7 @@ mod tests {
             up_at_min: Some(60.0),
         }])
         .unwrap();
-        let (rej, dis) = run_striped(
-            &setup,
-            0.75 * lambda,
-            0.1,
-            outage,
-            2,
-            &Telemetry::disabled(),
-        )
-        .unwrap();
+        let (rej, dis) = run_striped(&setup, 0.75 * lambda, 0.1, &outage, 2, &off).unwrap();
         assert!(rej > 0.25, "outage rejection {rej} should cover the window");
         assert!(dis > 0.0);
     }

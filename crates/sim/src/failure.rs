@@ -155,7 +155,7 @@ impl FailurePlan {
     /// Builds a plan from outages that may overlap per server, merging
     /// overlapping or touching intervals into one outage: a server can
     /// be down for a scripted and a drawn cause at once.
-    fn merged(mut outages: Vec<Outage>) -> Result<Self, ModelError> {
+    pub fn merged(mut outages: Vec<Outage>) -> Result<Self, ModelError> {
         for o in &outages {
             check_times(o)?;
         }

@@ -32,8 +32,6 @@
 //! * [`controller`] — the online replication controller: EWMA sensing of
 //!   observed per-video demand, hysteresis hot/cold classification, and
 //!   periodic re-replication/retirement of drifting titles;
-//! * [`striping`] — the wide-striping comparator architecture the paper
-//!   argues against (perfect balance, full failure coupling);
 //! * [`metrics`] — the run report, the one ledger the engine counts
 //!   into: rejection accounting and load-imbalance sampling;
 //! * [`shard`] — deterministic partitioning of servers into independent
@@ -49,6 +47,12 @@
 //! run takes the serial loop. Either way, reports are byte-identical to
 //! a `shards: 1` run. Above that, the experiment runner still fans out
 //! independent replications across threads.
+//!
+//! The wide-striping architecture the paper argues against needs no
+//! engine of its own: a cluster striping every title over N links
+//! admits and fails exactly like one server whose link pools N × the
+//! weakest member link, so A-5 (`vod-experiments`) replays it on that
+//! one-server world.
 //!
 //! ```
 //! use vod_model::{BitRate, Catalog, ClusterSpec, Layout, ServerId, ServerSpec};
@@ -92,7 +96,6 @@ pub mod metrics;
 pub mod repair;
 pub mod server;
 pub mod shard;
-pub mod striping;
 pub mod time;
 
 pub use admission::{AdmissionConfig, QueuePolicy};
@@ -103,5 +106,4 @@ pub use failure::{BrownoutModel, FailureModel, FailurePlan, Outage};
 pub use metrics::SimReport;
 pub use repair::{FailoverPolicy, RepairConfig};
 pub use shard::ShardPlan;
-pub use striping::{StripedConfig, StripedSimulation};
 pub use time::SimTime;
