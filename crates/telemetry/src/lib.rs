@@ -3,7 +3,7 @@
 //! Three instruments, all handed out by a [`Telemetry`] handle:
 //!
 //! * [`Counter`] — a monotonically increasing `AtomicU64`;
-//! * [`Histogram`] — count/sum/min/max plus power-of-two buckets;
+//! * [`Histogram`] — count/sum/min/max;
 //! * [`Span`] — an RAII wall-clock timer keyed by name, recording into
 //!   the span registry (and usable for per-phase timings).
 //!
@@ -30,10 +30,6 @@ use std::time::Instant;
 pub mod manifest;
 
 pub use manifest::{ManifestWriter, PhaseTiming, RunRecord};
-
-/// Number of power-of-two histogram buckets (`bucket[i]` counts values
-/// in `[2^(i-1), 2^i)`, with bucket 0 catching everything below 1).
-pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Highest individually named shard index; shards beyond this fold into
 /// the last slot (counter names are `&'static str`, so the table is
@@ -208,7 +204,6 @@ struct HistogramData {
     sum: f64,
     min: f64,
     max: f64,
-    buckets: [u64; HISTOGRAM_BUCKETS],
 }
 
 impl Default for HistogramData {
@@ -218,18 +213,8 @@ impl Default for HistogramData {
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            buckets: [0; HISTOGRAM_BUCKETS],
         }
     }
-}
-
-/// The index of the power-of-two bucket covering `value`.
-fn bucket_index(value: f64) -> usize {
-    if value < 1.0 {
-        return 0;
-    }
-    let exp = value.log2().floor() as usize + 1;
-    exp.min(HISTOGRAM_BUCKETS - 1)
 }
 
 impl HistogramCell {
@@ -244,7 +229,6 @@ impl HistogramCell {
         }
         data.min = data.min.min(value);
         data.max = data.max.max(value);
-        data.buckets[bucket_index(value)] += n;
     }
 
     fn stats(&self) -> HistogramStats {
@@ -424,16 +408,6 @@ mod tests {
         h.observe(f64::INFINITY);
         h.observe(2.0);
         assert_eq!(h.stats().count, 1);
-    }
-
-    #[test]
-    fn bucket_index_covers_domain() {
-        assert_eq!(bucket_index(0.0), 0);
-        assert_eq!(bucket_index(0.5), 0);
-        assert_eq!(bucket_index(1.0), 1);
-        assert_eq!(bucket_index(1.9), 1);
-        assert_eq!(bucket_index(2.0), 2);
-        assert_eq!(bucket_index(1e300), HISTOGRAM_BUCKETS - 1);
     }
 
     #[test]
