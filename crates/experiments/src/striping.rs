@@ -17,7 +17,7 @@
 //!   replicated one degrades gracefully.
 //!
 //! The striped cluster runs on the main engine as one pooled link (see
-//! [`pooled_world`]).
+//! `pooled_world`).
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
@@ -72,6 +72,8 @@ fn pooled_world(
     overhead: f64,
     failures: &FailurePlan,
 ) -> Result<PooledWorld, ModelError> {
+    // Rounded to the milli-kbps first, so float error in `1 + overhead`
+    // cannot make a whole rate (4,000 × 1.1) fractional.
     let milli_kbps = (f64::from(setup.bitrate.kbps()) * (1.0 + overhead) * 1_000.0).round();
     let kbps = milli_kbps / 1_000.0;
     if !overhead.is_finite() || overhead < 0.0 || kbps.fract() != 0.0 || kbps > f64::from(u32::MAX)
