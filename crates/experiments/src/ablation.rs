@@ -73,7 +73,6 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_point;
     use vod_telemetry::Telemetry;
 
     #[test]
@@ -85,28 +84,16 @@ mod tests {
         };
         let point = build_plan(&setup, Combo::ZIPF_SLF, 1.0, 1.2).unwrap();
         let lambda = 44.0; // just past capacity: policies differentiate
-        let off = Telemetry::disabled();
-        let strict = run_point(
-            &setup,
-            &point,
-            lambda,
-            AdmissionPolicy::StaticRoundRobin,
-            3,
-            &off,
-        )
-        .unwrap();
-        let failover = run_point(
-            &setup,
-            &point,
-            lambda,
-            AdmissionPolicy::RoundRobinFailover,
-            3,
-            &off,
-        )
-        .unwrap();
+        let rejection = |policy| {
+            run_point(&setup, &point, lambda, policy, 3, &Telemetry::disabled())
+                .unwrap()
+                .rejection_rate
+        };
+        let strict = rejection(AdmissionPolicy::StaticRoundRobin);
+        let failover = rejection(AdmissionPolicy::RoundRobinFailover);
         // Failover admits whenever strict would (same trace), so it should
         // not reject meaningfully more; admission-order effects permit tiny
         // wobble, hence the slack.
-        assert!(failover.rejection_rate <= strict.rejection_rate + 0.02);
+        assert!(failover <= strict + 0.02);
     }
 }

@@ -71,7 +71,6 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_point;
     use vod_telemetry::Telemetry;
 
     #[test]
