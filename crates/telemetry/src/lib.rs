@@ -7,6 +7,10 @@
 //! * [`Span`] — an RAII wall-clock timer keyed by name, recording into
 //!   the span registry (and usable for per-phase timings).
 //!
+//! The registry records which histograms hold wall-clock seconds: every
+//! span's, and the engine's phase-clock totals under [`PHASE_NAMESPACE`].
+//! Run manifests list exactly those as phases.
+//!
 //! A `Telemetry` handle is either *enabled* (backed by a shared
 //! registry) or *disabled*. Disabled handles hand out instrument
 //! handles whose every operation is a branch on `None` — no
@@ -30,6 +34,11 @@ use std::time::Instant;
 pub mod manifest;
 
 pub use manifest::{ManifestWriter, PhaseTiming, RunRecord};
+
+/// The engine's phase-clock namespace: histograms named `sim.phase.*`
+/// hold per-run wall-clock totals in seconds, so the registry records
+/// them as timers, as it does every span.
+pub const PHASE_NAMESPACE: &str = "sim.phase.";
 
 /// Highest individually named shard index; shards beyond this fold into
 /// the last slot (counter names are `&'static str`, so the table is
@@ -103,26 +112,67 @@ impl Telemetry {
     }
 
     /// The histogram registered under `name` (created on first use).
+    /// One in [`PHASE_NAMESPACE`] is recorded as a wall-clock timer.
     pub fn histogram(&self, name: &'static str) -> Histogram {
+        self.registered(name, name.starts_with(PHASE_NAMESPACE))
+    }
+
+    /// The histogram `name`, created on first use as a timer (holding
+    /// wall-clock seconds) or not; its first registration fixes which.
+    fn registered(&self, name: &'static str, timer: bool) -> Histogram {
         Histogram {
             cell: self.registry.as_ref().map(|r| {
-                Arc::clone(
-                    r.histograms
-                        .lock()
-                        .entry(name)
-                        .or_insert_with(|| Arc::new(HistogramCell::default())),
-                )
+                Arc::clone(r.histograms.lock().entry(name).or_insert_with(|| {
+                    Arc::new(HistogramCell {
+                        timer,
+                        ..HistogramCell::default()
+                    })
+                }))
             }),
         }
     }
 
     /// Starts an RAII wall-clock timer; on drop it records elapsed
-    /// seconds into the histogram `name`. Spans nest freely — each
+    /// seconds into the timer histogram `name`. Spans nest freely — each
     /// records independently.
     pub fn span(&self, name: &'static str) -> Span {
         Span {
-            histogram: self.histogram(name),
+            histogram: self.registered(name, true),
             started: self.is_enabled().then(Instant::now),
+        }
+    }
+
+    /// Adds every counter and histogram of `other` into this handle's
+    /// instruments of the same name, as if `other`'s observations had
+    /// been recorded here too. A no-op when either handle is disabled or
+    /// both share one registry.
+    pub fn absorb(&self, other: &Telemetry) {
+        let (Some(into), Some(from)) = (&self.registry, &other.registry) else {
+            return;
+        };
+        if Arc::ptr_eq(into, from) {
+            return;
+        }
+        // Copy out first, so no two registries' locks are ever held at once.
+        let counters: Vec<_> = from
+            .counters
+            .lock()
+            .iter()
+            .map(|(&name, cell)| (name, cell.load(Ordering::Relaxed)))
+            .collect();
+        let histograms: Vec<_> = from
+            .histograms
+            .lock()
+            .iter()
+            .map(|(&name, cell)| (name, cell.timer, cell.inner.lock().clone()))
+            .collect();
+        for (name, n) in counters {
+            self.counter(name).add(n);
+        }
+        for (name, timer, data) in histograms {
+            if let Some(cell) = self.registered(name, timer).cell {
+                cell.absorb(&data);
+            }
         }
     }
 
@@ -148,15 +198,20 @@ impl Telemetry {
             .iter()
             .map(|(&name, cell)| (name.to_string(), cell.load(Ordering::Relaxed)))
             .collect();
-        let histograms = registry
-            .histograms
-            .lock()
+        let registered = registry.histograms.lock();
+        let histograms = registered
             .iter()
             .map(|(&name, cell)| (name.to_string(), cell.stats()))
+            .collect();
+        let timers = registered
+            .iter()
+            .filter(|(_, cell)| cell.timer)
+            .map(|(&name, _)| name.to_string())
             .collect();
         Snapshot {
             counters,
             histograms,
+            timers,
         }
     }
 }
@@ -196,6 +251,8 @@ impl Counter {
 #[derive(Default)]
 struct HistogramCell {
     inner: Mutex<HistogramData>,
+    /// Whether the observations are wall-clock seconds.
+    timer: bool,
 }
 
 #[derive(Clone)]
@@ -229,6 +286,15 @@ impl HistogramCell {
         }
         data.min = data.min.min(value);
         data.max = data.max.max(value);
+    }
+
+    /// Folds in another cell's observations.
+    fn absorb(&self, other: &HistogramData) {
+        let mut data = self.inner.lock();
+        data.count += other.count;
+        data.sum += other.sum;
+        data.min = data.min.min(other.min);
+        data.max = data.max.max(other.max);
     }
 
     fn stats(&self) -> HistogramStats {
@@ -334,6 +400,10 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Histogram summaries by name (spans appear here, in seconds).
     pub histograms: BTreeMap<String, HistogramStats>,
+    /// Names of the histograms that hold wall-clock seconds — every
+    /// span's and each one in [`PHASE_NAMESPACE`] — in name order.
+    #[serde(default)]
+    pub timers: Vec<String>,
 }
 
 impl Snapshot {
@@ -432,6 +502,42 @@ mod tests {
             outer.sum,
             inner.sum
         );
+    }
+
+    #[test]
+    fn spans_and_phase_clock_histograms_are_timers() {
+        let telemetry = Telemetry::enabled();
+        drop(telemetry.span("sim.run"));
+        telemetry.histogram("sim.phase.control_tick_s").observe(0.5);
+        telemetry.histogram("sim.queue.peak_len").observe(10.0);
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.timers, ["sim.phase.control_tick_s", "sim.run"]);
+        assert_eq!(snap.histograms.len(), 3);
+    }
+
+    #[test]
+    fn absorb_adds_counters_and_histograms_by_name() {
+        let (into, from) = (Telemetry::enabled(), Telemetry::enabled());
+        into.counter("sim.events").add(3);
+        into.histogram("h").observe(1.0);
+        from.counter("sim.events").add(4);
+        from.counter("sim.arrivals").add(2);
+        from.histogram("h").observe(5.0);
+        from.histogram("h").observe(0.5);
+        drop(from.span("sim.run"));
+        into.absorb(&from);
+        // A shared registry or a disabled side changes nothing.
+        into.absorb(&into.clone());
+        into.absorb(&Telemetry::disabled());
+        Telemetry::disabled().absorb(&from);
+        let snap = into.snapshot();
+        assert_eq!(snap.counter("sim.events"), 7);
+        assert_eq!(snap.counter("sim.arrivals"), 2);
+        let h = snap.histogram("h");
+        assert_eq!((h.count, h.sum, h.min, h.max), (3, 6.5, 0.5, 5.0));
+        assert_eq!(snap.histogram("sim.run").count, 1);
+        assert_eq!(snap.timers, ["sim.run"]);
+        assert_eq!(from.snapshot().counter("sim.events"), 4);
     }
 
     #[test]

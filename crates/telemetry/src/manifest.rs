@@ -75,24 +75,19 @@ impl RunRecord {
         self
     }
 
-    /// Copies counters from a snapshot, and turns its span histograms
-    /// into phase timings (total seconds per span, appended in name
-    /// order after any explicit phases). Histograms named `*_per_sec`
-    /// hold observed rates, histograms named `*_min` hold
-    /// simulated-time integrals (e.g. `sim.repair.time_to_redundancy_min`),
-    /// and histograms named `*_pctl` hold per-request distributions
-    /// reported as percentiles (e.g. `sim.admission.wait_min_pctl`);
-    /// none is wall time, so all three are skipped.
+    /// Copies counters from a snapshot, and turns its timers — the
+    /// histograms the registry records as wall-clock seconds: spans and
+    /// the engine's `sim.phase.*` totals — into phase timings (total
+    /// seconds per timer, appended in name order after any explicit
+    /// phases). Every other histogram holds values (rates, peaks, sizes,
+    /// simulated minutes) and stays out of the phases.
     pub fn with_snapshot(mut self, snapshot: &Snapshot) -> Self {
         self.counters
             .extend(snapshot.counters.iter().map(|(name, &v)| (name.clone(), v)));
-        for (name, stats) in &snapshot.histograms {
-            if name.ends_with("_per_sec") || name.ends_with("_min") || name.ends_with("_pctl") {
-                continue;
-            }
+        for name in &snapshot.timers {
             self.phases.push(PhaseTiming {
                 name: name.clone(),
-                wall_secs: stats.sum,
+                wall_secs: snapshot.histogram(name).sum,
             });
         }
         self
@@ -188,40 +183,31 @@ mod tests {
         let telemetry = Telemetry::enabled();
         telemetry.counter("sim.arrivals").add(10);
         drop(telemetry.span("sim.run"));
-        telemetry
-            .histogram("sim.engine.events_per_sec")
-            .observe(1e6);
         let record = RunRecord::new("x", 1).with_snapshot(&telemetry.snapshot());
         assert_eq!(record.counters["sim.arrivals"], 10);
         assert!(record.phases.iter().any(|p| p.name == "sim.run"));
-        // Rate histograms are not wall time; they must not become phases.
-        assert!(!record.phases.iter().any(|p| p.name.ends_with("_per_sec")));
     }
 
     #[test]
-    fn simulated_time_histograms_do_not_become_phases() {
+    fn only_timers_become_phases() {
         let telemetry = Telemetry::enabled();
         drop(telemetry.span("sim.run"));
-        // Simulated minutes, not wall seconds.
-        telemetry
-            .histogram("sim.repair.time_to_redundancy_min")
-            .observe(42.0);
+        telemetry.histogram("sim.phase.transition_s").observe(0.25);
+        // Values, not wall time: a rate, simulated minutes, a
+        // per-request wait distribution, a queue peak and a size.
+        for name in [
+            "sim.engine.events_per_sec",
+            "sim.repair.time_to_redundancy_min",
+            "sim.admission.wait_min_pctl",
+            "sim.queue.peak_len",
+            "sim.engine.bytes_per_active_stream",
+        ] {
+            telemetry.histogram(name).observe(42.0);
+        }
         let record = RunRecord::new("x", 1).with_snapshot(&telemetry.snapshot());
-        assert!(record.phases.iter().any(|p| p.name == "sim.run"));
-        assert!(!record.phases.iter().any(|p| p.name.ends_with("_min")));
-    }
-
-    #[test]
-    fn percentile_histograms_do_not_become_phases() {
-        let telemetry = Telemetry::enabled();
-        drop(telemetry.span("sim.run"));
-        // Per-request wait-time distribution in simulated minutes.
-        telemetry
-            .histogram("sim.admission.wait_min_pctl")
-            .observe(1.5);
-        let record = RunRecord::new("x", 1).with_snapshot(&telemetry.snapshot());
-        assert!(record.phases.iter().any(|p| p.name == "sim.run"));
-        assert!(!record.phases.iter().any(|p| p.name.ends_with("_pctl")));
+        let phases: Vec<_> = record.phases.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(phases, ["sim.phase.transition_s", "sim.run"]);
+        assert_eq!(record.phases[0].wall_secs, 0.25);
     }
 
     #[test]
