@@ -8,8 +8,8 @@
 //!   the span registry (and usable for per-phase timings).
 //!
 //! The registry records which histograms hold wall-clock seconds: every
-//! span's, and the engine's phase-clock totals under [`PHASE_NAMESPACE`].
-//! Run manifests list exactly those as phases.
+//! span's, and the engine's phase-clock totals (`sim.phase.*`). Run
+//! manifests list exactly those as phases.
 //!
 //! A `Telemetry` handle is either *enabled* (backed by a shared
 //! registry) or *disabled*. Disabled handles hand out instrument
@@ -38,7 +38,7 @@ pub use manifest::{ManifestWriter, PhaseTiming, RunRecord};
 /// The engine's phase-clock namespace: histograms named `sim.phase.*`
 /// hold per-run wall-clock totals in seconds, so the registry records
 /// them as timers, as it does every span.
-pub const PHASE_NAMESPACE: &str = "sim.phase.";
+const PHASE_NAMESPACE: &str = "sim.phase.";
 
 /// Highest individually named shard index; shards beyond this fold into
 /// the last slot (counter names are `&'static str`, so the table is
@@ -112,7 +112,7 @@ impl Telemetry {
     }
 
     /// The histogram registered under `name` (created on first use).
-    /// One in [`PHASE_NAMESPACE`] is recorded as a wall-clock timer.
+    /// One named `sim.phase.*` is recorded as a wall-clock timer.
     pub fn histogram(&self, name: &'static str) -> Histogram {
         self.registered(name, name.starts_with(PHASE_NAMESPACE))
     }
@@ -401,8 +401,7 @@ pub struct Snapshot {
     /// Histogram summaries by name (spans appear here, in seconds).
     pub histograms: BTreeMap<String, HistogramStats>,
     /// Names of the histograms that hold wall-clock seconds — every
-    /// span's and each one in [`PHASE_NAMESPACE`] — in name order.
-    #[serde(default)]
+    /// span's and each `sim.phase.*` one — in name order.
     pub timers: Vec<String>,
 }
 
