@@ -10,10 +10,10 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{aggregate, build_plan, replicate, Combo, PlannedPoint, PointStats};
+use crate::runner::{aggregate, build_plan, mean, run_cell, Combo, PointStats};
 use serde::Serialize;
-use vod_model::{ModelError, ServerId};
-use vod_sim::{AdmissionPolicy, FailurePlan, Outage, SimConfig, Simulation};
+use vod_model::ServerId;
+use vod_sim::{AdmissionPolicy, FailurePlan, Outage, SimConfig};
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
 
@@ -28,42 +28,6 @@ pub struct AvailabilityRow {
     pub stats: PointStats,
     /// Mean disrupted streams per run.
     pub disrupted_mean: f64,
-}
-
-fn run_with_failures(
-    setup: &PaperSetup,
-    point: &PlannedPoint,
-    lambda: f64,
-    policy: AdmissionPolicy,
-    failures: FailurePlan,
-    base_seed: u64,
-    telemetry: &Telemetry,
-) -> Result<(PointStats, f64), ModelError> {
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    let planner = point.planner();
-    let generator = TraceGenerator::new(lambda, planner.popularity(), setup.horizon_min)?;
-    let config = SimConfig {
-        policy,
-        horizon_min: setup.horizon_min,
-        failures,
-        shards: setup.shards,
-        ..SimConfig::default()
-    };
-    let sim = Simulation::new(
-        planner.catalog(),
-        planner.cluster(),
-        &point.plan.layout,
-        config,
-    )?;
-    let reports = replicate(setup.runs, base_seed, |seed| {
-        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
-        sim.run_with_telemetry(&trace, telemetry)
-    })?;
-    let disrupted_mean =
-        reports.iter().map(|r| r.disrupted as f64).sum::<f64>() / reports.len() as f64;
-    Ok((aggregate(lambda, &reports), disrupted_mean))
 }
 
 /// Computes the sweep: degree × policy, one server down at minute 30.
@@ -85,21 +49,26 @@ pub fn compute(
     let mut rows = Vec::new();
     for degree in [1.0, 1.2, 1.6, 2.0] {
         let point = build_plan(setup, Combo::ZIPF_SLF, 1.0, degree)?;
+        let generator =
+            TraceGenerator::new(lambda, point.planner().popularity(), setup.horizon_min)?;
         for (name, policy) in policies {
-            let (stats, disrupted_mean) = run_with_failures(
+            let reports = run_cell(
                 setup,
-                &point,
-                lambda,
-                policy,
-                failures.clone(),
+                point.world(),
                 0xFA11 ^ degree.to_bits(),
+                |_| SimConfig {
+                    policy,
+                    failures: failures.clone(),
+                    ..SimConfig::default()
+                },
+                |rng| Ok(generator.generate(rng)),
                 telemetry,
             )?;
             rows.push(AvailabilityRow {
                 degree,
                 policy: name,
-                stats,
-                disrupted_mean,
+                stats: aggregate(lambda, &reports),
+                disrupted_mean: mean(&reports, |r| r.disrupted as f64),
             });
         }
     }

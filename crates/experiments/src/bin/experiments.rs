@@ -59,7 +59,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 use vod_anneal::{anneal_with_telemetry, AnnealParams, CoolingSchedule, ScalableProblem};
 use vod_experiments::report::Reporter;
-use vod_experiments::runner::{build_plan, run_replications, Combo};
+use vod_experiments::runner::{build_plan, run_point, Combo};
 use vod_experiments::PaperSetup;
 use vod_experiments::{
     ablation, availability, bound, coding, controller, drift, fig1, fig2, fig3, fig4, fig5, fig6,
@@ -704,10 +704,10 @@ fn perf_smoke(
     // identical batch until enough wall time accumulates for a stable
     // events/sec estimate (the timing gate CI compares against).
     let sim_started = Instant::now();
-    let mut reports = Vec::new();
+    let mut rejection_rate = 0.0;
     let mut iterations = 0u32;
     while iterations < 3 || sim_started.elapsed().as_secs_f64() < 0.5 {
-        reports = run_replications(
+        let stats = run_point(
             &setup,
             &point,
             lambda,
@@ -715,6 +715,7 @@ fn perf_smoke(
             seed,
             &telemetry,
         )?;
+        rejection_rate = stats.rejection_rate;
         iterations += 1;
     }
     let sim_secs = sim_started.elapsed().as_secs_f64();
@@ -874,7 +875,9 @@ fn perf_smoke(
     let mut scale_events = 0u64;
     let mut scale_engine_secs = 0.0;
     while scale_events == 0 || scale_started.elapsed().as_secs_f64() < 0.4 {
-        let outcome = scale::compute(&gen_world, seed)?;
+        // Not forwarded into `telemetry`: its `sim.events` counts the
+        // paper-world runs alone.
+        let outcome = scale::compute(&gen_world, seed, &Telemetry::disabled())?;
         scale_events += outcome.summary.events;
         scale_engine_secs += outcome.summary.wall_secs;
     }
@@ -888,8 +891,6 @@ fn perf_smoke(
     let arrivals = snapshot.counter("sim.arrivals");
     let events_per_sec = events as f64 / sim_secs;
     let requests_per_sec = arrivals as f64 / sim_secs;
-    let rejection_rate =
-        reports.iter().map(|r| r.rejection_rate).sum::<f64>() / reports.len().max(1) as f64;
 
     // The single line CI greps for; keep the key=value format stable.
     println!(

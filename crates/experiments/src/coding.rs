@@ -30,11 +30,11 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{aggregate, replicate, PointStats};
+use crate::runner::{aggregate, mean, run_cell, PointStats, World};
 use serde::Serialize;
 use vod_model::{ModelError, RedundancyMap, RedundancyScheme};
 use vod_placement::place_coded;
-use vod_sim::{AdmissionPolicy, FailoverPolicy, FailureModel, RepairConfig, SimConfig, Simulation};
+use vod_sim::{AdmissionPolicy, FailoverPolicy, FailureModel, RepairConfig, SimConfig};
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
 
@@ -108,20 +108,17 @@ pub struct CodingRow {
 }
 
 /// Runs one cell: `setup.runs` seeded replications of one scheme ×
-/// MTTR point, each with its own trace and fault draws. Coded-only
-/// instruments are harvested from a cell-local telemetry (and mirrored
-/// into `shared` so run manifests see them).
-fn run_cell(
+/// MTTR point, each with its own trace and fault draws. The runs record
+/// into a cell-local registry, which yields the coded-only instruments
+/// and is then forwarded whole into `telemetry`.
+fn coding_row(
     setup: &PaperSetup,
     scheme: RedundancyScheme,
     mttr_min: f64,
     lambda: f64,
     base_seed: u64,
-    shared: &Telemetry,
+    telemetry: &Telemetry,
 ) -> Result<CodingRow, ModelError> {
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
     let catalog = setup.catalog()?;
     let map = RedundancyMap::uniform(setup.n_videos, scheme)?;
     let layout = place_coded(setup.n_servers, &map)?;
@@ -135,11 +132,17 @@ fn run_cell(
     let generator = TraceGenerator::new(lambda, &popularity, setup.horizon_min)?;
 
     let local = Telemetry::enabled();
-    let reports = replicate(setup.runs, base_seed, |seed| {
-        let config = SimConfig {
+    let world = World {
+        catalog: &catalog,
+        cluster: &cluster,
+        layout: &layout,
+    };
+    let reports = run_cell(
+        setup,
+        world,
+        base_seed,
+        |seed| SimConfig {
             policy: AdmissionPolicy::RoundRobinFailover,
-            horizon_min: setup.horizon_min,
-            shards: setup.shards,
             failure_model: Some(FailureModel::exponential(MTBF_MIN, mttr_min, seed)),
             repair: RepairConfig {
                 bandwidth_kbps: REPAIR_KBPS,
@@ -147,30 +150,14 @@ fn run_cell(
             },
             failover: FailoverPolicy::ResumeOrDegrade,
             ..SimConfig::default()
-        };
-        let sim = Simulation::new(&catalog, &cluster, &layout, config)?;
-        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
-        sim.run_with_telemetry(&trace, &local)
-    })?;
-
+        },
+        |rng| Ok(generator.generate(rng)),
+        &local,
+    )?;
+    telemetry.absorb(&local);
     let snap = local.snapshot();
-    let reconstructions = snap.counter("sim.repair.coded.reconstructions");
-    let read_bytes = snap.counter("sim.repair.coded.bytes");
-    let degraded_reads = snap.counter("sim.coded.degraded_reads");
-    let reattached = snap.counter("sim.coded.shares_reattached");
-    shared
-        .counter("sim.repair.coded.reconstructions")
-        .add(reconstructions);
-    shared.counter("sim.repair.coded.bytes").add(read_bytes);
-    shared
-        .counter("sim.coded.degraded_reads")
-        .add(degraded_reads);
-    shared
-        .counter("sim.coded.shares_reattached")
-        .add(reattached);
+    let per_run = |name| snap.counter(name) as f64 / reports.len() as f64;
 
-    let n = reports.len() as f64;
-    let mean = |f: &dyn Fn(&vod_sim::SimReport) -> f64| reports.iter().map(f).sum::<f64>() / n;
     let (k, m) = match scheme {
         RedundancyScheme::Replicated { r } => (0, r - 1),
         RedundancyScheme::Coded { k, m } => (k, m),
@@ -184,21 +171,21 @@ fn run_cell(
         mttr_min,
         served_share: 1.0 - stats.rejection_rate,
         stats,
-        goodput_mean: mean(&|r| r.goodput),
-        disrupted_mean: mean(&|r| r.disrupted as f64),
-        resumed_mean: mean(&|r| r.resumed as f64),
-        unavailability_video_min_mean: mean(&|r| r.unavailability_video_min),
-        redundancy_deficit_video_min_mean: mean(&|r| r.redundancy_deficit_video_min),
-        repair_bytes_mean: mean(&|r| r.repair_bytes_copied as f64),
-        coded_reconstructions_mean: reconstructions as f64 / n,
-        coded_read_bytes_mean: read_bytes as f64 / n,
-        degraded_reads_mean: degraded_reads as f64 / n,
-        shares_reattached_mean: reattached as f64 / n,
+        goodput_mean: mean(&reports, |r| r.goodput),
+        disrupted_mean: mean(&reports, |r| r.disrupted as f64),
+        resumed_mean: mean(&reports, |r| r.resumed as f64),
+        unavailability_video_min_mean: mean(&reports, |r| r.unavailability_video_min),
+        redundancy_deficit_video_min_mean: mean(&reports, |r| r.redundancy_deficit_video_min),
+        repair_bytes_mean: mean(&reports, |r| r.repair_bytes_copied as f64),
+        coded_reconstructions_mean: per_run("sim.repair.coded.reconstructions"),
+        coded_read_bytes_mean: per_run("sim.repair.coded.bytes"),
+        degraded_reads_mean: per_run("sim.coded.degraded_reads"),
+        shares_reattached_mean: per_run("sim.coded.shares_reattached"),
     })
 }
 
 /// Computes the sweep: scheme (= storage budget) × MTTR.
-/// Mirrors the coded instruments into `telemetry`.
+/// Records every run's `sim.*` instruments into `telemetry`.
 pub fn compute(
     setup: &PaperSetup,
     telemetry: &Telemetry,
@@ -219,7 +206,7 @@ fn compute_schemes(
     let mut rows = Vec::new();
     for &scheme in schemes {
         for mttr_min in [15.0f64, 45.0] {
-            rows.push(run_cell(
+            rows.push(coding_row(
                 setup, scheme, mttr_min, lambda, base_seed, telemetry,
             )?);
         }
@@ -299,6 +286,46 @@ mod tests {
             runs: 5,
             ..PaperSetup::fast()
         }
+    }
+
+    #[test]
+    fn manifests_keep_the_engine_instruments() {
+        let setup = PaperSetup {
+            n_videos: 40,
+            runs: 2,
+            ..PaperSetup::default()
+        };
+        let telemetry = Telemetry::enabled();
+        let schemes = [RedundancyScheme::Coded { k: 2, m: 1 }];
+        let rows = compute_schemes(&setup, &telemetry, &schemes).unwrap();
+        let snap = telemetry.snapshot();
+        let arrivals = snap.counter("sim.arrivals");
+        assert!(arrivals > 0 && snap.counter("sim.events") > arrivals);
+        assert_eq!(
+            snap.counter("sim.admitted") + snap.counter("sim.rejected"),
+            arrivals
+        );
+        assert!(snap.counter("sim.transitions") > 0);
+        // The coded figures come from the same forwarded runs.
+        let total = |f: fn(&CodingRow) -> f64| rows.iter().map(f).sum::<f64>() * 2.0;
+        let reconstructions = total(|r| r.coded_reconstructions_mean);
+        assert!(reconstructions > 0.0);
+        assert_eq!(
+            snap.counter("sim.repair.coded.reconstructions") as f64,
+            reconstructions
+        );
+        assert_eq!(
+            snap.counter("sim.coded.degraded_reads") as f64,
+            total(|r| r.degraded_reads_mean)
+        );
+        assert_eq!(
+            snap.timers,
+            [
+                "sim.phase.copy_completion_s",
+                "sim.phase.transition_s",
+                "sim.run"
+            ]
+        );
     }
 
     #[test]

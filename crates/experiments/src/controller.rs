@@ -48,15 +48,12 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{build_plan, replicate, Combo};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use crate::runner::{build_plan, mean, run_cell, Combo, World};
 use serde::Serialize;
 use vod_core::{AdaptiveConfig, AdaptiveRunner, ReplanPlacement, ReplanStrategy};
-use vod_model::{ClusterSpec, Layout, ModelError, Popularity, VideoId};
+use vod_model::{ModelError, Popularity, VideoId};
 use vod_sim::{
     AdmissionPolicy, ControllerConfig, FailoverPolicy, FailureModel, RepairConfig, SimConfig,
-    Simulation,
 };
 use vod_telemetry::Telemetry;
 use vod_workload::{DriftingWorkload, FlashCrowd};
@@ -164,69 +161,11 @@ fn mean_true_weights(w: &DriftingWorkload) -> Vec<f64> {
     mean
 }
 
-/// Runs one cell: `setup.runs` seeded replications of `layout` on
-/// `cluster`, each with its own drifting trace (and fault draws in the
-/// failure variant). All cells share `base_seed`, so modes differ only
-/// in layout and controller knobs, never in demand.
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    setup: &PaperSetup,
-    catalog: &vod_model::Catalog,
-    cluster: &ClusterSpec,
-    layout: &Layout,
-    workload: &DriftingWorkload,
-    lambda: f64,
-    controller: ControllerConfig,
-    failures: bool,
-    mode: &'static str,
-    base_seed: u64,
-    telemetry: &Telemetry,
-) -> Result<ControllerRow, ModelError> {
-    let reports = replicate(setup.runs, base_seed, |seed| {
-        let config = SimConfig {
-            policy: AdmissionPolicy::LeastLoadedReplica,
-            horizon_min: setup.horizon_min,
-            shards: setup.shards,
-            failure_model: failures
-                .then(|| FailureModel::exponential(MTBF_MIN, MTTR_MIN, seed ^ 0xFA)),
-            repair: RepairConfig {
-                bandwidth_kbps: REPAIR_KBPS,
-                max_concurrent: 8,
-            },
-            controller,
-            failover: FailoverPolicy::Resume,
-            ..SimConfig::default()
-        };
-        let sim = Simulation::new(catalog, cluster, layout, config)?;
-        let trace = workload.generate(lambda, &mut ChaCha8Rng::seed_from_u64(seed))?;
-        sim.run_with_telemetry(&trace, telemetry)
-    })?;
-    let n = reports.len() as f64;
-    let mean = |f: &dyn Fn(&vod_sim::SimReport) -> f64| reports.iter().map(f).sum::<f64>() / n;
-    Ok(ControllerRow {
-        mode,
-        failures,
-        served_ratio_mean: mean(&|r| {
-            if r.arrivals == 0 {
-                1.0
-            } else {
-                r.admitted as f64 / r.arrivals as f64
-            }
-        }),
-        rejection_rate_mean: mean(&|r| r.rejection_rate),
-        ticks_mean: mean(&|r| r.controller_ticks as f64),
-        backoffs_mean: mean(&|r| r.controller_backoffs as f64),
-        promotions_mean: mean(&|r| r.controller_promotions as f64),
-        demotions_mean: mean(&|r| r.controller_demotions as f64),
-        retired_mean: mean(&|r| r.controller_retired as f64),
-        rebalance_bytes_mean: mean(&|r| r.controller_bytes_copied as f64),
-        repair_bytes_mean: mean(&|r| r.repair_bytes_copied as f64),
-        runs: setup.runs,
-    })
-}
-
 /// Computes the six cells: {static, controller, oracle} × {fault-free,
-/// stochastic faults}.
+/// stochastic faults}. Every cell runs `setup.runs` replications, each
+/// with its own drifting trace (and fault draws in the failure variant);
+/// all cells share one base seed, so modes differ only in layout and
+/// controller knobs, never in demand.
 /// Records every run's `sim.*` instruments (including the
 /// `sim.controller.*` family) into `telemetry`.
 pub fn compute(
@@ -282,10 +221,50 @@ pub fn compute(
             ("controller", &static_layout, on),
             ("oracle", &oracle_layout, off),
         ] {
-            rows.push(run_cell(
-                setup, &catalog, &cluster, layout, &workload, lambda, controller, failures, mode,
-                base_seed, telemetry,
-            )?);
+            let world = World {
+                catalog: &catalog,
+                cluster: &cluster,
+                layout,
+            };
+            let reports = run_cell(
+                setup,
+                world,
+                base_seed,
+                |seed| SimConfig {
+                    policy: AdmissionPolicy::LeastLoadedReplica,
+                    failure_model: failures
+                        .then(|| FailureModel::exponential(MTBF_MIN, MTTR_MIN, seed ^ 0xFA)),
+                    repair: RepairConfig {
+                        bandwidth_kbps: REPAIR_KBPS,
+                        max_concurrent: 8,
+                    },
+                    controller,
+                    failover: FailoverPolicy::Resume,
+                    ..SimConfig::default()
+                },
+                |rng| workload.generate(lambda, rng),
+                telemetry,
+            )?;
+            rows.push(ControllerRow {
+                mode,
+                failures,
+                served_ratio_mean: mean(&reports, |r| {
+                    if r.arrivals == 0 {
+                        1.0
+                    } else {
+                        r.admitted as f64 / r.arrivals as f64
+                    }
+                }),
+                rejection_rate_mean: mean(&reports, |r| r.rejection_rate),
+                ticks_mean: mean(&reports, |r| r.controller_ticks as f64),
+                backoffs_mean: mean(&reports, |r| r.controller_backoffs as f64),
+                promotions_mean: mean(&reports, |r| r.controller_promotions as f64),
+                demotions_mean: mean(&reports, |r| r.controller_demotions as f64),
+                retired_mean: mean(&reports, |r| r.controller_retired as f64),
+                rebalance_bytes_mean: mean(&reports, |r| r.controller_bytes_copied as f64),
+                repair_bytes_mean: mean(&reports, |r| r.repair_bytes_copied as f64),
+                runs: setup.runs,
+            });
         }
     }
     Ok(rows)

@@ -12,58 +12,38 @@
 //! falls.
 
 use crate::config::PaperSetup;
-use crate::report::{pct, Reporter, Table};
-use crate::runner::{build_plan, run_point, Combo};
-use vod_sim::AdmissionPolicy;
+use crate::report::{pct, Reporter};
+use crate::runner::{build_plan, lambda_sweep, Combo};
 
 /// Regenerates the four Figure 4 subplots.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
-    let degrees = setup.degrees();
     let subplots = [
         ("fig4a", Combo::ZIPF_SLF, 1.0),
         ("fig4b", Combo::CLASS_RR, 1.0),
         ("fig4c", Combo::ZIPF_SLF, 0.5),
         ("fig4d", Combo::CLASS_RR, 0.5),
     ];
-
     for (name, combo, theta) in subplots {
         // One plan per degree, reused across the λ sweep.
-        let points: Vec<_> = degrees
-            .iter()
-            .map(|&d| build_plan(setup, combo, theta, d))
-            .collect::<Result<_, _>>()?;
-
-        let mut header: Vec<String> = vec!["lambda/min".into()];
-        header.extend(degrees.iter().map(|d| format!("deg {d:.1}")));
-        let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let mut table = Table::new(
-            &format!(
-                "Figure 4{}: rejection rate, {} (θ = {theta})",
-                &name[4..],
-                combo.label()
-            ),
-            &header_refs,
+        let columns = setup
+            .degrees()
+            .into_iter()
+            .map(|d| {
+                Ok((
+                    format!("deg {d:.1}"),
+                    d,
+                    build_plan(setup, combo, theta, d)?,
+                ))
+            })
+            .collect::<Result<_, vod_model::ModelError>>()?;
+        let title = format!(
+            "Figure 4{}: rejection rate, {} (θ = {theta})",
+            &name[4..],
+            combo.label()
         );
-
-        let mut json_rows = Vec::new();
-        for lambda in setup.lambda_sweep() {
-            let mut cells = vec![format!("{lambda:.0}")];
-            for (k, point) in points.iter().enumerate() {
-                let stats = run_point(
-                    setup,
-                    point,
-                    lambda,
-                    AdmissionPolicy::StaticRoundRobin,
-                    0xF164 ^ ((k as u64) << 8),
-                    reporter.telemetry(),
-                )?;
-                cells.push(pct(stats.rejection_rate));
-                json_rows.push((degrees[k], stats));
-            }
-            table.row(cells);
-        }
-        reporter.emit_table(name, &table)?;
-        reporter.emit_json(name, &json_rows)?;
+        lambda_sweep(setup, reporter, name, &title, 0xF164, columns, |s| {
+            pct(s.rejection_rate)
+        })?;
     }
     Ok(())
 }
@@ -71,6 +51,8 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_point;
+    use vod_sim::AdmissionPolicy;
     use vod_telemetry::Telemetry;
 
     #[test]

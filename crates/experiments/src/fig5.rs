@@ -11,9 +11,8 @@
 //! θ falls.
 
 use crate::config::PaperSetup;
-use crate::report::{pct, Reporter, Table};
-use crate::runner::{build_plan, run_point, Combo};
-use vod_sim::AdmissionPolicy;
+use crate::report::{pct, Reporter};
+use crate::runner::{build_plan, lambda_sweep, Combo};
 
 /// Regenerates the four Figure 5 subplots.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
@@ -23,43 +22,18 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
         ("fig5c", 1.2, 0.5),
         ("fig5d", 1.6, 0.5),
     ];
-
     for (name, degree, theta) in subplots {
-        let points: Vec<_> = Combo::FIGURE_5
+        let columns = Combo::FIGURE_5
             .iter()
-            .map(|&combo| build_plan(setup, combo, theta, degree))
-            .collect::<Result<_, _>>()?;
-
-        let mut header: Vec<String> = vec!["lambda/min".into()];
-        header.extend(Combo::FIGURE_5.iter().map(|c| c.label()));
-        let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let mut table = Table::new(
-            &format!(
-                "Figure 5{}: rejection rate by algorithm combo (degree {degree}, θ = {theta})",
-                &name[4..]
-            ),
-            &header_refs,
+            .map(|&c| Ok((c.label(), c.label(), build_plan(setup, c, theta, degree)?)))
+            .collect::<Result<_, vod_model::ModelError>>()?;
+        let title = format!(
+            "Figure 5{}: rejection rate by algorithm combo (degree {degree}, θ = {theta})",
+            &name[4..]
         );
-
-        let mut json_rows = Vec::new();
-        for lambda in setup.lambda_sweep() {
-            let mut cells = vec![format!("{lambda:.0}")];
-            for (k, point) in points.iter().enumerate() {
-                let stats = run_point(
-                    setup,
-                    point,
-                    lambda,
-                    AdmissionPolicy::StaticRoundRobin,
-                    0xF165 ^ ((k as u64) << 8),
-                    reporter.telemetry(),
-                )?;
-                cells.push(pct(stats.rejection_rate));
-                json_rows.push((Combo::FIGURE_5[k].label(), stats));
-            }
-            table.row(cells);
-        }
-        reporter.emit_table(name, &table)?;
-        reporter.emit_json(name, &json_rows)?;
+        lambda_sweep(setup, reporter, name, &title, 0xF165, columns, |s| {
+            pct(s.rejection_rate)
+        })?;
     }
     Ok(())
 }

@@ -19,51 +19,27 @@
 //! absolute deviation (see EXPERIMENTS.md).
 
 use crate::config::PaperSetup;
-use crate::report::{f3, Reporter, Table};
-use crate::runner::{build_plan, run_point, Combo};
-use vod_sim::AdmissionPolicy;
+use crate::report::{f3, Reporter};
+use crate::runner::{build_plan, lambda_sweep, Combo};
 
 /// Regenerates the two Figure 6 subplots.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
     let degree = 1.2;
-    let subplots = [("fig6a", 1.0), ("fig6b", 0.5)];
-
-    for (name, theta) in subplots {
-        let points: Vec<_> = Combo::FIGURE_5
+    for (name, theta) in [("fig6a", 1.0), ("fig6b", 0.5)] {
+        let columns = Combo::FIGURE_5
             .iter()
-            .map(|&combo| build_plan(setup, combo, theta, degree))
-            .collect::<Result<_, _>>()?;
-
-        let mut header: Vec<String> = vec!["lambda/min".into()];
-        header.extend(Combo::FIGURE_5.iter().map(|c| format!("{} L%", c.label())));
-        let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let mut table = Table::new(
-            &format!(
-                "Figure 6{}: load-imbalance degree L(%) (degree {degree}, θ = {theta})",
-                &name[4..]
-            ),
-            &header_refs,
+            .map(|&c| {
+                let header = format!("{} L%", c.label());
+                Ok((header, c.label(), build_plan(setup, c, theta, degree)?))
+            })
+            .collect::<Result<_, vod_model::ModelError>>()?;
+        let title = format!(
+            "Figure 6{}: load-imbalance degree L(%) (degree {degree}, θ = {theta})",
+            &name[4..]
         );
-
-        let mut json_rows = Vec::new();
-        for lambda in setup.lambda_sweep() {
-            let mut cells = vec![format!("{lambda:.0}")];
-            for (k, point) in points.iter().enumerate() {
-                let stats = run_point(
-                    setup,
-                    point,
-                    lambda,
-                    AdmissionPolicy::StaticRoundRobin,
-                    0xF166 ^ ((k as u64) << 8),
-                    reporter.telemetry(),
-                )?;
-                cells.push(f3(stats.imbalance_maxdev_pct_capacity));
-                json_rows.push((Combo::FIGURE_5[k].label(), stats));
-            }
-            table.row(cells);
-        }
-        reporter.emit_table(name, &table)?;
-        reporter.emit_json(name, &json_rows)?;
+        lambda_sweep(setup, reporter, name, &title, 0xF166, columns, |s| {
+            f3(s.imbalance_maxdev_pct_capacity)
+        })?;
     }
     Ok(())
 }

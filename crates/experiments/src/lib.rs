@@ -28,8 +28,9 @@
 //! | scale | [`scale`] | production-scale streaming world vs capacity bounds (A-9) |
 //!
 //! All simulation experiments average over seeded runs fanned out across
-//! OS threads ([`runner`]); outputs go to stdout as aligned tables and to
-//! `results/*.csv` + `results/*.json` ([`report`]).
+//! OS threads, one [`runner`] cell per data point; outputs go to stdout
+//! as aligned tables and to `results/*.csv` + `results/*.json`
+//! ([`report`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

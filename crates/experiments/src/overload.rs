@@ -25,12 +25,11 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{aggregate, build_plan, replicate, Combo, PlannedPoint, PointStats};
+use crate::runner::{aggregate, build_plan, mean, run_cell, Combo, PointStats, World};
 use serde::Serialize;
-use vod_model::{ClusterSpec, ModelError};
 use vod_sim::{
     AdmissionConfig, AdmissionPolicy, BrownoutModel, FailoverPolicy, FailureModel, QueuePolicy,
-    SimConfig, Simulation,
+    SimConfig,
 };
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
@@ -79,68 +78,28 @@ pub struct OverloadRow {
     pub brownout_active_min_mean: f64,
 }
 
-/// Runs one cell: `setup.runs` seeded replications, each with its own
-/// trace, patience draws and (when enabled) brownout draws.
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    setup: &PaperSetup,
-    point: &PlannedPoint,
-    cluster: &ClusterSpec,
-    lambda: f64,
-    admission: &AdmissionConfig,
-    brownouts: bool,
-    base_seed: u64,
-    telemetry: &Telemetry,
-) -> Result<(PointStats, Vec<vod_sim::SimReport>), ModelError> {
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    let planner = point.planner();
-    let generator = TraceGenerator::new(lambda, planner.popularity(), setup.horizon_min)?;
-    let reports = replicate(setup.runs, base_seed, |seed| {
-        let config = SimConfig {
-            policy: AdmissionPolicy::RoundRobinFailover,
-            horizon_min: setup.horizon_min,
-            shards: setup.shards,
-            admission: AdmissionConfig {
-                seed,
-                ..admission.clone()
-            },
-            failure_model: brownouts.then(|| {
-                FailureModel::brownouts_only(
-                    BrownoutModel {
-                        mtbf_min: BROWNOUT_MTBF_MIN,
-                        mttr_min: BROWNOUT_MTTR_MIN,
-                        min_capacity_frac: BROWNOUT_CAPACITY_FRAC.0,
-                        max_capacity_frac: BROWNOUT_CAPACITY_FRAC.1,
-                    },
-                    seed,
-                )
-            }),
-            failover: FailoverPolicy::ResumeOrDegrade,
-            ..SimConfig::default()
-        };
-        let sim = Simulation::new(planner.catalog(), cluster, &point.plan.layout, config)?;
-        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
-        sim.run_with_telemetry(&trace, telemetry)
-    })?;
-    Ok((aggregate(lambda, &reports), reports))
-}
-
 /// Computes the sweep: load × patience × retry budget × brownouts.
-/// Records every run's `sim.*` instruments into `telemetry`.
+/// Every cell runs `setup.runs` replications, each with its own trace,
+/// patience draws and (when enabled) brownout draws. Records every run's
+/// `sim.*` instruments into `telemetry`.
 pub fn compute(
     setup: &PaperSetup,
     telemetry: &Telemetry,
 ) -> Result<Vec<OverloadRow>, Box<dyn std::error::Error>> {
     let point = build_plan(setup, Combo::ZIPF_SLF, 1.0, 1.2)?;
     let cluster = setup.cluster(1.2);
+    let world = World {
+        cluster: &cluster,
+        ..point.world()
+    };
     // One seed for every cell: cells at equal load share identical
     // traces, so rows differ only in the swept knobs.
     let base_seed = 0x0AD6;
     let mut rows = Vec::new();
     for load_frac in [0.8, 1.0, 1.2] {
         let lambda = load_frac * setup.capacity_lambda_per_min();
+        let generator =
+            TraceGenerator::new(lambda, point.planner().popularity(), setup.horizon_min)?;
         for patience_min in [0.0, 0.5, 2.0] {
             for max_retries in [0u32, 3] {
                 let admission = AdmissionConfig {
@@ -153,32 +112,51 @@ pub fn compute(
                     ..AdmissionConfig::default()
                 };
                 for brownouts in [false, true] {
-                    let (stats, reports) = run_cell(
-                        setup, &point, &cluster, lambda, &admission, brownouts, base_seed,
+                    let reports = run_cell(
+                        setup,
+                        world,
+                        base_seed,
+                        |seed| SimConfig {
+                            policy: AdmissionPolicy::RoundRobinFailover,
+                            admission: AdmissionConfig {
+                                seed,
+                                ..admission.clone()
+                            },
+                            failure_model: brownouts.then(|| {
+                                FailureModel::brownouts_only(
+                                    BrownoutModel {
+                                        mtbf_min: BROWNOUT_MTBF_MIN,
+                                        mttr_min: BROWNOUT_MTTR_MIN,
+                                        min_capacity_frac: BROWNOUT_CAPACITY_FRAC.0,
+                                        max_capacity_frac: BROWNOUT_CAPACITY_FRAC.1,
+                                    },
+                                    seed,
+                                )
+                            }),
+                            failover: FailoverPolicy::ResumeOrDegrade,
+                            ..SimConfig::default()
+                        },
+                        |rng| Ok(generator.generate(rng)),
                         telemetry,
                     )?;
-                    let n = reports.len() as f64;
-                    let mean = |f: &dyn Fn(&vod_sim::SimReport) -> f64| {
-                        reports.iter().map(f).sum::<f64>() / n
-                    };
                     rows.push(OverloadRow {
                         load_frac,
                         patience_min,
                         max_retries,
                         brownouts,
-                        queued_mean: mean(&|r| r.queued as f64),
-                        retried_mean: mean(&|r| r.retried as f64),
-                        abandonment_rate: mean(&|r| {
+                        stats: aggregate(lambda, &reports),
+                        queued_mean: mean(&reports, |r| r.queued as f64),
+                        retried_mean: mean(&reports, |r| r.retried as f64),
+                        abandonment_rate: mean(&reports, |r| {
                             r.abandoned as f64 / (r.arrivals.max(1)) as f64
                         }),
-                        degraded_share: mean(&|r| {
+                        degraded_share: mean(&reports, |r| {
                             r.degraded_served as f64 / (r.admitted.max(1)) as f64
                         }),
-                        wait_p50_min: mean(&|r| r.wait_p50_min),
-                        wait_p95_min: mean(&|r| r.wait_p95_min),
-                        goodput: mean(&|r| r.goodput),
-                        brownout_active_min_mean: mean(&|r| r.brownout_active_min),
-                        stats,
+                        wait_p50_min: mean(&reports, |r| r.wait_p50_min),
+                        wait_p95_min: mean(&reports, |r| r.wait_p95_min),
+                        goodput: mean(&reports, |r| r.goodput),
+                        brownout_active_min_mean: mean(&reports, |r| r.brownout_active_min),
                     });
                 }
             }

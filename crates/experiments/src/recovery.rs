@@ -24,10 +24,9 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{aggregate, build_plan, replicate, Combo, PlannedPoint, PointStats};
+use crate::runner::{aggregate, build_plan, mean, run_cell, Combo, PointStats, World};
 use serde::Serialize;
-use vod_model::{ClusterSpec, ModelError};
-use vod_sim::{AdmissionPolicy, FailoverPolicy, FailureModel, RepairConfig, SimConfig, Simulation};
+use vod_sim::{AdmissionPolicy, FailoverPolicy, FailureModel, RepairConfig, SimConfig};
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
 
@@ -70,71 +69,11 @@ pub struct RecoveryRow {
     pub repair_bytes_mean: f64,
 }
 
-/// Per-run outcome means a single sweep cell produces.
-struct CellOutcome {
-    stats: PointStats,
-    disrupted_mean: f64,
-    resumed_mean: f64,
-    degraded_mean: f64,
-    time_to_redundancy_min_mean: f64,
-    redundancy_deficit_video_min_mean: f64,
-    unavailability_video_min_mean: f64,
-    repair_bytes_mean: f64,
-}
-
-/// Runs one cell: `setup.runs` seeded replications, each with its own
-/// trace *and* its own fault draws (the model seed varies per run, the
-/// whole cell is deterministic per `base_seed`).
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    setup: &PaperSetup,
-    point: &PlannedPoint,
-    cluster: &ClusterSpec,
-    lambda: f64,
-    mttr_min: f64,
-    repair_kbps: u64,
-    failover: FailoverPolicy,
-    base_seed: u64,
-    telemetry: &Telemetry,
-) -> Result<CellOutcome, ModelError> {
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    let planner = point.planner();
-    let generator = TraceGenerator::new(lambda, planner.popularity(), setup.horizon_min)?;
-    let reports = replicate(setup.runs, base_seed, |seed| {
-        let config = SimConfig {
-            policy: AdmissionPolicy::RoundRobinFailover,
-            horizon_min: setup.horizon_min,
-            shards: setup.shards,
-            failure_model: Some(FailureModel::exponential(MTBF_MIN, mttr_min, seed)),
-            repair: RepairConfig {
-                bandwidth_kbps: repair_kbps,
-                max_concurrent: 8,
-            },
-            failover,
-            ..SimConfig::default()
-        };
-        let sim = Simulation::new(planner.catalog(), cluster, &point.plan.layout, config)?;
-        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
-        sim.run_with_telemetry(&trace, telemetry)
-    })?;
-    let n = reports.len() as f64;
-    let mean = |f: &dyn Fn(&vod_sim::SimReport) -> f64| reports.iter().map(f).sum::<f64>() / n;
-    Ok(CellOutcome {
-        disrupted_mean: mean(&|r| r.disrupted as f64),
-        resumed_mean: mean(&|r| r.resumed as f64),
-        degraded_mean: mean(&|r| r.degraded as f64),
-        time_to_redundancy_min_mean: mean(&|r| r.time_to_redundancy_min),
-        redundancy_deficit_video_min_mean: mean(&|r| r.redundancy_deficit_video_min),
-        unavailability_video_min_mean: mean(&|r| r.unavailability_video_min),
-        repair_bytes_mean: mean(&|r| r.repair_bytes_copied as f64),
-        stats: aggregate(lambda, &reports),
-    })
-}
-
 /// Computes the sweep: MTTR × repair bandwidth × replication degree.
-/// Records every run's `sim.*` instruments into `telemetry`.
+/// Every cell runs `setup.runs` replications, each with its own trace
+/// *and* its own fault draws (the model seed varies per run, the whole
+/// cell is deterministic per base seed). Records every run's `sim.*`
+/// instruments into `telemetry`.
 pub fn compute(
     setup: &PaperSetup,
     telemetry: &Telemetry,
@@ -149,49 +88,58 @@ pub fn compute(
     let mut rows = Vec::new();
     for degree in [1.0, 1.5, 2.0] {
         let point = build_plan(setup, Combo::ZIPF_SLF, 1.0, degree)?;
+        let generator =
+            TraceGenerator::new(lambda, point.planner().popularity(), setup.horizon_min)?;
         // Spare storage for rebuilds: one extra catalog-share of slots
         // per server beyond the exact-fit capacity the plan was made
         // for, as a real deployment provisions spare disk for repair.
         let cluster = setup.cluster(degree + 1.0);
+        let world = World {
+            cluster: &cluster,
+            ..point.world()
+        };
         for mttr_min in [15.0f64, 45.0] {
             for repair_kbps in [0u64, 50_000, 250_000] {
-                let outcome = run_cell(
-                    setup,
-                    &point,
-                    &cluster,
-                    lambda,
-                    mttr_min,
-                    repair_kbps,
-                    FailoverPolicy::ResumeOrDegrade,
-                    base_seed,
-                    telemetry,
-                )?;
+                let cell = |failover| {
+                    run_cell(
+                        setup,
+                        world,
+                        base_seed,
+                        |seed| SimConfig {
+                            policy: AdmissionPolicy::RoundRobinFailover,
+                            failure_model: Some(FailureModel::exponential(
+                                MTBF_MIN, mttr_min, seed,
+                            )),
+                            repair: RepairConfig {
+                                bandwidth_kbps: repair_kbps,
+                                max_concurrent: 8,
+                            },
+                            failover,
+                            ..SimConfig::default()
+                        },
+                        |rng| Ok(generator.generate(rng)),
+                        telemetry,
+                    )
+                };
+                let reports = cell(FailoverPolicy::ResumeOrDegrade)?;
                 // Unconditional-kill baseline: identical traces and fault
                 // draws, no stream rescue.
-                let kill = run_cell(
-                    setup,
-                    &point,
-                    &cluster,
-                    lambda,
-                    mttr_min,
-                    repair_kbps,
-                    FailoverPolicy::Kill,
-                    base_seed,
-                    telemetry,
-                )?;
+                let kill = cell(FailoverPolicy::Kill)?;
                 rows.push(RecoveryRow {
                     degree,
                     mttr_min,
                     repair_kbps,
-                    stats: outcome.stats,
-                    disrupted_mean: outcome.disrupted_mean,
-                    resumed_mean: outcome.resumed_mean,
-                    degraded_mean: outcome.degraded_mean,
-                    kill_disrupted_mean: kill.disrupted_mean,
-                    time_to_redundancy_min_mean: outcome.time_to_redundancy_min_mean,
-                    redundancy_deficit_video_min_mean: outcome.redundancy_deficit_video_min_mean,
-                    unavailability_video_min_mean: outcome.unavailability_video_min_mean,
-                    repair_bytes_mean: outcome.repair_bytes_mean,
+                    stats: aggregate(lambda, &reports),
+                    disrupted_mean: mean(&reports, |r| r.disrupted as f64),
+                    resumed_mean: mean(&reports, |r| r.resumed as f64),
+                    degraded_mean: mean(&reports, |r| r.degraded as f64),
+                    kill_disrupted_mean: mean(&kill, |r| r.disrupted as f64),
+                    time_to_redundancy_min_mean: mean(&reports, |r| r.time_to_redundancy_min),
+                    redundancy_deficit_video_min_mean: mean(&reports, |r| {
+                        r.redundancy_deficit_video_min
+                    }),
+                    unavailability_video_min_mean: mean(&reports, |r| r.unavailability_video_min),
+                    repair_bytes_mean: mean(&reports, |r| r.repair_bytes_copied as f64),
                 });
             }
         }

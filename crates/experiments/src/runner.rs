@@ -1,21 +1,25 @@
 //! Parallel multi-run simulation driver.
 //!
-//! Every simulated data point in the paper is "an average of runs"; this
-//! module builds the plan once (planning is deterministic), then fans the
-//! independent replications out over OS threads with [`replicate`] — one
-//! seed per run, results folded in run order so the aggregate is
-//! identical regardless of scheduling. Every experiment's replications
-//! go through it.
+//! Every simulated data point in the paper is "an average of runs". One
+//! point of any experiment is a *cell*: `run_cell` runs `setup.runs`
+//! seeded replications of one world — the per-seed `SimConfig` and trace
+//! are the caller's, the seed schedule, horizon, shard count, bind and
+//! telemetry are the cell's — fanned out over OS threads and returned in
+//! run order, so the reports never depend on scheduling. `mean` averages
+//! one field over a cell, [`aggregate`] folds it into [`PointStats`], and
+//! [`run_point`] does both for a planned point under a Poisson trace.
+//! Figures 4–6 sweep such points over λ with `lambda_sweep`.
 
 use crate::config::PaperSetup;
+use crate::report::{Reporter, Table};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use vod_core::{ClusterPlanner, PlacementAlgo, Plan, ReplicationAlgo};
-use vod_model::ModelError;
+use vod_model::{Catalog, ClusterSpec, Layout, ModelError};
 use vod_sim::{AdmissionPolicy, SimConfig, SimReport, Simulation};
 use vod_telemetry::Telemetry;
-use vod_workload::{stats, TraceGenerator};
+use vod_workload::{stats, Trace, TraceGenerator};
 
 /// A replication × placement algorithm pairing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -100,6 +104,27 @@ impl PlannedPoint {
     pub fn planner(&self) -> &ClusterPlanner {
         &self.planner
     }
+
+    /// The planned world: the planner's catalog and cluster with the
+    /// plan's layout.
+    pub(crate) fn world(&self) -> World<'_> {
+        World {
+            catalog: self.planner.catalog(),
+            cluster: self.planner.cluster(),
+            layout: &self.plan.layout,
+        }
+    }
+}
+
+/// What every run of a cell simulates on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct World<'a> {
+    /// The titles.
+    pub(crate) catalog: &'a Catalog,
+    /// The servers.
+    pub(crate) cluster: &'a ClusterSpec,
+    /// Which servers hold which titles.
+    pub(crate) layout: &'a Layout,
 }
 
 /// Builds the plan for `(combo, theta, degree)` under `setup`.
@@ -119,10 +144,40 @@ pub fn build_plan(
     Ok(PlannedPoint { planner, plan })
 }
 
-/// Runs `setup.runs` seeded replications at arrival rate `lambda_per_min`
-/// in parallel and averages. Every replication records its `sim.*`
-/// engine instruments into `telemetry` (shared across the worker
-/// threads, so counters accumulate over all runs of the point).
+/// Runs one cell: `setup.runs` replications of `world`, run `r` seeded
+/// `base_seed ^ r·0x9E37_79B9_7F4A_7C15`. Each run binds `config(seed)`
+/// with `setup`'s horizon and shard count, replays `trace` drawn from a
+/// ChaCha8 RNG seeded with `seed`, and records its `sim.*` instruments
+/// into `telemetry` (shared across the worker threads, so counters
+/// accumulate over the cell). Returns the reports in run order, or the
+/// first error in run order.
+pub(crate) fn run_cell(
+    setup: &PaperSetup,
+    world: World<'_>,
+    base_seed: u64,
+    config: impl Fn(u64) -> SimConfig + Sync,
+    trace: impl Fn(&mut ChaCha8Rng) -> Result<Trace, ModelError> + Sync,
+    telemetry: &Telemetry,
+) -> Result<Vec<SimReport>, ModelError> {
+    replicate(setup.runs, base_seed, |seed| {
+        let config = SimConfig {
+            horizon_min: setup.horizon_min,
+            shards: setup.shards,
+            ..config(seed)
+        };
+        let sim = Simulation::new(world.catalog, world.cluster, world.layout, config)?;
+        sim.run_with_telemetry(&trace(&mut ChaCha8Rng::seed_from_u64(seed))?, telemetry)
+    })
+}
+
+/// The mean of `f` over a cell's reports.
+pub(crate) fn mean(reports: &[SimReport], f: impl Fn(&SimReport) -> f64) -> f64 {
+    reports.iter().map(f).sum::<f64>() / reports.len() as f64
+}
+
+/// Runs one cell of `point` under `policy` at arrival rate
+/// `lambda_per_min` (a Poisson trace over `point`'s popularity) and
+/// averages it into a [`PointStats`].
 pub fn run_point(
     setup: &PaperSetup,
     point: &PlannedPoint,
@@ -131,7 +186,22 @@ pub fn run_point(
     base_seed: u64,
     telemetry: &Telemetry,
 ) -> Result<PointStats, ModelError> {
-    let reports = run_replications(setup, point, lambda_per_min, policy, base_seed, telemetry)?;
+    let generator = TraceGenerator::new(
+        lambda_per_min,
+        point.planner.popularity(),
+        setup.horizon_min,
+    )?;
+    let reports = run_cell(
+        setup,
+        point.world(),
+        base_seed,
+        |_| SimConfig {
+            policy,
+            ..SimConfig::default()
+        },
+        |rng| Ok(generator.generate(rng)),
+        telemetry,
+    )?;
     Ok(aggregate_with_capacity(
         lambda_per_min,
         &reports,
@@ -139,44 +209,51 @@ pub fn run_point(
     ))
 }
 
-/// Runs the replications and returns the raw per-run reports, recording
-/// engine instruments into `telemetry`.
-pub fn run_replications(
+/// Regenerates one λ-sweep subplot of Figures 4–6: a row per rate of
+/// `setup.lambda_sweep()`, a column per `(header, label, point)` run at
+/// the paper's static round-robin admission with base seed
+/// `seed ^ (k << 8)` for column `k`. The table shows `cell` of each
+/// point's stats and is written as `<name>.csv`; every `(label, stats)`
+/// pair goes to `<name>.json` in row-major order.
+pub(crate) fn lambda_sweep<L: Serialize>(
     setup: &PaperSetup,
-    point: &PlannedPoint,
-    lambda_per_min: f64,
-    policy: AdmissionPolicy,
-    base_seed: u64,
-    telemetry: &Telemetry,
-) -> Result<Vec<SimReport>, ModelError> {
-    let generator = TraceGenerator::new(
-        lambda_per_min,
-        point.planner.popularity(),
-        setup.horizon_min,
-    )?;
-    let config = SimConfig {
-        policy,
-        horizon_min: setup.horizon_min,
-        shards: setup.shards,
-        ..SimConfig::default()
-    };
-    let sim = Simulation::new(
-        point.planner.catalog(),
-        point.planner.cluster(),
-        &point.plan.layout,
-        config,
-    )?;
-    replicate(setup.runs, base_seed, |seed| {
-        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
-        sim.run_with_telemetry(&trace, telemetry)
-    })
+    reporter: &Reporter,
+    name: &str,
+    title: &str,
+    seed: u64,
+    columns: Vec<(String, L, PlannedPoint)>,
+    cell: impl Fn(&PointStats) -> String,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let mut header = vec!["lambda/min"];
+    header.extend(columns.iter().map(|(h, _, _)| h.as_str()));
+    let mut table = Table::new(title, &header);
+    let mut json_rows = Vec::new();
+    for lambda in setup.lambda_sweep() {
+        let mut cells = vec![format!("{lambda:.0}")];
+        for (k, (_, label, point)) in columns.iter().enumerate() {
+            let stats = run_point(
+                setup,
+                point,
+                lambda,
+                AdmissionPolicy::StaticRoundRobin,
+                seed ^ ((k as u64) << 8),
+                reporter.telemetry(),
+            )?;
+            cells.push(cell(&stats));
+            json_rows.push((label, stats));
+        }
+        table.row(cells);
+    }
+    reporter.emit_table(name, &table)?;
+    reporter.emit_json(name, &json_rows)?;
+    Ok(())
 }
 
 /// Runs `runs` independent replications in parallel, run `r` as
 /// `run(base_seed ^ r·0x9E37_79B9_7F4A_7C15)`, and returns the reports
 /// in run order — or the first error in run order — so the result never
 /// depends on scheduling.
-pub fn replicate<E: Send>(
+fn replicate<E: Send>(
     runs: u32,
     base_seed: u64,
     run: impl Fn(u64) -> Result<SimReport, E> + Sync,
@@ -293,6 +370,29 @@ mod tests {
         let heavy = run_point(&setup, &point, 60.0, RR, 1, &Telemetry::disabled()).unwrap();
         assert!(heavy.rejection_rate > light.rejection_rate);
         assert!(heavy.rejection_rate > 0.2, "{}", heavy.rejection_rate);
+    }
+
+    #[test]
+    fn run_cell_owns_the_horizon() {
+        let setup = PaperSetup {
+            horizon_min: 45.0,
+            ..tiny_setup()
+        };
+        let point = build_plan(&setup, Combo::ZIPF_SLF, 1.0, 1.2).unwrap();
+        let generator = TraceGenerator::new(30.0, point.planner().popularity(), 45.0).unwrap();
+        let cell = |horizon_min| {
+            let config = |_| SimConfig {
+                horizon_min,
+                ..SimConfig::default()
+            };
+            let trace = |rng: &mut ChaCha8Rng| Ok(generator.generate(rng));
+            let off = Telemetry::disabled();
+            run_cell(&setup, point.world(), 5, config, trace, &off).unwrap()
+        };
+        let reports = cell(90.0);
+        assert_eq!(reports.len(), 4);
+        assert_eq!(reports, cell(45.0));
+        assert_eq!(reports, cell(1.0));
     }
 
     #[test]

@@ -316,8 +316,14 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// Runs one scale world end-to-end through the streaming engine and
 /// derives the bound comparison. Fails if the measured bytes per active
 /// stream exceed [`BYTES_PER_STREAM_CEILING`] — the memory contract the
-/// streaming pipeline exists to honor.
-pub fn compute(world: &ScaleWorld, seed: u64) -> Result<ScaleOutcome, Box<dyn std::error::Error>> {
+/// streaming pipeline exists to honor. The run records into a private
+/// registry, which yields its event count and memory figure and is then
+/// forwarded whole into `telemetry`.
+pub fn compute(
+    world: &ScaleWorld,
+    seed: u64,
+    telemetry: &Telemetry,
+) -> Result<ScaleOutcome, Box<dyn std::error::Error>> {
     let setup = &world.setup;
     let point = build_plan(setup, Combo::ZIPF_SLF, world.theta, world.degree)?;
     let workload = world.workload()?;
@@ -339,15 +345,14 @@ pub fn compute(world: &ScaleWorld, seed: u64) -> Result<ScaleOutcome, Box<dyn st
         config,
     )?;
 
-    let telemetry = Telemetry::enabled();
+    let local = Telemetry::enabled();
     let started = Instant::now();
-    let report = sim.run_streaming_with_telemetry(
-        workload.stream(ChaCha8Rng::seed_from_u64(seed))?,
-        &telemetry,
-    )?;
+    let report = sim
+        .run_streaming_with_telemetry(workload.stream(ChaCha8Rng::seed_from_u64(seed))?, &local)?;
     let wall_secs = started.elapsed().as_secs_f64();
+    telemetry.absorb(&local);
 
-    let snapshot = telemetry.snapshot();
+    let snapshot = local.snapshot();
     let events = snapshot.counter("sim.events");
     let bytes_per_stream = snapshot.histogram("sim.engine.bytes_per_active_stream").max;
 
@@ -461,7 +466,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
     } else {
         ScaleWorld::production(setup.shards)
     };
-    let outcome = compute(&world, SCALE_SEED)?;
+    let outcome = compute(&world, SCALE_SEED, reporter.telemetry())?;
     let s = &outcome.summary;
 
     let mut table = Table::new(
@@ -569,11 +574,22 @@ mod tests {
 
     #[test]
     fn mini_world_respects_every_bound() {
-        let outcome = compute(&ScaleWorld::mini(1), 7).unwrap();
+        let telemetry = Telemetry::enabled();
+        let outcome = compute(&ScaleWorld::mini(1), 7, &telemetry).unwrap();
         let s = &outcome.summary;
         assert!(s.requests > 1_000, "requests {}", s.requests);
         assert_eq!(s.admitted + s.rejected, s.requests);
         assert!(s.events > s.requests);
+        // The run's engine instruments reach the caller's handle.
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("sim.events"), s.events);
+        assert_eq!(snap.counter("sim.arrivals"), s.requests);
+        assert_eq!(snap.counter("sim.rejected"), s.rejected);
+        assert_eq!(
+            snap.histogram("sim.engine.bytes_per_active_stream").max,
+            s.bytes_per_active_stream
+        );
+        assert_eq!(snap.timers, ["sim.run"]);
         assert!(s.bytes_per_active_stream <= BYTES_PER_STREAM_CEILING);
         assert!(outcome.checks.iter().all(|c| c.satisfied));
         assert_eq!(outcome.curve.len(), 3);
@@ -585,8 +601,9 @@ mod tests {
 
     #[test]
     fn mini_world_is_shard_invariant() {
-        let a = compute(&ScaleWorld::mini(1), 7).unwrap();
-        let b = compute(&ScaleWorld::mini(8), 7).unwrap();
+        let off = Telemetry::disabled();
+        let a = compute(&ScaleWorld::mini(1), 7, &off).unwrap();
+        let b = compute(&ScaleWorld::mini(8), 7, &off).unwrap();
         assert_eq!(a.summary.requests, b.summary.requests);
         assert_eq!(a.summary.admitted, b.summary.admitted);
         assert_eq!(a.summary.rejected, b.summary.rejected);

@@ -21,12 +21,10 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
-use crate::runner::{aggregate, build_plan, replicate, run_point, Combo};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use crate::runner::{aggregate, build_plan, mean, run_cell, run_point, Combo, World};
 use serde::Serialize;
 use vod_model::{BitRate, Catalog, ClusterSpec, Layout, ModelError, ServerId, ServerSpec};
-use vod_sim::{AdmissionPolicy, FailurePlan, Outage, SimConfig, Simulation};
+use vod_sim::{AdmissionPolicy, FailurePlan, Outage, SimConfig};
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
 
@@ -43,12 +41,22 @@ pub struct StripedCell {
     pub disrupted_mean: f64,
 }
 
-/// The inputs of a [`Simulation`] that replays a striped cluster.
+/// The inputs of a simulation that replays a striped cluster.
 struct PooledWorld {
     catalog: Catalog,
     cluster: ClusterSpec,
     layout: Layout,
     config: SimConfig,
+}
+
+impl PooledWorld {
+    fn world(&self) -> World<'_> {
+        World {
+            catalog: &self.catalog,
+            cluster: &self.cluster,
+            layout: &self.layout,
+        }
+    }
 }
 
 /// `setup`'s catalog striped over every link of `cluster` with a
@@ -117,7 +125,6 @@ fn pooled_world(
         ..*o
     });
     let config = SimConfig {
-        horizon_min: setup.horizon_min,
         failures: FailurePlan::merged(on_pooled_link.collect())?,
         ..SimConfig::default()
     };
@@ -129,6 +136,8 @@ fn pooled_world(
     })
 }
 
+/// Rejection rate and mean disrupted streams per run of the striped
+/// cluster with the hardware of the replicated runs at degree 1.2.
 fn run_striped(
     setup: &PaperSetup,
     lambda: f64,
@@ -137,17 +146,20 @@ fn run_striped(
     base_seed: u64,
     telemetry: &Telemetry,
 ) -> Result<(f64, f64), Box<dyn std::error::Error>> {
-    // Same aggregate hardware as the replicated runs at degree 1.2.
-    let world = pooled_world(setup, &setup.cluster(1.2), overhead, failures)?;
-    let sim = Simulation::new(&world.catalog, &world.cluster, &world.layout, world.config)?;
-    let pop = setup.popularity(1.0)?;
-    let generator = TraceGenerator::new(lambda, &pop, setup.horizon_min)?;
-    let reports = replicate(setup.runs, base_seed, |seed| {
-        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
-        sim.run_with_telemetry(&trace, telemetry)
-    })?;
-    let disrupted = reports.iter().map(|r| r.disrupted as f64).sum::<f64>() / reports.len() as f64;
-    Ok((aggregate(lambda, &reports).rejection_rate, disrupted))
+    let pooled = pooled_world(setup, &setup.cluster(1.2), overhead, failures)?;
+    let generator = TraceGenerator::new(lambda, &setup.popularity(1.0)?, setup.horizon_min)?;
+    let reports = run_cell(
+        setup,
+        pooled.world(),
+        base_seed,
+        |_| pooled.config.clone(),
+        |rng| Ok(generator.generate(rng)),
+        telemetry,
+    )?;
+    Ok((
+        aggregate(lambda, &reports).rejection_rate,
+        mean(&reports, |r| r.disrupted as f64),
+    ))
 }
 
 /// Regenerates the A-5 tables.
@@ -211,25 +223,20 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
     // Replicated counterpart under the identical outage (failover).
     let generator =
         TraceGenerator::new(lambda, replicated.planner().popularity(), setup.horizon_min)?;
-    let config = SimConfig {
-        policy: AdmissionPolicy::RoundRobinFailover,
-        failures: outage,
-        shards: setup.shards,
-        ..SimConfig::default()
-    };
-    let sim = Simulation::new(
-        replicated.planner().catalog(),
-        replicated.planner().cluster(),
-        &replicated.plan.layout,
-        config,
+    let rep_reports = run_cell(
+        setup,
+        replicated.world(),
+        0xA5,
+        |_| SimConfig {
+            policy: AdmissionPolicy::RoundRobinFailover,
+            failures: outage.clone(),
+            ..SimConfig::default()
+        },
+        |rng| Ok(generator.generate(rng)),
+        reporter.telemetry(),
     )?;
-    let rep_reports = replicate(setup.runs, 0xA5, |seed| {
-        let trace = generator.generate(&mut ChaCha8Rng::seed_from_u64(seed));
-        sim.run_with_telemetry(&trace, reporter.telemetry())
-    })?;
     let rep_rej = aggregate(lambda, &rep_reports).rejection_rate;
-    let rep_dis =
-        rep_reports.iter().map(|r| r.disrupted as f64).sum::<f64>() / rep_reports.len() as f64;
+    let rep_dis = mean(&rep_reports, |r| r.disrupted as f64);
 
     let mut fail_table = Table::new(
         "A-5: one server down 30–60 min (λ = 75% capacity)",
@@ -252,7 +259,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_sim::SimReport;
+    use vod_sim::{SimReport, Simulation};
     use vod_workload::{Request, Trace};
 
     /// 4 ten-minute MPEG-2 titles striped over 4 links of 4,400 kbps.

@@ -2,8 +2,8 @@
 //! a reduced-size setup so the suite stays fast. The full-size runs live
 //! in the `experiments` binary; EXPERIMENTS.md records their outputs.
 
-use vod_experiments::runner::{aggregate, build_plan, run_replications, Combo};
-use vod_experiments::PaperSetup;
+use vod_experiments::runner::{build_plan, run_point, Combo};
+use vod_experiments::{PaperSetup, PointStats};
 use vod_sim::AdmissionPolicy;
 use vod_telemetry::Telemetry;
 
@@ -15,32 +15,25 @@ fn setup() -> PaperSetup {
     }
 }
 
-fn rejection(setup: &PaperSetup, combo: Combo, theta: f64, degree: f64, lambda: f64) -> f64 {
+fn point(
+    setup: &PaperSetup,
+    combo: Combo,
+    theta: f64,
+    degree: f64,
+    lambda: f64,
+    seed: u64,
+) -> PointStats {
     let point = build_plan(setup, combo, theta, degree).expect("plan");
-    let reports = run_replications(
-        setup,
-        &point,
-        lambda,
-        AdmissionPolicy::StaticRoundRobin,
-        0xC1A1_u64,
-        &Telemetry::disabled(),
-    )
-    .expect("runs");
-    aggregate(lambda, &reports).rejection_rate
+    let policy = AdmissionPolicy::StaticRoundRobin;
+    run_point(setup, &point, lambda, policy, seed, &Telemetry::disabled()).expect("runs")
+}
+
+fn rejection(setup: &PaperSetup, combo: Combo, theta: f64, degree: f64, lambda: f64) -> f64 {
+    point(setup, combo, theta, degree, lambda, 0xC1A1).rejection_rate
 }
 
 fn imbalance(setup: &PaperSetup, combo: Combo, theta: f64, degree: f64, lambda: f64) -> f64 {
-    let point = build_plan(setup, combo, theta, degree).expect("plan");
-    let reports = run_replications(
-        setup,
-        &point,
-        lambda,
-        AdmissionPolicy::StaticRoundRobin,
-        0xC1A2_u64,
-        &Telemetry::disabled(),
-    )
-    .expect("runs");
-    aggregate(lambda, &reports).imbalance_cv_pct
+    point(setup, combo, theta, degree, lambda, 0xC1A2).imbalance_cv_pct
 }
 
 /// Claim 1 (Fig. 4): "the rejection rate … decreases with the increase of
