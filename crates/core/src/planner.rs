@@ -248,16 +248,15 @@ impl ClusterPlanner {
     }
 
     /// Simulates a plan under a fresh Poisson/Zipf trace at
-    /// `lambda_per_min` for `horizon_min` minutes.
+    /// `lambda_per_min`, drawn over the run's `config.horizon_min`.
     pub fn simulate<R: Rng + ?Sized>(
         &self,
         plan: &Plan,
         lambda_per_min: f64,
-        horizon_min: f64,
         config: SimConfig,
         rng: &mut R,
     ) -> Result<SimReport, ModelError> {
-        let generator = TraceGenerator::new(lambda_per_min, &self.popularity, horizon_min)?;
+        let generator = TraceGenerator::new(lambda_per_min, &self.popularity, config.horizon_min)?;
         let trace = generator.generate(rng);
         let sim = Simulation::new(&self.catalog, &self.cluster, &plan.layout, config)?;
         sim.run(&trace)
@@ -329,7 +328,7 @@ mod tests {
             .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let report = p
-            .simulate(&plan, 20.0, 90.0, SimConfig::default(), &mut rng)
+            .simulate(&plan, 20.0, SimConfig::default(), &mut rng)
             .unwrap();
         assert!(report.is_conservative());
         // λ=20/min is half the cluster's 40/min capacity: low rejections.

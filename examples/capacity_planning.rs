@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut imbalance = Vec::new();
         for seed in 0..5u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(1_000 + seed);
-            let r = planner.simulate(&plan, peak_lambda, 90.0, SimConfig::default(), &mut rng)?;
+            let r = planner.simulate(&plan, peak_lambda, SimConfig::default(), &mut rng)?;
             rejections.push(r.rejection_rate);
             imbalance.push(r.mean_imbalance_cv);
         }

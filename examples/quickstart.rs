@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (ReplicationAlgo::Classification, PlacementAlgo::RoundRobin),
     ] {
         let plan = planner.plan(repl, plc)?;
-        let report = planner.simulate(&plan, 40.0, 90.0, SimConfig::default(), &mut rng)?;
+        let report = planner.simulate(&plan, 40.0, SimConfig::default(), &mut rng)?;
         println!(
             "{:>7}+{:<4} arrivals {:>5}  rejected {:>4} ({:>6.2}%)  \
              peak streams {:>5}  avg L {:.1}%",

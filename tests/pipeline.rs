@@ -41,7 +41,7 @@ fn every_combo_plans_and_simulates_cleanly() {
             }
             // Simulation conservation.
             let report = p
-                .simulate(&plan, 30.0, 90.0, SimConfig::default(), &mut rng)
+                .simulate(&plan, 30.0, SimConfig::default(), &mut rng)
                 .unwrap();
             assert!(report.is_conservative(), "{repl:?}+{plc:?}");
         }
@@ -126,12 +126,12 @@ fn simulated_rejection_orders_like_the_paper() {
     for seed in 0..6u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(100 + seed);
         good_sum += p
-            .simulate(&good, 40.0, 90.0, SimConfig::default(), &mut rng)
+            .simulate(&good, 40.0, SimConfig::default(), &mut rng)
             .unwrap()
             .rejection_rate;
         let mut rng = ChaCha8Rng::seed_from_u64(100 + seed);
         base_sum += p
-            .simulate(&base, 40.0, 90.0, SimConfig::default(), &mut rng)
+            .simulate(&base, 40.0, SimConfig::default(), &mut rng)
             .unwrap()
             .rejection_rate;
     }

@@ -190,7 +190,7 @@ proptest! {
             .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let report = planner
-            .simulate(&plan, lambda, 90.0, SimConfig::default(), &mut rng)
+            .simulate(&plan, lambda, SimConfig::default(), &mut rng)
             .unwrap();
         prop_assert!(report.is_conservative());
         prop_assert!(report.rejection_rate >= 0.0 && report.rejection_rate <= 1.0);

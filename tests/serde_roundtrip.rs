@@ -87,9 +87,11 @@ fn sim_report_roundtrip() {
         .plan(ReplicationAlgo::ZipfInterval, PlacementAlgo::RoundRobin)
         .unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(10);
-    let report = planner
-        .simulate(&plan, 15.0, 45.0, SimConfig::default(), &mut rng)
-        .unwrap();
+    let config = SimConfig {
+        horizon_min: 45.0,
+        ..SimConfig::default()
+    };
+    let report = planner.simulate(&plan, 15.0, config, &mut rng).unwrap();
     assert_eq!(roundtrip(&report), report);
 }
 
