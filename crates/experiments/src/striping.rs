@@ -49,16 +49,6 @@ struct PooledWorld {
     config: SimConfig,
 }
 
-impl PooledWorld {
-    fn world(&self) -> World<'_> {
-        World {
-            catalog: &self.catalog,
-            cluster: &self.cluster,
-            layout: &self.layout,
-        }
-    }
-}
-
 /// `setup`'s catalog striped over every link of `cluster` with a
 /// fractional per-stream coordination `overhead`, as one pooled link.
 ///
@@ -148,9 +138,14 @@ fn run_striped(
 ) -> Result<(f64, f64), Box<dyn std::error::Error>> {
     let pooled = pooled_world(setup, &setup.cluster(1.2), overhead, failures)?;
     let generator = TraceGenerator::new(lambda, &setup.popularity(1.0)?, setup.horizon_min)?;
+    let world = World {
+        catalog: &pooled.catalog,
+        cluster: &pooled.cluster,
+        layout: &pooled.layout,
+    };
     let reports = run_cell(
         setup,
-        pooled.world(),
+        world,
         base_seed,
         |_| pooled.config.clone(),
         |rng| Ok(generator.generate(rng)),
