@@ -162,8 +162,7 @@ pub fn anneal<P: AnnealProblem, R: Rng + ?Sized>(
 /// `anneal.rejected`, `anneal.epochs` (temperature steps),
 /// `anneal.evaluations` (energy evaluations), and the move-level
 /// mirror `anneal.moves.{proposed,accepted,infeasible}`; span
-/// `anneal.run` (seconds); histograms `anneal.evals_per_sec` and
-/// `anneal.steps_per_sec` (one observation per run).
+/// `anneal.run` (seconds).
 pub fn anneal_with_telemetry<P: AnnealProblem, R: Rng + ?Sized>(
     problem: &P,
     initial: P::State,
@@ -171,7 +170,7 @@ pub fn anneal_with_telemetry<P: AnnealProblem, R: Rng + ?Sized>(
     rng: &mut R,
     telemetry: &Telemetry,
 ) -> AnnealResult<P::State> {
-    let span = telemetry.span("anneal.run");
+    let _span = telemetry.span("anneal.run");
     let mut current = initial;
     let mut current_energy = problem.state_energy(&current);
     let mut best_state = current.clone();
@@ -229,15 +228,6 @@ pub fn anneal_with_telemetry<P: AnnealProblem, R: Rng + ?Sized>(
             .counter("anneal.epochs")
             .add(u64::from(params.epochs));
         telemetry.counter("anneal.evaluations").add(evaluations);
-        let elapsed = span.elapsed_secs();
-        if elapsed > 0.0 {
-            telemetry
-                .histogram("anneal.evals_per_sec")
-                .observe(evaluations as f64 / elapsed);
-            telemetry
-                .histogram("anneal.steps_per_sec")
-                .observe(proposed as f64 / elapsed);
-        }
     }
 
     AnnealResult {
@@ -339,8 +329,6 @@ mod tests {
         assert_eq!(snap.counter("anneal.epochs"), 20);
         assert_eq!(snap.counter("anneal.evaluations"), 601);
         assert_eq!(snap.histogram("anneal.run").count, 1);
-        assert_eq!(snap.histogram("anneal.evals_per_sec").count, 1);
-        assert_eq!(snap.histogram("anneal.steps_per_sec").count, 1);
     }
 
     #[test]

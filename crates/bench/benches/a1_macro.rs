@@ -11,11 +11,12 @@
 //! * `chaos`    — stochastic crashes + brownouts with stream failover and
 //!   mid-run repair, the path that hammers `extract_active`.
 //!
-//! Plus the sharded-engine group: a pod-structured 256-server world
-//! replayed at `shards = 1` (serial) vs `shards = 8` (decoupled
-//! parallel). The two runs produce byte-identical reports — asserted
-//! before measuring — so the throughput delta is pure engine overhead
-//! vs parallel speedup.
+//! Plus the sharded-engine group: the pods world perf-smoke also
+//! measures (`vod_experiments::perf::pods_world`, 256 servers in 32
+//! independent pods) replayed at `shards = 1` (serial) vs `shards = 8`
+//! (decoupled parallel). The two runs produce byte-identical reports —
+//! asserted before measuring — so the throughput delta is pure engine
+//! overhead vs parallel speedup.
 //!
 //! Plus the scale group: the A-9 world shape (512 servers, 20,000
 //! videos, diurnal + premiere + churn arrivals) replayed through the
@@ -29,9 +30,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use vod_core::prelude::*;
-use vod_model::{ServerId, VideoId};
 use vod_sim::{BrownoutModel, FailoverPolicy, FailureModel, RepairConfig};
-use vod_workload::{Request, Trace};
+use vod_workload::Trace;
 
 fn world(m: usize, slots: u64) -> (ClusterPlanner, Plan) {
     let planner = ClusterPlanner::builder()
@@ -101,55 +101,10 @@ fn bench_a1_macro(c: &mut Criterion) {
     group.finish();
 }
 
-/// A pod-structured world of `pods` independent 8-server groups, each
-/// pod holding its own 8 videos on 2-replica sets, plus an evenly
-/// spread peak-period trace. Every replica set stays inside one pod,
-/// so the decoupled parallel path fans out to the full shard count.
-fn pods_world(pods: usize) -> (Catalog, ClusterSpec, Layout, Trace) {
-    const PER_POD: usize = 8;
-    let n_servers = pods * PER_POD;
-    let n_videos = n_servers;
-    let catalog = Catalog::fixed_rate(n_videos, BitRate::MPEG2, 600).unwrap();
-    let cluster = ClusterSpec::homogeneous(
-        n_servers,
-        ServerSpec {
-            storage_bytes: u64::MAX,
-            bandwidth_kbps: 40_000, // 10 concurrent streams per server
-        },
-    )
-    .unwrap();
-    let layout = Layout::new(
-        n_servers,
-        (0..n_videos)
-            .map(|v| {
-                let base = (v / PER_POD) * PER_POD;
-                vec![
-                    ServerId((base + v % PER_POD) as u32),
-                    ServerId((base + (v + 1) % PER_POD) as u32),
-                ]
-            })
-            .collect(),
-    )
-    .unwrap();
-    let n_requests = 20_000usize;
-    // 37 is coprime with the catalog size, so the video sequence cycles
-    // the whole catalog uniformly across pods.
-    let trace = Trace::new(
-        (0..n_requests)
-            .map(|k| Request {
-                arrival_min: k as f64 * (90.0 / n_requests as f64),
-                video: VideoId(((k * 37) % n_videos) as u32),
-            })
-            .collect(),
-    )
-    .unwrap();
-    (catalog, cluster, layout, trace)
-}
-
 fn bench_sharded(c: &mut Criterion) {
     let mut group = c.benchmark_group("a1_macro_sharded");
     group.sample_size(10);
-    let (catalog, cluster, layout, trace) = pods_world(32);
+    let (catalog, cluster, layout, trace) = vod_experiments::perf::pods_world().unwrap();
     let sim_for = |shards| {
         Simulation::new(
             &catalog,

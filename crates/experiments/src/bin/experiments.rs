@@ -45,19 +45,20 @@
 //!                   reports are byte-identical at any shard count, CI
 //!                   diffs them)
 //!   --metrics FILE  append one JSONL run-manifest record per experiment
-//!   --check FILE    perf-smoke only: fail if any measured rate with a
-//!                   floor in FILE drops more than 30% below it
-//!   --scheme S      coding only: narrow the sweep to one redundancy
-//!                   scheme — `repR` (e.g. rep3) for R full replicas, or
-//!                   `rs` with `--k K --m M` for a Reed-Solomon stripe
-//!                   of K data + M parity fragments
+//!   --check FILE    perf-smoke only: fail if any measured rate drops
+//!                   more than 30% below its floor in FILE, which must
+//!                   name a floor for every measured rate and nothing else
 //! ```
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeMap;
+use std::error::Error;
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 use vod_anneal::{anneal_with_telemetry, AnnealParams, CoolingSchedule, ScalableProblem};
+use vod_experiments::perf::pods_world;
 use vod_experiments::report::Reporter;
 use vod_experiments::runner::{build_plan, run_point, Combo};
 use vod_experiments::PaperSetup;
@@ -66,16 +67,16 @@ use vod_experiments::{
     overload, quality, recovery, sa, sa_multirate, scale, striping,
 };
 use vod_model::{
-    BitRate, Catalog, ClusterSpec, Layout, ModelError, ObjectiveWeights, Popularity,
-    RedundancyScheme, ServerId, ServerSpec, VideoId,
+    BitRate, Catalog, ClusterSpec, Layout, ModelError, ObjectiveWeights, Popularity, ServerId,
+    VideoId,
 };
 use vod_sim::event::{Departure, DepartureQueue, NO_STREAM};
 use vod_sim::time::SimTime;
 use vod_sim::{
-    AdmissionPolicy, ControllerConfig, FailoverPolicy, FailureModel, RepairConfig, SimConfig,
-    SimReport, Simulation,
+    AdmissionPolicy, ControllerConfig, FailoverPolicy, FailureModel, FailurePlan, Outage,
+    RepairConfig, SimConfig, SimReport, Simulation,
 };
-use vod_telemetry::{ManifestWriter, RunRecord, Telemetry};
+use vod_telemetry::{ManifestWriter, RunRecord, Snapshot, Telemetry};
 use vod_workload::{
     ArrivalSource, DiurnalCycle, DriftingWorkload, FlashCrowd, RateModel, RatePulse, Request,
     ThinnedWorkload, Trace,
@@ -91,7 +92,6 @@ struct Args {
     no_files: bool,
     metrics: Option<String>,
     check: Option<String>,
-    scheme: Option<RedundancyScheme>,
 }
 
 /// Largest sensible `--shards`: the engine merges per-shard results, so
@@ -117,11 +117,7 @@ fn parse_from(mut iter: impl Iterator<Item = String>) -> Result<Args, String> {
         no_files: false,
         metrics: None,
         check: None,
-        scheme: None,
     };
-    let mut scheme_flag: Option<String> = None;
-    let mut k_flag: Option<u32> = None;
-    let mut m_flag: Option<u32> = None;
     while let Some(a) = iter.next() {
         match a.as_str() {
             "--fast" => args.fast = true,
@@ -182,26 +178,6 @@ fn parse_from(mut iter: impl Iterator<Item = String>) -> Result<Args, String> {
                 }
                 args.check = Some(v);
             }
-            "--scheme" => {
-                let v = iter
-                    .next()
-                    .ok_or("--scheme needs a value: repR (e.g. rep2) or rs")?;
-                scheme_flag = Some(v);
-            }
-            "--k" => {
-                let v = iter.next().ok_or("--k needs a value")?;
-                let k: u32 = v
-                    .parse()
-                    .map_err(|_| format!("bad --k value `{v}`: expected a non-negative integer"))?;
-                k_flag = Some(k);
-            }
-            "--m" => {
-                let v = iter.next().ok_or("--m needs a value")?;
-                let m: u32 = v
-                    .parse()
-                    .map_err(|_| format!("bad --m value `{v}`: expected a non-negative integer"))?;
-                m_flag = Some(m);
-            }
             cmd if !cmd.starts_with('-') && args.command.is_empty() => {
                 args.command = cmd.to_string();
             }
@@ -218,97 +194,10 @@ fn parse_from(mut iter: impl Iterator<Item = String>) -> Result<Args, String> {
             args.command
         ));
     }
-    args.scheme = resolve_scheme(&args.command, scheme_flag, k_flag, m_flag)?;
     Ok(args)
 }
 
-/// Validates the `--scheme`/`--k`/`--m` trio into one redundancy scheme
-/// (coding command only). Degenerate parameters get actionable errors
-/// here, before any simulation is built.
-fn resolve_scheme(
-    command: &str,
-    scheme: Option<String>,
-    k: Option<u32>,
-    m: Option<u32>,
-) -> Result<Option<RedundancyScheme>, String> {
-    // The paper cluster every experiment runs on (--scheme cannot
-    // resize it, so holder counts beyond it can never place).
-    const N_SERVERS: u32 = 8;
-    let Some(scheme) = scheme else {
-        if k.is_some() || m.is_some() {
-            return Err(
-                "--k/--m only apply together with --scheme rs; pass --scheme rs --k K --m M".into(),
-            );
-        }
-        return Ok(None);
-    };
-    if command != "coding" {
-        return Err(format!(
-            "--scheme only applies to the coding experiment (got command `{command}`); \
-             it narrows the A-8 redundancy sweep to one scheme"
-        ));
-    }
-    if let Some(r) = scheme.strip_prefix("rep") {
-        if k.is_some() || m.is_some() {
-            return Err("--k/--m only apply to --scheme rs; a repR scheme is fully \
-                        specified by its replica count"
-                .into());
-        }
-        let r: u32 = r.parse().map_err(|_| {
-            format!("bad --scheme value `{scheme}`: expected repR with an integer R (e.g. rep2)")
-        })?;
-        if r == 0 {
-            return Err(
-                "--scheme rep0 keeps zero copies — nothing could ever be served; \
-                        pass a replica count of at least 1"
-                    .into(),
-            );
-        }
-        if r > N_SERVERS {
-            return Err(format!(
-                "--scheme rep{r} needs {r} distinct servers but the paper cluster has \
-                 {N_SERVERS}; replicas of one video must land on different servers"
-            ));
-        }
-        return Ok(Some(RedundancyScheme::Replicated { r }));
-    }
-    if scheme == "rs" {
-        let (Some(k), Some(m)) = (k, m) else {
-            return Err(
-                "--scheme rs needs both --k (data fragments) and --m (parity fragments), \
-                 e.g. --scheme rs --k 2 --m 1"
-                    .into(),
-            );
-        };
-        if k == 0 {
-            return Err(
-                "--k 0 leaves a stripe with no data fragments — nothing could \
-                        ever be reconstructed; pass k >= 1"
-                    .into(),
-            );
-        }
-        if m == 0 {
-            return Err(
-                "--m 0 provides no redundancy: fragments without parity are \
-                        strictly worse than a single replica; pass m >= 1"
-                    .into(),
-            );
-        }
-        if k + m > N_SERVERS {
-            return Err(format!(
-                "--k {k} --m {m} needs k+m = {} distinct servers but the paper cluster \
-                 has {N_SERVERS}; shrink the stripe or its parity",
-                k + m
-            ));
-        }
-        return Ok(Some(RedundancyScheme::Coded { k, m }));
-    }
-    Err(format!(
-        "unknown --scheme `{scheme}`: expected repR (e.g. rep2) or rs (with --k/--m)"
-    ))
-}
-
-type ExpFn = fn(&PaperSetup, &Reporter) -> Result<(), Box<dyn std::error::Error>>;
+type ExpFn = fn(&PaperSetup, &Reporter) -> Result<(), Box<dyn Error>>;
 
 /// Every regenerator, in `all` order, with the base seed its internal
 /// RNG streams derive from (0 for deterministic planning-only
@@ -335,65 +224,306 @@ const EXPERIMENTS: &[(&str, u64, ExpFn)] = &[
     ("scale", scale::SCALE_SEED, scale::run),
 ];
 
-/// Builds the manifest record for one finished experiment: pinned
-/// parameters, the full counter snapshot (span histograms become phase
-/// timings), and the derived event/request/evaluation rates.
+/// The manifest record of one finished run: pinned parameters, wall
+/// time, and the registry's counters and timers (the timers become
+/// phases).
 fn manifest_record(
     name: &str,
     seed: u64,
     setup: &PaperSetup,
-    telemetry: &Telemetry,
+    snapshot: &Snapshot,
     wall_secs: f64,
 ) -> RunRecord {
-    let snapshot = telemetry.snapshot();
-    let mut record = RunRecord::new(name, seed)
+    RunRecord::new(name, seed)
         .param("n_servers", setup.n_servers as f64)
         .param("n_videos", setup.n_videos as f64)
         .param("runs", f64::from(setup.runs))
         .param("shards", setup.shards as f64)
         .param("horizon_min", setup.horizon_min)
         .wall(wall_secs)
-        .with_snapshot(&snapshot);
-    if wall_secs > 0.0 {
-        let events = snapshot.counter("sim.events");
-        if events > 0 {
-            record = record.rate("events_per_sec", events as f64 / wall_secs);
-        }
-        let arrivals = snapshot.counter("sim.arrivals");
-        if arrivals > 0 {
-            record = record.rate("requests_per_sec", arrivals as f64 / wall_secs);
-        }
-        let evaluations = snapshot.counter("anneal.evaluations");
-        if evaluations > 0 {
-            record = record.rate("evaluations_per_sec", evaluations as f64 / wall_secs);
-        }
-        let sa_steps = snapshot.counter("anneal.proposed");
-        if sa_steps > 0 {
-            record = record.rate("sa_steps_per_sec", sa_steps as f64 / wall_secs);
-        }
-    }
-    record
+        .with_snapshot(snapshot)
 }
 
-/// One perf-smoke engine measurement: `(events, secs, events_per_sec)`.
-type Rate = (u64, f64, f64);
+/// The rates an experiment's record derives from its counters over its
+/// wall time, by rate name; each only when its counter fired.
+const COUNTER_RATES: [(&str, &str); 4] = [
+    ("events_per_sec", "sim.events"),
+    ("requests_per_sec", "sim.arrivals"),
+    ("evaluations_per_sec", "anneal.evaluations"),
+    ("sa_steps_per_sec", "anneal.proposed"),
+];
 
-/// Sharded-engine throughput measurements for the perf smoke on a
-/// pod-structured world (32 independent pods of 8 servers, every
-/// replica set inside one pod) large enough that the decoupled
-/// parallel path fans out to 8 worker threads. Two inputs: the world's
-/// materialized trace, and a thinned arrival stream (a 90-minute
-/// diurnal cycle at amplitude 0.5 and a 1.5× premiere pulse, ~19k
-/// requests over the whole catalog) rebuilt for every run as the
-/// engine consumes it, which the decoupled producer pulls once for all
-/// eight workers. Asserts the shards=1 and shards=8 reports are
-/// byte-identical for both inputs first — the throughput figures are
-/// only meaningful if determinism holds — then measures events/sec of
-/// the sharded engine on each. Returns `(events, secs, events_per_sec)`
-/// for the trace, then for the stream.
-fn par_perf_measurements() -> Result<(Rate, Rate), Box<dyn std::error::Error>> {
-    const SHARDS: usize = 8;
-    let (catalog, cluster, layout, trace) = pods_perf_world()?;
+/// The perf smoke's base seed, which every measurement's RNG streams
+/// derive from.
+const SEED: u64 = 0x5EED_CAFE;
+
+/// Shard count of the four pod-world measurements. Each first asserts
+/// that its `shards = 1` and `shards = SHARDS` reports serialize
+/// byte-identically: a throughput figure only means something while
+/// determinism holds.
+const SHARDS: usize = 8;
+
+/// A measurement's outcome: the work done and the seconds it took.
+type Timed = Result<(u64, f64), Box<dyn Error>>;
+
+/// One perf-smoke measurement: its `PERF_SMOKE` keys, its manifest
+/// phase and `--check` tag, and the function that does and times the
+/// work.
+struct Measurement {
+    /// Key of the work done: events, Metropolis steps, requests or queue
+    /// operations.
+    count: &'static str,
+    /// Key of the rate, work per second: also its floor's name in the
+    /// baseline and its throughput key in the manifest record.
+    rate: &'static str,
+    /// Key of the seconds the rate divides by.
+    secs: &'static str,
+    /// Manifest phase holding those seconds.
+    phase: &'static str,
+    /// `--check` prints the floor's delta as `PERF_SMOKE{tag}_DELTA`.
+    tag: &'static str,
+    /// Does and times the work.
+    run: fn(&mut Smoke) -> Timed,
+}
+
+/// Every measurement, in run and print order; the untagged floor comes
+/// first. EXPERIMENTS.md describes each world.
+const MEASUREMENTS: [Measurement; 9] = [
+    Measurement {
+        count: "events",
+        rate: "events_per_sec",
+        secs: "sim_secs",
+        phase: "simulate",
+        tag: "",
+        run: paper_events,
+    },
+    Measurement {
+        count: "sa_steps",
+        rate: "sa_steps_per_sec",
+        secs: "sa_secs",
+        phase: "anneal",
+        tag: "_SA",
+        run: sa_steps,
+    },
+    Measurement {
+        count: "par_events",
+        rate: "par_events_per_sec",
+        secs: "par_secs",
+        phase: "par_simulate",
+        tag: "_PAR",
+        run: par_events,
+    },
+    Measurement {
+        count: "par_stream_events",
+        rate: "par_stream_events_per_sec",
+        secs: "par_stream_secs",
+        phase: "par_stream_simulate",
+        tag: "_PAR_STREAM",
+        run: par_stream_events,
+    },
+    Measurement {
+        count: "coupled_par_events",
+        rate: "coupled_par_events_per_sec",
+        secs: "coupled_par_secs",
+        phase: "coupled_par_simulate",
+        tag: "_COUPLED",
+        run: coupled_events,
+    },
+    Measurement {
+        count: "drift_events",
+        rate: "drift_events_per_sec",
+        secs: "drift_secs",
+        phase: "drift_simulate",
+        tag: "_DRIFT",
+        run: drift_events,
+    },
+    Measurement {
+        count: "gen_requests",
+        rate: "gen_requests_per_sec",
+        secs: "gen_secs",
+        phase: "generate",
+        tag: "_GEN",
+        run: gen_requests,
+    },
+    Measurement {
+        count: "queue_ops",
+        rate: "queue_ops_per_sec",
+        secs: "queue_secs",
+        phase: "queue",
+        tag: "_QUEUE",
+        run: queue_ops,
+    },
+    Measurement {
+        count: "scale_events",
+        rate: "scale_events_per_sec",
+        secs: "scale_secs",
+        phase: "scale_simulate",
+        tag: "_SCALE",
+        run: scale_events,
+    },
+];
+
+/// A perf-smoke run: the paper setup and load of its first two
+/// measurements, the registry those record into (the manifest record's
+/// counters and timers), and the `PERF_SMOKE` line with the record's
+/// rates and phases, built together so that the record's throughput is
+/// exactly the line's rates.
+struct Smoke {
+    setup: PaperSetup,
+    lambda: f64,
+    telemetry: Telemetry,
+    line: Vec<String>,
+    rates: Vec<(&'static str, f64)>,
+    phases: Vec<(&'static str, f64)>,
+}
+
+impl Smoke {
+    /// Appends `key=value` to the line.
+    fn field(&mut self, key: &str, value: impl std::fmt::Display) {
+        self.line.push(format!("{key}={value}"));
+    }
+
+    /// Appends a rate: rounded on the line, exact in the record.
+    fn rate(&mut self, key: &'static str, per_sec: f64) {
+        self.field(key, format!("{per_sec:.0}"));
+        self.rates.push((key, per_sec));
+    }
+
+    /// Appends seconds: on the line, and as the record's phase `phase`.
+    fn secs(&mut self, key: &str, phase: &'static str, secs: f64) {
+        self.field(key, format!("{secs:.3}"));
+        self.phases.push((phase, secs));
+    }
+}
+
+/// Repeats `pass` at least `min_reps` times and for at least `min_secs`
+/// seconds; returns the work the passes report, summed, and the seconds
+/// they took.
+fn repeat(
+    min_reps: u32,
+    min_secs: f64,
+    mut pass: impl FnMut() -> Result<u64, Box<dyn Error>>,
+) -> Timed {
+    let started = Instant::now();
+    let (mut work, mut reps) = (0, 0);
+    while reps < min_reps || started.elapsed().as_secs_f64() < min_secs {
+        work += pass()?;
+        reps += 1;
+    }
+    Ok((work, started.elapsed().as_secs_f64()))
+}
+
+/// Runs `run` on the world under `config` at `shards = 1` and at
+/// [`SHARDS`] and fails unless the two reports serialize
+/// byte-identically; then repeats the sharded run (at least twice, for
+/// at least half a second) into one registry, whose `sim.events` is the
+/// count. Returns the serial report with the timing.
+fn sharded_events<'a>(
+    what: &str,
+    (catalog, cluster, layout): (&'a Catalog, &'a ClusterSpec, &'a Layout),
+    config: impl Fn(usize) -> SimConfig,
+    run: impl Fn(&Simulation<'a>, &Telemetry) -> Result<SimReport, ModelError>,
+) -> Result<(SimReport, (u64, f64)), Box<dyn Error>> {
+    let serial = Simulation::new(catalog, cluster, layout, config(1))?;
+    let sharded = Simulation::new(catalog, cluster, layout, config(SHARDS))?;
+    let report = run(&serial, &Telemetry::disabled())?;
+    let json = serde_json::to_string(&report)?;
+    if serde_json::to_string(&run(&sharded, &Telemetry::disabled())?)? != json {
+        return Err(format!("perf smoke: {what} report diverged from the serial report").into());
+    }
+    let telemetry = Telemetry::enabled();
+    let (_, secs) = repeat(2, 0.5, || {
+        black_box(run(&sharded, &telemetry)?);
+        Ok(0)
+    })?;
+    Ok((report, (telemetry.snapshot().counter("sim.events"), secs)))
+}
+
+/// The plain config at `shards`.
+fn plain(shards: usize) -> SimConfig {
+    SimConfig {
+        shards,
+        ..SimConfig::default()
+    }
+}
+
+/// The paper world: the paper's cluster (N = 8, M = 200), a zipf+slf
+/// plan at degree 1.2 and λ = 90% of capacity. One batch of eight
+/// replications finishes in milliseconds, so the identical batch repeats
+/// (at least 3 times, for at least 0.5 s); the runs record into the
+/// smoke's registry, whose `sim.events` is the count.
+fn paper_events(smoke: &mut Smoke) -> Timed {
+    let started = Instant::now();
+    let point = build_plan(&smoke.setup, Combo::ZIPF_SLF, 1.0, 1.2)?;
+    let plan_secs = started.elapsed().as_secs_f64();
+    let (setup, lambda, telemetry) = (&smoke.setup, smoke.lambda, &smoke.telemetry);
+    let policy = AdmissionPolicy::StaticRoundRobin;
+    let mut rejection_rate = 0.0;
+    // Each batch counts as one iteration.
+    let (iterations, secs) = repeat(3, 0.5, || {
+        rejection_rate = run_point(setup, &point, lambda, policy, SEED, telemetry)?.rejection_rate;
+        Ok(1)
+    })?;
+    let snapshot = telemetry.snapshot();
+    let arrivals = snapshot.counter("sim.arrivals");
+    smoke.secs("plan_secs", "plan", plan_secs);
+    smoke.field("iterations", iterations);
+    smoke.field("arrivals", arrivals);
+    smoke.rate("requests_per_sec", arrivals as f64 / secs);
+    smoke.field("rejection_rate", format!("{rejection_rate:.4}"));
+    Ok((snapshot.counter("sim.events"), secs))
+}
+
+/// The SA-1 problem shape (the paper cluster at storage degree 1.4,
+/// θ = 1 popularity, 60%-of-capacity demand) through the
+/// delta-evaluated annealer from a fixed seed, recorded into the smoke's
+/// registry and repeated for at least 0.4 s.
+fn sa_steps(smoke: &mut Smoke) -> Timed {
+    let (setup, telemetry) = (&smoke.setup, &smoke.telemetry);
+    let problem = ScalableProblem::new(
+        Popularity::zipf(setup.n_videos, 1.0)?,
+        setup.cluster(1.4),
+        setup.duration_s,
+        BitRate::LADDER.to_vec(),
+        setup.capacity_demand() * 0.6,
+        ObjectiveWeights::default(),
+    )?;
+    let t0 = 20.0 / setup.n_videos as f64;
+    let params = AnnealParams {
+        schedule: CoolingSchedule::Geometric {
+            t0,
+            alpha: 0.93,
+            t_min: t0 * 1e-4,
+        },
+        epochs: 12,
+        steps_per_epoch: 500,
+    };
+    repeat(1, 0.4, || {
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+        let initial = problem.initial_search();
+        black_box(anneal_with_telemetry(
+            &problem, initial, &params, &mut rng, telemetry,
+        ));
+        Ok(u64::from(params.epochs) * u64::from(params.steps_per_epoch))
+    })
+}
+
+/// The pods world's trace at [`SHARDS`], where the decoupled path fans
+/// out to one worker per shard.
+fn par_events(_: &mut Smoke) -> Timed {
+    let (catalog, cluster, layout, trace) = pods_world()?;
+    let world = (&catalog, &cluster, &layout);
+    let run = |sim: &Simulation, t: &Telemetry| sim.run_with_telemetry(&trace, t);
+    Ok(sharded_events("sharded", world, plain, run)?.1)
+}
+
+/// The pods world fed a thinned arrival stream (a 90-minute diurnal
+/// cycle at amplitude 0.5 and a 1.5× premiere pulse, ~19k requests over
+/// the whole catalog) at [`SHARDS`]. The stream is rebuilt for every run
+/// as the engine consumes it, and the decoupled producer pulls it once
+/// for all the workers.
+fn par_stream_events(_: &mut Smoke) -> Timed {
+    let (catalog, cluster, layout, _) = pods_world()?;
     let rate = RateModel::constant(200.0)?
         .with_diurnal(DiurnalCycle {
             period_min: 90.0,
@@ -406,141 +536,31 @@ fn par_perf_measurements() -> Result<(Rate, Rate), Box<dyn std::error::Error>> {
         }])?;
     let workload = ThinnedWorkload::new(rate, Popularity::zipf(catalog.len(), 0.8)?, 90.0)?;
     let stream = || workload.stream(ChaCha8Rng::seed_from_u64(0x5EED_5EED));
-    let cfg = |shards| SimConfig {
-        shards,
-        ..SimConfig::default()
+    let world = (&catalog, &cluster, &layout);
+    let run = |sim: &Simulation, t: &Telemetry| sim.run_streaming_with_telemetry(stream()?, t);
+    Ok(sharded_events("streamed sharded", world, plain, run)?.1)
+}
+
+/// The pods world's trace with one mid-run outage, which couples the
+/// pods: the decoupled fan-out is ineligible, so [`SHARDS`] takes the
+/// serial loop.
+fn coupled_events(_: &mut Smoke) -> Timed {
+    let (catalog, cluster, layout, trace) = pods_world()?;
+    let failures = FailurePlan::new(vec![Outage {
+        server: ServerId(3),
+        down_at_min: 30.0,
+        up_at_min: Some(60.0),
+    }])?;
+    let world = (&catalog, &cluster, &layout);
+    let config = |shards| SimConfig {
+        failures: failures.clone(),
+        ..plain(shards)
     };
-    let serial = Simulation::new(&catalog, &cluster, &layout, cfg(1))?;
-    let sharded = Simulation::new(&catalog, &cluster, &layout, cfg(SHARDS))?;
-    assert_same_report(serial.run(&trace)?, sharded.run(&trace)?, "sharded")?;
-    assert_same_report(
-        serial.run_streaming(stream()?)?,
-        sharded.run_streaming(stream()?)?,
-        "streamed sharded",
-    )?;
-    Ok((
-        time_engine_runs(|t| sharded.run_with_telemetry(&trace, t))?,
-        time_engine_runs(|t| sharded.run_streaming_with_telemetry(stream()?, t))?,
-    ))
+    let run = |sim: &Simulation, t: &Telemetry| sim.run_with_telemetry(&trace, t);
+    Ok(sharded_events("sharded coupled", world, config, run)?.1)
 }
 
-/// Fails the perf smoke unless the `shards = 1` report `serial` and the
-/// `shards = 8` report `sharded` of one `what` measurement serialize
-/// byte-identically.
-fn assert_same_report(
-    serial: SimReport,
-    sharded: SimReport,
-    what: &str,
-) -> Result<(), Box<dyn std::error::Error>> {
-    if serde_json::to_string(&serial)? != serde_json::to_string(&sharded)? {
-        return Err(format!("perf smoke: {what} report diverged from the serial report").into());
-    }
-    Ok(())
-}
-
-/// Repeats `run` (at least twice, for at least half a second) into one
-/// telemetry registry and returns `(events, secs, events_per_sec)`.
-fn time_engine_runs(
-    run: impl Fn(&Telemetry) -> Result<SimReport, ModelError>,
-) -> Result<Rate, Box<dyn std::error::Error>> {
-    let telemetry = Telemetry::enabled();
-    let started = Instant::now();
-    let mut iterations = 0u32;
-    while iterations < 2 || started.elapsed().as_secs_f64() < 0.5 {
-        std::hint::black_box(run(&telemetry)?);
-        iterations += 1;
-    }
-    let secs = started.elapsed().as_secs_f64();
-    let events = telemetry.snapshot().counter("sim.events");
-    Ok((events, secs, events as f64 / secs))
-}
-
-/// The pods world the sharded and coupled measurements run on: 32
-/// independent pods of 8 servers, every replica set inside one pod,
-/// 10-minute MPEG-2 videos on 40 Mbps links (10 concurrent streams per
-/// server — busy but unsaturated), 20k arrivals spread evenly over the
-/// 90-minute horizon cycling the whole catalog.
-fn pods_perf_world() -> Result<(Catalog, ClusterSpec, Layout, Trace), Box<dyn std::error::Error>> {
-    const PODS: usize = 32;
-    const PER_POD: usize = 8;
-    let n_servers = PODS * PER_POD;
-    let n_videos = n_servers;
-    let catalog = Catalog::fixed_rate(n_videos, BitRate::MPEG2, 600)?;
-    let cluster = ClusterSpec::homogeneous(
-        n_servers,
-        ServerSpec {
-            storage_bytes: u64::MAX,
-            bandwidth_kbps: 40_000,
-        },
-    )?;
-    let layout = Layout::new(
-        n_servers,
-        (0..n_videos)
-            .map(|v| {
-                let pod = v / PER_POD;
-                let w = v % PER_POD;
-                vec![
-                    ServerId((pod * PER_POD + w) as u32),
-                    ServerId((pod * PER_POD + (w + 1) % PER_POD) as u32),
-                ]
-            })
-            .collect(),
-    )?;
-    let n_requests = 20_000usize;
-    // 37 is coprime with 256, so the video sequence cycles the whole
-    // catalog uniformly; arrivals are evenly spread over the horizon.
-    let trace = Trace::new(
-        (0..n_requests)
-            .map(|k| Request {
-                arrival_min: k as f64 * (90.0 / n_requests as f64),
-                video: VideoId(((k * 37) % n_videos) as u32),
-            })
-            .collect(),
-    )?;
-    Ok((catalog, cluster, layout, trace))
-}
-
-/// Coupled-path throughput measurement: the same pods world with one
-/// mid-run outage, which couples the pods — the decoupled per-pod
-/// fan-out is ineligible, so `shards = 8` takes the serial loop.
-/// Asserts the `shards = 1` and `shards = 8` reports are byte-identical,
-/// then measures events/sec of the `shards = 8` run. Returns
-/// `(events, secs, events_per_sec)`.
-fn coupled_par_perf_measurement() -> Result<Rate, Box<dyn std::error::Error>> {
-    const SHARDS: usize = 8;
-    let (catalog, cluster, layout, trace) = pods_perf_world()?;
-    let outage = || {
-        vod_sim::FailurePlan::new(vec![vod_sim::Outage {
-            server: ServerId(3),
-            down_at_min: 30.0,
-            up_at_min: Some(60.0),
-        }])
-        .expect("valid outage")
-    };
-    let serial = Simulation::new(
-        &catalog,
-        &cluster,
-        &layout,
-        SimConfig {
-            failures: outage(),
-            ..SimConfig::default()
-        },
-    )?;
-    let sharded = Simulation::new(
-        &catalog,
-        &cluster,
-        &layout,
-        SimConfig {
-            failures: outage(),
-            shards: SHARDS,
-            ..SimConfig::default()
-        },
-    )?;
-    assert_same_report(serial.run(&trace)?, sharded.run(&trace)?, "sharded coupled")?;
-    time_engine_runs(|t| sharded.run_with_telemetry(&trace, t))
-}
-
-/// Pods in the drift world of [`drift_perf_measurement`].
+/// Pods in the drift world of [`drift_events`].
 const DRIFT_PODS: usize = 8;
 
 /// A-7's world tiled [`DRIFT_PODS`] times: 64 servers in pods of 8 and
@@ -549,7 +569,7 @@ const DRIFT_PODS: usize = 8;
 /// slots, then demotes cooled titles to fund raises) and gets its own
 /// A-7 drifting traffic (15-min rank swaps, two flash crowds on its
 /// coldest titles) at 85% of capacity.
-fn drift_perf_world() -> Result<(Catalog, ClusterSpec, Layout, Trace), Box<dyn std::error::Error>> {
+fn drift_world() -> Result<(Catalog, ClusterSpec, Layout, Trace), Box<dyn Error>> {
     let setup = PaperSetup::default();
     let (n, m) = (setup.n_servers, setup.n_videos);
     let point = build_plan(&setup, Combo::ZIPF_SLF, 1.0, 1.4)?;
@@ -602,21 +622,17 @@ fn drift_perf_world() -> Result<(Catalog, ClusterSpec, Layout, Trace), Box<dyn s
     Ok((catalog, cluster, layout, Trace::new(requests)?))
 }
 
-/// Controller-path throughput measurement: the drift world with the
-/// online controller on a 1-min tick, metered 200 Mbps repair,
-/// exponential faults at one A-7 cluster's rate (MTTR 15 min) and
-/// resume failover; repair and controller budgets are A-7's per pod.
-/// The controller couples the pods, so `shards = 8` takes the serial
-/// loop. Asserts that the controller both copied and demoted, and that
-/// the `shards = 1` and `shards = 8` reports are byte-identical, then
-/// measures events/sec of the `shards = 8` run. Returns
-/// `(events, secs, events_per_sec)`.
-fn drift_perf_measurement() -> Result<Rate, Box<dyn std::error::Error>> {
-    const SHARDS: usize = 8;
-    let (catalog, cluster, layout, trace) = drift_perf_world()?;
+/// The controller path: the drift world with the online controller on a
+/// 1-min tick, metered 200 Mbps repair, exponential faults at one A-7
+/// cluster's rate (MTTR 15 min) and resume failover; repair and
+/// controller budgets are A-7's per pod. The controller couples the
+/// pods, so [`SHARDS`] takes the serial loop. Fails unless the
+/// controller both copied and demoted.
+fn drift_events(_: &mut Smoke) -> Timed {
+    let (catalog, cluster, layout, trace) = drift_world()?;
+    let world = (&catalog, &cluster, &layout);
     let config = |shards| SimConfig {
         policy: AdmissionPolicy::LeastLoadedReplica,
-        shards,
         failure_model: Some(FailureModel::exponential(
             180.0 * DRIFT_PODS as f64,
             15.0,
@@ -633,198 +649,58 @@ fn drift_perf_measurement() -> Result<Rate, Box<dyn std::error::Error>> {
             max_changes_per_tick: 8 * DRIFT_PODS,
         },
         failover: FailoverPolicy::Resume,
-        ..SimConfig::default()
+        ..plain(shards)
     };
-    let serial = Simulation::new(&catalog, &cluster, &layout, config(1))?;
-    let sharded = Simulation::new(&catalog, &cluster, &layout, config(SHARDS))?;
-    let a = serial.run(&trace)?;
-    let b = sharded.run(&trace)?;
-    if a.controller_copies == 0 || a.controller_demotions == 0 {
+    let run = |sim: &Simulation, t: &Telemetry| sim.run_with_telemetry(&trace, t);
+    let (report, timed) = sharded_events("sharded drift", world, config, run)?;
+    if report.controller_copies == 0 || report.controller_demotions == 0 {
         return Err("perf smoke: the drift world's controller never copied or demoted".into());
     }
-    assert_same_report(a, b, "sharded drift")?;
-    time_engine_runs(|t| sharded.run_with_telemetry(&trace, t))
+    Ok(timed)
 }
 
-/// One perf-smoke floor: fails when `measured` lands more than 30%
-/// below `floor`, else prints the machine-greppable
-/// `PERF_SMOKE{tag}_DELTA` line CI lifts into the job summary.
-fn check_floor(
-    tag: &str,
-    what: &str,
-    measured: f64,
-    floor: f64,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let threshold = 0.7 * floor;
-    let delta_pct = 100.0 * (measured / floor - 1.0);
-    if measured < threshold {
-        return Err(format!(
-            "perf smoke regression: {measured:.0} {what} is more than 30% below the \
-             baseline {floor:.0} (threshold {threshold:.0}, delta {delta_pct:+.1}%)"
-        )
-        .into());
-    }
-    println!(
-        "PERF_SMOKE{tag}_DELTA baseline={floor:.0} measured={measured:.0} delta_pct={delta_pct:+.1}"
-    );
-    eprintln!(
-        "perf smoke ok: {measured:.0} {what} >= threshold {threshold:.0} \
-         (baseline {floor:.0}, delta {delta_pct:+.1}%)"
-    );
-    Ok(())
-}
-
-/// Runs the pinned-size throughput measurements: the paper's cluster
-/// (N = 8, M = 200), zipf+slf plan at degree 1.2, near-capacity load,
-/// fixed seed — plus the SA-1 annealing problem through the
-/// delta-evaluated move engine, the sharded (trace and streamed),
-/// coupled and controller pod worlds, the streaming scale world and the
-/// departure queue alone.
-/// Prints one machine-readable `PERF_SMOKE` line; with `--check`,
-/// compares against a JSON baseline (`{"events_per_sec": X, ...}`,
-/// every other floor optional) and fails when any rate lands more than
-/// 30% below its floor.
-fn perf_smoke(
-    metrics: Option<&str>,
-    check: Option<&str>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let setup = PaperSetup {
-        runs: 8,
-        ..PaperSetup::default()
-    };
-    let seed = 0x5EED_CAFE;
-    let lambda = 0.9 * setup.capacity_lambda_per_min();
-    let telemetry = Telemetry::enabled();
-
-    let started = Instant::now();
-    let point = build_plan(&setup, Combo::ZIPF_SLF, 1.0, 1.2)?;
-    let plan_secs = started.elapsed().as_secs_f64();
-
-    // One batch of replications finishes in milliseconds; repeat the
-    // identical batch until enough wall time accumulates for a stable
-    // events/sec estimate (the timing gate CI compares against).
-    let sim_started = Instant::now();
-    let mut rejection_rate = 0.0;
-    let mut iterations = 0u32;
-    while iterations < 3 || sim_started.elapsed().as_secs_f64() < 0.5 {
-        let stats = run_point(
-            &setup,
-            &point,
-            lambda,
-            AdmissionPolicy::StaticRoundRobin,
-            seed,
-            &telemetry,
-        )?;
-        rejection_rate = stats.rejection_rate;
-        iterations += 1;
-    }
-    let sim_secs = sim_started.elapsed().as_secs_f64();
-
-    // SA hot-path measurement: the SA-1 problem shape (paper cluster at
-    // storage degree 1.4, θ = 1 popularity, 60%-of-capacity demand)
-    // through the delta-evaluated annealer from a fixed seed, repeated
-    // until enough wall time accumulates for a stable steps/sec figure.
-    let sa_problem = ScalableProblem::new(
-        Popularity::zipf(setup.n_videos, 1.0)?,
-        setup.cluster(1.4),
-        setup.duration_s,
-        BitRate::LADDER.to_vec(),
-        setup.capacity_demand() * 0.6,
-        ObjectiveWeights::default(),
-    )?;
-    let t0 = 20.0 / setup.n_videos as f64;
-    let sa_params = AnnealParams {
-        schedule: CoolingSchedule::Geometric {
-            t0,
-            alpha: 0.93,
-            t_min: t0 * 1e-4,
-        },
-        epochs: 12,
-        steps_per_epoch: 500,
-    };
-    let sa_started = Instant::now();
-    let mut sa_steps = 0u64;
-    while sa_steps == 0 || sa_started.elapsed().as_secs_f64() < 0.4 {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        std::hint::black_box(anneal_with_telemetry(
-            &sa_problem,
-            sa_problem.initial_search(),
-            &sa_params,
-            &mut rng,
-            &telemetry,
-        ));
-        sa_steps += u64::from(sa_params.epochs) * u64::from(sa_params.steps_per_epoch);
-    }
-    let sa_secs = sa_started.elapsed().as_secs_f64();
-    let sa_steps_per_sec = sa_steps as f64 / sa_secs;
-
-    // Sharded-engine measurements (pods world on its trace and fed a
-    // thinned stream, shards = 8; byte-identity against the serial
-    // engine is asserted inside).
-    let (
-        (par_events, par_secs, par_events_per_sec),
-        (par_stream_events, par_stream_secs, par_stream_events_per_sec),
-    ) = par_perf_measurements()?;
-
-    // Coupled-engine measurement (same world plus an outage, so the
-    // serial loop carries the run at shards = 8).
-    let (coupled_events, coupled_secs, coupled_events_per_sec) = coupled_par_perf_measurement()?;
-
-    // Controller measurement (tiled A-7 drift world: controller, metered
-    // repair and faults on the serial loop at shards = 8).
-    let (drift_events, drift_secs, drift_events_per_sec) = drift_perf_measurement()?;
-
-    // Streaming-generation measurement: requests/sec pulled from the
-    // thinned arrival source of the mini scale world, including the
-    // per-stream construction pre-pass (each iteration rebuilds the
-    // source, which is how the engine consumes it).
-    let gen_world = scale::ScaleWorld::mini(1);
-    let gen_workload = gen_world.workload()?;
-    let gen_started = Instant::now();
-    let mut gen_requests = 0u64;
-    while gen_requests == 0 || gen_started.elapsed().as_secs_f64() < 0.4 {
-        let mut source = gen_workload.stream(ChaCha8Rng::seed_from_u64(seed))?;
+/// Requests pulled from the mini scale world's thinned arrival source
+/// for at least 0.4 s, the per-stream construction pre-pass included:
+/// each pass rebuilds the source, which is how the engine consumes it.
+fn gen_requests(_: &mut Smoke) -> Timed {
+    let workload = scale::ScaleWorld::mini(1).workload()?;
+    repeat(1, 0.4, || {
+        let mut source = workload.stream(ChaCha8Rng::seed_from_u64(SEED))?;
+        let mut requests = 0;
         while let Some(r) = source.next_request() {
-            std::hint::black_box(r);
-            gen_requests += 1;
+            black_box(r);
+            requests += 1;
         }
-    }
-    let gen_secs = gen_started.elapsed().as_secs_f64();
-    let gen_requests_per_sec = gen_requests as f64 / gen_secs;
+        Ok(requests)
+    })
+}
 
-    // Departure-queue measurement: the queue alone at A-9's concurrency
-    // (~131k live streams over 256 servers), fed precomputed inputs in
-    // the engine's shape. A clock advances 0-2 ticks per admission, each
-    // admission is due at clock + T (T = 131,072 ticks), due departures
-    // pop first, and every 10,000 admissions (~20k ops) one server's
-    // streams are extracted and re-pushed at their original instants,
-    // as failover does. The first pass over the inputs fills the queue
-    // untimed; ops = admissions + pops + 2 x extracted (each removal and
-    // its re-push).
-    const QUEUE_T: u64 = 131_072;
-    const QUEUE_SERVERS: u32 = 256;
-    const QUEUE_FAILOVER_EVERY: usize = 10_000;
-    let mut queue_rng = ChaCha8Rng::seed_from_u64(seed);
-    let queue_inputs: Vec<(u64, ServerId)> = (0..1 << 18)
-        .map(|_| {
-            (
-                queue_rng.gen_range(0..3),
-                ServerId(queue_rng.gen_range(0..QUEUE_SERVERS)),
-            )
-        })
+/// The departure queue alone at A-9's concurrency (~131k live streams
+/// over 256 servers), fed precomputed inputs in the engine's shape. A
+/// clock advances 0-2 ticks per admission, each admission is due at
+/// clock + T (T = 131,072 ticks), due departures pop first, and every
+/// 10,000 admissions (~20k ops) one server's streams are extracted and
+/// re-pushed at their original instants, as failover does. A first,
+/// untimed pass over the inputs fills the queue; timed passes follow for
+/// at least 0.4 s. Ops = admissions + pops + 2 × extracted (each
+/// removal and its re-push). Fails unless popped instants never decrease,
+/// pops plus queued streams equal admissions, and a failover moved
+/// streams.
+fn queue_ops(_: &mut Smoke) -> Timed {
+    const T: u64 = 131_072;
+    const SERVERS: u32 = 256;
+    const FAILOVER_EVERY: usize = 10_000;
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    let inputs: Vec<(u64, ServerId)> = (0..1 << 18)
+        .map(|_| (rng.gen_range(0..3), ServerId(rng.gen_range(0..SERVERS))))
         .collect();
-    let mut queue = DepartureQueue::with_capacity(QUEUE_SERVERS as usize);
+    let mut queue = DepartureQueue::with_capacity(SERVERS as usize);
     let mut extracted = Vec::new();
     let (mut clock, mut last_popped) = (0u64, SimTime(0));
     let (mut admitted, mut popped, mut moved) = (0u64, 0u64, 0u64);
-    let mut queue_started = Instant::now();
-    let (mut queue_ops, mut queue_passes) = (0u64, 0u32);
-    while queue_passes < 2 || queue_started.elapsed().as_secs_f64() < 0.4 {
-        if queue_passes == 1 {
-            queue_started = Instant::now();
-            queue_ops = 0;
-        }
-        for (k, &(dt, server)) in queue_inputs.iter().enumerate() {
+    let mut pass = || -> Result<u64, Box<dyn Error>> {
+        let mut ops = 0;
+        for (k, &(dt, server)) in inputs.iter().enumerate() {
             clock += dt;
             while let Some(d) = queue.pop_due(SimTime(clock)) {
                 if d.at < last_popped {
@@ -832,10 +708,10 @@ fn perf_smoke(
                 }
                 last_popped = d.at;
                 popped += 1;
-                queue_ops += 1;
+                ops += 1;
             }
             queue.push(Departure {
-                at: SimTime(clock + QUEUE_T),
+                at: SimTime(clock + T),
                 server,
                 video: VideoId(k as u32),
                 kbps: 4_000,
@@ -844,21 +720,21 @@ fn perf_smoke(
                 stream: NO_STREAM,
             });
             admitted += 1;
-            queue_ops += 1;
-            if k % QUEUE_FAILOVER_EVERY == 0 {
-                let failed = ServerId((k / QUEUE_FAILOVER_EVERY) as u32 % QUEUE_SERVERS);
+            ops += 1;
+            if k % FAILOVER_EVERY == 0 {
+                let failed = ServerId((k / FAILOVER_EVERY) as u32 % SERVERS);
                 queue.extract_active_into(failed, 0, &mut extracted);
                 moved += extracted.len() as u64;
-                queue_ops += 2 * extracted.len() as u64;
+                ops += 2 * extracted.len() as u64;
                 for d in extracted.drain(..) {
                     queue.push(d);
                 }
             }
         }
-        queue_passes += 1;
-    }
-    let queue_secs = queue_started.elapsed().as_secs_f64();
-    let queue_ops_per_sec = queue_ops as f64 / queue_secs;
+        Ok(ops)
+    };
+    pass()?;
+    let timed = repeat(1, 0.4, &mut pass)?;
     if popped + queue.len() as u64 != admitted || moved == 0 {
         return Err(format!(
             "perf smoke: the departure queue lost streams ({popped} popped + {} queued != \
@@ -867,158 +743,134 @@ fn perf_smoke(
         )
         .into());
     }
+    Ok(timed)
+}
 
-    // Streaming-engine measurement on the mini scale world, repeated
-    // until enough engine wall time accumulates (events/sec uses the
-    // engine-only time `compute` reports, not the planning time).
-    let scale_started = Instant::now();
-    let mut scale_events = 0u64;
-    let mut scale_engine_secs = 0.0;
-    while scale_events == 0 || scale_started.elapsed().as_secs_f64() < 0.4 {
-        // Not forwarded into `telemetry`: its `sim.events` counts the
-        // paper-world runs alone.
-        let outcome = scale::compute(&gen_world, seed, &Telemetry::disabled())?;
-        scale_events += outcome.summary.events;
-        scale_engine_secs += outcome.summary.wall_secs;
+/// The streaming engine end to end on the mini scale world, repeated for
+/// at least 0.4 s. The seconds are the engine's alone: `compute` times
+/// the run apart from its planning.
+fn scale_events(_: &mut Smoke) -> Timed {
+    let world = scale::ScaleWorld::mini(1);
+    let mut engine_secs = 0.0;
+    let (events, _) = repeat(1, 0.4, || {
+        // A disabled handle: the smoke's registry counts the paper
+        // world's events alone.
+        let summary = scale::compute(&world, SEED, &Telemetry::disabled())?.summary;
+        engine_secs += summary.wall_secs;
+        Ok(summary.events)
+    })?;
+    Ok((events, engine_secs))
+}
+
+/// Reads `--check`'s baseline, a JSON object of floors named by rate,
+/// into one floor per [`MEASUREMENTS`] entry, in order. Apart from a
+/// `comment`, its keys must be exactly the measured rates: a key that
+/// names no measured rate, or a rate without a numeric floor, is an
+/// error.
+fn read_floors(json: &str) -> Result<Vec<f64>, String> {
+    let mut floors: BTreeMap<String, serde_json::Value> =
+        serde_json::from_str(json).map_err(|e| e.to_string())?;
+    floors.remove("comment");
+    let rates: Vec<&str> = MEASUREMENTS.iter().map(|m| m.rate).collect();
+    if let Some(key) = floors.keys().find(|key| !rates.contains(&key.as_str())) {
+        return Err(format!(
+            "floor `{key}` names no measured rate (measured: {})",
+            rates.join(", ")
+        ));
     }
-    let scale_secs = scale_started.elapsed().as_secs_f64();
-    let scale_events_per_sec = scale_events as f64 / scale_engine_secs.max(f64::MIN_POSITIVE);
+    rates
+        .iter()
+        .map(|rate| {
+            floors
+                .get(*rate)
+                .and_then(serde_json::Value::as_f64)
+                .ok_or_else(|| format!("no numeric floor for `{rate}`"))
+        })
+        .collect()
+}
 
-    let wall_secs = started.elapsed().as_secs_f64();
-
-    let snapshot = telemetry.snapshot();
-    let events = snapshot.counter("sim.events");
-    let arrivals = snapshot.counter("sim.arrivals");
-    let events_per_sec = events as f64 / sim_secs;
-    let requests_per_sec = arrivals as f64 / sim_secs;
-
-    // The single line CI greps for; keep the key=value format stable.
+/// One perf-smoke floor: fails when `measured` lands more than 30%
+/// below `floor`, else prints the machine-greppable
+/// `PERF_SMOKE{tag}_DELTA` line CI lifts into the job summary.
+fn check_floor(tag: &str, rate: &str, measured: f64, floor: f64) -> Result<(), Box<dyn Error>> {
+    let threshold = 0.7 * floor;
+    let delta_pct = 100.0 * (measured / floor - 1.0);
+    if measured < threshold {
+        return Err(format!(
+            "perf smoke regression: {rate} {measured:.0} is more than 30% below the \
+             baseline {floor:.0} (threshold {threshold:.0}, delta {delta_pct:+.1}%)"
+        )
+        .into());
+    }
     println!(
-        "PERF_SMOKE n_servers={} n_videos={} runs={} iterations={iterations} seed={seed} \
-         events={events} arrivals={arrivals} events_per_sec={events_per_sec:.0} \
-         requests_per_sec={requests_per_sec:.0} rejection_rate={rejection_rate:.4} \
-         sa_steps={sa_steps} sa_steps_per_sec={sa_steps_per_sec:.0} \
-         par_events={par_events} par_events_per_sec={par_events_per_sec:.0} \
-         par_stream_events={par_stream_events} \
-         par_stream_events_per_sec={par_stream_events_per_sec:.0} \
-         coupled_par_events={coupled_events} \
-         coupled_par_events_per_sec={coupled_events_per_sec:.0} \
-         drift_events={drift_events} drift_events_per_sec={drift_events_per_sec:.0} \
-         gen_requests={gen_requests} gen_requests_per_sec={gen_requests_per_sec:.0} \
-         queue_ops={queue_ops} queue_ops_per_sec={queue_ops_per_sec:.0} \
-         scale_events={scale_events} scale_events_per_sec={scale_events_per_sec:.0} \
-         plan_secs={plan_secs:.3} sim_secs={sim_secs:.3} sa_secs={sa_secs:.3} \
-         par_secs={par_secs:.3} par_stream_secs={par_stream_secs:.3} \
-         coupled_par_secs={coupled_secs:.3} drift_secs={drift_secs:.3} \
-         gen_secs={gen_secs:.3} queue_secs={queue_secs:.3} scale_secs={scale_secs:.3} \
-         wall_secs={wall_secs:.3}",
-        setup.n_servers, setup.n_videos, setup.runs,
+        "PERF_SMOKE{tag}_DELTA baseline={floor:.0} measured={measured:.0} delta_pct={delta_pct:+.1}"
     );
+    eprintln!(
+        "perf smoke ok: {rate} {measured:.0} >= threshold {threshold:.0} \
+         (baseline {floor:.0}, delta {delta_pct:+.1}%)"
+    );
+    Ok(())
+}
+
+/// Runs [`MEASUREMENTS`] in order and prints one machine-readable
+/// `PERF_SMOKE` line. With `metrics`, appends the run's manifest record,
+/// whose throughput is the line's rates. With `check`, reads the floors
+/// (see [`read_floors`]) before measuring, and fails when any rate lands
+/// more than 30% below its floor.
+fn perf_smoke(metrics: Option<&str>, check: Option<&str>) -> Result<(), Box<dyn Error>> {
+    let floors = match check {
+        Some(path) => {
+            let json = std::fs::read_to_string(path)?;
+            Some(read_floors(&json).map_err(|e| format!("{path}: {e}"))?)
+        }
+        None => None,
+    };
+    let started = Instant::now();
+    let setup = PaperSetup {
+        runs: 8,
+        ..PaperSetup::default()
+    };
+    let mut smoke = Smoke {
+        lambda: 0.9 * setup.capacity_lambda_per_min(),
+        setup,
+        telemetry: Telemetry::enabled(),
+        line: Vec::new(),
+        rates: Vec::new(),
+        phases: Vec::new(),
+    };
+    smoke.field("n_servers", smoke.setup.n_servers);
+    smoke.field("n_videos", smoke.setup.n_videos);
+    smoke.field("runs", smoke.setup.runs);
+    smoke.field("seed", SEED);
+    let mut measured = Vec::new();
+    for m in &MEASUREMENTS {
+        let (count, secs) = (m.run)(&mut smoke)?;
+        let per_sec = count as f64 / secs;
+        smoke.field(m.count, count);
+        smoke.rate(m.rate, per_sec);
+        smoke.secs(m.secs, m.phase, secs);
+        measured.push(per_sec);
+    }
+    let wall_secs = started.elapsed().as_secs_f64();
+    smoke.field("wall_secs", format!("{wall_secs:.3}"));
+    // The single line CI greps for; keep the key=value format stable.
+    println!("PERF_SMOKE {}", smoke.line.join(" "));
 
     if let Some(path) = metrics {
-        let record = manifest_record("perf_smoke", seed, &setup, &telemetry, wall_secs)
-            .param("lambda_per_min", lambda)
-            .phase("plan", plan_secs)
-            .phase("simulate", sim_secs)
-            .phase("anneal", sa_secs)
-            .phase("par_simulate", par_secs)
-            .phase("par_stream_simulate", par_stream_secs)
-            .phase("coupled_par_simulate", coupled_secs)
-            .phase("drift_simulate", drift_secs)
-            .phase("generate", gen_secs)
-            .phase("queue", queue_secs)
-            .phase("scale_simulate", scale_secs)
-            // Override the wall-clock-derived figures with the
-            // phase-local ones (each hot loop only ran during its own
-            // phase).
-            .rate("sa_steps_per_sec", sa_steps_per_sec)
-            .rate("par_events_per_sec", par_events_per_sec)
-            .rate("par_stream_events_per_sec", par_stream_events_per_sec)
-            .rate("coupled_par_events_per_sec", coupled_events_per_sec)
-            .rate("drift_events_per_sec", drift_events_per_sec)
-            .rate("gen_requests_per_sec", gen_requests_per_sec)
-            .rate("queue_ops_per_sec", queue_ops_per_sec)
-            .rate("scale_events_per_sec", scale_events_per_sec);
+        let snapshot = smoke.telemetry.snapshot();
+        let mut record = manifest_record("perf_smoke", SEED, &smoke.setup, &snapshot, wall_secs)
+            .param("lambda_per_min", smoke.lambda);
+        for (phase, secs) in smoke.phases {
+            record = record.phase(phase, secs);
+        }
+        for (rate, per_sec) in smoke.rates {
+            record = record.rate(rate, per_sec);
+        }
         ManifestWriter::append_to(path)?.write(&record)?;
     }
-
-    if let Some(path) = check {
-        #[derive(serde::Deserialize)]
-        struct Baseline {
-            events_per_sec: f64,
-            #[serde(default)]
-            sa_steps_per_sec: Option<f64>,
-            #[serde(default)]
-            par_events_per_sec: Option<f64>,
-            #[serde(default)]
-            par_stream_events_per_sec: Option<f64>,
-            #[serde(default)]
-            coupled_par_events_per_sec: Option<f64>,
-            #[serde(default)]
-            drift_events_per_sec: Option<f64>,
-            #[serde(default)]
-            gen_requests_per_sec: Option<f64>,
-            #[serde(default)]
-            queue_ops_per_sec: Option<f64>,
-            #[serde(default)]
-            scale_events_per_sec: Option<f64>,
-        }
-        let baseline: Baseline = serde_json::from_str(&std::fs::read_to_string(path)?)?;
-        check_floor("", "events/sec", events_per_sec, baseline.events_per_sec)?;
-        let optional = [
-            (
-                "_SA",
-                "SA steps/sec",
-                sa_steps_per_sec,
-                baseline.sa_steps_per_sec,
-            ),
-            (
-                "_PAR",
-                "parallel events/sec",
-                par_events_per_sec,
-                baseline.par_events_per_sec,
-            ),
-            (
-                "_PAR_STREAM",
-                "streamed parallel events/sec",
-                par_stream_events_per_sec,
-                baseline.par_stream_events_per_sec,
-            ),
-            (
-                "_COUPLED",
-                "coupled events/sec",
-                coupled_events_per_sec,
-                baseline.coupled_par_events_per_sec,
-            ),
-            (
-                "_DRIFT",
-                "controller-path events/sec",
-                drift_events_per_sec,
-                baseline.drift_events_per_sec,
-            ),
-            (
-                "_GEN",
-                "streaming-generation requests/sec",
-                gen_requests_per_sec,
-                baseline.gen_requests_per_sec,
-            ),
-            (
-                "_QUEUE",
-                "departure-queue ops/sec",
-                queue_ops_per_sec,
-                baseline.queue_ops_per_sec,
-            ),
-            (
-                "_SCALE",
-                "streaming-engine events/sec",
-                scale_events_per_sec,
-                baseline.scale_events_per_sec,
-            ),
-        ];
-        for (tag, what, measured, floor) in optional {
-            if let Some(floor) = floor {
-                check_floor(tag, what, measured, floor)?;
-            }
+    if let Some(floors) = floors {
+        for ((m, floor), measured) in MEASUREMENTS.iter().zip(floors).zip(measured) {
+            check_floor(m.tag, m.rate, measured, floor)?;
         }
     }
     Ok(())
@@ -1032,7 +884,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: experiments <all|fig1..fig6|quality|bound|sa|sa2|ablation|availability|drift|recovery|striping|overload|controller|coding|scale|perf-smoke> \
                  [--fast] [--runs N] [--shards N] [--out DIR] [--no-files] [--metrics FILE] \
-                 [--check FILE] [--scheme repR|rs [--k K --m M]]"
+                 [--check FILE]"
             );
             return ExitCode::FAILURE;
         }
@@ -1064,32 +916,9 @@ fn main() -> ExitCode {
     };
 
     let started = Instant::now();
-    let result: Result<(), Box<dyn std::error::Error>> = (|| {
+    let result: Result<(), Box<dyn Error>> = (|| {
         if args.command == "perf-smoke" {
             return perf_smoke(args.metrics.as_deref(), args.check.as_deref());
-        }
-        if let Some(scheme) = args.scheme {
-            // --scheme narrows the A-8 sweep to one explicit scheme
-            // (parse_from guarantees the command is `coding`).
-            let mut writer = match &args.metrics {
-                Some(path) => Some(ManifestWriter::append_to(path)?),
-                None => None,
-            };
-            let telemetry = if writer.is_some() {
-                Telemetry::enabled()
-            } else {
-                Telemetry::disabled()
-            };
-            let reporter = base_reporter.clone().with_telemetry(telemetry.clone());
-            let exp_started = Instant::now();
-            coding::run_scheme(&setup, &reporter, scheme)?;
-            let wall_secs = exp_started.elapsed().as_secs_f64();
-            if let Some(writer) = &mut writer {
-                writer.write(&manifest_record(
-                    "coding", 0xC0DE, &setup, &telemetry, wall_secs,
-                ))?;
-            }
-            return Ok(());
         }
         let selected: Vec<&(&str, u64, ExpFn)> = if args.command == "all" {
             EXPERIMENTS.iter().collect()
@@ -1124,7 +953,15 @@ fn main() -> ExitCode {
             run(&setup, &reporter)?;
             let wall_secs = exp_started.elapsed().as_secs_f64();
             if let Some(writer) = &mut writer {
-                writer.write(&manifest_record(name, *seed, &setup, &telemetry, wall_secs))?;
+                let snapshot = telemetry.snapshot();
+                let mut record = manifest_record(name, *seed, &setup, &snapshot, wall_secs);
+                for (rate, counter) in COUNTER_RATES {
+                    let n = snapshot.counter(counter);
+                    if n > 0 && wall_secs > 0.0 {
+                        record = record.rate(rate, n as f64 / wall_secs);
+                    }
+                }
+                writer.write(&record)?;
             }
         }
         Ok(())
@@ -1229,56 +1066,55 @@ mod tests {
     }
 
     #[test]
-    fn scheme_flags_parse_into_redundancy_schemes() {
-        let a = parse(&["coding", "--scheme", "rep3"]).unwrap();
-        assert_eq!(a.scheme, Some(RedundancyScheme::Replicated { r: 3 }));
-        let a = parse(&["coding", "--scheme", "rs", "--k", "2", "--m", "1"]).unwrap();
-        assert_eq!(a.scheme, Some(RedundancyScheme::Coded { k: 2, m: 1 }));
-        // No flags: the full sweep.
-        assert_eq!(parse(&["coding"]).unwrap().scheme, None);
-    }
-
-    #[test]
-    fn degenerate_scheme_parameters_get_actionable_errors() {
-        let e = parse(&["coding", "--scheme", "rs", "--k", "2", "--m", "0"]).unwrap_err();
-        assert!(e.contains("no redundancy") && e.contains("m >= 1"), "{e}");
-        let e = parse(&["coding", "--scheme", "rs", "--k", "0", "--m", "1"]).unwrap_err();
-        assert!(
-            e.contains("no data fragments") && e.contains("k >= 1"),
-            "{e}"
-        );
-        let e = parse(&["coding", "--scheme", "rs", "--k", "6", "--m", "3"]).unwrap_err();
-        assert!(e.contains("k+m = 9") && e.contains("8"), "{e}");
-        let e = parse(&["coding", "--scheme", "rep0"]).unwrap_err();
-        assert!(e.contains("zero copies"), "{e}");
-        let e = parse(&["coding", "--scheme", "rep9"]).unwrap_err();
-        assert!(e.contains("distinct servers"), "{e}");
-        let e = parse(&["coding", "--scheme", "raid6"]).unwrap_err();
-        assert!(e.contains("raid6") && e.contains("repR"), "{e}");
-        let e = parse(&["coding", "--k", "two", "--scheme", "rs", "--m", "1"]).unwrap_err();
-        assert!(e.contains("--k") && e.contains("two"), "{e}");
-    }
-
-    #[test]
-    fn scheme_flags_demand_consistent_usage() {
-        // --scheme is a coding-only knob.
-        let e = parse(&["fig4", "--scheme", "rep2"]).unwrap_err();
-        assert!(e.contains("coding") && e.contains("fig4"), "{e}");
-        // --k/--m without --scheme rs are orphans.
-        let e = parse(&["coding", "--k", "2"]).unwrap_err();
-        assert!(e.contains("--scheme rs"), "{e}");
-        let e = parse(&["coding", "--scheme", "rep2", "--m", "1"]).unwrap_err();
-        assert!(e.contains("replica count"), "{e}");
-        // rs without both fragment counts is underspecified.
-        let e = parse(&["coding", "--scheme", "rs", "--k", "2"]).unwrap_err();
-        assert!(e.contains("--m"), "{e}");
-    }
-
-    #[test]
     fn unknown_flags_and_extra_positionals_rejected() {
         let e = parse(&["--shard", "4"]).unwrap_err();
         assert!(e.contains("--shard"), "{e}");
         let e = parse(&["fig4", "fig5"]).unwrap_err();
         assert!(e.contains("fig5"), "{e}");
+    }
+
+    const BASELINE: &str = include_str!("../../../../bench/baseline.json");
+
+    #[test]
+    fn committed_floors_are_exactly_the_measured_rates() {
+        let baseline: BTreeMap<String, serde_json::Value> = serde_json::from_str(BASELINE).unwrap();
+        let mut keys: Vec<&str> = baseline.keys().map(String::as_str).collect();
+        keys.retain(|&key| key != "comment");
+        let mut rates: Vec<&str> = MEASUREMENTS.iter().map(|m| m.rate).collect();
+        rates.sort_unstable();
+        assert_eq!(keys, rates);
+        let floors = read_floors(BASELINE).unwrap();
+        assert_eq!(floors.len(), MEASUREMENTS.len());
+        assert_eq!(floors[0], baseline["events_per_sec"].as_f64().unwrap());
+    }
+
+    #[test]
+    fn floors_are_checked_by_name() {
+        // A misspelled key names no measured rate, however high it sets
+        // its floor.
+        let misspelled = BASELINE.replace(
+            "\"drift_events_per_sec\": 1400000",
+            "\"drift_event_per_sec\": 99e9",
+        );
+        assert_ne!(misspelled, BASELINE);
+        let e = read_floors(&misspelled).unwrap_err();
+        assert!(
+            e.contains("`drift_event_per_sec` names no measured rate"),
+            "{e}"
+        );
+        // A measured rate without a floor.
+        let missing = BASELINE.replace("  \"queue_ops_per_sec\": 12000000,\n", "");
+        assert_ne!(missing, BASELINE);
+        let e = read_floors(&missing).unwrap_err();
+        assert!(
+            e.contains("no numeric floor for `queue_ops_per_sec`"),
+            "{e}"
+        );
+        let text = BASELINE.replace(
+            "\"gen_requests_per_sec\": 2500000",
+            "\"gen_requests_per_sec\": \"fast\"",
+        );
+        let e = read_floors(&text).unwrap_err();
+        assert!(e.contains("gen_requests_per_sec"), "{e}");
     }
 }

@@ -190,21 +190,13 @@ pub fn compute(
     setup: &PaperSetup,
     telemetry: &Telemetry,
 ) -> Result<Vec<CodingRow>, Box<dyn std::error::Error>> {
-    compute_schemes(setup, telemetry, &SCHEMES)
-}
-
-fn compute_schemes(
-    setup: &PaperSetup,
-    telemetry: &Telemetry,
-    schemes: &[RedundancyScheme],
-) -> Result<Vec<CodingRow>, Box<dyn std::error::Error>> {
     // 60% of capacity, as in A-4: failover visibly packs survivors,
     // repair traffic still fits on the links mid-outage.
     let lambda = 0.6 * setup.capacity_lambda_per_min();
     // One seed for every cell: rows differ only in the swept knobs.
     let base_seed = 0xC0DE;
     let mut rows = Vec::new();
-    for &scheme in schemes {
+    for scheme in SCHEMES {
         for mttr_min in [15.0f64, 45.0] {
             rows.push(coding_row(
                 setup, scheme, mttr_min, lambda, base_seed, telemetry,
@@ -217,21 +209,6 @@ fn compute_schemes(
 /// Regenerates the A-8 table.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
     let rows = compute(setup, reporter.telemetry())?;
-    emit(reporter, &rows)
-}
-
-/// [`run`] narrowed to one explicit scheme — the CLI's `--scheme`
-/// override for probing points off the default sweep.
-pub fn run_scheme(
-    setup: &PaperSetup,
-    reporter: &Reporter,
-    scheme: RedundancyScheme,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let rows = compute_schemes(setup, reporter.telemetry(), &[scheme])?;
-    emit(reporter, &rows)
-}
-
-fn emit(reporter: &Reporter, rows: &[CodingRow]) -> Result<(), Box<dyn std::error::Error>> {
     let mut table = Table::new(
         "A-8: erasure coding vs replication under stochastic faults \
          (uniform schemes, MTBF = 120 min, λ = 60% of capacity, θ = 1.0)",
@@ -251,7 +228,7 @@ fn emit(reporter: &Reporter, rows: &[CodingRow]) -> Result<(), Box<dyn std::erro
             "degr-reads",
         ],
     );
-    for r in rows {
+    for r in &rows {
         table.row(vec![
             r.scheme.clone(),
             format!("{:.2}x", r.storage_factor),
@@ -296,8 +273,7 @@ mod tests {
             ..PaperSetup::default()
         };
         let telemetry = Telemetry::enabled();
-        let schemes = [RedundancyScheme::Coded { k: 2, m: 1 }];
-        let rows = compute_schemes(&setup, &telemetry, &schemes).unwrap();
+        let rows = compute(&setup, &telemetry).unwrap();
         let snap = telemetry.snapshot();
         let arrivals = snap.counter("sim.arrivals");
         assert!(arrivals > 0 && snap.counter("sim.events") > arrivals);

@@ -49,6 +49,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod overload;
+pub mod perf;
 pub mod quality;
 pub mod recovery;
 pub mod report;

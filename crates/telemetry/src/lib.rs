@@ -378,13 +378,6 @@ pub struct Span {
     started: Option<Instant>,
 }
 
-impl Span {
-    /// Seconds since the span started (0 for no-op spans).
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.map_or(0.0, |t| t.elapsed().as_secs_f64())
-    }
-}
-
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(started) = self.started {
@@ -547,10 +540,7 @@ mod tests {
         let h = telemetry.histogram("h");
         c.add(100);
         h.observe(1.0);
-        {
-            let span = telemetry.span("s");
-            assert_eq!(span.elapsed_secs(), 0.0);
-        }
+        drop(telemetry.span("s"));
         assert_eq!(c.get(), 0);
         assert_eq!(h.stats().count, 0);
         let snap = telemetry.snapshot();

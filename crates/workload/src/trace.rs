@@ -44,10 +44,28 @@ impl Request {
     }
 }
 
-/// A time-ordered request sequence.
+/// A time-ordered request sequence: every arrival time is finite,
+/// non-negative and no earlier than the one before it. Deserializing
+/// goes through [`Trace::new`], so a trace read from JSON holds the same
+/// guarantee.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[serde(try_from = "RawTrace")]
 pub struct Trace {
     requests: Vec<Request>,
+}
+
+/// A [`Trace`]'s serialized form, before its order is checked.
+#[derive(Deserialize)]
+struct RawTrace {
+    requests: Vec<Request>,
+}
+
+impl TryFrom<RawTrace> for Trace {
+    type Error = ModelError;
+
+    fn try_from(raw: RawTrace) -> Result<Self, ModelError> {
+        Trace::new(raw.requests)
+    }
 }
 
 impl Trace {
@@ -63,10 +81,10 @@ impl Trace {
     }
 
     /// Builds a trace from requests already known to be time-ordered —
-    /// the generators emit in order, so re-validating is wasted work on
-    /// hot paths. Ordering is debug-asserted; in release an unsorted
-    /// input is the caller's bug.
-    pub fn from_sorted_unchecked(requests: Vec<Request>) -> Self {
+    /// this crate's generators emit in order, so re-validating is wasted
+    /// work on hot paths. Ordering is debug-asserted; in release an
+    /// unsorted input is the caller's bug.
+    pub(crate) fn from_sorted_unchecked(requests: Vec<Request>) -> Self {
         debug_assert!(
             requests
                 .windows(2)
@@ -283,6 +301,26 @@ mod tests {
             },
         ];
         assert!(Trace::new(reqs).is_ok());
+    }
+
+    #[test]
+    fn deserializing_checks_like_new() {
+        let read = |json: &str| serde_json::from_str::<Trace>(json);
+        let ties = r#"{"requests":[{"arrival_min":1.0,"video":0},{"arrival_min":1.0,"video":1}]}"#;
+        assert_eq!(read(ties).unwrap().len(), 2);
+        for (json, name) in [
+            (
+                r#"{"requests":[{"arrival_min":5.0,"video":0},{"arrival_min":3.0,"video":1}]}"#,
+                "arrival_min (not sorted)",
+            ),
+            (
+                r#"{"requests":[{"arrival_min":-0.5,"video":0},{"arrival_min":1.0,"video":1}]}"#,
+                "arrival_min =",
+            ),
+        ] {
+            let e = read(json).unwrap_err().to_string();
+            assert!(e.contains(name), "{e}");
+        }
     }
 
     #[test]

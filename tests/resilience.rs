@@ -1118,7 +1118,6 @@ counter sim.streams.resumed 422
 counter sim.transitions 6
 histogram sim.admission.wait_min_pctl count=2858 sum=0.0 min=0.0 max=0.0
 histogram sim.engine.bytes_per_active_stream count=1
-histogram sim.engine.events_per_sec count=1
 histogram sim.phase.control_tick_s count=1
 histogram sim.phase.copy_completion_s count=1
 histogram sim.phase.transition_s count=1
@@ -1153,7 +1152,6 @@ counter sim.streams.resumed 2213
 counter sim.transitions 29
 histogram sim.admission.wait_min_pctl count=3346 sum=455.1902166666666 min=0.0 max=12.224183333333333
 histogram sim.engine.bytes_per_active_stream count=1
-histogram sim.engine.events_per_sec count=1
 histogram sim.phase.copy_completion_s count=1
 histogram sim.phase.transition_s count=1
 histogram sim.queue.peak_len count=1 sum=5213.0 min=5213.0 max=5213.0
