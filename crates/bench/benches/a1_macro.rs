@@ -30,22 +30,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use vod_core::prelude::*;
+use vod_experiments::runner::{build_plan, Combo};
+use vod_experiments::PaperSetup;
 use vod_sim::{BrownoutModel, FailoverPolicy, FailureModel, RepairConfig};
 use vod_workload::Trace;
-
-fn world(m: usize, slots: u64) -> (ClusterPlanner, Plan) {
-    let planner = ClusterPlanner::builder()
-        .catalog(Catalog::paper_default(m).unwrap())
-        .cluster(ClusterSpec::paper_default(slots))
-        .popularity(Popularity::zipf(m, 1.0).unwrap())
-        .demand_requests(3_600.0)
-        .build()
-        .unwrap();
-    let plan = planner
-        .plan(ReplicationAlgo::Adams, PlacementAlgo::SmallestLoadFirst)
-        .unwrap();
-    (planner, plan)
-}
 
 fn trace(planner: &ClusterPlanner, lambda: f64, seed: u64) -> Trace {
     let generator = TraceGenerator::new(lambda, planner.popularity(), 90.0).unwrap();
@@ -83,14 +71,15 @@ fn count_events(sim: &Simulation, trace: &Trace) -> u64 {
 fn bench_a1_macro(c: &mut Criterion) {
     let mut group = c.benchmark_group("a1_macro");
     group.sample_size(15);
-    let (planner, plan) = world(200, 30);
+    let point = build_plan(&PaperSetup::default(), Combo::ADAMS_SLF, 1.0, 1.2).unwrap();
+    let (planner, plan) = (point.planner(), &point.plan);
     let cases = [
         ("steady", 40.0, SimConfig::default()),
         ("overload", 400.0, SimConfig::default()),
         ("chaos", 40.0, chaos_config()),
     ];
     for (name, lambda, config) in cases {
-        let trace = trace(&planner, lambda, 9);
+        let trace = trace(planner, lambda, 9);
         let sim =
             Simulation::new(planner.catalog(), planner.cluster(), &plan.layout, config).unwrap();
         group.throughput(Throughput::Elements(count_events(&sim, &trace)));
@@ -139,7 +128,6 @@ fn bench_sharded(c: &mut Criterion) {
 /// fits a bench iteration (the full 48-hour run is the `experiments
 /// scale` command's job; throughput per event is what matters here).
 fn bench_scale(c: &mut Criterion) {
-    use vod_experiments::runner::{build_plan, Combo};
     use vod_experiments::scale::ScaleWorld;
 
     let mut group = c.benchmark_group("a1_macro_scale");

@@ -12,7 +12,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
-use vod_anneal::{anneal, AnnealParams, CoolingSchedule, MultiRateProblem, ScalableProblem};
+use vod_anneal::{anneal, AnnealParams, MultiRateProblem, ScalableProblem};
+use vod_experiments::sa;
 use vod_model::{BitRate, ClusterSpec, ObjectiveWeights, Popularity, ServerSpec};
 
 const DURATION_S: u64 = 90 * 60;
@@ -57,16 +58,11 @@ fn multirate(m: usize) -> MultiRateProblem {
     .unwrap()
 }
 
-/// Annealing knobs sized to `steps` total Metropolis steps, with the
-/// 1/M-scaled temperature the experiments use.
+/// Annealing knobs sized to `steps` total Metropolis steps, on SA-1's
+/// 1/M-scaled cooling schedule.
 fn params(m: usize, steps: u32) -> AnnealParams {
-    let t0 = 20.0 / m as f64;
     AnnealParams {
-        schedule: CoolingSchedule::Geometric {
-            t0,
-            alpha: 0.93,
-            t_min: t0 * 1e-4,
-        },
+        schedule: sa::schedule(m),
         epochs: 12,
         steps_per_epoch: steps / 12,
     }

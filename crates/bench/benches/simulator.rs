@@ -6,25 +6,15 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use vod_core::prelude::*;
-
-fn world(m: usize, slots: u64) -> (ClusterPlanner, Plan) {
-    let planner = ClusterPlanner::builder()
-        .catalog(Catalog::paper_default(m).unwrap())
-        .cluster(ClusterSpec::paper_default(slots))
-        .popularity(Popularity::zipf(m, 1.0).unwrap())
-        .demand_requests(3_600.0)
-        .build()
-        .unwrap();
-    let plan = planner
-        .plan(ReplicationAlgo::Adams, PlacementAlgo::SmallestLoadFirst)
-        .unwrap();
-    (planner, plan)
-}
+use vod_experiments::runner::{build_plan, Combo};
+use vod_experiments::PaperSetup;
 
 fn bench_simulator(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator");
     group.sample_size(15);
-    let (planner, plan) = world(200, 30);
+    // The paper's cluster and catalog, Adams + SLF at degree 1.2.
+    let point = build_plan(&PaperSetup::default(), Combo::ADAMS_SLF, 1.0, 1.2).unwrap();
+    let (planner, plan) = (point.planner(), &point.plan);
     for lambda in [40.0f64, 400.0] {
         let generator = TraceGenerator::new(lambda, planner.popularity(), 90.0).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(9);

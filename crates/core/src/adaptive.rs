@@ -29,7 +29,7 @@ use vod_placement::traits::PlacementInput;
 use vod_placement::{IncrementalPlacement, PlacementPolicy as _};
 use vod_sim::{SimConfig, Simulation};
 use vod_workload::drift::DriftModel;
-use vod_workload::TraceGenerator;
+use vod_workload::{stats, TraceGenerator};
 
 /// How the estimate driving each day's plan is formed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -108,9 +108,6 @@ pub struct AdaptiveRunner {
     prior_weights: Vec<f64>,
     demand_requests: f64,
     config: AdaptiveConfig,
-    /// Day counter for the hybrid rebalance cadence (interior state of
-    /// `run_days`; reset at the start of every run).
-    day_counter: std::cell::Cell<u32>,
 }
 
 impl AdaptiveRunner {
@@ -163,16 +160,15 @@ impl AdaptiveRunner {
             prior_weights,
             demand_requests,
             config,
-            day_counter: std::cell::Cell::new(0),
         })
     }
 
-    /// The placement mode in effect for the current day (hybrid resolves
-    /// to fresh on rebalance days).
-    fn effective_mode(&self) -> ReplanPlacement {
+    /// The placement mode in effect on `day` (hybrid resolves to fresh on
+    /// rebalance days).
+    fn effective_mode(&self, day: u32) -> ReplanPlacement {
         match self.config.replan_placement {
             ReplanPlacement::Hybrid { rebalance_every } => {
-                if self.day_counter.get().is_multiple_of(rebalance_every) {
+                if day.is_multiple_of(rebalance_every) {
                     ReplanPlacement::Fresh
                 } else {
                     ReplanPlacement::Incremental
@@ -186,15 +182,16 @@ impl AdaptiveRunner {
     /// optionally updating `previous` incrementally (per the configured
     /// [`ReplanPlacement`]).
     pub fn plan_from_weights(&self, weights: &[f64]) -> Result<Layout, ModelError> {
-        self.plan_from_weights_with(weights, None)
+        self.plan_from_weights_with(weights, None, 0)
     }
 
-    /// Like [`Self::plan_from_weights`], with an explicit previous layout
-    /// for incremental placement.
+    /// Like [`Self::plan_from_weights`], on `day` of a run, with an
+    /// explicit previous layout for incremental placement.
     fn plan_from_weights_with(
         &self,
         weights: &[f64],
         previous: Option<&Layout>,
+        day: u32,
     ) -> Result<Layout, ModelError> {
         let (pop, ranks) = Popularity::ranked_from_weights(weights)?;
         let video0 = &self.catalog.videos()[0];
@@ -215,7 +212,7 @@ impl AdaptiveRunner {
             n_servers: self.cluster.len(),
             capacities: &capacities,
         };
-        let rank_layout = match (self.effective_mode(), previous) {
+        let rank_layout = match (self.effective_mode(day), previous) {
             (ReplanPlacement::Incremental, Some(prev)) => {
                 // Permute the previous layout into rank space so keeps
                 // line up with the scheme the placement sees.
@@ -251,7 +248,6 @@ impl AdaptiveRunner {
             });
         }
         let m = self.catalog.len();
-        self.day_counter.set(0);
         let mut reports = Vec::with_capacity(days as usize);
         let mut belief: Vec<f64> = normalize(&self.prior_weights);
         let static_layout = self.plan_from_weights(&belief)?;
@@ -266,7 +262,7 @@ impl AdaptiveRunner {
             };
             let layout = match self.config.strategy {
                 ReplanStrategy::Static => static_layout.clone(),
-                _ => self.plan_from_weights_with(&estimate, previous_layout.as_ref())?,
+                _ => self.plan_from_weights_with(&estimate, previous_layout.as_ref(), day)?,
             };
             let migrated = match &previous_layout {
                 Some(old) => IncrementalPlacement::migration_cost(old, &layout),
@@ -307,10 +303,9 @@ impl AdaptiveRunner {
                 rejection_rate: report.rejection_rate,
                 imbalance_cv: report.mean_imbalance_cv,
                 migrated_replicas: migrated,
-                estimate_tv: tv_distance(&normalize(&estimate), &normalize(&truth)),
+                estimate_tv: stats::total_variation(&normalize(&estimate), &normalize(&truth)),
             });
             previous_layout = Some(layout);
-            self.day_counter.set(day + 1);
         }
         Ok(reports)
     }
@@ -319,10 +314,6 @@ impl AdaptiveRunner {
 fn normalize(w: &[f64]) -> Vec<f64> {
     let total: f64 = w.iter().sum();
     w.iter().map(|&x| x / total).collect()
-}
-
-fn tv_distance(p: &[f64], q: &[f64]) -> f64 {
-    0.5 * p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum::<f64>()
 }
 
 #[cfg(test)]

@@ -12,6 +12,9 @@ use crate::report::{pct, Reporter, Table};
 use crate::runner::{build_plan, run_point, Combo};
 use vod_sim::AdmissionPolicy;
 
+/// A-1's base seed: policy `k` runs each λ from `SEED ^ (k << 8)`.
+pub const SEED: u64 = 0xAB;
+
 /// The policies compared.
 pub fn policies() -> Vec<(&'static str, AdmissionPolicy)> {
     vec![
@@ -53,7 +56,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
                 &point,
                 lambda,
                 policy,
-                0xAB ^ ((k as u64) << 8),
+                SEED ^ ((k as u64) << 8),
                 reporter.telemetry(),
             )?;
             cells.push(pct(stats.rejection_rate));

@@ -17,6 +17,9 @@ use vod_sim::{AdmissionPolicy, FailurePlan, Outage, SimConfig};
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
 
+/// A-2's base seed: degree `d`'s cells run from `SEED ^ d.to_bits()`.
+pub const SEED: u64 = 0xFA11;
+
 /// One measured cell of the availability sweep.
 #[derive(Debug, Clone, Serialize)]
 pub struct AvailabilityRow {
@@ -55,7 +58,7 @@ pub fn compute(
             let reports = run_cell(
                 setup,
                 point.world(),
-                0xFA11 ^ degree.to_bits(),
+                SEED ^ degree.to_bits(),
                 |_| SimConfig {
                     policy,
                     failures: failures.clone(),

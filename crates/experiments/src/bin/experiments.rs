@@ -57,7 +57,7 @@ use std::error::Error;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
-use vod_anneal::{anneal_with_telemetry, AnnealParams, CoolingSchedule, ScalableProblem};
+use vod_anneal::{anneal_with_telemetry, AnnealParams};
 use vod_experiments::perf::pods_world;
 use vod_experiments::report::Reporter;
 use vod_experiments::runner::{build_plan, run_point, Combo};
@@ -66,20 +66,13 @@ use vod_experiments::{
     ablation, availability, bound, coding, controller, drift, fig1, fig2, fig3, fig4, fig5, fig6,
     overload, quality, recovery, sa, sa_multirate, scale, striping,
 };
-use vod_model::{
-    BitRate, Catalog, ClusterSpec, Layout, ModelError, ObjectiveWeights, Popularity, ServerId,
-    VideoId,
-};
+use vod_model::{Catalog, ClusterSpec, Layout, ModelError, Popularity, ServerId, VideoId};
 use vod_sim::event::{Departure, DepartureQueue, NO_STREAM};
 use vod_sim::time::SimTime;
-use vod_sim::{
-    AdmissionPolicy, ControllerConfig, FailoverPolicy, FailureModel, FailurePlan, Outage,
-    RepairConfig, SimConfig, SimReport, Simulation,
-};
+use vod_sim::{AdmissionPolicy, FailurePlan, Outage, SimConfig, SimReport, Simulation};
 use vod_telemetry::{ManifestWriter, RunRecord, Snapshot, Telemetry};
 use vod_workload::{
-    ArrivalSource, DiurnalCycle, DriftingWorkload, FlashCrowd, RateModel, RatePulse, Request,
-    ThinnedWorkload, Trace,
+    ArrivalSource, DiurnalCycle, RateModel, RatePulse, Request, ThinnedWorkload, Trace,
 };
 
 #[derive(Debug)]
@@ -206,21 +199,21 @@ const EXPERIMENTS: &[(&str, u64, ExpFn)] = &[
     ("fig1", 0, |_, r| fig1::run(r)),
     ("fig2", 0, |_, r| fig2::run(r)),
     ("fig3", 0, |_, r| fig3::run(r)),
-    ("fig4", 0xF164, fig4::run),
-    ("fig5", 0xF165, fig5::run),
-    ("fig6", 0xF166, fig6::run),
+    ("fig4", fig4::SEED, fig4::run),
+    ("fig5", fig5::SEED, fig5::run),
+    ("fig6", fig6::SEED, fig6::run),
     ("quality", 0, |_, r| quality::run(r)),
     ("bound", 0, bound::run),
-    ("sa", 0x5A, sa::run),
-    ("ablation", 0xAB, ablation::run),
-    ("availability", 0xFA11, availability::run),
-    ("drift", 0xD21F7, drift::run),
-    ("recovery", 0x4EC0, recovery::run),
-    ("sa2", 0x5A21, sa_multirate::run),
-    ("striping", 0xA4, striping::run),
-    ("overload", 0x0AD6, overload::run),
-    ("controller", 0xC0A7, controller::run),
-    ("coding", 0xC0DE, coding::run),
+    ("sa", sa::SEED, sa::run),
+    ("ablation", ablation::SEED, ablation::run),
+    ("availability", availability::SEED, availability::run),
+    ("drift", drift::SEED, drift::run),
+    ("recovery", recovery::SEED, recovery::run),
+    ("sa2", sa_multirate::SEED, sa_multirate::run),
+    ("striping", striping::SEED, striping::run),
+    ("overload", overload::SEED, overload::run),
+    ("controller", controller::SEED, controller::run),
+    ("coding", coding::SEED, coding::run),
     ("scale", scale::SCALE_SEED, scale::run),
 ];
 
@@ -474,27 +467,15 @@ fn paper_events(smoke: &mut Smoke) -> Timed {
     Ok((snapshot.counter("sim.events"), secs))
 }
 
-/// The SA-1 problem shape (the paper cluster at storage degree 1.4,
-/// θ = 1 popularity, 60%-of-capacity demand) through the
-/// delta-evaluated annealer from a fixed seed, recorded into the smoke's
-/// registry and repeated for at least 0.4 s.
+/// SA-1's problem at θ = 1 on SA-1's cooling schedule, one chain of 12
+/// epochs × 500 steps through the delta-evaluated annealer from a fixed
+/// seed, recorded into the smoke's registry and repeated for at least
+/// 0.4 s.
 fn sa_steps(smoke: &mut Smoke) -> Timed {
     let (setup, telemetry) = (&smoke.setup, &smoke.telemetry);
-    let problem = ScalableProblem::new(
-        Popularity::zipf(setup.n_videos, 1.0)?,
-        setup.cluster(1.4),
-        setup.duration_s,
-        BitRate::LADDER.to_vec(),
-        setup.capacity_demand() * 0.6,
-        ObjectiveWeights::default(),
-    )?;
-    let t0 = 20.0 / setup.n_videos as f64;
+    let problem = sa::problem(setup, 1.0)?;
     let params = AnnealParams {
-        schedule: CoolingSchedule::Geometric {
-            t0,
-            alpha: 0.93,
-            t_min: t0 * 1e-4,
-        },
+        schedule: sa::schedule(setup.n_videos),
         epochs: 12,
         steps_per_epoch: 500,
     };
@@ -563,93 +544,49 @@ fn coupled_events(_: &mut Smoke) -> Timed {
 /// Pods in the drift world of [`drift_events`].
 const DRIFT_PODS: usize = 8;
 
-/// A-7's world tiled [`DRIFT_PODS`] times: 64 servers in pods of 8 and
-/// 1,600 titles in pods of 200. Each pod holds the paper's zipf+slf plan
-/// at degree 1.4 on degree-1.6 storage (the controller fills the spare
-/// slots, then demotes cooled titles to fund raises) and gets its own
-/// A-7 drifting traffic (15-min rank swaps, two flash crowds on its
-/// coldest titles) at 85% of capacity.
+/// A-7's world ([`controller::DriftWorld`]) tiled [`DRIFT_PODS`] times:
+/// 64 servers in pods of 8 and 1,600 titles in pods of 200. Each pod
+/// holds A-7's static plan on A-7's storage (the controller fills the
+/// spare slots, then demotes cooled titles to fund raises), and pod `p`
+/// replays A-7's drifting workload drawn from seed
+/// `controller::SEED + p`.
 fn drift_world() -> Result<(Catalog, ClusterSpec, Layout, Trace), Box<dyn Error>> {
     let setup = PaperSetup::default();
     let (n, m) = (setup.n_servers, setup.n_videos);
-    let point = build_plan(&setup, Combo::ZIPF_SLF, 1.0, 1.4)?;
-    let mut assignments = Vec::with_capacity(DRIFT_PODS * m);
+    let a7 = controller::DriftWorld::new(&setup)?;
+    let (mut assignments, mut requests) = (Vec::with_capacity(DRIFT_PODS * m), Vec::new());
     for p in 0..DRIFT_PODS {
-        for v in 0..m {
-            let servers = point.plan.layout.replicas_of(VideoId(v as u32));
-            assignments.push(
-                servers
-                    .iter()
-                    .map(|s| ServerId((p * n) as u32 + s.0))
-                    .collect(),
-            );
-        }
-    }
-    let layout = Layout::new(DRIFT_PODS * n, assignments)?;
-    let server = setup.cluster(1.6).servers()[0];
-    let cluster = ClusterSpec::homogeneous(DRIFT_PODS * n, server)?;
-    let catalog = Catalog::fixed_rate(DRIFT_PODS * m, setup.bitrate, setup.duration_s)?;
-    let coldest = m as u32 - 1;
-    let workload = DriftingWorkload::new(
-        setup.popularity(1.0)?,
-        setup.horizon_min,
-        15.0,
-        m as u32,
-        0xD21F,
-    )?
-    .with_flash_crowds(vec![
-        FlashCrowd {
-            at_min: 25.0,
-            video: VideoId(coldest),
-            boost: 2.0,
-        },
-        FlashCrowd {
-            at_min: 55.0,
-            video: VideoId(coldest - 1),
-            boost: 1.5,
-        },
-    ])?;
-    let lambda = 0.85 * setup.capacity_lambda_per_min();
-    let mut requests = Vec::new();
-    for p in 0..DRIFT_PODS {
-        let pod = workload.generate(lambda, &mut ChaCha8Rng::seed_from_u64(0xC0A7 + p as u64))?;
+        assignments.extend(a7.layout.assignments().iter().map(|servers| {
+            servers
+                .iter()
+                .map(|s| ServerId((p * n) as u32 + s.0))
+                .collect()
+        }));
+        let mut rng = ChaCha8Rng::seed_from_u64(controller::SEED + p as u64);
+        let pod = a7.workload.generate(a7.lambda_per_min, &mut rng)?;
         requests.extend(pod.requests().iter().map(|r| Request {
             video: VideoId((p * m) as u32 + r.video.0),
             ..*r
         }));
     }
     requests.sort_by(|a, b| a.arrival_min.total_cmp(&b.arrival_min));
+    let cluster = ClusterSpec::homogeneous(DRIFT_PODS * n, a7.cluster.servers()[0])?;
+    let catalog = Catalog::fixed_rate(DRIFT_PODS * m, setup.bitrate, setup.duration_s)?;
+    let layout = Layout::new(DRIFT_PODS * n, assignments)?;
     Ok((catalog, cluster, layout, Trace::new(requests)?))
 }
 
-/// The controller path: the drift world with the online controller on a
-/// 1-min tick, metered 200 Mbps repair, exponential faults at one A-7
-/// cluster's rate (MTTR 15 min) and resume failover; repair and
-/// controller budgets are A-7's per pod. The controller couples the
-/// pods, so [`SHARDS`] takes the serial loop. Fails unless the
-/// controller both copied and demoted.
+/// The controller path: the drift world under A-7's controlled,
+/// fault-injected cell settings scaled to [`DRIFT_PODS`] pods
+/// ([`controller::cell_config`], faults from run seed 0). The controller
+/// couples the pods, so [`SHARDS`] takes the serial loop. Fails unless
+/// the controller both copied and demoted.
 fn drift_events(_: &mut Smoke) -> Timed {
     let (catalog, cluster, layout, trace) = drift_world()?;
     let world = (&catalog, &cluster, &layout);
     let config = |shards| SimConfig {
-        policy: AdmissionPolicy::LeastLoadedReplica,
-        failure_model: Some(FailureModel::exponential(
-            180.0 * DRIFT_PODS as f64,
-            15.0,
-            0xFA,
-        )),
-        repair: RepairConfig {
-            bandwidth_kbps: 200_000,
-            max_concurrent: 8 * DRIFT_PODS,
-        },
-        controller: ControllerConfig {
-            tick_min: 1.0,
-            ewma_window_ticks: 6,
-            cooldown_ticks: 12,
-            max_changes_per_tick: 8 * DRIFT_PODS,
-        },
-        failover: FailoverPolicy::Resume,
-        ..plain(shards)
+        shards,
+        ..controller::cell_config(DRIFT_PODS, 0, true, true)
     };
     let run = |sim: &Simulation, t: &Telemetry| sim.run_with_telemetry(&trace, t);
     let (report, timed) = sharded_events("sharded drift", world, config, run)?;
@@ -812,12 +749,17 @@ fn check_floor(tag: &str, rate: &str, measured: f64, floor: f64) -> Result<(), B
     Ok(())
 }
 
-/// Runs [`MEASUREMENTS`] in order and prints one machine-readable
-/// `PERF_SMOKE` line. With `metrics`, appends the run's manifest record,
-/// whose throughput is the line's rates. With `check`, reads the floors
-/// (see [`read_floors`]) before measuring, and fails when any rate lands
-/// more than 30% below its floor.
-fn perf_smoke(metrics: Option<&str>, check: Option<&str>) -> Result<(), Box<dyn Error>> {
+/// Runs [`MEASUREMENTS`] in order, the first two under `setup`, and
+/// prints one machine-readable `PERF_SMOKE` line. With `metrics`,
+/// appends the run's manifest record, whose throughput is the line's
+/// rates. With `check`, reads the floors (see [`read_floors`]) before
+/// measuring, and fails when any rate lands more than 30% below its
+/// floor.
+fn perf_smoke(
+    setup: PaperSetup,
+    metrics: Option<&str>,
+    check: Option<&str>,
+) -> Result<(), Box<dyn Error>> {
     let floors = match check {
         Some(path) => {
             let json = std::fs::read_to_string(path)?;
@@ -826,10 +768,6 @@ fn perf_smoke(metrics: Option<&str>, check: Option<&str>) -> Result<(), Box<dyn 
         None => None,
     };
     let started = Instant::now();
-    let setup = PaperSetup {
-        runs: 8,
-        ..PaperSetup::default()
-    };
     let mut smoke = Smoke {
         lambda: 0.9 * setup.capacity_lambda_per_min(),
         setup,
@@ -901,6 +839,14 @@ fn main() -> ExitCode {
     if let Some(shards) = args.shards {
         setup.shards = shards;
     }
+    if args.command == "perf-smoke" {
+        // perf-smoke pins its world, whatever the flags say: the paper
+        // setup at 8 runs per point.
+        setup = PaperSetup {
+            runs: 8,
+            ..PaperSetup::default()
+        };
+    }
 
     let base_reporter = if args.no_files {
         Reporter::stdout_only()
@@ -918,7 +864,7 @@ fn main() -> ExitCode {
     let started = Instant::now();
     let result: Result<(), Box<dyn Error>> = (|| {
         if args.command == "perf-smoke" {
-            return perf_smoke(args.metrics.as_deref(), args.check.as_deref());
+            return perf_smoke(setup, args.metrics.as_deref(), args.check.as_deref());
         }
         let selected: Vec<&(&str, u64, ExpFn)> = if args.command == "all" {
             EXPERIMENTS.iter().collect()
@@ -1071,6 +1017,48 @@ mod tests {
         assert!(e.contains("--shard"), "{e}");
         let e = parse(&["fig4", "fig5"]).unwrap_err();
         assert!(e.contains("fig5"), "{e}");
+    }
+
+    #[test]
+    fn drift_world_tiles_a7s_world() {
+        let setup = PaperSetup::default();
+        let (n, m) = (setup.n_servers, setup.n_videos);
+        let a7 = controller::DriftWorld::new(&setup).unwrap();
+        let (catalog, cluster, layout, trace) = drift_world().unwrap();
+        assert_eq!(
+            (catalog.len(), cluster.len()),
+            (DRIFT_PODS * m, DRIFT_PODS * n)
+        );
+        assert!(cluster
+            .servers()
+            .iter()
+            .all(|s| *s == a7.cluster.servers()[0]));
+        for p in 0..DRIFT_PODS {
+            // The pod's replica sets: A-7's static plan, shifted into it.
+            for v in 0..m {
+                let planned = a7.layout.replicas_of(VideoId(v as u32));
+                let shifted: Vec<ServerId> = planned
+                    .iter()
+                    .map(|s| ServerId((p * n) as u32 + s.0))
+                    .collect();
+                assert_eq!(layout.replicas_of(VideoId((p * m + v) as u32)), shifted);
+            }
+            // The pod's requests: A-7's drifting workload from seed
+            // `controller::SEED + p`, on the pod's titles.
+            let mut rng = ChaCha8Rng::seed_from_u64(controller::SEED + p as u64);
+            let drawn = a7.workload.generate(a7.lambda_per_min, &mut rng).unwrap();
+            let pod: Vec<Request> = trace
+                .requests()
+                .iter()
+                .filter(|r| r.video.0 as usize / m == p)
+                .map(|r| Request {
+                    video: VideoId(r.video.0 - (p * m) as u32),
+                    ..*r
+                })
+                .collect();
+            assert!(!pod.is_empty());
+            assert_eq!(pod, drawn.requests(), "pod {p}");
+        }
     }
 
     const BASELINE: &str = include_str!("../../../../bench/baseline.json");

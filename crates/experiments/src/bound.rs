@@ -9,7 +9,6 @@ use crate::config::PaperSetup;
 use crate::report::{f3, Reporter, Table};
 use crate::runner::{build_plan, Combo};
 use serde::Serialize;
-use vod_core::{PlacementAlgo, ReplicationAlgo};
 
 /// One row of the bound-tightness table.
 #[derive(Debug, Clone, Serialize)]
@@ -28,14 +27,10 @@ pub struct BoundRow {
 
 /// Computes the table rows.
 pub fn compute(setup: &PaperSetup) -> Result<Vec<BoundRow>, Box<dyn std::error::Error>> {
-    let combo = Combo {
-        replication: ReplicationAlgo::Adams,
-        placement: PlacementAlgo::SmallestLoadFirst,
-    };
     let mut rows = Vec::new();
     for theta in setup.thetas() {
         for degree in setup.degrees() {
-            let point = build_plan(setup, combo, theta, degree)?;
+            let point = build_plan(setup, Combo::ADAMS_SLF, theta, degree)?;
             let bound = point.plan.imbalance_bound;
             let measured = point.plan.measured_imbalance_eq2;
             rows.push(BoundRow {

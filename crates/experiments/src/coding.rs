@@ -38,6 +38,10 @@ use vod_sim::{AdmissionPolicy, FailoverPolicy, FailureModel, RepairConfig, SimCo
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
 
+/// A-8's base seed, shared by every cell: rows differ only in the
+/// swept knobs.
+pub const SEED: u64 = 0xC0DE;
+
 /// Mean time between failures per server, minutes (as in A-4: ~4–6
 /// failures strike per 90-minute run on 8 servers).
 const MTBF_MIN: f64 = 120.0;
@@ -116,7 +120,6 @@ fn coding_row(
     scheme: RedundancyScheme,
     mttr_min: f64,
     lambda: f64,
-    base_seed: u64,
     telemetry: &Telemetry,
 ) -> Result<CodingRow, ModelError> {
     let catalog = setup.catalog()?;
@@ -140,7 +143,7 @@ fn coding_row(
     let reports = run_cell(
         setup,
         world,
-        base_seed,
+        SEED,
         |seed| SimConfig {
             policy: AdmissionPolicy::RoundRobinFailover,
             failure_model: Some(FailureModel::exponential(MTBF_MIN, mttr_min, seed)),
@@ -193,14 +196,10 @@ pub fn compute(
     // 60% of capacity, as in A-4: failover visibly packs survivors,
     // repair traffic still fits on the links mid-outage.
     let lambda = 0.6 * setup.capacity_lambda_per_min();
-    // One seed for every cell: rows differ only in the swept knobs.
-    let base_seed = 0xC0DE;
     let mut rows = Vec::new();
     for scheme in SCHEMES {
         for mttr_min in [15.0f64, 45.0] {
-            rows.push(coding_row(
-                setup, scheme, mttr_min, lambda, base_seed, telemetry,
-            )?);
+            rows.push(coding_row(setup, scheme, mttr_min, lambda, telemetry)?);
         }
     }
     Ok(rows)

@@ -51,12 +51,16 @@ use crate::report::{pct, Reporter, Table};
 use crate::runner::{build_plan, mean, run_cell, Combo, World};
 use serde::Serialize;
 use vod_core::{AdaptiveConfig, AdaptiveRunner, ReplanPlacement, ReplanStrategy};
-use vod_model::{ModelError, Popularity, VideoId};
+use vod_model::{Catalog, ClusterSpec, Layout, ModelError, VideoId};
 use vod_sim::{
     AdmissionPolicy, ControllerConfig, FailoverPolicy, FailureModel, RepairConfig, SimConfig,
 };
 use vod_telemetry::Telemetry;
 use vod_workload::{DriftingWorkload, FlashCrowd};
+
+/// A-7's base seed, shared by every cell: all three modes replay
+/// identical traces and, with faults, identical fault draws.
+pub const SEED: u64 = 0xC0A7;
 
 /// Replication degree of the t = 0 plans.
 const PLAN_DEGREE: f64 = 1.4;
@@ -120,17 +124,37 @@ pub struct ControllerRow {
     pub runs: u32,
 }
 
-/// The drifting workload every cell samples from: 15-minute segments,
-/// one adjacent-rank swap per title per boundary, and two flash crowds
-/// on the two coldest titles (2× the head weight at t = 25, 1.5× at
-/// t = 55).
-fn drifting_workload(
-    setup: &PaperSetup,
-    base: &Popularity,
-) -> Result<DriftingWorkload, ModelError> {
-    let m = setup.n_videos as u32;
-    DriftingWorkload::new(base.clone(), setup.horizon_min, 15.0, m, 0xD21F)?.with_flash_crowds(
-        vec![
+/// A-7's world on one paper cluster, which every cell replays and
+/// perf-smoke's drift measurement tiles into pods.
+#[derive(Debug, Clone)]
+pub struct DriftWorld {
+    /// The paper catalog.
+    pub catalog: Catalog,
+    /// The simulated cluster, at storage degree 1.6.
+    pub cluster: ClusterSpec,
+    /// The static plan: zipf+slf at degree 1.4 from the segment-0 truth
+    /// (= the base popularity, as everywhere else: video id = rank at
+    /// t = 0).
+    pub layout: Layout,
+    /// The drifting workload every run samples from: 15-minute
+    /// segments, one adjacent-rank swap per title per boundary, and two
+    /// flash crowds on the two coldest titles (2× the head weight at
+    /// t = 25, 1.5× at t = 55).
+    pub workload: DriftingWorkload,
+    /// 85% of capacity: hot enough that a mislaid replica visibly costs
+    /// admissions, cool enough that the controller's overload backoff
+    /// does not pin it down.
+    pub lambda_per_min: f64,
+}
+
+impl DriftWorld {
+    /// A-7's world under `setup`.
+    pub fn new(setup: &PaperSetup) -> Result<Self, ModelError> {
+        let m = setup.n_videos as u32;
+        let point = build_plan(setup, Combo::ZIPF_SLF, 1.0, PLAN_DEGREE)?;
+        let drift =
+            DriftingWorkload::new(setup.popularity(1.0)?, setup.horizon_min, 15.0, m, 0xD21F)?;
+        let crowds = vec![
             FlashCrowd {
                 at_min: 25.0,
                 video: VideoId(m - 1),
@@ -141,8 +165,44 @@ fn drifting_workload(
                 video: VideoId(m - 2),
                 boost: 1.5,
             },
-        ],
-    )
+        ];
+        Ok(DriftWorld {
+            catalog: setup.catalog()?,
+            cluster: setup.cluster(STORAGE_DEGREE),
+            layout: point.plan.layout,
+            workload: drift.with_flash_crowds(crowds)?,
+            lambda_per_min: 0.85 * setup.capacity_lambda_per_min(),
+        })
+    }
+}
+
+/// One A-7 run's engine settings on `pods` tiled copies of its cluster:
+/// least-loaded dispatch, resume failover and metered repair; with
+/// `failures`, exponential faults drawn from `seed ^ 0xFA`; with
+/// `controlled`, the online controller. Each pod keeps A-7's repair
+/// concurrency and per-tick change budget, and the whole tiled cluster
+/// fails at one A-7 cluster's rate: the controller's QoS guard backs off
+/// while any server is down, so a per-pod fault rate would pin it down.
+pub fn cell_config(pods: usize, seed: u64, failures: bool, controlled: bool) -> SimConfig {
+    let on = ControllerConfig {
+        tick_min: TICK_MIN,
+        ewma_window_ticks: 6,
+        cooldown_ticks: 12,
+        max_changes_per_tick: 8 * pods,
+    };
+    let off = ControllerConfig::default();
+    SimConfig {
+        policy: AdmissionPolicy::LeastLoadedReplica,
+        failure_model: failures
+            .then(|| FailureModel::exponential(MTBF_MIN * pods as f64, MTTR_MIN, seed ^ 0xFA)),
+        repair: RepairConfig {
+            bandwidth_kbps: REPAIR_KBPS,
+            max_concurrent: 8 * pods,
+        },
+        controller: if controlled { on } else { off },
+        failover: FailoverPolicy::Resume,
+        ..SimConfig::default()
+    }
 }
 
 /// The true time-averaged demand over the horizon, weighted by segment
@@ -172,77 +232,43 @@ pub fn compute(
     setup: &PaperSetup,
     telemetry: &Telemetry,
 ) -> Result<Vec<ControllerRow>, Box<dyn std::error::Error>> {
-    // 85% of capacity: hot enough that a mislaid replica visibly costs
-    // admissions, cool enough that the controller's overload backoff
-    // does not pin it down.
-    let lambda = 0.85 * setup.capacity_lambda_per_min();
-    let base_seed = 0xC0A7;
-    let base = setup.popularity(1.0)?;
-    let workload = drifting_workload(setup, &base)?;
-    let catalog = setup.catalog()?;
-    let cluster = setup.cluster(STORAGE_DEGREE);
-
-    // Static plan from the segment-0 truth (= the base popularity, as
-    // everywhere else: video id = rank at t = 0).
-    let static_layout = build_plan(setup, Combo::ZIPF_SLF, 1.0, PLAN_DEGREE)?
-        .plan
-        .layout
-        .clone();
+    let a7 = DriftWorld::new(setup)?;
     // Clairvoyant plan from the true time-averaged weights, at the same
     // planned degree (the planning cluster caps its slots; the sim
     // cluster's spare slots stay spare).
     let oracle_planner = AdaptiveRunner::new(
-        catalog.clone(),
+        a7.catalog.clone(),
         setup.cluster(PLAN_DEGREE),
-        base.p().to_vec(),
+        setup.popularity(1.0)?.p().to_vec(),
         AdaptiveConfig {
             replication: Combo::ZIPF_SLF.replication,
             placement: Combo::ZIPF_SLF.placement,
             replan_placement: ReplanPlacement::Fresh,
             strategy: ReplanStrategy::Oracle,
-            lambda_per_min: lambda,
+            lambda_per_min: a7.lambda_per_min,
             horizon_min: setup.horizon_min,
         },
     )?;
-    let oracle_layout = oracle_planner.plan_from_weights(&mean_true_weights(&workload))?;
-
-    let on = ControllerConfig {
-        tick_min: TICK_MIN,
-        ewma_window_ticks: 6,
-        cooldown_ticks: 12,
-        ..ControllerConfig::default()
-    };
-    let off = ControllerConfig::default();
+    let oracle_layout = oracle_planner.plan_from_weights(&mean_true_weights(&a7.workload))?;
 
     let mut rows = Vec::new();
     for failures in [false, true] {
-        for (mode, layout, controller) in [
-            ("static", &static_layout, off),
-            ("controller", &static_layout, on),
-            ("oracle", &oracle_layout, off),
+        for (mode, layout, controlled) in [
+            ("static", &a7.layout, false),
+            ("controller", &a7.layout, true),
+            ("oracle", &oracle_layout, false),
         ] {
             let world = World {
-                catalog: &catalog,
-                cluster: &cluster,
+                catalog: &a7.catalog,
+                cluster: &a7.cluster,
                 layout,
             };
             let reports = run_cell(
                 setup,
                 world,
-                base_seed,
-                |seed| SimConfig {
-                    policy: AdmissionPolicy::LeastLoadedReplica,
-                    failure_model: failures
-                        .then(|| FailureModel::exponential(MTBF_MIN, MTTR_MIN, seed ^ 0xFA)),
-                    repair: RepairConfig {
-                        bandwidth_kbps: REPAIR_KBPS,
-                        max_concurrent: 8,
-                    },
-                    controller,
-                    failover: FailoverPolicy::Resume,
-                    ..SimConfig::default()
-                },
-                |rng| workload.generate(lambda, rng),
+                SEED,
+                |seed| cell_config(1, seed, failures, controlled),
+                |rng| a7.workload.generate(a7.lambda_per_min, rng),
                 telemetry,
             )?;
             rows.push(ControllerRow {

@@ -10,14 +10,16 @@
 
 use crate::config::PaperSetup;
 use crate::report::{pct, Reporter, Table};
+use crate::runner::Combo;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use vod_core::{
-    AdaptiveConfig, AdaptiveRunner, DayReport, PlacementAlgo, ReplanPlacement, ReplanStrategy,
-    ReplicationAlgo,
-};
+use vod_core::{AdaptiveConfig, AdaptiveRunner, DayReport, ReplanPlacement, ReplanStrategy};
 use vod_workload::drift::RankRotation;
+
+/// A-3's seed: every strategy's daily traces draw from one ChaCha8
+/// stream seeded with it.
+pub const SEED: u64 = 0xD21F7;
 
 /// All four strategies' day series.
 #[derive(Debug, Clone, Serialize)]
@@ -49,15 +51,15 @@ pub fn compute(setup: &PaperSetup, days: u32) -> Result<DriftOutcome, Box<dyn st
             setup.cluster(degree),
             base.p().to_vec(),
             AdaptiveConfig {
-                replication: ReplicationAlgo::Adams,
-                placement: PlacementAlgo::SmallestLoadFirst,
+                replication: Combo::ADAMS_SLF.replication,
+                placement: Combo::ADAMS_SLF.placement,
                 replan_placement,
                 strategy,
                 lambda_per_min: lambda,
                 horizon_min: setup.horizon_min,
             },
         )?;
-        let mut rng = ChaCha8Rng::seed_from_u64(0xD21F7);
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
         Ok(runner.run_days(&drift, days, &mut rng)?)
     };
 

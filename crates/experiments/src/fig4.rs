@@ -15,6 +15,9 @@ use crate::config::PaperSetup;
 use crate::report::{pct, Reporter};
 use crate::runner::{build_plan, lambda_sweep, Combo};
 
+/// Figure 4's base seed: each subplot's λ sweep draws from it.
+pub const SEED: u64 = 0xF164;
+
 /// Regenerates the four Figure 4 subplots.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
     let subplots = [
@@ -41,7 +44,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
             &name[4..],
             combo.label()
         );
-        lambda_sweep(setup, reporter, name, &title, 0xF164, columns, |s| {
+        lambda_sweep(setup, reporter, name, &title, SEED, columns, |s| {
             pct(s.rejection_rate)
         })?;
     }

@@ -14,6 +14,9 @@ use crate::config::PaperSetup;
 use crate::report::{pct, Reporter};
 use crate::runner::{build_plan, lambda_sweep, Combo};
 
+/// Figure 5's base seed: each subplot's λ sweep draws from it.
+pub const SEED: u64 = 0xF165;
+
 /// Regenerates the four Figure 5 subplots.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
     let subplots = [
@@ -31,7 +34,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
             "Figure 5{}: rejection rate by algorithm combo (degree {degree}, θ = {theta})",
             &name[4..]
         );
-        lambda_sweep(setup, reporter, name, &title, 0xF165, columns, |s| {
+        lambda_sweep(setup, reporter, name, &title, SEED, columns, |s| {
             pct(s.rejection_rate)
         })?;
     }

@@ -22,6 +22,9 @@ use crate::config::PaperSetup;
 use crate::report::{f3, Reporter};
 use crate::runner::{build_plan, lambda_sweep, Combo};
 
+/// Figure 6's base seed: each subplot's λ sweep draws from it.
+pub const SEED: u64 = 0xF166;
+
 /// Regenerates the two Figure 6 subplots.
 pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::error::Error>> {
     let degree = 1.2;
@@ -37,7 +40,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
             "Figure 6{}: load-imbalance degree L(%) (degree {degree}, θ = {theta})",
             &name[4..]
         );
-        lambda_sweep(setup, reporter, name, &title, 0xF166, columns, |s| {
+        lambda_sweep(setup, reporter, name, &title, SEED, columns, |s| {
             f3(s.imbalance_maxdev_pct_capacity)
         })?;
     }

@@ -34,6 +34,10 @@ use vod_sim::{
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
 
+/// A-6's base seed, shared by every cell: cells at equal load share
+/// identical traces, so rows differ only in the swept knobs.
+pub const SEED: u64 = 0x0AD6;
+
 /// Mean time between brownouts per server, minutes. At 45 minutes over a
 /// 90-minute horizon on 8 servers, ~10–16 partial degradations per run.
 const BROWNOUT_MTBF_MIN: f64 = 45.0;
@@ -92,9 +96,6 @@ pub fn compute(
         cluster: &cluster,
         ..point.world()
     };
-    // One seed for every cell: cells at equal load share identical
-    // traces, so rows differ only in the swept knobs.
-    let base_seed = 0x0AD6;
     let mut rows = Vec::new();
     for load_frac in [0.8, 1.0, 1.2] {
         let lambda = load_frac * setup.capacity_lambda_per_min();
@@ -115,7 +116,7 @@ pub fn compute(
                     let reports = run_cell(
                         setup,
                         world,
-                        base_seed,
+                        SEED,
                         |seed| SimConfig {
                             policy: AdmissionPolicy::RoundRobinFailover,
                             admission: AdmissionConfig {

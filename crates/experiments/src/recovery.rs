@@ -30,6 +30,11 @@ use vod_sim::{AdmissionPolicy, FailoverPolicy, FailureModel, RepairConfig, SimCo
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
 
+/// A-4's base seed, shared by every cell: cells at equal degree share
+/// identical traces and fault draws, so rows differ only in the swept
+/// knobs.
+pub const SEED: u64 = 0x4EC0;
+
 /// Mean time between failures per server, in minutes. At 120 minutes over
 /// a 90-minute horizon on 8 servers, ~4–6 failures strike per run.
 const MTBF_MIN: f64 = 120.0;
@@ -82,9 +87,6 @@ pub fn compute(
     // survivors, enough headroom that repair copies can still fit on
     // their links mid-outage.
     let lambda = 0.6 * setup.capacity_lambda_per_min();
-    // One seed for every cell: cells at equal degree share identical
-    // traces and fault draws, so rows differ only in the swept knobs.
-    let base_seed = 0x4EC0;
     let mut rows = Vec::new();
     for degree in [1.0, 1.5, 2.0] {
         let point = build_plan(setup, Combo::ZIPF_SLF, 1.0, degree)?;
@@ -104,7 +106,7 @@ pub fn compute(
                     run_cell(
                         setup,
                         world,
-                        base_seed,
+                        SEED,
                         |seed| SimConfig {
                             policy: AdmissionPolicy::RoundRobinFailover,
                             failure_model: Some(FailureModel::exponential(

@@ -51,6 +51,12 @@ impl Combo {
         replication: ReplicationAlgo::ZipfInterval,
         placement: PlacementAlgo::RoundRobin,
     };
+    /// The bounded-Adams pairing: SA-1's fixed-rate reference, C-2's
+    /// plans and A-3's re-plans.
+    pub const ADAMS_SLF: Combo = Combo {
+        replication: ReplicationAlgo::Adams,
+        placement: PlacementAlgo::SmallestLoadFirst,
+    };
 
     /// The four combinations Figure 5 compares.
     pub const FIGURE_5: [Combo; 4] = [

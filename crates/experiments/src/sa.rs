@@ -15,9 +15,78 @@ use serde::Serialize;
 use vod_anneal::{
     anneal_parallel_with_telemetry, CoolingSchedule, ParallelParams, ScalableProblem,
 };
-use vod_core::{PlacementAlgo, ReplicationAlgo};
-use vod_model::{load, BitRate, ObjectiveWeights, Popularity};
+use vod_model::{load, BitRate, ClusterSpec, ModelError, ObjectiveWeights, Popularity};
 use vod_telemetry::Telemetry;
+
+/// SA-1's base seed, which every chain's RNG is split from.
+pub const SEED: u64 = 0x5A;
+
+/// Storage degree of SA-1's cluster and of its fixed-rate reference.
+const STORAGE_DEGREE: f64 = 1.4;
+
+/// Builds SA-1's problem at skew `theta` through `new`, handed
+/// `ScalableProblem::new`'s arguments (SA-2's multi-rate arms pass them
+/// on to `MultiRateProblem::new`): Zipf(θ), the paper cluster at storage
+/// degree 1.4, the rate ladder, demand at 60 % of link capacity and the
+/// default Eq. (1) weights.
+pub(crate) fn problem_with<P>(
+    setup: &PaperSetup,
+    theta: f64,
+    new: impl FnOnce(
+        Popularity,
+        ClusterSpec,
+        u64,
+        Vec<BitRate>,
+        f64,
+        ObjectiveWeights,
+    ) -> Result<P, ModelError>,
+) -> Result<P, ModelError> {
+    new(
+        setup.popularity(theta)?,
+        setup.cluster(STORAGE_DEGREE),
+        setup.duration_s,
+        BitRate::LADDER.to_vec(),
+        // Demand at 60% of link capacity so the lowest-rate initial
+        // solution is feasible even under θ = 1 skew (constraint 5 is a
+        // planning constraint — the paper plans for an expected peak,
+        // not overload).
+        setup.capacity_demand() * 0.6,
+        ObjectiveWeights::default(),
+    )
+}
+
+/// SA-1's scalable-bit-rate problem at skew `theta`.
+pub fn problem(setup: &PaperSetup, theta: f64) -> Result<ScalableProblem, ModelError> {
+    problem_with(setup, theta, ScalableProblem::new)
+}
+
+/// SA-1's cooling over `n_videos` = M titles: geometric from
+/// `t0 = 20/M`, by 0.93 per epoch, down to `t0·1e-4`. Temperature must
+/// be commensurate with per-move objective deltas, which scale as 1/M
+/// (one video's rate step or one replica changes the Eq. (1) averages by
+/// O(1/M)); a size-blind t0 turns the walk into noise until the very
+/// last epochs.
+pub fn schedule(n_videos: usize) -> CoolingSchedule {
+    let t0 = 20.0 / n_videos as f64;
+    CoolingSchedule::Geometric {
+        t0,
+        alpha: 0.93,
+        t_min: t0 * 1e-4,
+    }
+}
+
+/// SA-1's annealer: 4 chains × 12 rounds × 12 epochs × 700 steps on
+/// [`schedule`], every chain's RNG split from `seed`.
+pub(crate) fn params(setup: &PaperSetup, seed: u64) -> ParallelParams {
+    ParallelParams {
+        chains: 4,
+        epochs_per_round: 12,
+        rounds: 12,
+        steps_per_epoch: 700,
+        schedule: schedule(setup.n_videos),
+        seed,
+    }
+}
 
 /// Summary of one SA experiment.
 #[derive(Debug, Clone, Serialize)]
@@ -38,53 +107,20 @@ pub struct SaSummary {
     pub trajectory: Vec<f64>,
 }
 
-/// Runs the SA experiment at a planning demand within cluster capacity,
-/// recording the annealer's `anneal.*` instruments into `telemetry`.
+/// Runs the SA experiment at skew `theta`, recording the annealer's
+/// `anneal.*` instruments into `telemetry`.
 pub fn evaluate(
     setup: &PaperSetup,
     theta: f64,
     telemetry: &Telemetry,
 ) -> Result<SaSummary, Box<dyn std::error::Error>> {
-    let degree_for_storage = 1.4;
-    let pop = Popularity::zipf(setup.n_videos, theta)?;
-    let cluster = setup.cluster(degree_for_storage);
-    // Demand at 60% of link capacity so the lowest-rate initial solution
-    // is feasible even under θ = 1 skew (constraint 5 is a planning
-    // constraint — the paper plans for an expected peak, not overload).
-    let demand = setup.capacity_demand() * 0.6;
-    let weights = ObjectiveWeights::default();
-
-    let problem = ScalableProblem::new(
-        pop,
-        cluster,
-        setup.duration_s,
-        BitRate::LADDER.to_vec(),
-        demand,
-        weights,
-    )?;
+    let problem = problem(setup, theta)?;
     let initial = problem.initial_state();
     let initial_objective = problem.objective(&initial);
-
-    // Temperature must be commensurate with per-move objective deltas,
-    // which scale as 1/M (one video's rate step or one replica changes
-    // the Eq. (1) averages by O(1/M)); a size-blind t0 turns the walk
-    // into noise until the very last epochs.
-    let t0 = 20.0 / setup.n_videos as f64;
     let result = anneal_parallel_with_telemetry(
         &problem,
         problem.search_state(initial),
-        &ParallelParams {
-            chains: 4,
-            epochs_per_round: 12,
-            rounds: 12,
-            steps_per_epoch: 700,
-            schedule: CoolingSchedule::Geometric {
-                t0,
-                alpha: 0.93,
-                t_min: t0 * 1e-4,
-            },
-            seed: 0x5A,
-        },
+        &params(setup, SEED),
         telemetry,
     );
     let best = result.best_state.state();
@@ -92,19 +128,12 @@ pub fn evaluate(
     let m = problem.n_videos() as f64;
     let final_mean_rate_mbps = best.rates.iter().map(|r| r.mbps()).sum::<f64>() / m;
     let final_degree = best.assignments.iter().map(|a| a.len() as f64).sum::<f64>() / m;
+    let weights = ObjectiveWeights::default();
     let final_imbalance = load::imbalance(&problem.bandwidth_load(best), weights.metric);
 
     // Fixed-rate reference: Adams + SLF at the paper's 4 Mbps, evaluated
     // under the same objective (its rate term is the fixed 4.0 Mbps).
-    let fixed = build_plan(
-        setup,
-        Combo {
-            replication: ReplicationAlgo::Adams,
-            placement: PlacementAlgo::SmallestLoadFirst,
-        },
-        theta,
-        degree_for_storage,
-    )?;
+    let fixed = build_plan(setup, Combo::ADAMS_SLF, theta, STORAGE_DEGREE)?;
     let fixed_rate_objective = weights.evaluate_components(
         4.0,
         fixed.plan.scheme.degree(),

@@ -19,13 +19,15 @@
 
 use crate::config::PaperSetup;
 use crate::report::{f3, Reporter, Table};
+use crate::sa;
 use serde::Serialize;
-use vod_anneal::{
-    anneal_parallel_with_telemetry, CoolingSchedule, MultiRateProblem, ParallelParams,
-    ScalableProblem,
-};
-use vod_model::{BitRate, ObjectiveWeights, Popularity};
+use vod_anneal::{anneal_parallel_with_telemetry, MultiRateProblem};
+use vod_model::Popularity;
 use vod_telemetry::Telemetry;
+
+/// SA-2's base seed: the single-rate arm anneals from it, the two
+/// multi-rate arms from `SEED + 1` and `SEED + 2`.
+pub const SEED: u64 = 0x5A21;
 
 /// Comparable summary of one formulation's annealed solution.
 #[derive(Debug, Clone, Serialize)]
@@ -45,71 +47,50 @@ pub struct FormulationSummary {
     pub degree: f64,
 }
 
-fn anneal_params(seed: u64, m: usize) -> ParallelParams {
-    // Per-move deltas scale as 1/M; match the temperature to them (see
-    // the note in `crate::sa`).
-    let t0 = 20.0 / m as f64;
-    ParallelParams {
-        chains: 4,
-        epochs_per_round: 12,
-        rounds: 12,
-        steps_per_epoch: 700,
-        schedule: CoolingSchedule::Geometric {
-            t0,
-            alpha: 0.93,
-            t_min: t0 * 1e-4,
-        },
-        seed,
+/// One formulation's row from its objective, the rate each title
+/// delivers (Mbps, by rank) under `pop` and its mean degree.
+fn row(
+    name: &'static str,
+    objective: f64,
+    delivered: &[f64],
+    pop: &Popularity,
+    degree: f64,
+) -> FormulationSummary {
+    let head = (delivered.len() / 10).max(1);
+    FormulationSummary {
+        name,
+        objective,
+        mean_delivered_mbps: delivered.iter().sum::<f64>() / delivered.len() as f64,
+        viewer_mbps: delivered
+            .iter()
+            .enumerate()
+            .map(|(v, &d)| pop.get(v) * d)
+            .sum(),
+        head_mbps: delivered.iter().take(head).sum::<f64>() / head as f64,
+        degree,
     }
 }
 
-/// Runs the three formulations.
-/// Records the annealer's `anneal.*` instruments into `telemetry`.
+/// Runs the three formulations on SA-1's problem at θ = 1 and SA-1's
+/// annealer settings. Records the annealer's `anneal.*` instruments into
+/// `telemetry`.
 pub fn compute(
     setup: &PaperSetup,
     telemetry: &Telemetry,
 ) -> Result<Vec<FormulationSummary>, Box<dyn std::error::Error>> {
     let m = setup.n_videos;
-    let pop = Popularity::zipf(m, 1.0)?;
-    let cluster = setup.cluster(1.4);
-    let demand = setup.capacity_demand() * 0.6;
-    let weights = ObjectiveWeights::default();
-    let head = (m / 10).max(1);
-
-    let mut out = Vec::new();
+    let pop = setup.popularity(1.0)?;
 
     // 1. Single-rate (paper Sec. 4.3).
-    let single_best = {
-        let problem = ScalableProblem::new(
-            pop.clone(),
-            cluster.clone(),
-            setup.duration_s,
-            BitRate::LADDER.to_vec(),
-            demand,
-            weights,
-        )?;
-        let result = anneal_parallel_with_telemetry(
-            &problem,
-            problem.initial_search(),
-            &anneal_params(0x5A21, m),
-            telemetry,
-        );
-        let s = result.best_state.state();
-        let delivered: Vec<f64> = s.rates.iter().map(|r| r.mbps()).collect();
-        out.push(FormulationSummary {
-            name: "single-rate",
-            objective: problem.objective(s),
-            mean_delivered_mbps: delivered.iter().sum::<f64>() / m as f64,
-            viewer_mbps: delivered
-                .iter()
-                .enumerate()
-                .map(|(v, &d)| pop.get(v) * d)
-                .sum(),
-            head_mbps: delivered.iter().take(head).sum::<f64>() / head as f64,
-            degree: s.assignments.iter().map(|a| a.len() as f64).sum::<f64>() / m as f64,
-        });
-        result.best_state.into_state()
-    };
+    let problem = sa::problem(setup, 1.0)?;
+    let params = sa::params(setup, SEED);
+    let result =
+        anneal_parallel_with_telemetry(&problem, problem.initial_search(), &params, telemetry);
+    let best = result.best_state.into_state();
+    let delivered: Vec<f64> = best.rates.iter().map(|r| r.mbps()).collect();
+    let degree = best.assignments.iter().map(|a| a.len() as f64).sum::<f64>() / m as f64;
+    let objective = problem.objective(&best);
+    let mut out = vec![row("single-rate", objective, &delivered, &pop, degree)];
 
     // Warm start for the multi-rate runs: the single-rate optimum is a
     // valid multi-rate state. The cold start converges to replica-heavy
@@ -118,7 +99,7 @@ pub fn compute(
     // single-rate basin turns SA-2 into the clean question "does
     // per-replica rate freedom improve on the paper's formulation?".
     let warm_start = vod_anneal::MultiRateState {
-        replicas: single_best
+        replicas: best
             .assignments
             .iter()
             .enumerate()
@@ -127,7 +108,7 @@ pub fn compute(
                     .iter()
                     .map(|&server| vod_anneal::RatedReplica {
                         server,
-                        rate: single_best.rates[v],
+                        rate: best.rates[v],
                     })
                     .collect()
             })
@@ -136,39 +117,24 @@ pub fn compute(
 
     // 2 & 3. Multi-rate, both quality conventions.
     for (name, weighted, seed) in [
-        ("multi-rate eq1", false, 0x5A22_u64),
-        ("multi-rate weighted", true, 0x5A23),
+        ("multi-rate eq1", false, SEED + 1),
+        ("multi-rate weighted", true, SEED + 2),
     ] {
-        let problem = MultiRateProblem::new(
-            pop.clone(),
-            cluster.clone(),
-            setup.duration_s,
-            BitRate::LADDER.to_vec(),
-            demand,
-            weights,
-            weighted,
-        )?;
+        let problem =
+            sa::problem_with(setup, 1.0, |pop, cluster, duration_s, ladder, demand, w| {
+                MultiRateProblem::new(pop, cluster, duration_s, ladder, demand, w, weighted)
+            })?;
         debug_assert!(problem.is_feasible(&warm_start));
         let result = anneal_parallel_with_telemetry(
             &problem,
             problem.search_state(warm_start.clone()),
-            &anneal_params(seed, m),
+            &sa::params(setup, seed),
             telemetry,
         );
         let s = result.best_state.state();
         let delivered: Vec<f64> = (0..m).map(|v| s.delivered_mbps(v)).collect();
-        out.push(FormulationSummary {
-            name,
-            objective: problem.objective(s),
-            mean_delivered_mbps: delivered.iter().sum::<f64>() / m as f64,
-            viewer_mbps: delivered
-                .iter()
-                .enumerate()
-                .map(|(v, &d)| pop.get(v) * d)
-                .sum(),
-            head_mbps: delivered.iter().take(head).sum::<f64>() / head as f64,
-            degree: s.degree(),
-        });
+        let objective = problem.objective(s);
+        out.push(row(name, objective, &delivered, &pop, s.degree()));
     }
     Ok(out)
 }

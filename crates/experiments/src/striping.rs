@@ -28,6 +28,10 @@ use vod_sim::{AdmissionPolicy, FailurePlan, Outage, SimConfig};
 use vod_telemetry::Telemetry;
 use vod_workload::TraceGenerator;
 
+/// A-5's base seed: the healthy sweep runs from it, the failure case
+/// from `SEED + 1`.
+pub const SEED: u64 = 0xA4;
+
 /// One striped measurement cell.
 #[derive(Debug, Clone, Serialize)]
 pub struct StripedCell {
@@ -179,7 +183,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
             &replicated,
             lambda,
             AdmissionPolicy::StaticRoundRobin,
-            0xA4,
+            SEED,
             reporter.telemetry(),
         )?;
         let mut row = vec![format!("{lambda:.0}"), pct(rep.rejection_rate)];
@@ -189,7 +193,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
                 lambda,
                 ovh,
                 &FailurePlan::none(),
-                0xA4,
+                SEED,
                 reporter.telemetry(),
             )?;
             row.push(pct(rej));
@@ -213,7 +217,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
         up_at_min: Some(60.0),
     }])?;
     let (striped_rej, striped_dis) =
-        run_striped(setup, lambda, 0.1, &outage, 0xA5, reporter.telemetry())?;
+        run_striped(setup, lambda, 0.1, &outage, SEED + 1, reporter.telemetry())?;
 
     // Replicated counterpart under the identical outage (failover).
     let generator =
@@ -221,7 +225,7 @@ pub fn run(setup: &PaperSetup, reporter: &Reporter) -> Result<(), Box<dyn std::e
     let rep_reports = run_cell(
         setup,
         replicated.world(),
-        0xA5,
+        SEED + 1,
         |_| SimConfig {
             policy: AdmissionPolicy::RoundRobinFailover,
             failures: outage.clone(),

@@ -206,17 +206,6 @@ impl RateModel {
         self.base_per_min
     }
 
-    /// Mean of `λ(t)` over `[0, horizon_min)` by midpoint quadrature —
-    /// used for sizing expected request volumes.
-    pub fn mean_rate(&self, horizon_min: f64) -> f64 {
-        let steps = 4096;
-        let dt = horizon_min / steps as f64;
-        (0..steps)
-            .map(|i| self.rate_at((i as f64 + 0.5) * dt))
-            .sum::<f64>()
-            / steps as f64
-    }
-
     /// The thinning envelope over `[0, horizon_min)`: per-cell bounds on
     /// [`RateModel::rate_at`] (see [`ThinningEnvelope`]).
     fn envelope(&self, horizon_min: f64) -> ThinningEnvelope {
@@ -709,8 +698,6 @@ mod tests {
             let t = i as f64 * 0.2;
             assert!(rate.rate_at(t) <= max + 1e-12);
         }
-        let mean = rate.mean_rate(200.0);
-        assert!(mean > 0.0 && mean < max);
     }
 
     #[test]

@@ -513,72 +513,33 @@ fn golden_reports_hold_at_eight_shards() {
 /// interplay with repair and failover, field for field.
 const GOLDEN_DRIFT: &str = r#"{"arrivals":2970,"admitted":2858,"rejected":112,"redirected":0,"disrupted":127,"resumed":422,"degraded":0,"queued":0,"retried":0,"abandoned":0,"degraded_served":0,"mean_wait_min":0.0,"wait_p50_min":0.0,"wait_p95_min":0.0,"goodput":0.9280630670283078,"brownout_active_min":0.0,"repair_bytes_copied":5400000000,"repair_copies":2,"time_to_redundancy_min":87.0,"redundancy_deficit_video_min":2950.1015666666663,"unavailability_video_min":1843.1792,"controller_ticks":90,"controller_backoffs":50,"controller_promotions":37,"controller_demotions":22,"controller_retired":52,"controller_copies":87,"controller_bytes_copied":234900000000,"rejection_rate":0.03771043771043771,"mean_imbalance_cv":0.42616109944859376,"mean_imbalance_maxdev_rel":0.4131589408941083,"mean_imbalance_maxdev_streams":60.739010989010985,"peak_concurrent_streams":2731,"mean_concurrent_streams":1397.9333333333334,"per_video_arrivals":[347,150,126,100,61,108,63,28,48,26,52,26,41,25,32,25,18,25,15,23,18,24,18,16,18,15,15,11,10,11,16,14,13,4,12,14,7,9,11,9,10,10,2,6,8,7,8,4,9,5,8,6,7,6,7,4,4,8,9,8,5,10,4,4,7,8,5,10,3,8,8,5,5,5,5,1,6,6,4,8,3,3,4,3,2,3,2,2,3,2,4,2,1,6,8,5,3,2,4,2,8,10,3,4,5,5,3,3,1,2,3,1,4,1,1,2,4,7,1,2,4,4,2,3,1,6,4,4,3,3,1,3,4,2,2,2,2,0,6,1,5,3,4,1,4,1,1,0,5,1,2,3,3,1,3,2,1,4,3,5,2,1,3,2,4,2,1,1,2,5,3,5,3,3,1,2,4,1,0,0,1,1,3,4,3,5,1,5,0,0,2,2,3,1,4,1,2,1,204,582],"per_video_rejections":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,5,0,0,0,0,0,0,0,0,0,6,0,0,0,0,0,0,3,0,0,0,0,0,0,0,0,0,0,0,2,2,0,0,5,2,0,0,0,3,1,0,1,0,0,1,0,0,1,0,0,5,0,3,0,0,0,2,0,3,0,0,0,0,3,0,0,2,0,0,0,1,0,1,3,0,0,0,1,3,0,0,0,1,0,0,2,0,0,0,0,3,0,0,0,0,0,0,2,0,0,0,0,0,2,1,0,0,0,0,1,0,0,0,0,0,1,0,0,1,0,0,1,0,0,0,0,0,0,0,1,0,0,0,0,0,1,0,0,0,0,0,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,34,0],"series":[]}"#;
 
-/// A-7's world on the paper cluster: a zipf+slf plan at degree 1.4 on
+/// A-7's controller cell with faults on the paper cluster
+/// ([`vod_experiments::controller::DriftWorld`] under
+/// `controller::cell_config`): a zipf+slf plan at degree 1.4 on
 /// degree-1.6 storage, drifting demand with two flash crowds at 85 % of
-/// capacity, the controller on a 1-min tick, metered 200 Mbps repair,
-/// exponential faults, resume failover and least-loaded dispatch.
-/// Instruments record into `telemetry`.
+/// capacity drawn from A-7's base seed, the controller on a 1-min tick,
+/// metered 200 Mbps repair, exponential faults from run seed 0, resume
+/// failover and least-loaded dispatch. Instruments record into
+/// `telemetry`.
 fn drift_golden_run(shards: usize, telemetry: &vod_telemetry::Telemetry) -> vod_sim::SimReport {
     use vod_experiments::config::PaperSetup;
-    use vod_experiments::runner::{build_plan, Combo};
-    use vod_sim::ControllerConfig;
-    use vod_workload::{DriftingWorkload, FlashCrowd};
+    use vod_experiments::controller::{cell_config, DriftWorld, SEED};
 
     let setup = PaperSetup::default();
-    let m = setup.n_videos as u32;
-    let point = build_plan(&setup, Combo::ZIPF_SLF, 1.0, 1.4).unwrap();
-    let workload = DriftingWorkload::new(
-        setup.popularity(1.0).unwrap(),
-        setup.horizon_min,
-        15.0,
-        m,
-        0xD21F,
-    )
-    .unwrap()
-    .with_flash_crowds(vec![
-        FlashCrowd {
-            at_min: 25.0,
-            video: VideoId(m - 1),
-            boost: 2.0,
-        },
-        FlashCrowd {
-            at_min: 55.0,
-            video: VideoId(m - 2),
-            boost: 1.5,
-        },
-    ])
-    .unwrap();
-    let lambda = 0.85 * setup.capacity_lambda_per_min();
-    let trace = workload
-        .generate(lambda, &mut ChaCha8Rng::seed_from_u64(0xC0A7))
+    let a7 = DriftWorld::new(&setup).unwrap();
+    let trace = a7
+        .workload
+        .generate(a7.lambda_per_min, &mut ChaCha8Rng::seed_from_u64(SEED))
         .unwrap();
     let config = SimConfig {
-        policy: AdmissionPolicy::LeastLoadedReplica,
         horizon_min: setup.horizon_min,
         shards,
-        failure_model: Some(FailureModel::exponential(180.0, 15.0, 0xFA)),
-        repair: RepairConfig {
-            bandwidth_kbps: 200_000,
-            max_concurrent: 8,
-        },
-        controller: ControllerConfig {
-            tick_min: 1.0,
-            ewma_window_ticks: 6,
-            cooldown_ticks: 12,
-            ..ControllerConfig::default()
-        },
-        failover: FailoverPolicy::Resume,
-        ..SimConfig::default()
+        ..cell_config(1, 0, true, true)
     };
-    Simulation::new(
-        &setup.catalog().unwrap(),
-        &setup.cluster(1.6),
-        &point.plan.layout,
-        config,
-    )
-    .unwrap()
-    .run_with_telemetry(&trace, telemetry)
-    .unwrap()
+    Simulation::new(&a7.catalog, &a7.cluster, &a7.layout, config)
+        .unwrap()
+        .run_with_telemetry(&trace, telemetry)
+        .unwrap()
 }
 
 #[test]
